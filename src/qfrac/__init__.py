@@ -22,6 +22,7 @@ from .errors import (
 )
 from .operators import (
     FracOrder,
+    LatticeKernel,
     OperatorContext,
     bound_constant,
     caputo_derivative,

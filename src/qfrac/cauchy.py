@@ -25,7 +25,13 @@ from .errors import (
     MissingLipschitzError,
     TrustRegionError,
 )
-from .operators import FracOrder, _kernel_weights, _sum_length
+from .operators import (
+    FracOrder,
+    LatticeKernel,
+    _integral_coef,
+    _sum_length,
+    _tabulate,
+)
 from .qcalc import QLattice
 from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
@@ -105,63 +111,56 @@ def solver_nodes(problem: CauchyProblem,
 
 
 class _PicardEngine:
-    """Precomputed kernel weights and below-floor contributions for one
-    problem; applies one Picard step to a node-value table."""
+    """One LatticeKernel over the solver table; applies one Picard step to a
+    node-value table. Nodes above a come first, so the active rows are a
+    prefix of the table."""
 
     def __init__(self, problem: CauchyProblem, ctrl: SeriesControl):
         self.problem = problem
-        self.ctrl = ctrl
         self.nodes = solver_nodes(problem, ctrl)
-        q, p = problem.params.q, problem.params.p
+        p = problem.params.p
         alpha = problem.order.alpha
-        Q = problem.params.qp
-        n = len(self.nodes)
-        self.active = self.nodes > problem.a
-        self.coef = q_number(p, q) ** (1.0 - alpha) / q_gamma(alpha, Q)
-        # Jackson weights q**i k_i for the upper, on-lattice sum (c = q**p).
-        k = np.asarray(_kernel_weights(Q, alpha - 1.0, Q, n,
-                                       ctrl.abs_tol, ctrl.max_terms))
-        self.weights = np.power(q, np.arange(n)) * k
-        self.node_head = ((1.0 - q)
-                          * np.power(self.nodes, 1.0 + p * (alpha - 1.0)))
-        # The subtracted int_0^a sum only sees the constant-zeta extension,
-        # so it is fixed across iterations.
-        self.lower = np.zeros(n)
+        self.n_active = m = int(np.count_nonzero(self.nodes > problem.a))
+        self.coef = _integral_coef(alpha, problem.params)
+        self.kernel = LatticeKernel(problem.params, alpha - 1.0, problem.a,
+                                    ctrl, self.nodes[:m])
+        self.active_nodes = self.nodes[:m].tolist()
+        self.active_weight = self.nodes[:m] ** (p - 1.0)
+        # Below a the iterates extend by the constant zeta, so the integrand
+        # there, and with it the subtracted sums over [0, a], stay fixed.
+        self.frozen = self._integrand(self.nodes[m:])
+        self.lower = 0.0
         if problem.a > 0.0:
-            a = problem.a
-            g = np.empty(n)
-            qi = 1.0
-            for i in range(n):
-                w = a * qi
-                g[i] = qi * w ** (p - 1.0) * problem.rhs(w, problem.zeta)
-                qi *= q
-            for idx in np.nonzero(self.active)[0]:
-                t = self.nodes[idx]
-                c = (a * q / t) ** p
-                k_low = np.asarray(_kernel_weights(Q, alpha - 1.0, c, n,
-                                                   ctrl.abs_tol,
-                                                   ctrl.max_terms))
-                self.lower[idx] = ((1.0 - q) * a * t ** (p * (alpha - 1.0))
-                                   * float(np.dot(g, k_low)))
+            self.lower = self.kernel.lower @ self._integrand(
+                self.kernel.lower_nodes)
+        self.steps = 0
+
+    def _integrand(self, nodes: np.ndarray) -> np.ndarray:
+        problem = self.problem
+        return nodes ** (problem.params.p - 1.0) * _tabulate(
+            lambda w: problem.rhs(w, problem.zeta), nodes)
 
     def step(self, prev: np.ndarray) -> np.ndarray:
         problem = self.problem
-        p = problem.params.p
-        n = len(self.nodes)
         over = np.abs(prev - problem.zeta) > problem.radius_r
         if np.any(over):
             idx = int(np.nonzero(over)[0][0])
             raise TrustRegionError(float(self.nodes[idx]), float(prev[idx]))
-        g = np.empty(n)
-        for j in range(n):
-            w = float(self.nodes[j])
-            u = problem.zeta if not self.active[j] else float(prev[j])
-            g[j] = w ** (p - 1.0) * problem.rhs(w, u)
-        out = np.full(n, problem.zeta)
-        for idx in np.nonzero(self.active)[0]:
-            upper = self.node_head[idx] * float(
-                np.dot(self.weights[: n - idx], g[idx:]))
-            out[idx] = problem.zeta + self.coef * (upper - self.lower[idx])
+        self.steps += 1
+        m = self.n_active
+        rhs = problem.rhs
+        g = np.array([rhs(w, u) for w, u in zip(self.active_nodes,
+                                                 prev[:m].tolist())],
+                     dtype=float)
+        g = np.concatenate((self.active_weight * g, self.frozen))
+        out = np.full(len(self.nodes), problem.zeta)
+        out[:m] += self.coef * (self.kernel.apply(g) - self.lower)
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            idx = int(np.argmax(bad))
+            raise ConvergenceError(
+                f"Picard step {self.steps} gave a non-finite value at node "
+                f"t={float(self.nodes[idx])!r}")
         return out
 
 
@@ -186,7 +185,9 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
     sup-norm residual over the report lattice drops below tol.
 
     Never returns a silent partial answer: the report's converged flag is
-    False when max_iter is exhausted.
+    False when max_iter is exhausted, a non-finite iterate raises
+    ConvergenceError, and a report lattice deeper than the solver table
+    raises DomainError.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -199,8 +200,12 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
         raise DomainError("lattice floor must equal the problem lower limit a")
 
     engine = _PicardEngine(problem, ctrl)
-    report_idx = [i for i, w in enumerate(engine.nodes)
-                  if w > problem.a][: len(lattice.nodes)]
+    rows = len(lattice.nodes)
+    if rows > engine.n_active:
+        raise DomainError(
+            f"the report lattice has {rows} nodes but the solver table "
+            f"holds {engine.n_active} above a; the largest depth it allows "
+            f"is {engine.n_active}")
 
     k_est = _estimate_sup_rhs(problem, lattice)
     a_const = problem.lipschitz_A
@@ -209,18 +214,17 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
     bound_problem = replace(problem, lipschitz_A=a_const)
 
     phi = np.full(len(engine.nodes), problem.zeta)
-    iterates = [[float(phi[i]) for i in report_idx]]
+    iterates = [phi[:rows].tolist()]
     residuals: list[float] = []
     bounds: list[float] = []
     converged = False
     iterations = 0
     for n in range(1, max_iter + 1):
         phi_next = engine.step(phi)
-        residual = float(np.max(np.abs(phi_next[report_idx]
-                                       - phi[report_idx])))
+        residual = float(np.max(np.abs(phi_next[:rows] - phi[:rows])))
         residuals.append(residual)
         bounds.append(apriori_bound(n, problem.b, bound_problem, k_est, ctrl))
-        iterates.append([float(phi_next[i]) for i in report_idx])
+        iterates.append(phi_next[:rows].tolist())
         phi = phi_next
         iterations = n
         if residual < tol:

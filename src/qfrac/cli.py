@@ -8,13 +8,15 @@ registry), ml (q-Mittag-Leffler partial sums). Configs are flat
 The environment variable QFRAC_MAX_TERMS overrides SeriesControl.max_terms.
 
 Exit codes: 0 success; 1 verify failures; 2 config validation; 3 numerical
-non-convergence; 4 solver max_iter exhausted; 5 trust-region exit.
+failure (non-convergence, expression overflow, non-finite values); 4 solver
+max_iter exhausted; 5 trust-region exit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -190,8 +192,11 @@ def _series_control() -> SeriesControl:
             raise ConfigError(
                 f"QFRAC_MAX_TERMS: cannot parse {override!r} as int"
             ) from exc
-        ctrl = SeriesControl(ctrl.abs_tol, ctrl.rel_tol, max_terms,
-                             ctrl.consecutive_small)
+        try:
+            ctrl = SeriesControl(ctrl.abs_tol, ctrl.rel_tol, max_terms,
+                                 ctrl.consecutive_small)
+        except DomainError as exc:
+            raise ConfigError(f"QFRAC_MAX_TERMS: {exc}") from exc
     return ctrl
 
 
@@ -222,7 +227,12 @@ def _csv(header: str, rows: list[tuple[float, float]]) -> str:
 
 
 def _report_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    try:
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise FloatingPointError(
+            f"report holds a non-finite number: {exc}") from exc
+    return text + "\n"
 
 
 def _compiled_function(source: str, variables: set[str], cfg: RunConfig):
@@ -248,12 +258,15 @@ def _cmd_eval(cfg: RunConfig, out: str | None, fmt: str) -> int:
         "caputo": caputo_derivative,
     }[cfg.operator]
     lattice = QLattice(cfg.b, cfg.q, cfg.lattice_depth, floor_a=cfg.a)
-    rows = []
-    for x in lattice.nodes:
-        try:
-            rows.append((x, op(f, x, order, ctx)))
-        except (ConvergenceError, PoleError, DomainError) as exc:
-            print(f"operator {cfg.operator} failed at node x={_fmt(x)}: {exc}",
+    try:
+        values = op(f, lattice, order, ctx).tolist()
+    except (ConvergenceError, PoleError, DomainError) as exc:
+        print(f"operator {cfg.operator} failed: {exc}", file=sys.stderr)
+        return 3
+    rows = list(zip(lattice.nodes, values))
+    for x, v in rows:
+        if not math.isfinite(v):
+            print(f"operator {cfg.operator} gave {v} at node x={_fmt(x)}",
                   file=sys.stderr)
             return 3
     if fmt == "json":
@@ -305,6 +318,9 @@ def _cmd_solve(cfg: RunConfig, out: str | None, fmt: str) -> int:
     try:
         report = cauchy.solve(problem, lattice, tol=cfg.tol,
                               max_iter=cfg.max_iter, ctrl=ctrl)
+    except DomainError as exc:
+        print(f"lattice_depth: {exc}", file=sys.stderr)
+        return 2
     except TrustRegionError as exc:
         print(f"trust-region exit: {exc}", file=sys.stderr)
         return 5
@@ -407,6 +423,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except exprparse.EvalError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 
 

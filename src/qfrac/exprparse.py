@@ -233,7 +233,11 @@ def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
             raise EvalError(f"log of nonpositive value {x} in {to_source(expr)}")
         if expr.func == "sqrt" and x < 0.0:
             raise EvalError(f"sqrt of negative value {x} in {to_source(expr)}")
-        return FUNCTIONS[expr.func](x)
+        try:
+            return FUNCTIONS[expr.func](x)
+        except (OverflowError, ValueError):
+            raise EvalError(f"{expr.func} of {x} is out of range in "
+                            f"{to_source(expr)}") from None
     left = evaluate(expr.left, bindings)
     right = evaluate(expr.right, bindings)
     if expr.op == "+":
@@ -247,13 +251,20 @@ def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
             raise EvalError(f"division by zero in {to_source(expr)}")
         return left / right
     # "^": real power; negative base only for (near-)integer exponents
-    if left < 0.0:
-        nearest = round(right)
-        if abs(right - nearest) > 1e-9:
-            raise EvalError(
-                f"negative base with non-integer exponent in {to_source(expr)}")
-        return left ** int(nearest)
-    return left**right
+    try:
+        if left < 0.0:
+            nearest = round(right)
+            if abs(right - nearest) > 1e-9:
+                raise EvalError(f"negative base with non-integer exponent "
+                                f"in {to_source(expr)}")
+            return left ** int(nearest)
+        return left**right
+    except ZeroDivisionError:
+        raise EvalError(
+            f"zero to a negative power in {to_source(expr)}") from None
+    except (OverflowError, ValueError):
+        raise EvalError(f"{left} ^ {right} is out of range in "
+                        f"{to_source(expr)}") from None
 
 
 def _prec(expr: Expr) -> int:

@@ -6,14 +6,15 @@ and the boundedness constant.
 All integrals are Jackson sums over geometric lattices; the kernel
 (x**p - (wq)**p)^(beta) at node w = x q**i reduces to a pure power of
 q**p, so kernel weights for a whole sum are built in O(N) from two infinite
-products and cumulative finite Pochhammers.
+products and cumulative finite Pochhammers. At the nodes of a QLattice every
+operator value comes from one LatticeKernel pass over f tabulated once; a
+single point x off the lattice takes the scalar sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .qcore import (
 __all__ = [
     "FracOrder",
     "OperatorContext",
+    "LatticeKernel",
     "frac_integral",
     "lemma_beta_integral",
     "frac_derivative_rl",
@@ -92,41 +94,105 @@ def _sum_length(q: float, p: float, ctrl: SeriesControl) -> int:
     return n
 
 
-@lru_cache(maxsize=4096)
-def _kernel_weights(Q: float, beta: float, c: float, n: int,
-                    abs_tol: float, max_terms: int) -> tuple[float, ...]:
-    """k_i = (c Q**i; Q)_inf / (Q**beta c Q**i; Q)_inf for i = 0..n-1.
+def _kernel_weights(Q: float, beta: float, c, n: int,
+                    ctrl: SeriesControl) -> np.ndarray:
+    """k_i = (c Q**i; Q)_inf / (Q**beta c Q**i; Q)_inf for i = 0..n-1, one
+    row of n weights per entry of c (a scalar c gives one row).
 
     Built from two infinite products and cumulative finite Pochhammers:
     (c Q**i; Q)_inf = (c; Q)_inf / prod_{j<i} (1 - c Q**j).
     """
-    ctrl = SeriesControl(abs_tol=abs_tol, rel_tol=0.0, max_terms=max_terms,
-                         consecutive_small=3)
-    u0 = q_pochhammer_infinite(c, Q, ctrl)
+    prod_ctrl = SeriesControl(abs_tol=ctrl.abs_tol, rel_tol=0.0,
+                              max_terms=ctrl.max_terms, consecutive_small=3)
+    c = np.asarray(c, dtype=float)[..., None]
     cden = Q**beta * c
-    v0 = q_pochhammer_infinite(cden, Q, ctrl)
-    if v0 == 0.0:
+
+    def poch_inf(x: np.ndarray) -> np.ndarray:
+        return np.reshape([q_pochhammer_infinite(v, Q, prod_ctrl)
+                           for v in x.ravel().tolist()], x.shape)
+
+    u0 = poch_inf(c)
+    v0 = poch_inf(cden)
+    if np.any(v0 == 0.0):
         raise PoleError(
-            f"kernel denominator product vanishes (Q={Q}, beta={beta}, c={c})"
-        )
-    j = np.arange(n)
-    cum_u = np.concatenate(([1.0], np.cumprod(1.0 - c * Q**j)[:-1]))
-    cum_v = np.concatenate(([1.0], np.cumprod(1.0 - cden * Q**j)[:-1]))
+            f"kernel denominator product vanishes (Q={Q}, beta={beta})")
+    q_j = np.power(Q, np.arange(n - 1))
+    # in place: for a > 0 these are (rows x n) tables
+    cum_u, cum_v = np.ones((2,) + c.shape[:-1] + (n,))
+    for cum, base in ((cum_u, c), (cum_v, cden)):
+        np.multiply(base, q_j, out=cum[..., 1:])
+        np.subtract(1.0, cum[..., 1:], out=cum[..., 1:])
+        np.cumprod(cum[..., 1:], axis=-1, out=cum[..., 1:])
     if np.any(cum_u == 0.0) or np.any(cum_v == 0.0):
         raise PoleError(
             f"kernel weight recurrence hit a vanishing factor "
-            f"(Q={Q}, beta={beta}, c={c})"
+            f"(Q={Q}, beta={beta})"
         )
-    return tuple((u0 / cum_u) * (cum_v / v0))
+    np.divide(u0, cum_u, out=cum_u)
+    np.divide(cum_v, v0, out=cum_v)
+    return np.multiply(cum_u, cum_v, out=cum_u)
+
+
+class LatticeKernel:
+    """The Jackson kernel sum int_a^t g(w) (t**p - (wq)**p)^(beta) d_q w at
+    every row node t_m = t_0 q**m of a geometric node table, in one pass
+    over g tabulated once.
+
+    At w = t_m q**i the kernel is t_m**(p beta) k_i with one weight table
+    k (c = q**p), so the zero-based sums of all rows are one correlation,
+    head[m] * sum_{i<n} w_i g(t_0 q**(m+i)) with w_i = q**i k_i. For a > 0
+    the subtracted sums over [0, a] read g at the lower nodes a q**i, with
+    weights that depend on the row: a dense (rows x n) matrix. This is the
+    matrix view of discrete fractional calculus (Podlubny, FCAA 2000).
+    """
+
+    def __init__(self, params: QParams, beta: float, a: float,
+                 ctrl: SeriesControl, nodes: np.ndarray):
+        q, p, Q = params.q, params.p, params.qp
+        nodes = np.asarray(nodes, dtype=float)
+        self.n = n = _sum_length(q, p, ctrl)
+        q_i = np.power(q, np.arange(n))
+        self.weights = q_i * _kernel_weights(Q, beta, Q, n, ctrl)
+        self.head = (1.0 - q) * nodes ** (1.0 + p * beta)
+        self.lower_nodes = a * q_i
+        self.lower = None
+        if a > 0.0:
+            self.lower = _kernel_weights(Q, beta, (a * q / nodes) ** p, n,
+                                         ctrl)
+            self.lower *= q_i
+            self.lower *= ((1.0 - q) * a * nodes ** (p * beta))[:, None]
+
+    def apply(self, g: np.ndarray, g_low: np.ndarray | None = None
+              ) -> np.ndarray:
+        """Kernel sums at every row node.
+
+        g holds the integrand at t_0 q**j, j < rows + n - 1; a shorter
+        table stands for g = 0 past its end. g_low holds it at lower_nodes;
+        None stands for g = 0 on [0, a].
+        """
+        size = len(self.head) + self.n - 1
+        g = np.asarray(g, dtype=float)[:size]
+        if len(g) < size:
+            g = np.concatenate((g, np.zeros(size - len(g))))
+        out = self.head * np.correlate(g, self.weights, "valid")
+        if g_low is not None and self.lower is not None:
+            out -= self.lower @ g_low
+        return out
+
+
+def _tabulate(f: ScalarFunction, nodes: np.ndarray) -> np.ndarray:
+    """f at every node, one call per node with a Python float."""
+    return np.array([f(w) for w in nodes.tolist()], dtype=float)
 
 
 def _kernel_sum(g: ScalarFunction, s: float, beta: float,
                 ctx: OperatorContext) -> float:
-    """Jackson integral int_a^s g(w) (s**p - (wq)**p)^(beta) d_q w.
+    """Jackson integral int_a^s g(w) (s**p - (wq)**p)^(beta) d_q w at one
+    point s, off any lattice.
 
     Computed as the difference of two zero-based Jackson sums. At node
-    w = base * q**i the kernel ratio ((wq)/s)**p is geometric in i, so a
-    precomputed weight table covers the whole sum.
+    w = base * q**i the kernel ratio ((wq)/s)**p is geometric in i, so one
+    weight table covers each sum.
     """
     q, p = ctx.params.q, ctx.params.p
     Q = ctx.params.qp
@@ -139,7 +205,7 @@ def _kernel_sum(g: ScalarFunction, s: float, beta: float,
 
     def one_sided(base: float) -> float:
         c = (base * q / s) ** p
-        k = _kernel_weights(Q, beta, c, n, ctx.ctrl.abs_tol, ctx.ctrl.max_terms)
+        k = _kernel_weights(Q, beta, c, n, ctx.ctrl).tolist()
         total = 0.0
         qi = 1.0
         for i in range(n):
@@ -153,20 +219,85 @@ def _kernel_sum(g: ScalarFunction, s: float, beta: float,
     return total
 
 
-def frac_integral(f: ScalarFunction, x: float, order,
-                  ctx: OperatorContext) -> float:
+def _on_lattice(f: ScalarFunction, lattice: QLattice, ctx: OperatorContext,
+                stencil: bool):
+    """f tabulated for one kernel pass over the nodes of a lattice: f on the
+    geometric grid b q**j the pass reads (one more row for a q-difference
+    stencil) and at the lower nodes (None for a = 0), the grid, and the
+    number of lattice nodes."""
+    q, a = ctx.params.q, ctx.a
+    if lattice.q != q:
+        raise DomainError(f"lattice ratio {lattice.q} differs from q={q}")
+    xs = lattice.nodes
+    for x in xs:
+        if not x > a:
+            raise DomainError(f"evaluation point must exceed the lower "
+                              f"limit, got s={x}, a={a}")
+        if stencil and not q * x > a:
+            raise DomainError(
+                f"q-difference stencil leaves the domain at x={x}: "
+                f"qx={q * x} <= a={a}")
+    n = _sum_length(q, ctx.params.p, ctx.ctrl)
+    grid = lattice.b * np.power(q, np.arange(len(xs) + n - 1 + stencil))
+    low = _tabulate(f, a * np.power(q, np.arange(n))) if a > 0.0 else None
+    return _tabulate(f, grid), low, grid, len(xs)
+
+
+def _sums(f_grid: np.ndarray, f_low: np.ndarray | None, grid: np.ndarray,
+          rows: int, beta: float, ctx: OperatorContext) -> np.ndarray:
+    """Kernel sums of w**(p-1) f(w) at grid[:rows], from f tabulated on the
+    geometric grid and at the lower nodes (None: f = 0 on [0, a])."""
+    kernel = LatticeKernel(ctx.params, beta, ctx.a, ctx.ctrl, grid[:rows])
+    p1 = ctx.params.p - 1.0
+    g_low = None if f_low is None else kernel.lower_nodes ** p1 * f_low
+    return kernel.apply(grid[:len(f_grid)] ** p1 * f_grid, g_low)
+
+
+def _integral_coef(alpha: float, params: QParams) -> float:
+    return (q_number(params.p, params.q) ** (1.0 - alpha)
+            / q_gamma(alpha, params.qp))
+
+
+def _derivative_coef(alpha: float, params: QParams) -> float:
+    return q_number(params.p, params.q) ** alpha / q_gamma(1.0 - alpha,
+                                                           params.qp)
+
+
+def _integral_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
+    """J^alpha f at grid[:rows]; f_grid must cover rows + n - 1 nodes."""
+    return (_integral_coef(alpha, ctx.params)
+            * _sums(f_grid, f_low, grid, rows, alpha - 1.0, ctx))
+
+
+def _derivative_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
+    """D^alpha f at grid[:rows]: the outer q-difference of the inner sums
+    at adjacent rows. f_grid must cover rows + n nodes, all rows above a."""
+    q, p = ctx.params.q, ctx.params.p
+    inner = _sums(f_grid, f_low, grid, rows + 1, -alpha, ctx)
+    x = grid[:rows]
+    return (_derivative_coef(alpha, ctx.params) * x ** (1.0 - p)
+            * (inner[:-1] - inner[1:]) / ((1.0 - q) * x))
+
+
+def frac_integral(f: ScalarFunction, x, order,
+                  ctx: OperatorContext):
     """q-fractional integral J^alpha f at x:
 
     ([p]_q)**(1-alpha) / Gamma_{q**p}(alpha) *
     int_a^x w**(p-1) f(w) (x**p - (wq)**p)^(alpha-1) d_q w.
+
+    x is a point x > a, or a QLattice with ratio q: then the array of values
+    at its nodes, from one lattice-kernel pass.
     """
     alpha = _alpha_of(order)
     if not alpha > 0.0:
         raise DomainError(f"integral order must be positive, got {alpha}")
-    q, p = ctx.params.q, ctx.params.p
-    coef = q_number(p, q) ** (1.0 - alpha) / q_gamma(alpha, ctx.params.qp)
-    return coef * _kernel_sum(lambda w: w ** (p - 1.0) * f(w), x,
-                              alpha - 1.0, ctx)
+    if isinstance(x, QLattice):
+        return _integral_rows(*_on_lattice(f, x, ctx, stencil=False), alpha,
+                              ctx)
+    p = ctx.params.p
+    return _integral_coef(alpha, ctx.params) * _kernel_sum(
+        lambda w: w ** (p - 1.0) * f(w), x, alpha - 1.0, ctx)
 
 
 def lemma_beta_integral(a: float, x: float, order_alpha: float, lam: float,
@@ -190,18 +321,24 @@ def lemma_beta_integral(a: float, x: float, order_alpha: float, lam: float,
             * q_power_general(x, a, order_alpha + lam, params, ctrl))
 
 
-def frac_derivative_rl(f: ScalarFunction, x: float, order,
-                       ctx: OperatorContext) -> float:
+def frac_derivative_rl(f: ScalarFunction, x, order,
+                       ctx: OperatorContext):
     """Riemann-Liouville-type q-fractional derivative D^alpha f at x.
 
     The outer x**(1-p) D_q is formed numerically from the inner integral
-    evaluated at x and qx; order 0 is the identity.
+    evaluated at x and qx; order 0 is the identity. x is a point or a
+    QLattice, as for frac_integral; on a lattice qx is the next row.
     """
     alpha = _alpha_of(order)
     if alpha == 0.0:
+        if isinstance(x, QLattice):
+            return _tabulate(f, np.array(x.nodes))
         return f(x)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"derivative order must lie in [0, 1), got {alpha}")
+    if isinstance(x, QLattice):
+        return _derivative_rows(*_on_lattice(f, x, ctx, stencil=True), alpha,
+                                ctx)
     q, p = ctx.params.q, ctx.params.p
     if not x > ctx.a:
         raise DomainError(f"need x > a, got x={x}, a={ctx.a}")
@@ -213,13 +350,13 @@ def frac_derivative_rl(f: ScalarFunction, x: float, order,
     def inner(s: float) -> float:
         return _kernel_sum(lambda w: w ** (p - 1.0) * f(w), s, -alpha, ctx)
 
-    coef = q_number(p, q) ** alpha / q_gamma(1.0 - alpha, ctx.params.qp)
-    return coef * x ** (1.0 - p) * (inner(x) - inner(q * x)) / ((1.0 - q) * x)
+    return (_derivative_coef(alpha, ctx.params) * x ** (1.0 - p)
+            * (inner(x) - inner(q * x)) / ((1.0 - q) * x))
 
 
-def caputo_derivative(f: ScalarFunction, x: float, order,
-                      ctx: OperatorContext) -> float:
-    """Caputo-type derivative: the RL derivative of w -> f(w) - f(a)."""
+def caputo_derivative(f: ScalarFunction, x, order, ctx: OperatorContext):
+    """Caputo-type derivative: the RL derivative of w -> f(w) - f(a), at a
+    point or at the nodes of a QLattice."""
     fa = f(ctx.a)
     return frac_derivative_rl(lambda w: f(w) - fa, x, order, ctx)
 
@@ -240,9 +377,8 @@ def caputo_derivative_simplified(f: ScalarFunction, dqf: ScalarFunction,
     alpha = _alpha_of(order)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"derivative order must lie in (0, 1), got {alpha}")
-    q, p = ctx.params.q, ctx.params.p
-    coef = q_number(p, q) ** alpha / q_gamma(1.0 - alpha, ctx.params.qp)
-    return coef * _kernel_sum(dqf, x, -alpha, ctx)
+    return _derivative_coef(alpha, ctx.params) * _kernel_sum(dqf, x, -alpha,
+                                                             ctx)
 
 
 def caputo_rl_relation_residual(f: ScalarFunction, x: float, order,
@@ -255,10 +391,8 @@ def caputo_rl_relation_residual(f: ScalarFunction, x: float, order,
     Approximately zero whenever both derivative types exist.
     """
     alpha = _alpha_of(order)
-    q, p = ctx.params.q, ctx.params.p
-    coef = q_number(p, q) ** alpha / q_gamma(1.0 - alpha, ctx.params.qp)
-    shift = f(ctx.a) * coef * q_power_general(x, ctx.a, -alpha, ctx.params,
-                                             ctx.ctrl)
+    shift = (f(ctx.a) * _derivative_coef(alpha, ctx.params)
+             * q_power_general(x, ctx.a, -alpha, ctx.params, ctx.ctrl))
     return (frac_derivative_rl(f, x, order, ctx)
             - caputo_derivative(f, x, order, ctx) - shift)
 
@@ -288,39 +422,41 @@ def bound_constant(order, ctx: OperatorContext, b: float) -> float:
 
 def inversion_residuals(f: ScalarFunction, lattice: QLattice, order,
                         ctx: OperatorContext) -> tuple[float, float]:
-    """Max-norm residuals of the inversion identities over the lattice:
+    """Max-norm residuals of the inversion identities over the lattice
+    nodes x with qx > a:
 
     (max |cD^alpha(J^alpha f)(x) - f(x)|,
      max |J^alpha(cD^alpha f)(x) - (f(x) - f(a))|).
 
-    Inner operator evaluations land on the lattice's own geometric nodes and
-    are memoised; below the lower limit the operand extends by zero.
+    The lattice ratio must be q. Everything lives on one geometric grid
+    b q**j, with f tabulated once: the inner operator is one kernel pass
+    over the grid nodes the outer pass reads, and extends by zero at and
+    below a (for cD, wherever qw <= a).
     """
-    fa = f(ctx.a)
-    j_memo: dict[float, float] = {}
-    d_memo: dict[float, float] = {}
+    alpha = _alpha_of(order)
+    q, a = ctx.params.q, ctx.a
+    if lattice.q != q:
+        raise DomainError(f"lattice ratio {lattice.q} differs from q={q}")
+    rows = sum(1 for x in lattice.nodes if q * x > a)
+    if rows == 0:
+        return 0.0, 0.0
+    n = _sum_length(q, ctx.params.p, ctx.ctrl)
+    grid = lattice.b * np.power(q, np.arange(rows + 2 * n - 1))
+    f_grid = _tabulate(f, grid)
+    f_low = _tabulate(f, a * np.power(q, np.arange(n))) if a > 0.0 else None
+    fa = f(a)
 
-    def jf(w: float) -> float:
-        if w <= ctx.a:
-            return 0.0
-        if w not in j_memo:
-            j_memo[w] = frac_integral(f, w, order, ctx)
-        return j_memo[w]
+    jf = np.zeros(rows + n)
+    live = int(np.count_nonzero(grid[:len(jf)] > a))
+    jf[:live] = _integral_rows(f_grid, f_low, grid, live, alpha, ctx)
+    # J f vanishes at a, so cD^alpha(J f) = D^alpha(J f)
+    left = _derivative_rows(jf, None, grid, rows, alpha, ctx) - f_grid[:rows]
 
-    def cdf(w: float) -> float:
-        if w <= ctx.a or ctx.params.q * w <= ctx.a:
-            return 0.0
-        if w not in d_memo:
-            d_memo[w] = caputo_derivative(f, w, order, ctx)
-        return d_memo[w]
-
-    res_left = 0.0
-    res_right = 0.0
-    for x in lattice.nodes:
-        if ctx.params.q * x <= ctx.a:
-            continue
-        res_left = max(res_left,
-                       abs(caputo_derivative(jf, x, order, ctx) - f(x)))
-        res_right = max(res_right,
-                        abs(frac_integral(cdf, x, order, ctx) - (f(x) - fa)))
-    return res_left, res_right
+    cdf = np.zeros(rows + n - 1)
+    live = int(np.count_nonzero(q * grid[:len(cdf)] > a))
+    cdf[:live] = _derivative_rows(
+        f_grid - fa, None if f_low is None else f_low - fa, grid, live,
+        alpha, ctx)
+    right = (_integral_rows(cdf, None, grid, rows, alpha, ctx)
+             - (f_grid[:rows] - fa))
+    return float(np.max(np.abs(left))), float(np.max(np.abs(right)))

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import qfrac
 
 from qfrac.cauchy import (
     CauchyProblem,
@@ -12,8 +17,13 @@ from qfrac.cauchy import (
     solve,
     solver_nodes,
 )
-from qfrac.errors import DomainError, MissingLipschitzError, TrustRegionError
-from qfrac.operators import FracOrder
+from qfrac.errors import (
+    ConvergenceError,
+    DomainError,
+    MissingLipschitzError,
+    TrustRegionError,
+)
+from qfrac.operators import FracOrder, OperatorContext, frac_integral
 from qfrac.qcalc import QLattice
 from qfrac.qcore import QParams, q_gamma, q_number, q_power_general
 
@@ -78,6 +88,38 @@ class TestPicardStep:
         with pytest.raises(DomainError):
             picard_iterate([1.0, 2.0], problem)
 
+    @pytest.mark.parametrize("q,p,a", [(0.5, 1.0, 0.0), (0.5, 2.0, 0.25),
+                                       (0.9, 1.0, 0.25), (0.9, 2.0, 0.0),
+                                       (0.3, 1.0, 0.1)])
+    def test_step_matches_scalar_integral(self, q, p, a):
+        # zeta + J^alpha of the tabulated rhs, node by node through the
+        # scalar sum: zeta below a, and zero past the end of the table,
+        # which the step's truncated sums do not read
+        rhs = lambda t, u: math.sin(t) + u * u / 4
+        problem = CauchyProblem(rhs=rhs, a=a, b=1.0, zeta=1.0,
+                                order=FracOrder(0.6), params=QParams(q, p),
+                                radius_r=10.0)
+        nodes = solver_nodes(problem)
+        phi = lambda t: 1.0 + t * t
+        out = picard_iterate([phi(t) for t in nodes], problem)
+        cut = nodes[-1] * math.sqrt(q)
+        g = lambda w: 0.0 if w < cut else rhs(w, phi(w) if w > a else 1.0)
+        ctx = OperatorContext(problem.params, a=a)
+        for t, v in zip(nodes.tolist(), out.tolist()):
+            if t <= a:
+                assert v == 1.0
+                continue
+            want = 1.0 + frac_integral(g, t, problem.order, ctx)
+            assert abs(v - want) <= 1e-13 * max(1.0, abs(want))
+
+    def test_non_finite_step_names_node_and_iteration(self):
+        problem = CauchyProblem(rhs=lambda t, u: (u * 1e308 * 10) * 0,
+                                a=0.0, b=1.0, zeta=1.0, order=FracOrder(0.5),
+                                params=QParams(0.5), radius_r=10.0)
+        with pytest.raises(ConvergenceError,
+                           match=r"Picard step 1 .* node t=1\.0"):
+            solve(problem, QLattice(1.0, 0.5, 8))
+
     def test_trust_region_violation(self):
         problem = linear_problem(r=0.5)
         nodes = solver_nodes(problem)
@@ -132,6 +174,38 @@ class TestSolve:
         with pytest.raises(TrustRegionError):
             solve(linear_problem(r=0.05), QLattice(1.0, 0.5, 8),
                   max_iter=150)
+
+    def test_lattice_deeper_than_solver_table(self):
+        # the q = 0.5 solver table holds 53 nodes
+        with pytest.raises(DomainError, match="largest depth it allows is 53"):
+            solve(linear_problem(), QLattice(1.0, 0.5, 100))
+
+    def test_kernel_memory_stays_bounded(self):
+        # six a > 0 solves at q = 0.99, each with its own kernel tables;
+        # nothing may pile up across solves
+        script = """
+import resource
+from qfrac import CauchyProblem, FracOrder, QLattice, QParams, solve
+
+def run(alpha):
+    problem = CauchyProblem(rhs=lambda t, u: u, a=0.25, b=1.0, zeta=1.0,
+                            order=FracOrder(alpha), params=QParams(0.99),
+                            radius_r=10.0)
+    report = solve(problem, QLattice(1.0, 0.99, 12, floor_a=0.25),
+                   tol=1e-10, max_iter=300)
+    assert report.converged
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
+first = run(0.41)
+print(max(run(alpha) for alpha in (0.47, 0.53, 0.59, 0.65, 0.71)) - first)
+"""
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(
+            os.path.dirname(qfrac.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        growth_kb = int(done.stdout)
+        assert growth_kb < 64 * 1024, f"peak RSS grew {growth_kb} KB"
 
     def test_lattice_must_match_problem(self):
         with pytest.raises(DomainError):

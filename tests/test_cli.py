@@ -218,3 +218,99 @@ class TestVerify:
         flags = {r["name"]: r["passed"] for r in payload["identity_results"]}
         assert flags["beta_integral_lemma"] is False
         assert flags["inversion_identities"] is True
+
+
+EVAL_BASE = "q = 0.5\nalpha = 0.5\n"
+SOLVE_BASE = "q = 0.5\nalpha = 0.5\nzeta = 1\nr = 10\n"
+
+
+class TestFailurePaths:
+    """Every failure ends in its documented exit code with a one-line
+    message, never a traceback or a file holding NaN."""
+
+    @pytest.mark.parametrize("command,cfg,max_terms,code,message", [
+        ("solve", SOLVE_BASE + "rhs = exp(u)^400\n", None, 3,
+         "evaluation error: "),
+        ("eval", EVAL_BASE + "operator = J\nfunction = exp(x*1000)\n", None,
+         3, "evaluation error: exp of 1000.0 is out of range"),
+        ("eval", EVAL_BASE + "operator = caputo\nfunction = x^(-0.5)\n",
+         None, 3, "evaluation error: zero to a negative power"),
+        ("eval", EVAL_BASE + "operator = J\n"
+         "function = exp(700*x)*exp(700*x)\n", None, 3,
+         "operator J gave inf at node x=1"),
+        ("solve", SOLVE_BASE + "rhs = (u*1e308*10)*0\n", None, 3,
+         "Picard step 1 gave a non-finite value at node t=1.0"),
+        ("solve", SOLVE_BASE + "rhs = u\n", "0", 2, "QFRAC_MAX_TERMS: "),
+        ("solve", SOLVE_BASE + "rhs = u\nlattice_depth = 100\n", None, 2,
+         "lattice_depth: "),
+    ])
+    def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch,
+                                    command, cfg, max_terms, code, message):
+        if max_terms is not None:
+            monkeypatch.setenv("QFRAC_MAX_TERMS", max_terms)
+        path = write_cfg(tmp_path, "a.cfg", cfg)
+        out = tmp_path / "out.json"
+        assert main([command, "--config", path, "--out", str(out),
+                     "--format", "json"]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    def test_depth_message_names_the_largest_depth(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "a.cfg",
+                         SOLVE_BASE + "rhs = u\nlattice_depth = 100\n")
+        assert main(["solve", "--config", path]) == 2
+        assert "largest depth it allows is 53" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    @pytest.mark.parametrize("operator", ["D", "caputo"])
+    def test_stencil_exit_is_3(self, tmp_path, capsys, q, operator):
+        path = write_cfg(tmp_path, "a.cfg",
+                         f"q = {q}\nalpha = 0.5\na = 0.25\n"
+                         f"operator = {operator}\nfunction = 1 + x^2\n"
+                         "lattice_depth = 20\n")
+        assert main(["eval", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"operator {operator} failed: "
+                              "q-difference stencil leaves the domain")
+        assert err.count("\n") == 1
+
+
+def test_counting_wrapper_leaves_bytes_unchanged(tmp_path, monkeypatch):
+    """Wrapping the parsed expression, as a tracer does, changes no output
+    byte of eval or solve."""
+    import qfrac.cli as cli
+
+    configs = {
+        "eval": "q = 0.9\nalpha = 0.4\na = 0.25\noperator = J\n"
+                "function = 1 + x^2 - sin(x)\n",
+        "solve": SOLVE_CFG,
+    }
+
+    def run(tag):
+        outputs = {}
+        for command, text in configs.items():
+            path = write_cfg(tmp_path, f"{command}.cfg", text)
+            out = tmp_path / f"{command}-{tag}.json"
+            assert main([command, "--config", path, "--out", str(out),
+                         "--format", "json"]) == 0
+            outputs[command] = out.read_bytes()
+        return outputs
+
+    plain = run("plain")
+    calls = []
+    compiled = cli._compiled_function
+
+    def counting(*args):
+        fn = compiled(*args)
+
+        def wrapped(**bindings):
+            calls.append(1)
+            return fn(**bindings)
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "_compiled_function", counting)
+    assert run("counted") == plain
+    assert calls

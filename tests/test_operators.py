@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -273,3 +275,40 @@ class TestInversion:
         _, r2 = inversion_residuals(lambda w: 4.0, QLattice(1.0, 0.5, 6),
                                     FracOrder(0.5), ctx)
         assert r2 < 1e-9
+
+
+class TestLatticePath:
+    """One lattice-kernel pass over a QLattice against the scalar sums at
+    each of its nodes."""
+
+    @given(q=st.floats(0.3, 0.97), p=st.sampled_from(PS),
+           alpha=st.floats(0.1, 0.9), a=st.sampled_from((0.0, 0.25)),
+           c=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_scalar_at_every_node(self, q, p, alpha, a, c):
+        ctx = OperatorContext(QParams(q, p), a=a)
+        f = lambda w: c[0] + c[1] * w + c[2] * w * w + c[3] * math.exp(-w)
+        # nodes whose q-difference stencil stays above a
+        depth = sum(1 for x in QLattice(1.0, q, 6, floor_a=a).nodes
+                    if q * x > a)
+        lattice = QLattice(1.0, q, depth, floor_a=a)
+        for op, scale in ((frac_integral, 1.0),
+                          (frac_derivative_rl, 1.0 / (1.0 - q)),
+                          (caputo_derivative, 1.0 / (1.0 - q))):
+            got = op(f, lattice, FracOrder(alpha), ctx)
+            assert len(got) == depth
+            for x, v in zip(lattice.nodes, got):
+                want = op(f, x, FracOrder(alpha), ctx)
+                assert abs(v - want) <= 1e-13 * max(1.0, abs(want)) * scale
+
+    def test_stencil_leaving_the_domain(self):
+        ctx = OperatorContext(QParams(0.5), a=0.25)
+        lattice = QLattice(1.0, 0.5, 4, floor_a=0.25)  # nodes 1, 0.5
+        assert len(frac_integral(lambda w: w, lattice, 0.5, ctx)) == 2
+        with pytest.raises(DomainError, match="stencil leaves the domain"):
+            frac_derivative_rl(lambda w: w, lattice, 0.5, ctx)
+
+    def test_lattice_ratio_must_be_q(self):
+        ctx = OperatorContext(QParams(0.5))
+        with pytest.raises(DomainError, match="lattice ratio"):
+            frac_integral(lambda w: w, QLattice(1.0, 0.6, 4), 0.5, ctx)

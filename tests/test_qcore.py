@@ -220,3 +220,34 @@ class TestInvariantsOfTypes:
             SeriesControl(abs_tol=0.0, rel_tol=0.0)
         with pytest.raises(DomainError):
             SeriesControl(max_terms=2, consecutive_small=3)
+
+
+def mpmath_tolerance(q):
+    """2e-14, widened near q = 1: the products hold ~36 / (1 - q) factors,
+    each rounded once, so double precision cannot do better than a few
+    eps / (1 - q) there."""
+    return max(2e-14, 8 * 2.2e-16 / (1.0 - q))
+
+
+class TestMpmathOracles:
+    """Cross-checks against mpmath at 30 digits (test-only dependency)."""
+
+    QS = (0.3, 0.5, 0.9, 0.95, 0.99)
+
+    def test_q_gamma(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for q in self.QS:
+                for t in (0.25, 0.5, 1.5, 2.7, 4.0):
+                    want = float(mpmath.qgamma(t, q, maxterms=10**6))
+                    assert abs(q_gamma(t, q) - want) <= (
+                        mpmath_tolerance(q) * abs(want)), (q, t)
+
+    def test_q_pochhammer_infinite(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for q in self.QS:
+                for a in (0.01, 0.5, 0.9, -0.7, q):
+                    want = float(mpmath.qp(a, q, maxterms=10**6))
+                    assert abs(q_pochhammer_infinite(a, q) - want) <= (
+                        mpmath_tolerance(q) * abs(want)), (q, a)

@@ -14,6 +14,7 @@ the lower limit a the iterates extend by the constant zeta.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 Rhs = Callable[[float, float], float]
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,7 @@ def apriori_bound(n: int, t: float, problem: CauchyProblem, K: float,
     """Induction bound on |phi_{n+1} - phi_n|:  C(t)**n A**(n-1) K with
 
     C(t) = ([p]_q)**(1-alpha) / ([p alpha]_q Gamma_Q(alpha))
-           * (t**p - a**p)^(alpha).
+           * (t**p - a**p)^(alpha);  math.inf (vacuous) past float range.
     """
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
@@ -283,7 +285,14 @@ def apriori_bound(n: int, t: float, problem: CauchyProblem, K: float,
     c = (q_number(p, q) ** (1.0 - alpha)
          / (q_number(p * alpha, q) * q_gamma(alpha, problem.params.qp))
          * q_power_general(t, problem.a, alpha, problem.params))
-    return c**n * problem.lipschitz_A ** (n - 1) * K
+    A = problem.lipschitz_A
+    if K == 0.0 or c == 0.0:
+        return 0.0
+    try:
+        return c**n * A ** (n - 1) * K
+    except OverflowError:  # a power left float range; the product may not
+        log_bound = n * math.log(c) + (n - 1) * math.log(A) + math.log(K)
+        return math.exp(log_bound) if log_bound < _LOG_MAX else math.inf
 
 
 def q_mittag_leffler(x: float, m: int, order: FracOrder, params: QParams,

@@ -144,12 +144,10 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"command: must be one of {', '.join(_COMMANDS)}")
     if cfg.command != "verify":
         _require(cfg, "q", "alpha")
-        if not 0.0 < cfg.q < 1.0:
-            raise ConfigError(f"q: must lie in (0, 1), got {cfg.q}")
-        if not 0.0 < cfg.alpha < 1.0:
-            raise ConfigError(f"alpha: must lie in (0, 1), got {cfg.alpha}")
     if cfg.q is not None and not 0.0 < cfg.q < 1.0:
         raise ConfigError(f"q: must lie in (0, 1), got {cfg.q}")
+    if cfg.command != "verify" and not 0.0 < cfg.alpha < 1.0:
+        raise ConfigError(f"alpha: must lie in (0, 1), got {cfg.alpha}")
     if not cfg.p > 0.0:
         raise ConfigError(f"p: must be positive, got {cfg.p}")
     if cfg.a < 0.0:
@@ -235,6 +233,21 @@ def _report_json(payload: dict) -> str:
     return text + "\n"
 
 
+def _write_table(cfg: RunConfig, out: str | None, fmt: str,
+                 rows: list[tuple[float, float]]) -> int:
+    """The x,value table of eval and ml, as JSON or CSV."""
+    if fmt == "json":
+        _write_atomic(out, _report_json({
+            "schema": 1,
+            "config": cfg.resolved(),
+            "table": {"x": [r[0] for r in rows],
+                      "value": [r[1] for r in rows]},
+        }))
+    else:
+        _write_atomic(out, _csv("x,value", rows))
+    return 0
+
+
 def _compiled_function(source: str, variables: set[str], cfg: RunConfig):
     expr = exprparse.parse(source, variables | {"q", "p", "alpha"})
     consts = {"q": cfg.q, "p": cfg.p, "alpha": cfg.alpha}
@@ -269,16 +282,7 @@ def _cmd_eval(cfg: RunConfig, out: str | None, fmt: str) -> int:
             print(f"operator {cfg.operator} gave {v} at node x={_fmt(x)}",
                   file=sys.stderr)
             return 3
-    if fmt == "json":
-        _write_atomic(out, _report_json({
-            "schema": 1,
-            "config": cfg.resolved(),
-            "table": {"x": [r[0] for r in rows],
-                      "value": [r[1] for r in rows]},
-        }))
-    else:
-        _write_atomic(out, _csv("x,value", rows))
-    return 0
+    return _write_table(cfg, out, fmt, rows)
 
 
 def _cmd_ml(cfg: RunConfig, out: str | None, fmt: str) -> int:
@@ -293,16 +297,7 @@ def _cmd_ml(cfg: RunConfig, out: str | None, fmt: str) -> int:
     except (ConvergenceError, PoleError) as exc:
         print(f"q-Mittag-Leffler evaluation failed: {exc}", file=sys.stderr)
         return 3
-    if fmt == "json":
-        _write_atomic(out, _report_json({
-            "schema": 1,
-            "config": cfg.resolved(),
-            "table": {"x": [r[0] for r in rows],
-                      "value": [r[1] for r in rows]},
-        }))
-    else:
-        _write_atomic(out, _csv("x,value", rows))
-    return 0
+    return _write_table(cfg, out, fmt, rows)
 
 
 def _cmd_solve(cfg: RunConfig, out: str | None, fmt: str) -> int:
@@ -335,7 +330,8 @@ def _cmd_solve(cfg: RunConfig, out: str | None, fmt: str) -> int:
         "config": cfg.resolved(),
         "table": {"x": [r[0] for r in rows], "u": [r[1] for r in rows]},
         "residuals": report.residuals,
-        "apriori_bounds": report.apriori_bounds,
+        "apriori_bounds": [bd if math.isfinite(bd) else None
+                           for bd in report.apriori_bounds],
         "converged": report.converged,
         "iterations_used": report.iterations_used,
         "k_estimate": report.k_estimate,

@@ -17,28 +17,13 @@ from qfrac.cauchy import (
     solver_nodes,
 )
 from qfrac.cli import main as cli_main
-from qfrac.operators import (
-    FracOrder,
-    OperatorContext,
-    bound_constant,
-    caputo_derivative,
-    caputo_derivative_simplified,
-    frac_integral,
-    inversion_residuals,
-    lemma_beta_integral,
-)
-from qfrac.qcalc import QLattice, jackson_integral, sup_norm
-from qfrac.qcore import (
-    QParams,
-    q_factorial,
-    q_gamma,
-    q_number,
-    q_power_general,
-)
+from qfrac.operators import FracOrder
+from qfrac.qcalc import QLattice
+from qfrac.qcore import QParams, q_factorial, q_gamma, q_number
+from qfrac.verify import run_identity
 
 QS = (0.3, 0.5, 0.9)
 PS = (1.0, 2.0)
-ALPHAS = (0.25, 0.5, 0.75)
 
 
 def criterion(number, description, runtime_limit):
@@ -66,119 +51,38 @@ def criterion(number, description, runtime_limit):
     return deco
 
 
-def smooth_family(p, q):
-    """Monomial and generalized q-power test family with analytic
-    q-derivatives: w, w^2, w^3, and w^(0.7 p)."""
-    fam = []
-    for m in (1, 2, 3):
-        fam.append((lambda w, m=m: w**m,
-                    lambda w, m=m: q_number(m, q) * w ** (m - 1)))
-    e = 0.7 * p
-    fam.append((lambda w, e=e: w**e,
-                lambda w, e=e: q_number(e, q) * w ** (e - 1.0)))
-    return fam
-
-
 @criterion(1, "beta-integral lemma vs Jackson evaluation, rel err < 1e-9", 10)
 def test_criterion_1_lemma():
-    worst = 0.0
-    for q in QS:
-        for p in PS:
-            params = QParams(q, p)
-            for alpha in (0.3, 0.7, 1.2):
-                for lam in (0.0, 0.5, 1.0):
-                    for x in (0.5, 1.0, 2.0):
-
-                        def integrand(t):
-                            return (t ** (p - 1.0)
-                                    * q_power_general(x, q * t, alpha - 1.0,
-                                                      params)
-                                    * t ** (p * lam))
-
-                        lhs = jackson_integral(integrand, 0.0, x, q)
-                        rhs = lemma_beta_integral(0.0, x, alpha, lam, params)
-                        worst = max(worst, abs(lhs - rhs) / abs(rhs))
+    worst = run_identity("beta_integral_lemma").max_error
     assert worst < 1e-9, f"worst relative error {worst:.3e}"
 
 
 @criterion(2, "q-power q-derivative identities on 100 random draws, "
               "rel err < 1e-8", 5)
 def test_criterion_2_qpower_derivatives():
-    rng = np.random.default_rng(1234)
-    worst = 0.0
-    for _ in range(100):
-        q = float(rng.choice(QS))
-        p = float(rng.choice(PS))
-        params = QParams(q, p)
-        alpha = float(rng.uniform(0.2, 1.8))
-        x = float(rng.uniform(0.5, 2.0))
-        y = float(rng.uniform(0.1 * q * x, 0.9 * q * x))
-        qn = q_number(p * alpha, q)
-        lhs_x = (q_power_general(x, y, alpha, params)
-                 - q_power_general(q * x, y, alpha, params)) / ((1 - q) * x)
-        rhs_x = (x ** (p - 1.0) * qn
-                 * q_power_general(x, y, alpha - 1.0, params))
-        worst = max(worst, abs(lhs_x - rhs_x) / abs(rhs_x))
-        lhs_y = (q_power_general(x, y, alpha, params)
-                 - q_power_general(x, q * y, alpha, params)) / ((1 - q) * y)
-        rhs_y = (-(y ** (p - 1.0)) * qn
-                 * q_power_general(x, q * y, alpha - 1.0, params))
-        worst = max(worst, abs(lhs_y - rhs_y) / abs(rhs_y))
+    worst = run_identity("qpower_q_derivatives").max_error
     assert worst < 1e-8, f"worst relative error {worst:.3e}"
 
 
 @criterion(3, "definitional vs simplified Caputo derivative, "
               "abs err < 1e-8", 30)
 def test_criterion_3_caputo_equivalence():
-    worst = 0.0
-    for q in QS:
-        for p in PS:
-            ctx = OperatorContext(QParams(q, p))
-            lattice = QLattice(1.0, q, 12)
-            for alpha in ALPHAS:
-                order = FracOrder(alpha)
-                for f, dqf in smooth_family(p, q):
-                    for x in lattice.nodes:
-                        d1 = caputo_derivative(f, x, order, ctx)
-                        d2 = caputo_derivative_simplified(f, dqf, x, order,
-                                                          ctx)
-                        worst = max(worst, abs(d1 - d2))
+    worst = run_identity("caputo_equivalence").max_error
     assert worst < 1e-8, f"worst absolute error {worst:.3e}"
 
 
 @criterion(4, "inversion identities residuals < 1e-7 on the same family", 30)
 def test_criterion_4_inversion():
-    worst = 0.0
-    for q in QS:
-        for p in PS:
-            ctx = OperatorContext(QParams(q, p))
-            lattice = QLattice(1.0, q, 12)
-            for alpha in ALPHAS:
-                for f, _ in smooth_family(p, q):
-                    r1, r2 = inversion_residuals(f, lattice,
-                                                 FracOrder(alpha), ctx)
-                    worst = max(worst, r1, r2)
+    worst = run_identity("inversion_identities").max_error
     assert worst < 1e-7, f"worst residual {worst:.3e}"
 
 
 @criterion(5, "fractional integral bounded by bound_constant, "
               "50 random degree-4 polynomials, zero violations", 10)
 def test_criterion_5_boundedness():
-    rng = np.random.default_rng(20240817)
-    combos = [(q, p) for q in QS for p in PS]
-    violations = 0
-    for i in range(50):
-        q, p = combos[i % len(combos)]
-        ctx = OperatorContext(QParams(q, p))
-        bound = bound_constant(FracOrder(0.5), ctx, 1.0)
-        coeffs = rng.uniform(-1.0, 1.0, size=5)
-        f = lambda w, c=coeffs: float(np.polyval(c, w))
-        jf = lambda x, g=f: frac_integral(g, x, FracOrder(0.5), ctx)
-        lhs = sup_norm(jf, QLattice(1.0, q, 12))
-        rhs = bound * sup_norm(f, QLattice(1.0, q, 200))
-        if lhs > rhs:
-            violations += 1
-    assert violations == 0, f"{violations} boundedness violations"
+    # max over the polynomials of sup |J f| - bound * sup |f|
+    excess = run_identity("integral_boundedness").max_error
+    assert excess <= 0.0, f"bound exceeded by {excess:.3e}"
 
 
 @criterion(6, "second and third Picard iterates match their closed forms, "

@@ -250,6 +250,16 @@ class TestAprioriBound:
         b3 = apriori_bound(3, 1.0, problem, 1.0)
         assert b3 == pytest.approx(b1**3, rel=1e-12)
 
+    def test_past_float_range_is_inf(self):
+        problem = linear_problem(A=1e5)
+        # 1e5 ** 79 alone overflows a float
+        assert apriori_bound(80, 1.0, problem, 1.0) == math.inf
+        # the powers overflow but the bound fits: (c A)**79 c K
+        cA = apriori_bound(1, 1.0, problem, 1.0) * 1e5
+        want = cA**40 * 1e-300 * cA**39 * (cA / 1e5)
+        assert apriori_bound(80, 1.0, problem, 1e-300) == pytest.approx(
+            want, rel=1e-12)
+
     def test_missing_lipschitz(self):
         with pytest.raises(MissingLipschitzError):
             apriori_bound(1, 1.0, linear_problem(A=None), 1.0)

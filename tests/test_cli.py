@@ -188,6 +188,21 @@ class TestSolve:
         assert report["converged"] is True
         assert "table" not in report
 
+    def test_bound_past_float_range_is_null(self, tmp_path, capsys):
+        base = ("q = 0.5\nalpha = 0.5\nzeta = 1\nrhs = u\nr = 10\n"
+                "max_iter = 150\n")
+        payloads = []
+        for a_const in ("1e5", "1"):
+            path = write_cfg(tmp_path, "s.cfg",
+                             f"{base}lipschitz_a = {a_const}\n")
+            assert main(["solve", "--config", path, "--format", "json"]) == 0
+            text = capsys.readouterr().out
+            assert "Infinity" not in text and "NaN" not in text
+            payloads.append(json.loads(text))
+        assert payloads[0]["converged"] is True
+        assert None in payloads[0]["apriori_bounds"]
+        assert payloads[0]["table"] == payloads[1]["table"]
+
     def test_deterministic_output(self, tmp_path):
         path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
         out1 = str(tmp_path / "a.json")

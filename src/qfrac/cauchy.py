@@ -126,7 +126,7 @@ class _PicardEngine:
         self.coef = _integral_coef(alpha, problem.params)
         self.kernel = LatticeKernel(problem.params, alpha - 1.0, problem.a,
                                     ctrl, self.nodes[:m])
-        self.active_nodes = self.nodes[:m].tolist()
+        self.active_nodes = self.nodes[:m]
         self.active_weight = self.nodes[:m] ** (p - 1.0)
         # Below a the iterates extend by the constant zeta, so the integrand
         # there, and with it the subtracted sums over [0, a], stay fixed.
@@ -140,7 +140,7 @@ class _PicardEngine:
     def _integrand(self, nodes: np.ndarray) -> np.ndarray:
         problem = self.problem
         return nodes ** (problem.params.p - 1.0) * _tabulate(
-            lambda w: problem.rhs(w, problem.zeta), nodes)
+            problem.rhs, nodes, problem.zeta)
 
     def step(self, prev: np.ndarray) -> np.ndarray:
         problem = self.problem
@@ -150,10 +150,7 @@ class _PicardEngine:
             raise TrustRegionError(float(self.nodes[idx]), float(prev[idx]))
         self.steps += 1
         m = self.n_active
-        rhs = problem.rhs
-        g = np.array([rhs(w, u) for w, u in zip(self.active_nodes,
-                                                 prev[:m].tolist())],
-                     dtype=float)
+        g = _tabulate(problem.rhs, self.active_nodes, prev[:m])
         g = np.concatenate((self.active_weight * g, self.frozen))
         out = np.full(len(self.nodes), problem.zeta)
         out[:m] += self.coef * (self.kernel.apply(g) - self.lower)
@@ -257,11 +254,9 @@ def _estimate_sup_rhs(problem: CauchyProblem, lattice: QLattice,
     estimate of the theorem's constant K, reported as a diagnostic."""
     us = np.linspace(problem.zeta - problem.radius_r,
                      problem.zeta + problem.radius_r, u_samples)
-    best = 0.0
-    for w in [problem.a] + lattice.nodes if problem.a > 0.0 else lattice.nodes:
-        for u in us:
-            best = max(best, abs(problem.rhs(float(w), float(u))))
-    return best
+    ws = [problem.a] + lattice.nodes if problem.a > 0.0 else lattice.nodes
+    values = _tabulate(problem.rhs, np.array(ws, dtype=float)[:, None], us)
+    return _max_skipping_nan(np.abs(values))
 
 
 def apriori_bound(n: int, t: float, problem: CauchyProblem, K: float,
@@ -330,15 +325,21 @@ def estimate_lipschitz(rhs: Rhs, problem: CauchyProblem,
     ws = [problem.b * q**k for k in range(samples)]
     ws = [w for w in ws if w > problem.a] + (
         [problem.a] if problem.a > 0.0 else [])
-    rng = np.random.default_rng(0)
     lo = problem.zeta - problem.radius_r
     hi = problem.zeta + problem.radius_r
-    best = 0.0
-    for w in ws:
-        ys = rng.uniform(lo, hi, size=2 * samples)
-        for y1, y2 in zip(ys[::2], ys[1::2]):
-            if y1 == y2:
-                continue
-            best = max(best, abs(rhs(w, float(y1)) - rhs(w, float(y2)))
-                       / abs(y1 - y2))
-    return best
+    # one (y1, y2) pair per row and column; equal pairs are skipped
+    pairs = np.random.default_rng(0).uniform(
+        lo, hi, size=(len(ws), 2 * samples)).reshape(len(ws), samples, 2)
+    keep = pairs[..., 0] != pairs[..., 1]
+    ys = pairs[keep]
+    ts = np.broadcast_to(np.array(ws, dtype=float)[:, None], keep.shape)
+    f = _tabulate(rhs, ts[keep][:, None], ys)
+    with np.errstate(all="ignore"):  # inf - inf and overflow, as floats do
+        quotients = np.abs(f[:, 0] - f[:, 1]) / np.abs(ys[:, 0] - ys[:, 1])
+    return _max_skipping_nan(quotients)
+
+
+def _max_skipping_nan(values: np.ndarray) -> float:
+    """The largest value, and 0 for none: NaN is skipped, as a running
+    max(best, v) from best = 0 skips it."""
+    return float(np.fmax.reduce(values, axis=None, initial=0.0))

@@ -248,20 +248,18 @@ def _write_table(cfg: RunConfig, out: str | None, fmt: str,
     return 0
 
 
-def _compiled_function(source: str, variables: set[str], cfg: RunConfig):
-    expr = exprparse.parse(source, variables | {"q", "p", "alpha"})
-    consts = {"q": cfg.q, "p": cfg.p, "alpha": cfg.alpha}
-
-    def call(**bindings: float) -> float:
-        return exprparse.evaluate(expr, {**consts, **bindings})
-
-    return call
+def _compiled_function(source: str, variables: tuple[str, ...],
+                       cfg: RunConfig):
+    """The expression as a function of variables, called positionally,
+    with q, p and alpha bound from the config."""
+    expr = exprparse.parse(source, {*variables, "q", "p", "alpha"})
+    return exprparse.compile(expr, variables,
+                             {"q": cfg.q, "p": cfg.p, "alpha": cfg.alpha})
 
 
 def _cmd_eval(cfg: RunConfig, out: str | None, fmt: str) -> int:
     ctrl = _series_control()
-    fn = _compiled_function(cfg.function, {"x"}, cfg)
-    f = lambda x: fn(x=x)
+    f = _compiled_function(cfg.function, ("x",), cfg)
     params = QParams(cfg.q, cfg.p)
     ctx = OperatorContext(params, a=cfg.a, ctrl=ctrl)
     order = FracOrder(cfg.alpha)
@@ -302,8 +300,7 @@ def _cmd_ml(cfg: RunConfig, out: str | None, fmt: str) -> int:
 
 def _cmd_solve(cfg: RunConfig, out: str | None, fmt: str) -> int:
     ctrl = _series_control()
-    fn = _compiled_function(cfg.rhs, {"t", "u"}, cfg)
-    rhs = lambda t, u: fn(t=t, u=u)
+    rhs = _compiled_function(cfg.rhs, ("t", "u"), cfg)
     problem = cauchy.CauchyProblem(
         rhs=rhs, a=cfg.a, b=cfg.b, zeta=cfg.zeta,
         order=FracOrder(cfg.alpha), params=QParams(cfg.q, cfg.p),

@@ -15,14 +15,21 @@ Grammar (EBNF):
 implicit multiplication. Identifiers are either calls to one of
 {exp, log, sin, cos, sqrt, abs} or variables from the allowed set fixed at
 parse time. Errors are reported as "line:col: message".
+
+`evaluate` walks an AST once per call. `compile` turns it into a closure
+tree, built once, that gives the same values bit for bit and also
+evaluates whole arrays of bindings in one call.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -36,6 +43,7 @@ __all__ = [
     "FUNCTIONS",
     "parse",
     "evaluate",
+    "compile",
     "to_source",
 ]
 
@@ -265,6 +273,161 @@ def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
     except (OverflowError, ValueError):
         raise EvalError(f"{left} ^ {right} is out of range in "
                         f"{to_source(expr)}") from None
+
+
+def _checked_call(func: str, src: str) -> Callable[[float], float]:
+    """FUNCTIONS[func] with evaluate's domain checks and error texts."""
+    fn = FUNCTIONS[func]
+
+    def call(x: float) -> float:
+        if func == "log" and x <= 0.0:
+            raise EvalError(f"log of nonpositive value {x} in {src}")
+        if func == "sqrt" and x < 0.0:
+            raise EvalError(f"sqrt of negative value {x} in {src}")
+        try:
+            return fn(x)
+        except (OverflowError, ValueError):
+            raise EvalError(f"{func} of {x} is out of range in "
+                            f"{src}") from None
+
+    return call
+
+
+def _checked_power(src: str) -> Callable[[float, float], float]:
+    """left ^ right with evaluate's checks and error texts."""
+
+    def power(left: float, right: float) -> float:
+        try:
+            if left < 0.0:
+                nearest = round(right)
+                if abs(right - nearest) > 1e-9:
+                    raise EvalError(f"negative base with non-integer "
+                                    f"exponent in {src}")
+                return left ** int(nearest)
+            return left**right
+        except ZeroDivisionError:
+            raise EvalError(f"zero to a negative power in {src}") from None
+        except (OverflowError, ValueError):
+            raise EvalError(f"{left} ^ {right} is out of range in "
+                            f"{src}") from None
+
+    return power
+
+
+def _elementwise(fn: Callable[..., float], *args) -> np.ndarray:
+    """fn of Python floats at every element of the broadcast args, in C
+    order."""
+    args = np.broadcast_arrays(*args)
+    flat = (a.ravel().tolist() for a in args)
+    return np.array(list(map(fn, *flat)), dtype=float).reshape(args[0].shape)
+
+
+_ARITHMETIC = {"+": (operator.add, np.add), "-": (operator.sub, np.subtract),
+               "*": (operator.mul, np.multiply)}
+
+
+def _build(expr: Expr, index: Mapping[str, int],
+           consts: Mapping[str, float]):
+    """The (scalar, array) closure pair of one AST node.
+
+    scalar maps the tuple of variable values (Python floats) to a float,
+    in evaluate's operator order. array maps the list of variable arrays
+    to an array (a float for a constant): + - * / and unary minus as numpy
+    ufuncs, which round exactly as Python floats do, and function calls
+    and ^ element by element through the scalar code, since numpy's exp,
+    log and pow can differ from math's in the last bit. array raises
+    EvalError if scalar would at some element, and otherwise returns
+    scalar's values.
+    """
+    if isinstance(expr, Num):
+        value = expr.value
+        return (lambda v: value), (lambda c: value)
+    if isinstance(expr, Var):
+        if expr.name in index:
+            get = operator.itemgetter(index[expr.name])
+            return get, get
+        if expr.name not in consts:
+            raise EvalError(f"unbound variable {expr.name!r}")
+        value = consts[expr.name]
+        return (lambda v: value), (lambda c: value)
+    if isinstance(expr, Unary):
+        s, a = _build(expr.operand, index, consts)
+        return (lambda v: -s(v)), (lambda c: np.negative(a(c)))
+    if isinstance(expr, Call):
+        s, a = _build(expr.arg, index, consts)
+        call = _checked_call(expr.func, to_source(expr))
+        return (lambda v: call(s(v))), (lambda c: _elementwise(call, a(c)))
+    ls, la = _build(expr.left, index, consts)
+    rs, ra = _build(expr.right, index, consts)
+    if expr.op in _ARITHMETIC:
+        op, ufunc = _ARITHMETIC[expr.op]
+        return (lambda v: op(ls(v), rs(v))), (lambda c: ufunc(la(c), ra(c)))
+    src = to_source(expr)
+    if expr.op == "/":
+        def divide(v):
+            left, right = ls(v), rs(v)
+            if right == 0.0:
+                raise EvalError(f"division by zero in {src}")
+            return left / right
+
+        def divide_array(c):
+            left, right = la(c), ra(c)
+            if np.any(right == 0.0):
+                raise EvalError(f"division by zero in {src}")
+            return np.divide(left, right)
+
+        return divide, divide_array
+    power = _checked_power(src)
+    return ((lambda v: power(ls(v), rs(v))),
+            (lambda c: _elementwise(power, la(c), ra(c))))
+
+
+def compile(expr: Expr, names: Sequence[str],
+            consts: Mapping[str, float] | None = None):
+    """Compile an AST, once, into a function of the variables in names.
+
+    The function is called positionally, f(t, u) for names ("t", "u"), and
+    returns bit for bit evaluate(expr, {**consts, **dict(zip(names, args))})
+    or raises the EvalError evaluate would. An identifier bound by neither
+    names nor consts raises EvalError here.
+
+    Its attribute table(*arrays) gives f at every element of the broadcast
+    arrays, as a new float array, from one pass over whole arrays (no
+    numpy warning escapes it). If that pass meets a domain error, table
+    calls f element by element in C order instead, so it returns the same
+    values and raises the same error as that loop would.
+    """
+    names = tuple(names)
+    index = {name: i for i, name in enumerate(names)}
+    bound = {name: float(value) for name, value in (consts or {}).items()
+             if name not in index}
+    scalar, array = _build(expr, index, bound)
+
+    def check_arity(args: tuple) -> None:
+        if len(args) != len(names):
+            raise TypeError(f"expected {len(names)} arguments "
+                            f"({', '.join(names)}), got {len(args)}")
+
+    def fn(*args: float) -> float:
+        check_arity(args)
+        return scalar(tuple(map(float, args)))
+
+    def table(*arrays) -> np.ndarray:
+        check_arity(arrays)
+        cols = [np.asarray(x, dtype=float) for x in arrays]
+        shape = np.broadcast_shapes(*(c.shape for c in cols))
+        try:
+            with np.errstate(all="ignore"):
+                return np.array(np.broadcast_to(array(cols), shape),
+                                dtype=float)
+        except EvalError:
+            pass
+        flat = [np.broadcast_to(c, shape).ravel().tolist() for c in cols]
+        rows = zip(*flat) if flat else [()] * math.prod(shape)
+        return np.array([scalar(v) for v in rows], dtype=float).reshape(shape)
+
+    fn.table = table
+    return fn
 
 
 def _prec(expr: Expr) -> int:

@@ -180,9 +180,18 @@ class LatticeKernel:
         return out
 
 
-def _tabulate(f: ScalarFunction, nodes: np.ndarray) -> np.ndarray:
-    """f at every node, one call per node with a Python float."""
-    return np.array([f(w) for w in nodes.tolist()], dtype=float)
+def _tabulate(f, *tables) -> np.ndarray:
+    """f at every element of the broadcast tables (f(w) over one table of
+    nodes, f(t, u) over two). One f.table(*tables) call when f carries a
+    table attribute, as a compiled expression does; otherwise one call
+    per element with Python floats, in C order."""
+    table = getattr(f, "table", None)
+    if table is not None:
+        return table(*tables)
+    tables = np.broadcast_arrays(*tables)
+    flat = zip(*(t.ravel().tolist() for t in tables))
+    return np.array([f(*args) for args in flat],
+                    dtype=float).reshape(tables[0].shape)
 
 
 def _kernel_sum(g: ScalarFunction, s: float, beta: float,
@@ -358,7 +367,14 @@ def caputo_derivative(f: ScalarFunction, x, order, ctx: OperatorContext):
     """Caputo-type derivative: the RL derivative of w -> f(w) - f(a), at a
     point or at the nodes of a QLattice."""
     fa = f(ctx.a)
-    return frac_derivative_rl(lambda w: f(w) - fa, x, order, ctx)
+
+    def shifted(w):
+        return f(w) - fa
+
+    table = getattr(f, "table", None)
+    if table is not None:
+        shifted.table = lambda w: table(w) - fa
+    return frac_derivative_rl(shifted, x, order, ctx)
 
 
 def caputo_derivative_simplified(f: ScalarFunction, dqf: ScalarFunction,

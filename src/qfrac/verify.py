@@ -9,6 +9,7 @@ their only implementation. Grids may be restricted to particular q / p values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +31,7 @@ from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
     SeriesControl,
+    _product_length,
     q_number,
     q_power_general,
 )
@@ -101,11 +103,31 @@ def _check_qpower_derivatives(restrict, ctrl) -> float:
             worst = max(worst, rel(lhs_x, x ** (p - 1.0) * qn
                                    * pw(x, y, alpha - 1.0)))
             if y > 0.0:
-                lhs_y = (pw(x, y, alpha) - pw(x, q * y, alpha)) / (
-                    (1.0 - q) * y)
+                lhs_y = -pw(x, y, alpha) * math.expm1(
+                    _log_product_ratio((q * y / x) ** p, alpha, params, ctrl)
+                    - _log_product_ratio((y / x) ** p, alpha, params, ctrl)
+                ) / ((1.0 - q) * y)
                 worst = max(worst, rel(lhs_y, -y ** (p - 1.0) * qn
                                        * pw(x, q * y, alpha - 1.0)))
     return worst
+
+
+def _log_product_ratio(r: float, alpha: float, params: QParams,
+                       ctrl: SeriesControl) -> float:
+    """L(r) = log((r; Q)_inf / (Q**alpha r; Q)_inf), Q = q**p, summed factor
+    by factor over the product lengths q_power_general uses.
+
+    At r = (y/x)**p the q-power is pw(x, y) = x**(p alpha) exp(L(r)), so
+    pw(x, y) - pw(x, qy) = -pw(x, y) expm1(L((qy/x)**p) - L((y/x)**p)).
+    That keeps its digits where y**p << x**p, where the plain difference
+    subtracts two nearly equal O(1) values.
+    """
+    Q = params.qp
+    s = Q**alpha * r
+    return math.fsum(
+        [math.log1p(-r * Q**j) for j in range(_product_length(r, Q, ctrl))]
+        + [-math.log1p(-s * Q**j)
+           for j in range(_product_length(s, Q, ctrl))])
 
 
 def _family(q: float, p: float) -> list:

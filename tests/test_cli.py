@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qfrac
+from qfrac import exprparse
 from qfrac.cli import load_config, main
 from qfrac.cli import ConfigError
 from qfrac.qcore import QParams, q_gamma, q_number
+from qfrac.verify import run_registry
 
 
 def write_cfg(tmp_path, name, text):
@@ -222,6 +228,13 @@ class TestVerify:
         assert all(r["passed"] for r in payload["identity_results"])
         assert len(payload["identity_results"]) == 7
 
+    def test_small_y_over_x_passes(self, tmp_path):
+        """At q = 0.3, p = 2 the q-power check meets y**p << x**p, where a
+        plain difference of two O(1) q-powers cancels."""
+        assert all(r.passed for r in run_registry({"q": 0.3, "p": 2.0}))
+        path = write_cfg(tmp_path, "v.cfg", "q = 0.3\np = 2\n")
+        assert main(["verify", "--config", path]) == 0
+
     def test_injected_fault_is_1(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "v.cfg", "q = 0.5\np = 2\n")
         code = main(["verify", "--config", path,
@@ -320,12 +333,80 @@ def test_counting_wrapper_leaves_bytes_unchanged(tmp_path, monkeypatch):
     def counting(*args):
         fn = compiled(*args)
 
-        def wrapped(**bindings):
+        def wrapped(*values):
             calls.append(1)
-            return fn(**bindings)
+            return fn(*values)
 
+        def table(*arrays):
+            calls.append(1)
+            return fn.table(*arrays)
+
+        wrapped.table = table
         return wrapped
 
     monkeypatch.setattr(cli, "_compiled_function", counting)
     assert run("counted") == plain
     assert calls
+
+
+# the rhs of the solve_grid benchmark workload (perfbench/workloads.py)
+GRID_RHS = ("u", "-u + sin(t)", "u - u^2/8", "exp(-u) + t^2")
+
+
+def test_compiled_bytes_equal_evaluate_bytes(tmp_path, monkeypatch):
+    """eval and solve write the same bytes, sidecars included, whether the
+    expression runs compiled (whole tables) or through evaluate node by
+    node."""
+    import qfrac.cli as cli
+
+    configs = {}
+    for a in (0.0, 0.25):
+        for i, rhs in enumerate(GRID_RHS):
+            for lip in ("", "lipschitz_a = 2\n"):
+                configs[f"solve-{a}-{i}-{bool(lip)}"] = (
+                    "solve", f"q = 0.9\nalpha = 0.55\na = {a}\nzeta = 1\n"
+                             f"r = 10\nrhs = {rhs}\nmax_iter = 300\n{lip}")
+        for op in ("J", "D", "caputo"):
+            configs[f"eval-{a}-{op}"] = (
+                "eval", f"q = 0.9\nalpha = 0.4\na = {a}\noperator = {op}\n"
+                        "function = 0.5 + 1.5*x^3 - exp(-x)*sin(x)/q\n")
+
+    def run(tag):
+        outputs = {}
+        for name, (command, text) in configs.items():
+            path = write_cfg(tmp_path, f"{name}.cfg", text)
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"{name}-{tag}.{fmt}"
+                assert main([command, "--config", path, "--out", str(out),
+                             "--format", fmt]) == 0
+                sidecar = tmp_path / f"{out.name}.report.json"
+                outputs[name, fmt] = (out.read_bytes(), sidecar.exists()
+                                      and sidecar.read_bytes())
+        return outputs
+
+    compiled = run("compiled")
+
+    def evaluate_backed(source, variables, cfg):
+        expr = exprparse.parse(source, {*variables, "q", "p", "alpha"})
+        consts = {"q": cfg.q, "p": cfg.p, "alpha": cfg.alpha}
+        return lambda *values: exprparse.evaluate(
+            expr, {**consts, **dict(zip(variables, values))})
+
+    monkeypatch.setattr(cli, "_compiled_function", evaluate_backed)
+    assert run("evaluated") == compiled
+
+
+def test_real_stderr_is_one_line_without_warnings(tmp_path):
+    """A solve whose rhs overflows to NaN ends in one stderr line in a real
+    process, where numpy's RuntimeWarnings would reach stderr."""
+    path = write_cfg(tmp_path, "a.cfg",
+                     SOLVE_BASE + "rhs = (u*1e308*10)*0\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(qfrac.__file__)))
+    done = subprocess.run([sys.executable, "-m", "qfrac.cli", "solve",
+                           "--config", path], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 3
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert "Picard step 1 gave a non-finite value" in done.stderr

@@ -1,5 +1,8 @@
 import math
+import struct
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,7 @@ from qfrac.exprparse import (
     ParseError,
     Unary,
     Var,
+    compile,
     evaluate,
     parse,
     to_source,
@@ -130,7 +134,7 @@ class TestEvalErrors:
             evaluate(parse("t+u", VARS), {"t": 1.0})
 
 
-def exprs(depth=3):
+def exprs(depth=3, ops="+-*/", funcs=("sin", "cos", "abs")):
     """Random ASTs over t and u with nonnegative literals."""
     leaf = st.one_of(
         st.floats(0.0, 10.0).map(Num),
@@ -139,10 +143,10 @@ def exprs(depth=3):
 
     def extend(children):
         return st.one_of(
-            st.tuples(st.sampled_from("+-*/"), children, children).map(
+            st.tuples(st.sampled_from(ops), children, children).map(
                 lambda t: Binary(*t)),
             children.map(lambda c: Unary("-", c)),
-            st.tuples(st.sampled_from(["sin", "cos", "abs"]), children).map(
+            st.tuples(st.sampled_from(funcs), children).map(
                 lambda t: Call(*t)),
         )
 
@@ -176,3 +180,97 @@ class TestRoundTrip:
         first = evaluate(node, {"t": t, "u": u})
         for _ in range(3):
             assert evaluate(node, {"t": t, "u": u}) == first
+
+
+ALL_FUNCS = ("sin", "cos", "abs", "exp", "log", "sqrt")
+VALUES = st.floats(-3.0, 3.0)
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+def outcome(fn, *args):
+    """fn's value, or the text of the EvalError it raises."""
+    try:
+        return fn(*args)
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+
+
+class TestCompile:
+    @given(expr=exprs(ops="+-*/^", funcs=ALL_FUNCS), t=VALUES, u=VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_scalar_matches_evaluate_bit_for_bit(self, expr, t, u):
+        want = outcome(evaluate, expr, {"t": t, "u": u})
+        got = outcome(compile(expr, ("t", "u")), t, u)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert isinstance(got, float) and bits(got) == bits(want)
+
+    @given(expr=exprs(ops="+-*/^", funcs=ALL_FUNCS),
+           base=st.lists(VALUES, min_size=1, max_size=24),
+           offset=st.integers(0, 23), length=st.integers(0, 24),
+           u_scalar=st.none() | VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_table_matches_elementwise_calls(self, expr, base, offset,
+                                             length, u_scalar):
+        f = compile(expr, ("t", "u"))
+        arr = np.array(base)
+        t = arr[offset:offset + length]
+        u = (arr[::-1][offset:offset + length] if u_scalar is None
+             else u_scalar)
+        try:
+            want = [f(ti, ui) for ti, ui in
+                    zip(t.tolist(), np.broadcast_to(u, t.shape).tolist())]
+        except EvalError as exc:
+            with pytest.raises(EvalError) as raised:
+                f.table(t, u)
+            assert str(raised.value) == str(exc)
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f.table(t, u)
+        assert got.shape == t.shape and got.dtype == float
+        assert [bits(x) for x in got.tolist()] == [bits(x) for x in want]
+
+    def test_scalars_broadcast(self):
+        f = compile(parse("t*u + q", VARS | {"q"}), ("t", "u"), {"q": 0.5})
+        got = f.table(np.array([[1.0], [2.0]]), np.array([3.0, 4.0, 5.0]))
+        assert got.tolist() == [[3.5, 4.5, 5.5], [6.5, 8.5, 10.5]]
+        assert f.table(2.0, 3.0).shape == ()
+        assert compile(parse("2", VARS), ("t", "u")).table(
+            np.zeros(3), 1.0).tolist() == [2.0, 2.0, 2.0]
+
+    def test_fallback_raises_the_first_nodes_error(self):
+        f = compile(parse("log(t) + sqrt(u)", VARS), ("t", "u"))
+        with pytest.raises(EvalError) as raised:
+            f.table(np.array([1.0, 0.5, -1.0]), np.array([1.0, -1.0, 4.0]))
+        assert str(raised.value) == "sqrt of negative value -1.0 in sqrt(u)"
+
+    def test_overflow_to_nan_warns_nothing(self):
+        f = compile(parse("(u*1e308*10)*0", VARS), ("t", "u"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = f.table(np.ones(3), np.ones(3))
+        assert np.isnan(got).all() and math.isnan(f(1.0, 1.0))
+
+    def test_table_is_a_new_array(self):
+        u = np.array([1.0, 2.0])
+        out = compile(parse("u", VARS), ("t", "u")).table(0.0, u)
+        out[0] = 5.0
+        assert u.tolist() == [1.0, 2.0]
+
+    def test_names_shadow_consts_and_unbound_fails(self):
+        expr = parse("t + q", VARS | {"q"})
+        assert compile(expr, ("t", "q"), {"q": 10.0})(1.0, 2.0) == 3.0
+        with pytest.raises(EvalError, match="unbound variable 'q'"):
+            compile(expr, ("t",))
+
+    def test_wrong_arity(self):
+        f = compile(parse("t + u", VARS), ("t", "u"))
+        with pytest.raises(TypeError, match="expected 2 arguments"):
+            f(1.0)
+        with pytest.raises(TypeError, match="expected 2 arguments"):
+            f.table(np.ones(2))

@@ -94,6 +94,10 @@ class SolverReport:
     converged: bool
     iterations_used: int
     k_estimate: float
+    stop_reason: str  # "converged" or "max_iter"
+    n_nodes: int  # solver table {b q**k}
+    n_active: int  # its nodes above a
+    sum_length: int  # terms per Jackson kernel sum
     bound_slack: float = 0.0
 
     @property
@@ -133,8 +137,8 @@ class _PicardEngine:
         self.frozen = self._integrand(self.nodes[m:])
         self.lower = 0.0
         if problem.a > 0.0:
-            self.lower = self.kernel.lower @ self._integrand(
-                self.kernel.lower_nodes)
+            self.lower = self.kernel.lower_sum(self._integrand(
+                self.kernel.lower_nodes))
         self.steps = 0
 
     def _integrand(self, nodes: np.ndarray) -> np.ndarray:
@@ -244,6 +248,10 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
         converged=converged,
         iterations_used=iterations,
         k_estimate=k_est,
+        stop_reason="converged" if converged else "max_iter",
+        n_nodes=len(engine.nodes),
+        n_active=engine.n_active,
+        sum_length=engine.kernel.n,
         bound_slack=max(slack, 0.0),
     )
 

@@ -333,6 +333,10 @@ def _cmd_solve(cfg: RunConfig, out: str | None, fmt: str) -> int:
         "iterations_used": report.iterations_used,
         "k_estimate": report.k_estimate,
         "bound_slack": report.bound_slack,
+        "stop_reason": report.stop_reason,
+        "n_nodes": report.n_nodes,
+        "n_active": report.n_active,
+        "sum_length": report.sum_length,
     }
     if fmt == "json":
         _write_atomic(out, _report_json(payload))

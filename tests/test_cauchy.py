@@ -23,9 +23,20 @@ from qfrac.errors import (
     MissingLipschitzError,
     TrustRegionError,
 )
-from qfrac.operators import FracOrder, OperatorContext, frac_integral
+from qfrac.operators import (
+    FracOrder,
+    LatticeKernel,
+    OperatorContext,
+    frac_integral,
+)
 from qfrac.qcalc import QLattice
-from qfrac.qcore import QParams, q_gamma, q_number, q_power_general
+from qfrac.qcore import (
+    QParams,
+    SeriesControl,
+    q_gamma,
+    q_number,
+    q_power_general,
+)
 
 
 def linear_problem(q=0.5, p=1.0, alpha=0.5, zeta=1.0, r=10.0, A=None):
@@ -169,6 +180,33 @@ class TestSolve:
                        max_iter=3)
         assert not report.converged
         assert report.iterations_used == 3
+
+    @pytest.mark.parametrize("q,a,max_iter,record", [
+        (0.5, 0.0, 150, ("converged", 53, 53, 53)),
+        (0.5, 0.0, 3, ("max_iter", 53, 53, 53)),
+        (0.99, 0.25, 150, ("converged", 3440, 138, 3440)),
+    ])
+    def test_run_record(self, q, a, max_iter, record):
+        problem = CauchyProblem(rhs=lambda t, u: u, a=a, b=1.0, zeta=1.0,
+                                order=FracOrder(0.5), params=QParams(q),
+                                radius_r=10.0)
+        report = solve(problem, QLattice(1.0, q, 8, floor_a=a),
+                       max_iter=max_iter)
+        assert (report.stop_reason, report.n_nodes, report.n_active,
+                report.sum_length) == record
+        assert report.converged == (record[0] == "converged")
+
+    def test_kernel_with_lower_limit_holds_only_1d_tables(self):
+        # q = 0.995, a = 0.25: the former dense lower-limit matrix was
+        # 277 x 6894 floats (15 MB)
+        ctrl = SeriesControl(max_terms=8000)
+        nodes = np.power(0.995, np.arange(277))
+        kernel = LatticeKernel(QParams(0.995), -0.5, 0.25, ctrl, nodes)
+        tables = [v for obj in (kernel, kernel.upper, kernel.lower)
+                  for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        assert len(tables) >= 6
+        assert all(t.ndim == 1 for t in tables)
+        assert sum(t.nbytes for t in tables) < 1 << 20
 
     def test_trust_region_exit(self):
         with pytest.raises(TrustRegionError):

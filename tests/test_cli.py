@@ -9,6 +9,8 @@ import qfrac
 from qfrac import exprparse
 from qfrac.cli import load_config, main
 from qfrac.cli import ConfigError
+from qfrac.cauchy import q_mittag_leffler
+from qfrac.operators import FracOrder
 from qfrac.qcore import QParams, q_gamma, q_number
 from qfrac.verify import run_registry
 
@@ -209,6 +211,35 @@ class TestSolve:
         assert None in payloads[0]["apriori_bounds"]
         assert payloads[0]["table"] == payloads[1]["table"]
 
+    def test_report_carries_the_run_record(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
+        assert main(["solve", "--config", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        out = str(tmp_path / "sol.csv")
+        assert main(["solve", "--config", path, "--out", out]) == 0
+        sidecar = json.loads(open(out + ".report.json").read())
+        record = {"stop_reason": "converged", "n_nodes": 53,
+                  "n_active": 53, "sum_length": 53}
+        for report in (payload, sidecar):
+            assert {k: report[k] for k in record} == record
+
+    @pytest.mark.parametrize("a", [0.0, 0.25])
+    def test_q_near_one_with_raised_term_budget(self, tmp_path, capsys,
+                                                monkeypatch, a):
+        monkeypatch.setenv("QFRAC_MAX_TERMS", "8000")
+        path = write_cfg(tmp_path, "s.cfg",
+                         f"q = 0.995\nalpha = 0.5\nzeta = 1\nrhs = u\n"
+                         f"r = 10\na = {a}\n")
+        assert main(["solve", "--config", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["converged"] is True
+        assert payload["n_nodes"] == 6894
+        if a == 0.0:
+            order, params = FracOrder(0.5), QParams(0.995)
+            m = payload["iterations_used"]
+            for x, u in zip(payload["table"]["x"], payload["table"]["u"]):
+                assert abs(u - q_mittag_leffler(x, m, order, params)) <= 1e-10
+
     def test_deterministic_output(self, tmp_path):
         path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
         out1 = str(tmp_path / "a.json")
@@ -271,6 +302,14 @@ class TestFailurePaths:
         ("solve", SOLVE_BASE + "rhs = u\n", "0", 2, "QFRAC_MAX_TERMS: "),
         ("solve", SOLVE_BASE + "rhs = u\nlattice_depth = 100\n", None, 2,
          "lattice_depth: "),
+        ("solve", "q = 0.995\nalpha = 0.5\nzeta = 1\nrhs = u\n", None, 3,
+         "numerical non-convergence: operator Jackson sum needs 6894 terms, "
+         "exceeding max_terms=5000; raise SeriesControl.max_terms (the CLI "
+         "reads it from QFRAC_MAX_TERMS)"),
+        ("eval", "q = 0.995\nalpha = 0.5\noperator = J\nfunction = x\n",
+         None, 3, "operator J failed: operator Jackson sum needs 6894 "
+         "terms, exceeding max_terms=5000; raise SeriesControl.max_terms "
+         "(the CLI reads it from QFRAC_MAX_TERMS)"),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch,
                                     command, cfg, max_terms, code, message):

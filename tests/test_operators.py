@@ -1,13 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfrac.errors import DomainError
 from qfrac.operators import (
+    _FFT_MIN_MADDS,
     FracOrder,
+    LatticeKernel,
     OperatorContext,
+    _kernel_weights,
     bound_constant,
     caputo_derivative,
     caputo_derivative_simplified,
@@ -18,7 +22,13 @@ from qfrac.operators import (
     lemma_beta_integral,
 )
 from qfrac.qcalc import QLattice, jackson_integral
-from qfrac.qcore import QParams, q_gamma, q_number, q_power_general
+from qfrac.qcore import (
+    DEFAULT_INTEGRATION_CTRL,
+    QParams,
+    q_gamma,
+    q_number,
+    q_power_general,
+)
 
 QS = (0.3, 0.5, 0.9)
 PS = (1.0, 2.0)
@@ -312,3 +322,62 @@ class TestLatticePath:
         ctx = OperatorContext(QParams(0.5))
         with pytest.raises(DomainError, match="lattice ratio"):
             frac_integral(lambda w: w, QLattice(1.0, 0.6, 4), 0.5, ctx)
+
+
+def mixed_sign_table(size, seed):
+    """A smooth integrand of mixed sign plus noise, at size nodes."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 6.0, size)
+    return np.sin(3.0 * x) - 0.4 + 0.1 * rng.standard_normal(size)
+
+
+class TestKernelConvolutions:
+    """The FFT past the crossover against np.correlate, and the Toeplitz
+    lower-limit sums against the dense matrix of one weight row per node."""
+
+    @pytest.mark.parametrize("q,rows", [(0.9, 331), (0.97, 40),
+                                        (0.97, 1137), (0.99, 21),
+                                        (0.99, 138), (0.99, 500),
+                                        (0.99, 3440)])
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("beta", (-0.5, -0.15))
+    def test_fft_matches_direct(self, q, rows, p, beta):
+        params = QParams(q, p)
+        nodes = 1.3 * np.power(q, np.arange(rows))
+        kernel = LatticeKernel(params, beta, 0.0, DEFAULT_INTEGRATION_CTRL,
+                               nodes)
+        n = kernel.n
+        assert (kernel.upper.size > 0) == (rows * n >= _FFT_MIN_MADDS)
+        weights = np.power(q, np.arange(n)) * _kernel_weights(
+            params.qp, beta, params.qp, n, DEFAULT_INTEGRATION_CTRL)
+        g = mixed_sign_table(rows + n - 1, seed=rows)
+        want = kernel.head * np.correlate(g, weights, "valid")
+        got = kernel.apply(g)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0,
+                                                                np.abs(want)))
+
+    def test_both_sides_of_the_crossover_are_reached(self):
+        n = LatticeKernel(QParams(0.99), -0.5, 0.0, DEFAULT_INTEGRATION_CTRL,
+                          [1.0]).n
+        assert 21 * n < _FFT_MIN_MADDS <= 138 * n
+
+    @pytest.mark.parametrize("q", (0.5, 0.9, 0.99))
+    @pytest.mark.parametrize("p", PS)
+    @pytest.mark.parametrize("beta", (-0.5, -0.15))
+    def test_toeplitz_lower_matches_dense(self, q, p, beta):
+        a, ctrl = 0.25, DEFAULT_INTEGRATION_CTRL
+        params = QParams(q, p)
+        nodes = QLattice(1.0, q, 200, floor_a=a).nodes  # 138 at q = 0.99
+        kernel = LatticeKernel(params, beta, a, ctrl, nodes)
+        n = kernel.n
+        q_i = np.power(q, np.arange(n))
+        dense = np.array([
+            (1.0 - q) * a * t ** (p * beta) * q_i
+            * _kernel_weights(params.qp, beta, (a * q / t) ** p, n, ctrl)
+            for t in nodes])
+        g_low = mixed_sign_table(n, seed=len(nodes))
+        want = dense @ g_low
+        got = kernel.lower_sum(g_low)
+        assert len(got) == len(nodes)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0,
+                                                                np.abs(want)))

@@ -62,7 +62,9 @@ _LOG_MAX = math.log(sys.float_info.max)
 class CauchyProblem:
     """Problem specification: rhs f(t, u), interval [a, b], initial value
     zeta, fractional order, deformation pair, optional Lipschitz constant,
-    and trust-region radius r (|u - zeta| <= r)."""
+    and trust-region radius r (|u - zeta| <= r). The rhs must be a pure
+    function of (t, u): a Picard step evaluates it only where the iterate
+    changed since the previous step."""
 
     rhs: Rhs
     a: float
@@ -98,6 +100,7 @@ class SolverReport:
     n_nodes: int  # solver table {b q**k}
     n_active: int  # its nodes above a
     sum_length: int  # terms per Jackson kernel sum
+    rhs_evals: int  # points at which the rhs was evaluated
     bound_slack: float = 0.0
 
     @property
@@ -119,7 +122,7 @@ def solver_nodes(problem: CauchyProblem,
 class _PicardEngine:
     """One LatticeKernel over the solver table; applies one Picard step to a
     node-value table. Nodes above a come first, so the active rows are a
-    prefix of the table."""
+    prefix of the table; g keeps their integrand from step to step."""
 
     def __init__(self, problem: CauchyProblem, ctrl: SeriesControl):
         self.problem = problem
@@ -139,6 +142,9 @@ class _PicardEngine:
         if problem.a > 0.0:
             self.lower = self.kernel.lower_sum(self._integrand(
                 self.kernel.lower_nodes))
+        # bits of the active iterate g was tabulated from; NaN matches none
+        self.seen = np.full(m, np.nan).view(np.int64)
+        self.g = np.concatenate((np.full(m, np.nan), self.frozen))
         self.steps = 0
 
     def _integrand(self, nodes: np.ndarray) -> np.ndarray:
@@ -154,10 +160,15 @@ class _PicardEngine:
             raise TrustRegionError(float(self.nodes[idx]), float(prev[idx]))
         self.steps += 1
         m = self.n_active
-        g = _tabulate(problem.rhs, self.active_nodes, prev[:m])
-        g = np.concatenate((self.active_weight * g, self.frozen))
+        u = prev[:m]
+        # bits, not values: f(t, -0.0) may differ from f(t, 0.0); and a NaN
+        # is evaluated, never taken for the seed
+        moved = np.flatnonzero((u.view(np.int64) != self.seen) | np.isnan(u))
+        self.g[moved] = self.active_weight[moved] * _tabulate(
+            problem.rhs, self.active_nodes[moved], u[moved])
+        np.copyto(self.seen, u.view(np.int64))
         out = np.full(len(self.nodes), problem.zeta)
-        out[:m] += self.coef * (self.kernel.apply(g) - self.lower)
+        out[:m] += self.coef * (self.kernel.apply(self.g) - self.lower)
         bad = ~np.isfinite(out)
         if np.any(bad):
             idx = int(np.argmax(bad))
@@ -202,6 +213,7 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
                         abs_tol=1e-300):
         raise DomainError("lattice floor must equal the problem lower limit a")
 
+    problem = replace(problem, rhs=_CountedRhs(problem.rhs))
     engine = _PicardEngine(problem, ctrl)
     rows = len(lattice.nodes)
     if rows > engine.n_active:
@@ -252,8 +264,21 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
         n_nodes=len(engine.nodes),
         n_active=engine.n_active,
         sum_length=engine.kernel.n,
+        rhs_evals=problem.rhs.points,
         bound_slack=max(slack, 0.0),
     )
+
+
+class _CountedRhs:
+    """The rhs as _tabulate sees it; counts the points tabulated."""
+
+    def __init__(self, rhs: Rhs):
+        self.rhs, self.points = rhs, 0
+
+    def table(self, *tables) -> np.ndarray:
+        values = _tabulate(self.rhs, *tables)
+        self.points += values.size
+        return values
 
 
 def _estimate_sup_rhs(problem: CauchyProblem, lattice: QLattice,

@@ -337,6 +337,7 @@ def _cmd_solve(cfg: RunConfig, out: str | None, fmt: str) -> int:
         "n_nodes": report.n_nodes,
         "n_active": report.n_active,
         "sum_length": report.sum_length,
+        "rhs_evals": report.rhs_evals,
     }
     if fmt == "json":
         _write_atomic(out, _report_json(payload))

@@ -316,10 +316,15 @@ def _checked_power(src: str) -> Callable[[float, float], float]:
 
 def _elementwise(fn: Callable[..., float], *args) -> np.ndarray:
     """fn of Python floats at every element of the broadcast args, in C
-    order."""
+    order. Whatever fn raises becomes EvalError, on which table reruns the
+    checked scalar code for the error text."""
     args = np.broadcast_arrays(*args)
     flat = (a.ravel().tolist() for a in args)
-    return np.array(list(map(fn, *flat)), dtype=float).reshape(args[0].shape)
+    try:
+        values = np.fromiter(map(fn, *flat), float, args[0].size)
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise EvalError(str(exc)) from None
+    return values.reshape(args[0].shape)
 
 
 _ARITHMETIC = {"+": (operator.add, np.add), "-": (operator.sub, np.subtract),
@@ -334,10 +339,10 @@ def _build(expr: Expr, index: Mapping[str, int],
     in evaluate's operator order. array maps the list of variable arrays
     to an array (a float for a constant): + - * / and unary minus as numpy
     ufuncs, which round exactly as Python floats do, and function calls
-    and ^ element by element through the scalar code, since numpy's exp,
-    log and pow can differ from math's in the last bit. array raises
-    EvalError if scalar would at some element, and otherwise returns
-    scalar's values.
+    and ^ element by element through the math functions and float power
+    unchecked (^ only when no base is negative), since numpy's can differ
+    from math's in the last bit. array raises EvalError if scalar would at
+    some element, and otherwise returns scalar's values.
     """
     if isinstance(expr, Num):
         value = expr.value
@@ -356,7 +361,8 @@ def _build(expr: Expr, index: Mapping[str, int],
     if isinstance(expr, Call):
         s, a = _build(expr.arg, index, consts)
         call = _checked_call(expr.func, to_source(expr))
-        return (lambda v: call(s(v))), (lambda c: _elementwise(call, a(c)))
+        fn = FUNCTIONS[expr.func]
+        return (lambda v: call(s(v))), (lambda c: _elementwise(fn, a(c)))
     ls, la = _build(expr.left, index, consts)
     rs, ra = _build(expr.right, index, consts)
     if expr.op in _ARITHMETIC:
@@ -378,8 +384,14 @@ def _build(expr: Expr, index: Mapping[str, int],
 
         return divide, divide_array
     power = _checked_power(src)
-    return ((lambda v: power(ls(v), rs(v))),
-            (lambda c: _elementwise(power, la(c), ra(c))))
+
+    def power_array(c):
+        left = la(c)
+        # a negative base needs the checked power's integer rounding
+        fn = power if np.any(np.less(left, 0.0)) else operator.pow
+        return _elementwise(fn, left, ra(c))
+
+    return (lambda v: power(ls(v), rs(v))), power_array
 
 
 def compile(expr: Expr, names: Sequence[str],

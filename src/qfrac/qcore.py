@@ -136,9 +136,11 @@ def _product_length(a: float, q: float, ctrl: SeriesControl) -> int:
         n = int(math.ceil(math.log(thr / mag) / math.log(q)))
     n += ctrl.consecutive_small
     if n > ctrl.max_terms:
+        fixed = ("; this q-product budget is fixed and QFRAC_MAX_TERMS "
+                 "does not raise it" if ctrl == DEFAULT_PRODUCT_CTRL else "")
         raise ConvergenceError(
             f"(a; q)_inf with a={a}, q={q} needs {n} factors, "
-            f"exceeding max_terms={ctrl.max_terms}"
+            f"exceeding max_terms={ctrl.max_terms}{fixed}"
         )
     return n
 

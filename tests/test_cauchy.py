@@ -8,8 +8,10 @@ import pytest
 
 import qfrac
 
+from qfrac import exprparse
 from qfrac.cauchy import (
     CauchyProblem,
+    _PicardEngine,
     apriori_bound,
     estimate_lipschitz,
     picard_iterate,
@@ -31,6 +33,7 @@ from qfrac.operators import (
 )
 from qfrac.qcalc import QLattice
 from qfrac.qcore import (
+    DEFAULT_INTEGRATION_CTRL,
     QParams,
     SeriesControl,
     q_gamma,
@@ -267,6 +270,129 @@ print(max(run(alpha) for alpha in (0.47, 0.53, 0.59, 0.65, 0.71)) - first)
             u1 = picard_iterate(u1, problem)
             u2 = picard_iterate(u2, problem)
         assert np.max(np.abs(u1 - u2)) < 1e-10
+
+
+SOLVE_GRID_RHS = ("u", "-u + sin(t)", "u - u^2/8", "exp(-u) + t^2")
+
+
+def compiled_rhs(source):
+    return exprparse.compile(exprparse.parse(source, {"t", "u"}), ("t", "u"))
+
+
+class CountingRhs:
+    """A plain Python rhs that counts its calls."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, t, u):
+        self.calls += 1
+        return self.f(t, u)
+
+
+class TestIncrementalStep:
+    """One engine re-tabulates the rhs only where the iterate moved; every
+    step must equal a fresh engine's step, which tabulates every node."""
+
+    @staticmethod
+    def problem(rhs, q=0.9, a=0.0, zeta=1.0):
+        return CauchyProblem(rhs=rhs, a=a, b=1.0, zeta=zeta,
+                             order=FracOrder(0.6), params=QParams(q),
+                             radius_r=10.0)
+
+    @staticmethod
+    def iterate_both(problem, steps=30):
+        engine = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
+        prev = np.full(len(engine.nodes), problem.zeta)
+        for _ in range(steps):
+            out = engine.step(prev)
+            assert np.array_equal(out, picard_iterate(prev, problem))
+            if out.tobytes() == prev.tobytes():
+                break
+            prev = out
+        return engine
+
+    @pytest.mark.parametrize("source", SOLVE_GRID_RHS)
+    @pytest.mark.parametrize("a", [0.0, 0.25])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_matches_fresh_engine_compiled(self, q, a, source):
+        self.iterate_both(self.problem(compiled_rhs(source), q, a))
+
+    @pytest.mark.parametrize("a", [0.0, 0.25])
+    def test_matches_fresh_engine_python_rhs_with_fewer_calls(self, a):
+        rhs = CountingRhs(lambda t, u: math.sin(t) - u)
+        problem = self.problem(rhs, a=a)
+        steps = self.iterate_both(problem, steps=25).steps
+        engine = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
+        rhs.calls = 0
+        prev = np.full(len(engine.nodes), 1.0)
+        for _ in range(steps):
+            prev = engine.step(prev)
+        assert rhs.calls < steps * engine.n_active
+
+    def test_sign_of_zero_counts_as_a_move(self):
+        problem = self.problem(lambda t, u: math.copysign(1.0, u), zeta=0.0)
+        engine = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
+        zeros = np.zeros(len(engine.nodes))
+        first = engine.step(zeros)
+        signed = zeros.copy()
+        signed[3] = -0.0
+        second = engine.step(signed)
+        assert np.array_equal(second, picard_iterate(signed, problem))
+        assert not np.array_equal(second, first)
+
+    def test_nothing_moved_tabulates_empty_tables(self):
+        sizes = []
+        zero = compiled_rhs("0*u")
+
+        class Spy:
+            def table(self, t, u):
+                sizes.append(np.size(u))
+                return zero.table(t, u)
+
+        problem = self.problem(Spy(), zeta=2.0)
+        engine = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
+        sizes.clear()  # the build tabulated the frozen rows below a
+        prev = np.full(len(engine.nodes), 2.0)
+        first = engine.step(prev)
+        assert first.tobytes() == prev.tobytes()
+        assert engine.step(first).tobytes() == first.tobytes()
+        assert sizes == [engine.n_active, 0]
+
+    def test_nan_in_prev_is_evaluated(self):
+        problem = self.problem(lambda t, u: 0.0, zeta=2.0)
+        nodes = solver_nodes(problem)
+        out = picard_iterate(np.full(len(nodes), math.nan), problem)
+        assert np.all(out == 2.0)
+
+
+class TestRhsEvals:
+    @pytest.mark.parametrize("a,A,want", [
+        # 485 step points + 17 u samples at 8 nodes + 64 x 64 pairs
+        (0.0, None, 485 + 136 + 8192),
+        # 122 step points + 51 frozen and 53 lower nodes + 17 x 3 samples
+        (0.25, 1.0, 122 + 51 + 53 + 51),
+    ])
+    def test_exact_count(self, a, A, want):
+        rhs = CountingRhs(lambda t, u: u)
+        problem = CauchyProblem(rhs=rhs, a=a, b=1.0, zeta=1.0,
+                                order=FracOrder(0.5), params=QParams(0.5),
+                                lipschitz_A=A, radius_r=10.0)
+        report = solve(problem, QLattice(1.0, 0.5, 8, floor_a=a),
+                       max_iter=150)
+        assert report.converged
+        assert report.rhs_evals == rhs.calls == want
+
+    def test_steps_evaluate_under_half_the_table_at_q_near_one(self):
+        problem = CauchyProblem(rhs=compiled_rhs("-u + sin(t)"), a=0.0,
+                                b=1.0, zeta=1.0, order=FracOrder(0.6),
+                                params=QParams(0.99), lipschitz_A=1.0,
+                                radius_r=10.0)
+        lattice = QLattice(1.0, 0.99, 12)
+        report = solve(problem, lattice, max_iter=300)
+        assert report.converged
+        steps = report.rhs_evals - 17 * len(lattice.nodes)
+        assert steps < report.iterations_used * report.n_active / 2
 
 
 class TestAprioriBound:

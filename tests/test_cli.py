@@ -223,6 +223,16 @@ class TestSolve:
         for report in (payload, sidecar):
             assert {k: report[k] for k in record} == record
 
+    def test_report_carries_rhs_evals(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG + "lipschitz_a = 1\n")
+        assert main(["solve", "--config", path, "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        out = str(tmp_path / "sol.csv")
+        assert main(["solve", "--config", path, "--out", out]) == 0
+        sidecar = json.loads(open(out + ".report.json").read())
+        # 485 points in 71 Picard steps, 17 u samples at each of 8 nodes
+        assert payload["rhs_evals"] == sidecar["rhs_evals"] == 485 + 136
+
     @pytest.mark.parametrize("a", [0.0, 0.25])
     def test_q_near_one_with_raised_term_budget(self, tmp_path, capsys,
                                                 monkeypatch, a):
@@ -310,6 +320,11 @@ class TestFailurePaths:
          None, 3, "operator J failed: operator Jackson sum needs 6894 "
          "terms, exceeding max_terms=5000; raise SeriesControl.max_terms "
          "(the CLI reads it from QFRAC_MAX_TERMS)"),
+        ("solve", "q = 0.999\nalpha = 0.5\nzeta = 1\nrhs = u\nr = 10\n",
+         "40000", 3, "numerical non-convergence: (a; q)_inf with "
+         "a=0.999499874937461, q=0.999 needs 39127 factors, exceeding "
+         "max_terms=10000; this q-product budget is fixed and "
+         "QFRAC_MAX_TERMS does not raise it"),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch,
                                     command, cfg, max_terms, code, message):

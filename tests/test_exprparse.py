@@ -274,3 +274,34 @@ class TestCompile:
             f(1.0)
         with pytest.raises(TypeError, match="expected 2 arguments"):
             f.table(np.ones(2))
+
+    @pytest.mark.parametrize("source,us", [
+        ("log(u)", [2.0, 0.0, -1.0]),
+        ("log(-u)", [-2.0, 3.0]),
+        ("sqrt(u - 2)", [3.0, 1.0]),
+        ("exp(u)", [1.0, 1000.0]),
+        ("sin(u)", [1.0, math.inf]),
+        ("u^-1", [2.0, 0.0]),
+        ("u^(1/3)", [8.0, -8.0]),
+        ("u^2.0000000001", [3.0, -2.0]),
+        ("u^2 + u^0", [math.nan, 2.0]),
+        ("sqrt(u)", [-0.0, 4.0]),
+        ("u^0.5", [-0.0, 4.0]),
+        ("u^3", [-0.0, 4.0]),
+        ("u^-1", [1.0, -0.0]),
+    ])
+    def test_table_through_raw_loops_matches_evaluate(self, source, us):
+        """Functions and ^ map the raw math code over whole tables; where
+        it raises, table still gives evaluate's first error, and its
+        values bit for bit."""
+        expr = parse(source, VARS)
+        f = compile(expr, ("t", "u"))
+        want = [outcome(evaluate, expr, {"t": 0.5, "u": u}) for u in us]
+        errors = [w for w in want if isinstance(w, str)]
+        if errors:
+            with pytest.raises(EvalError) as raised:
+                f.table(0.5, np.array(us))
+            assert f"EvalError: {raised.value}" == errors[0]
+        else:
+            got = f.table(0.5, np.array(us)).tolist()
+            assert [bits(x) for x in got] == [bits(x) for x in want]

@@ -15,6 +15,7 @@ max_iter exhausted; 5 trust-region exit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -382,7 +383,8 @@ def _cmd_verify(cfg: RunConfig, out: str | None, fmt: str,
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qfrac",
         description="Generalized q-fractional calculus operators and solver.",
@@ -400,7 +402,11 @@ def main(argv: list[str] | None = None) -> int:
                              metavar="IDENTITY",
                              help="deliberately fail one identity "
                                   "(harness self-test)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config, args.command)

@@ -8,7 +8,7 @@ All integrals are Jackson sums over geometric lattices; the kernel
 q**p, so kernel weights for a whole sum are built in O(N) from two infinite
 products and cumulative finite Pochhammers. At the nodes of a QLattice every
 operator value comes from one LatticeKernel pass over f tabulated once; a
-single point x off the lattice takes the scalar sum.
+point x is the one-node lattice QLattice(x, q, 1).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .qcalc import QLattice, ScalarFunction, q_derivative
+from .qcalc import QLattice, ScalarFunction
 from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
@@ -221,38 +221,16 @@ def _tabulate(f, *tables) -> np.ndarray:
                     dtype=float).reshape(tables[0].shape)
 
 
-def _kernel_sum(g: ScalarFunction, s: float, beta: float,
-                ctx: OperatorContext) -> float:
-    """Jackson integral int_a^s g(w) (s**p - (wq)**p)^(beta) d_q w at one
-    point s, off any lattice.
-
-    Computed as the difference of two zero-based Jackson sums. At node
-    w = base * q**i the kernel ratio ((wq)/s)**p is geometric in i, so one
-    weight table covers each sum.
-    """
-    q, p = ctx.params.q, ctx.params.p
-    Q = ctx.params.qp
-    a = ctx.a
-    if not s > a:
+def _check_above(x: float, a: float) -> None:
+    if not x > a:
         raise DomainError(f"evaluation point must exceed the lower limit, "
-                          f"got s={s}, a={a}")
-    n = _sum_length(q, p, ctx.ctrl)
-    head = s ** (p * beta)
+                          f"got s={x}, a={a}")
 
-    def one_sided(base: float) -> float:
-        c = (base * q / s) ** p
-        k = _kernel_weights(Q, beta, c, n, ctx.ctrl).tolist()
-        total = 0.0
-        qi = 1.0
-        for i in range(n):
-            total += qi * g(base * qi) * k[i]
-            qi *= q
-        return (1.0 - q) * base * head * total
 
-    total = one_sided(s)
-    if a > 0.0:
-        total -= one_sided(a)
-    return total
+def _point(x: float, ctx: OperatorContext) -> QLattice:
+    """The one-node lattice of a point x > a."""
+    _check_above(x, ctx.a)
+    return QLattice(x, ctx.params.q, 1)
 
 
 def _on_lattice(f: ScalarFunction, lattice: QLattice, ctx: OperatorContext,
@@ -266,9 +244,7 @@ def _on_lattice(f: ScalarFunction, lattice: QLattice, ctx: OperatorContext,
         raise DomainError(f"lattice ratio {lattice.q} differs from q={q}")
     xs = lattice.nodes
     for x in xs:
-        if not x > a:
-            raise DomainError(f"evaluation point must exceed the lower "
-                              f"limit, got s={x}, a={a}")
+        _check_above(x, a)
         if stencil and not q * x > a:
             raise DomainError(
                 f"q-difference stencil leaves the domain at x={x}: "
@@ -322,18 +298,16 @@ def frac_integral(f: ScalarFunction, x, order,
     ([p]_q)**(1-alpha) / Gamma_{q**p}(alpha) *
     int_a^x w**(p-1) f(w) (x**p - (wq)**p)^(alpha-1) d_q w.
 
-    x is a point x > a, or a QLattice with ratio q: then the array of values
-    at its nodes, from one lattice-kernel pass.
+    x is a QLattice with ratio q, for the array of values at its nodes from
+    one lattice-kernel pass, or a point x > a, the one-node lattice, for
+    its value as a float.
     """
+    if not isinstance(x, QLattice):
+        return float(frac_integral(f, _point(x, ctx), order, ctx)[0])
     alpha = _alpha_of(order)
     if not alpha > 0.0:
         raise DomainError(f"integral order must be positive, got {alpha}")
-    if isinstance(x, QLattice):
-        return _integral_rows(*_on_lattice(f, x, ctx, stencil=False), alpha,
-                              ctx)
-    p = ctx.params.p
-    return _integral_coef(alpha, ctx.params) * _kernel_sum(
-        lambda w: w ** (p - 1.0) * f(w), x, alpha - 1.0, ctx)
+    return _integral_rows(*_on_lattice(f, x, ctx, stencil=False), alpha, ctx)
 
 
 def lemma_beta_integral(a: float, x: float, order_alpha: float, lam: float,
@@ -362,32 +336,18 @@ def frac_derivative_rl(f: ScalarFunction, x, order,
     """Riemann-Liouville-type q-fractional derivative D^alpha f at x.
 
     The outer x**(1-p) D_q is formed numerically from the inner integral
-    evaluated at x and qx; order 0 is the identity. x is a point or a
-    QLattice, as for frac_integral; on a lattice qx is the next row.
+    evaluated at x and qx, the next row of the lattice; order 0 is the
+    identity. x is a QLattice or a point, as for frac_integral.
     """
+    if not isinstance(x, QLattice):
+        return float(frac_derivative_rl(f, _point(x, ctx), order, ctx)[0])
     alpha = _alpha_of(order)
     if alpha == 0.0:
-        if isinstance(x, QLattice):
-            return _tabulate(f, np.array(x.nodes))
-        return f(x)
+        return _tabulate(f, np.array(x.nodes))
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"derivative order must lie in [0, 1), got {alpha}")
-    if isinstance(x, QLattice):
-        return _derivative_rows(*_on_lattice(f, x, ctx, stencil=True), alpha,
-                                ctx)
-    q, p = ctx.params.q, ctx.params.p
-    if not x > ctx.a:
-        raise DomainError(f"need x > a, got x={x}, a={ctx.a}")
-    if not q * x > ctx.a:
-        raise DomainError(
-            f"q-difference stencil leaves the domain: qx={q * x} <= a={ctx.a}"
-        )
-
-    def inner(s: float) -> float:
-        return _kernel_sum(lambda w: w ** (p - 1.0) * f(w), s, -alpha, ctx)
-
-    return (_derivative_coef(alpha, ctx.params) * x ** (1.0 - p)
-            * (inner(x) - inner(q * x)) / ((1.0 - q) * x))
+    return _derivative_rows(*_on_lattice(f, x, ctx, stencil=True), alpha,
+                            ctx)
 
 
 def caputo_derivative(f: ScalarFunction, x, order, ctx: OperatorContext):
@@ -405,8 +365,7 @@ def caputo_derivative(f: ScalarFunction, x, order, ctx: OperatorContext):
 
 
 def caputo_derivative_simplified(f: ScalarFunction, dqf: ScalarFunction,
-                                 x: float, order,
-                                 ctx: OperatorContext) -> float:
+                                 x, order, ctx: OperatorContext):
     """Caputo derivative through the q-derivative of f:
 
     ([p]_q)**alpha / Gamma_Q(1-alpha) *
@@ -415,13 +374,18 @@ def caputo_derivative_simplified(f: ScalarFunction, dqf: ScalarFunction,
     dqf must be the q-derivative of f (analytic or via q_derivative). The
     kernel argument is wq: integrating by parts and differentiating under the
     Jackson sum produces the shifted kernel, and only that form reproduces the
-    definitional Caputo derivative.
+    definitional Caputo derivative. x is a QLattice or a point, as for
+    frac_integral.
     """
+    if not isinstance(x, QLattice):
+        return float(caputo_derivative_simplified(f, dqf, _point(x, ctx),
+                                                  order, ctx)[0])
     alpha = _alpha_of(order)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"derivative order must lie in (0, 1), got {alpha}")
-    return _derivative_coef(alpha, ctx.params) * _kernel_sum(dqf, x, -alpha,
-                                                             ctx)
+    dq_grid, dq_low, grid, rows = _on_lattice(dqf, x, ctx, stencil=False)
+    kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl, grid[:rows])
+    return _derivative_coef(alpha, ctx.params) * kernel.apply(dq_grid, dq_low)
 
 
 def caputo_rl_relation_residual(f: ScalarFunction, x: float, order,

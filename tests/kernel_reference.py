@@ -1,0 +1,86 @@
+"""Plain-Python reference for the q-fractional operators at one point.
+
+`kernel_sum` forms the Jackson kernel sum term by term, one point at a
+time, as a loop over Python floats. The library computes every operator
+value with `operators.LatticeKernel`; the tests compare it with the
+operators built here from `kernel_sum`.
+"""
+
+from __future__ import annotations
+
+from qfrac.errors import DomainError
+from qfrac.operators import OperatorContext, _kernel_weights, _sum_length
+from qfrac.qcore import q_gamma, q_number
+
+
+def kernel_sum(g, s: float, beta: float, ctx: OperatorContext) -> float:
+    """Jackson integral int_a^s g(w) (s**p - (wq)**p)^(beta) d_q w at one
+    point s, off any lattice.
+
+    Computed as the difference of two zero-based Jackson sums. At node
+    w = base * q**i the kernel ratio ((wq)/s)**p is geometric in i, so one
+    weight table covers each sum.
+    """
+    q, p = ctx.params.q, ctx.params.p
+    Q = ctx.params.qp
+    a = ctx.a
+    if not s > a:
+        raise DomainError(f"evaluation point must exceed the lower limit, "
+                          f"got s={s}, a={a}")
+    n = _sum_length(q, p, ctx.ctrl)
+    head = s ** (p * beta)
+
+    def one_sided(base: float) -> float:
+        c = (base * q / s) ** p
+        k = _kernel_weights(Q, beta, c, n, ctx.ctrl).tolist()
+        total = 0.0
+        qi = 1.0
+        for i in range(n):
+            total += qi * g(base * qi) * k[i]
+            qi *= q
+        return (1.0 - q) * base * head * total
+
+    total = one_sided(s)
+    if a > 0.0:
+        total -= one_sided(a)
+    return total
+
+
+def _derivative_coef(alpha: float, ctx: OperatorContext) -> float:
+    params = ctx.params
+    return q_number(params.p, params.q) ** alpha / q_gamma(1.0 - alpha,
+                                                           params.qp)
+
+
+def integral(f, x: float, alpha: float, ctx: OperatorContext) -> float:
+    """J^alpha f at x."""
+    params = ctx.params
+    p = params.p
+    coef = (q_number(p, params.q) ** (1.0 - alpha)
+            / q_gamma(alpha, params.qp))
+    return coef * kernel_sum(lambda w: w ** (p - 1.0) * f(w), x,
+                             alpha - 1.0, ctx)
+
+
+def derivative_rl(f, x: float, alpha: float, ctx: OperatorContext) -> float:
+    """D^alpha f at x, for 0 < alpha < 1 and qx > a: the outer q-difference
+    of the inner sums at x and qx."""
+    q, p = ctx.params.q, ctx.params.p
+
+    def inner(s: float) -> float:
+        return kernel_sum(lambda w: w ** (p - 1.0) * f(w), s, -alpha, ctx)
+
+    return (_derivative_coef(alpha, ctx) * x ** (1.0 - p)
+            * (inner(x) - inner(q * x)) / ((1.0 - q) * x))
+
+
+def caputo(f, x: float, alpha: float, ctx: OperatorContext) -> float:
+    """cD^alpha f at x: D^alpha of w -> f(w) - f(a)."""
+    fa = f(ctx.a)
+    return derivative_rl(lambda w: f(w) - fa, x, alpha, ctx)
+
+
+def caputo_simplified(dqf, x: float, alpha: float,
+                      ctx: OperatorContext) -> float:
+    """cD^alpha at x through dqf, the q-derivative of f."""
+    return _derivative_coef(alpha, ctx) * kernel_sum(dqf, x, -alpha, ctx)

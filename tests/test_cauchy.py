@@ -29,7 +29,6 @@ from qfrac.operators import (
     FracOrder,
     LatticeKernel,
     OperatorContext,
-    frac_integral,
 )
 from qfrac.qcalc import QLattice
 from qfrac.qcore import (
@@ -40,6 +39,8 @@ from qfrac.qcore import (
     q_number,
     q_power_general,
 )
+
+import kernel_reference as reference
 
 
 def linear_problem(q=0.5, p=1.0, alpha=0.5, zeta=1.0, r=10.0, A=None):
@@ -107,8 +108,8 @@ class TestPicardStep:
                                        (0.3, 1.0, 0.1)])
     def test_step_matches_scalar_integral(self, q, p, a):
         # zeta + J^alpha of the tabulated rhs, node by node through the
-        # scalar sum: zeta below a, and zero past the end of the table,
-        # which the step's truncated sums do not read
+        # plain-Python reference sum: zeta below a, and zero past the end
+        # of the table, which the step's truncated sums do not read
         rhs = lambda t, u: math.sin(t) + u * u / 4
         problem = CauchyProblem(rhs=rhs, a=a, b=1.0, zeta=1.0,
                                 order=FracOrder(0.6), params=QParams(q, p),
@@ -123,7 +124,7 @@ class TestPicardStep:
             if t <= a:
                 assert v == 1.0
                 continue
-            want = 1.0 + frac_integral(g, t, problem.order, ctx)
+            want = 1.0 + reference.integral(g, t, problem.order.alpha, ctx)
             assert abs(v - want) <= 1e-13 * max(1.0, abs(want))
 
     def test_non_finite_step_names_node_and_iteration(self):

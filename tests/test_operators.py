@@ -30,6 +30,8 @@ from qfrac.qcore import (
     q_power_general,
 )
 
+import kernel_reference as reference
+
 QS = (0.3, 0.5, 0.9)
 PS = (1.0, 2.0)
 
@@ -106,7 +108,8 @@ class TestFracIntegral:
 
     def test_needs_x_above_a(self):
         ctx = OperatorContext(QParams(0.5), a=0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match="evaluation point must exceed the lower"):
             frac_integral(lambda w: 1.0, 0.25, FracOrder(0.5), ctx)
 
 
@@ -171,7 +174,8 @@ class TestRLDerivative:
     def test_stencil_domain(self):
         ctx = OperatorContext(QParams(0.3), a=0.25)
         # qx = 0.18 falls below a even though x does not
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError,
+                           match=r"stencil leaves the domain at x=0\.6"):
             frac_derivative_rl(lambda w: w, 0.6, FracOrder(0.5), ctx)
 
 
@@ -288,8 +292,8 @@ class TestInversion:
 
 
 class TestLatticePath:
-    """One lattice-kernel pass over a QLattice against the scalar sums at
-    each of its nodes."""
+    """One lattice-kernel pass over a QLattice against the plain-Python
+    reference sums at each of its nodes."""
 
     @given(q=st.floats(0.3, 0.97), p=st.sampled_from(PS),
            alpha=st.floats(0.1, 0.9), a=st.sampled_from((0.0, 0.25)),
@@ -298,17 +302,27 @@ class TestLatticePath:
     def test_matches_scalar_at_every_node(self, q, p, alpha, a, c):
         ctx = OperatorContext(QParams(q, p), a=a)
         f = lambda w: c[0] + c[1] * w + c[2] * w * w + c[3] * math.exp(-w)
+        dqf = lambda w: (f(w) - f(q * w)) / ((1.0 - q) * w)
         # nodes whose q-difference stencil stays above a
         depth = sum(1 for x in QLattice(1.0, q, 6, floor_a=a).nodes
                     if q * x > a)
         lattice = QLattice(1.0, q, depth, floor_a=a)
-        for op, scale in ((frac_integral, 1.0),
-                          (frac_derivative_rl, 1.0 / (1.0 - q)),
-                          (caputo_derivative, 1.0 / (1.0 - q))):
-            got = op(f, lattice, FracOrder(alpha), ctx)
+        order = FracOrder(alpha)
+        for got, ref, scale in (
+                (frac_integral(f, lattice, order, ctx),
+                 lambda x: reference.integral(f, x, alpha, ctx), 1.0),
+                (frac_derivative_rl(f, lattice, order, ctx),
+                 lambda x: reference.derivative_rl(f, x, alpha, ctx),
+                 1.0 / (1.0 - q)),
+                (caputo_derivative(f, lattice, order, ctx),
+                 lambda x: reference.caputo(f, x, alpha, ctx),
+                 1.0 / (1.0 - q)),
+                (caputo_derivative_simplified(f, dqf, lattice, order, ctx),
+                 lambda x: reference.caputo_simplified(dqf, x, alpha, ctx),
+                 1.0 / (1.0 - q))):
             assert len(got) == depth
             for x, v in zip(lattice.nodes, got):
-                want = op(f, x, FracOrder(alpha), ctx)
+                want = ref(x)
                 assert abs(v - want) <= 1e-13 * max(1.0, abs(want)) * scale
 
     def test_stencil_leaving_the_domain(self):

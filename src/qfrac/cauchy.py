@@ -31,9 +31,8 @@ from .operators import (
     LatticeKernel,
     _integral_coef,
     _sum_length,
-    _tabulate,
 )
-from .qcalc import QLattice
+from .qcalc import QLattice, _tabulate
 from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,

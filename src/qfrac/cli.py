@@ -370,7 +370,9 @@ def _cmd_verify(cfg: RunConfig, out: str | None, fmt: str,
         "schema": 1,
         "config": cfg.resolved(),
         "identity_results": [
-            {"name": r.name, "max_error": r.max_error,
+            {"name": r.name,
+             "max_error": (r.max_error if math.isfinite(r.max_error)
+                           else None),
              "tolerance": r.tolerance, "passed": r.passed}
             for r in results
         ],

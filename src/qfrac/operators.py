@@ -8,7 +8,9 @@ All integrals are Jackson sums over geometric lattices; the kernel
 q**p, so kernel weights for a whole sum are built in O(N) from two infinite
 products and cumulative finite Pochhammers. At the nodes of a QLattice every
 operator value comes from one LatticeKernel pass over f tabulated once; a
-point x is the one-node lattice QLattice(x, q, 1).
+point x is the one-node lattice QLattice(x, q, 1). A family of k functions
+(see qcalc) shares that pass: its values run along the last axis, and the
+operators return one row per function.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError
-from .qcalc import QLattice, ScalarFunction
+from .qcalc import QLattice, ScalarFunction, _tabulate
 from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
@@ -143,11 +145,14 @@ class _Convolution:
             self.spectrum = np.fft.rfft(table, self.size)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        if not self.size:
+        """Along the last axis: a (k, len) stack gives (k, rows)."""
+        if self.size:
+            full = np.fft.irfft(np.fft.rfft(x, self.size) * self.spectrum,
+                                self.size)
+            return full[..., self.n - 1:self.n - 1 + self.rows]
+        if x.ndim == 1:
             return np.convolve(x, self.table, "valid")
-        full = np.fft.irfft(np.fft.rfft(x, self.size) * self.spectrum,
-                            self.size)
-        return full[self.n - 1:self.n - 1 + self.rows]
+        return np.stack([self(row) for row in x])
 
 
 class LatticeKernel:
@@ -195,30 +200,18 @@ class LatticeKernel:
 
         g holds the integrand at t_0 q**j, j < rows + n - 1; a shorter
         table stands for g = 0 past its end. g_low holds it at lower_nodes;
-        None stands for g = 0 on [0, a].
+        None stands for g = 0 on [0, a]. A (k, len) stack of integrands
+        gives (k, rows).
         """
         size = len(self.head) + self.n - 1
-        g = np.asarray(g, dtype=float)[:size]
-        if len(g) < size:
-            g = np.concatenate((g, np.zeros(size - len(g))))
+        g = np.asarray(g, dtype=float)[..., :size]
+        if g.shape[-1] < size:
+            pad = np.zeros(g.shape[:-1] + (size - g.shape[-1],))
+            g = np.concatenate((g, pad), axis=-1)
         out = self.head * self.upper(g)
         if g_low is not None and self.lower is not None:
             out -= self.lower_sum(g_low)
         return out
-
-
-def _tabulate(f, *tables) -> np.ndarray:
-    """f at every element of the broadcast tables (f(w) over one table of
-    nodes, f(t, u) over two). One f.table(*tables) call when f carries a
-    table attribute, as a compiled expression does; otherwise one call
-    per element with Python floats, in C order."""
-    table = getattr(f, "table", None)
-    if table is not None:
-        return table(*tables)
-    tables = np.broadcast_arrays(*tables)
-    flat = zip(*(t.ravel().tolist() for t in tables))
-    return np.array([f(*args) for args in flat],
-                    dtype=float).reshape(tables[0].shape)
 
 
 def _check_above(x: float, a: float) -> None:
@@ -231,6 +224,11 @@ def _point(x: float, ctx: OperatorContext) -> QLattice:
     """The one-node lattice of a point x > a."""
     _check_above(x, ctx.a)
     return QLattice(x, ctx.params.q, 1)
+
+
+def _value(v):
+    """A Python float for one function, the array of k for a family."""
+    return float(v) if v.ndim == 0 else v
 
 
 def _on_lattice(f: ScalarFunction, lattice: QLattice, ctx: OperatorContext,
@@ -262,7 +260,7 @@ def _sums(f_grid: np.ndarray, f_low: np.ndarray | None, grid: np.ndarray,
     kernel = LatticeKernel(ctx.params, beta, ctx.a, ctx.ctrl, grid[:rows])
     p1 = ctx.params.p - 1.0
     g_low = None if f_low is None else kernel.lower_nodes ** p1 * f_low
-    return kernel.apply(grid[:len(f_grid)] ** p1 * f_grid, g_low)
+    return kernel.apply(grid[:f_grid.shape[-1]] ** p1 * f_grid, g_low)
 
 
 def _integral_coef(alpha: float, params: QParams) -> float:
@@ -288,7 +286,7 @@ def _derivative_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
     inner = _sums(f_grid, f_low, grid, rows + 1, -alpha, ctx)
     x = grid[:rows]
     return (_derivative_coef(alpha, ctx.params) * x ** (1.0 - p)
-            * (inner[:-1] - inner[1:]) / ((1.0 - q) * x))
+            * (inner[..., :-1] - inner[..., 1:]) / ((1.0 - q) * x))
 
 
 def frac_integral(f: ScalarFunction, x, order,
@@ -300,10 +298,11 @@ def frac_integral(f: ScalarFunction, x, order,
 
     x is a QLattice with ratio q, for the array of values at its nodes from
     one lattice-kernel pass, or a point x > a, the one-node lattice, for
-    its value as a float.
+    its value as a float. A family of k functions gives k rows (k values
+    at a point).
     """
     if not isinstance(x, QLattice):
-        return float(frac_integral(f, _point(x, ctx), order, ctx)[0])
+        return _value(frac_integral(f, _point(x, ctx), order, ctx)[..., 0])
     alpha = _alpha_of(order)
     if not alpha > 0.0:
         raise DomainError(f"integral order must be positive, got {alpha}")
@@ -340,7 +339,8 @@ def frac_derivative_rl(f: ScalarFunction, x, order,
     identity. x is a QLattice or a point, as for frac_integral.
     """
     if not isinstance(x, QLattice):
-        return float(frac_derivative_rl(f, _point(x, ctx), order, ctx)[0])
+        return _value(
+            frac_derivative_rl(f, _point(x, ctx), order, ctx)[..., 0])
     alpha = _alpha_of(order)
     if alpha == 0.0:
         return _tabulate(f, np.array(x.nodes))
@@ -360,7 +360,8 @@ def caputo_derivative(f: ScalarFunction, x, order, ctx: OperatorContext):
 
     table = getattr(f, "table", None)
     if table is not None:
-        shifted.table = lambda w: table(w) - fa
+        fa_col = np.expand_dims(fa, -1)  # one per row of a family
+        shifted.table = lambda w: table(w) - fa_col
     return frac_derivative_rl(shifted, x, order, ctx)
 
 
@@ -378,8 +379,8 @@ def caputo_derivative_simplified(f: ScalarFunction, dqf: ScalarFunction,
     frac_integral.
     """
     if not isinstance(x, QLattice):
-        return float(caputo_derivative_simplified(f, dqf, _point(x, ctx),
-                                                  order, ctx)[0])
+        return _value(caputo_derivative_simplified(
+            f, dqf, _point(x, ctx), order, ctx)[..., 0])
     alpha = _alpha_of(order)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"derivative order must lie in (0, 1), got {alpha}")
@@ -416,15 +417,16 @@ def bound_constant(order, ctx: OperatorContext, b: float) -> float:
     q, p = ctx.params.q, ctx.params.p
     coef = q_number(p, q) ** (1.0 - alpha) / (
         q_number(p * alpha, q) * q_gamma(alpha, ctx.params.qp))
-    best = 0.0
-    x = b
-    for _ in range(2_000):
-        if x <= ctx.a or x < b * 1e-14:
-            break
-        best = max(best, abs(q_power_general(x, ctx.a, alpha, ctx.params,
-                                             ctx.ctrl)))
-        x *= q
-    return coef * best
+    # the lattice b, b q, (b q) q, ... above a and b * 1e-14, at most 2000
+    # nodes: cumprod multiplies in that order, so the nodes and the bound
+    # are the same floats as repeated x *= q gives
+    xs = np.full(2_000, q)
+    xs[0] = b
+    np.cumprod(xs, out=xs)
+    stop = np.flatnonzero((xs <= ctx.a) | (xs < b * 1e-14))
+    xs = xs[:stop[0]] if stop.size else xs
+    powers = q_power_general(xs, ctx.a, alpha, ctx.params, ctx.ctrl)
+    return coef * float(np.max(np.abs(powers), initial=0.0))
 
 
 def inversion_residuals(f: ScalarFunction, lattice: QLattice, order,
@@ -433,7 +435,9 @@ def inversion_residuals(f: ScalarFunction, lattice: QLattice, order,
     nodes x with qx > a:
 
     (max |cD^alpha(J^alpha f)(x) - f(x)|,
-     max |J^alpha(cD^alpha f)(x) - (f(x) - f(a))|).
+     max |J^alpha(cD^alpha f)(x) - (f(x) - f(a))|),
+
+    floats for one function, arrays of k maxima for a family.
 
     The lattice ratio must be q. Everything lives on one geometric grid
     b q**j, with f tabulated once: the inner operator is one kernel pass
@@ -451,19 +455,22 @@ def inversion_residuals(f: ScalarFunction, lattice: QLattice, order,
     grid = lattice.b * np.power(q, np.arange(rows + 2 * n - 1))
     f_grid = _tabulate(f, grid)
     f_low = _tabulate(f, a * np.power(q, np.arange(n))) if a > 0.0 else None
-    fa = f(a)
+    fa = np.expand_dims(f(a), -1)
+    stack = f_grid.shape[:-1]
 
-    jf = np.zeros(rows + n)
-    live = int(np.count_nonzero(grid[:len(jf)] > a))
-    jf[:live] = _integral_rows(f_grid, f_low, grid, live, alpha, ctx)
+    jf = np.zeros(stack + (rows + n,))
+    live = int(np.count_nonzero(grid[:rows + n] > a))
+    jf[..., :live] = _integral_rows(f_grid, f_low, grid, live, alpha, ctx)
     # J f vanishes at a, so cD^alpha(J f) = D^alpha(J f)
-    left = _derivative_rows(jf, None, grid, rows, alpha, ctx) - f_grid[:rows]
+    left = (_derivative_rows(jf, None, grid, rows, alpha, ctx)
+            - f_grid[..., :rows])
 
-    cdf = np.zeros(rows + n - 1)
-    live = int(np.count_nonzero(q * grid[:len(cdf)] > a))
-    cdf[:live] = _derivative_rows(
+    cdf = np.zeros(stack + (rows + n - 1,))
+    live = int(np.count_nonzero(q * grid[:rows + n - 1] > a))
+    cdf[..., :live] = _derivative_rows(
         f_grid - fa, None if f_low is None else f_low - fa, grid, live,
         alpha, ctx)
     right = (_integral_rows(cdf, None, grid, rows, alpha, ctx)
-             - (f_grid[:rows] - fa))
-    return float(np.max(np.abs(left))), float(np.max(np.abs(right)))
+             - (f_grid[..., :rows] - fa))
+    return (_value(np.max(np.abs(left), axis=-1)),
+            _value(np.max(np.abs(right), axis=-1)))

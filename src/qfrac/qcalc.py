@@ -2,13 +2,19 @@
 
 A ScalarFunction is any deterministic callable real -> real, evaluable on the
 q-lattice of its domain. Callers supplying functions used concurrently must
-make them re-entrant.
+make them re-entrant. A function may carry a `table(xs)` attribute giving
+its values at every node of an array at once, as a compiled expression
+does. A family of k functions is one callable whose value at a point is
+the array of its k values, and whose `table(xs)` is a (k, len(xs)) stack;
+the operators and sup_norm then give k results in one call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .qcore import DEFAULT_INTEGRATION_CTRL, SeriesControl
@@ -58,6 +64,21 @@ class QLattice:
         return out
 
 
+def _tabulate(f, *tables) -> np.ndarray:
+    """f at every element of the broadcast tables (f(w) over one table of
+    nodes, f(t, u) over two). One f.table(*tables) call when f carries a
+    table attribute, as a compiled expression does; otherwise one call
+    per element with Python floats, in C order. A family's k values per
+    element come out as the leading axis."""
+    table = getattr(f, "table", None)
+    if table is not None:
+        return table(*tables)
+    tables = np.broadcast_arrays(*tables)
+    flat = zip(*(t.ravel().tolist() for t in tables))
+    values = np.array([f(*args) for args in flat], dtype=float)
+    return values.T.reshape(values.shape[1:] + tables[0].shape)
+
+
 def q_derivative(f: ScalarFunction, x: float, q: float) -> float:
     """D_q f(x) = (f(x) - f(qx)) / ((1 - q) x), for x > 0."""
     if not 0.0 < q < 1.0:
@@ -72,17 +93,33 @@ def jackson_integral_zero(f: ScalarFunction, b: float, q: float,
     """Jackson integral (1-q) b sum_i q**i f(q**i b) over [0, b].
 
     Stops once |term| < max(abs_tol, rel_tol |partial|) for consecutive_small
-    successive terms; raises ConvergenceError at max_terms.
+    successive terms; raises ConvergenceError at max_terms. When f carries
+    a table, it is called on blocks of nodes of doubling length (so at up
+    to twice the nodes the sum uses), and the sum is the same float as the
+    term-by-term loop's whenever the table gives f's values.
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie in (0, 1), got {q}")
     if not b > 0.0:
         raise DomainError(f"b must be positive, got {b}")
     scale = (1.0 - q) * b
+    table = getattr(f, "table", None)
+    total = (_jackson_loop(f, b, q, scale, ctrl) if table is None
+             else _jackson_blocks(table, b, q, scale, ctrl))
+    if total is None:
+        raise ConvergenceError(
+            f"Jackson integral on [0, {b}] did not meet its stopping rule "
+            f"within {ctrl.max_terms} terms"
+        )
+    return total
+
+
+def _jackson_loop(f, b, q, scale, ctrl) -> float | None:
+    """The Jackson sum term by term; None at max_terms."""
     total = 0.0
     small = 0
     qi = 1.0
-    for i in range(ctrl.max_terms):
+    for _ in range(ctrl.max_terms):
         term = scale * qi * f(qi * b)
         total += term
         qi *= q
@@ -92,10 +129,32 @@ def jackson_integral_zero(f: ScalarFunction, b: float, q: float,
                 return total
         else:
             small = 0
-    raise ConvergenceError(
-        f"Jackson integral on [0, {b}] did not meet its stopping rule within "
-        f"{ctrl.max_terms} terms"
-    )
+    return None
+
+
+def _jackson_blocks(table, b, q, scale, ctrl) -> float | None:
+    """_jackson_loop over blocks of doubling length, one table call each:
+    its qi *= q and total += term are the sequential scans np.cumprod and
+    np.cumsum, so the terms and partial sums are the same floats."""
+    total, small, qi = 0.0, 0, 1.0
+    start, size = 0, 64
+    while start < ctrl.max_terms:
+        m = min(size, ctrl.max_terms - start)
+        qis = np.full(m, q)
+        qis[0] = qi
+        np.cumprod(qis, out=qis)
+        terms = scale * qis * table(qis * b)
+        totals = np.cumsum(np.concatenate(([total], terms)))[1:]
+        # fmax keeps abs_tol where the partial sum is NaN, as max() does
+        small_at = np.abs(terms) < np.fmax(ctrl.abs_tol,
+                                           ctrl.rel_tol * np.abs(totals))
+        for i, is_small in enumerate(small_at.tolist()):
+            small = small + 1 if is_small else 0
+            if small >= ctrl.consecutive_small:
+                return float(totals[i])
+        total, qi = float(totals[-1]), qis[-1] * q
+        start, size = start + m, 2 * size
+    return None
 
 
 def jackson_integral(f: ScalarFunction, a: float, b: float, q: float,
@@ -113,6 +172,8 @@ def jackson_integral(f: ScalarFunction, a: float, b: float, q: float,
     return total
 
 
-def sup_norm(f: ScalarFunction, lattice: QLattice) -> float:
-    """max |f| over the lattice nodes (base node b included)."""
-    return max(abs(f(x)) for x in lattice.nodes)
+def sup_norm(f: ScalarFunction, lattice: QLattice):
+    """max |f| over the lattice nodes (base node b included), from f
+    tabulated once; NaN if f is NaN at a node. A family gives its k norms."""
+    norm = np.max(np.abs(_tabulate(f, np.array(lattice.nodes))), axis=-1)
+    return float(norm) if norm.ndim == 0 else norm

@@ -9,7 +9,6 @@ their only implementation. Grids may be restricted to particular q / p values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,9 +30,10 @@ from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
     SeriesControl,
-    _product_length,
+    log_q_pochhammer_ratio,
     q_number,
     q_power_general,
+    q_power_lattice,
 )
 
 __all__ = ["IdentityResult", "IDENTITY_NAMES", "run_identity", "run_registry"]
@@ -62,137 +62,149 @@ def _pairs(restrict: dict | None) -> list[tuple[float, float]]:
     return [(q, p) for q in qs for p in ps]
 
 
+def _worst(errors) -> float:
+    """The largest of all the error arrays; NaN if any error is NaN."""
+    return float(np.max(np.concatenate([np.ravel(e) for e in errors])))
+
+
+class _FromTable:
+    """A test function given by its table (see qcalc): table(ws) gives its
+    values at every node, a (k, len(ws)) stack for a family of k, and a
+    call at a point is the table at that one node."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __call__(self, w):
+        return self.table(np.array([w], dtype=float))[..., 0]
+
+
 def _check_lemma(restrict, ctrl) -> float:
-    worst = 0.0
+    errors = []
     for q, p in _pairs(restrict):
         params = QParams(q, p)
         for alpha in (0.3, 0.7, 1.2):
             for lam in (0.0, 0.5, 1.0):
                 for x in (0.5, 1.0, 2.0):
-                    def integrand(t):
-                        return (t ** (p - 1.0)
-                                * q_power_general(x, q * t, alpha - 1.0,
-                                                  params, ctrl)
-                                * t ** (p * lam))
+                    # a block of Jackson nodes of [0, x] is t_0 q**i, so the
+                    # q-power at q t is one lattice pass from q t_0
+                    integrand = _FromTable(
+                        lambda t: (
+                            t ** (p - 1.0)
+                            * q_power_lattice(x, q * t[0], alpha - 1.0,
+                                              params, len(t), ctrl)
+                            * t ** (p * lam)))
                     lhs = jackson_integral(integrand, 0.0, x, q, ctrl)
                     rhs = lemma_beta_integral(0.0, x, alpha, lam, params,
                                               ctrl)
-                    worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    return worst
+                    errors.append(abs(lhs - rhs) / abs(rhs))
+    return _worst(errors)
 
 
 def _check_qpower_derivatives(restrict, ctrl) -> float:
     rng = np.random.default_rng(1234)
     qs, ps = _grid(restrict)
-    worst = 0.0
-    for _ in range(100):
-        q = float(rng.choice(qs))
-        p = float(rng.choice(ps))
+    draws = [(float(rng.choice(qs)), float(rng.choice(ps)),
+              float(rng.uniform(0.2, 1.8)), float(rng.uniform(0.5, 2.0)),
+              float(rng.random())) for _ in range(100)]
+    rel = lambda lhs, rhs: np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
+    errors = []
+    for q, p in sorted({d[:2] for d in draws}):
         params = QParams(q, p)
-        alpha = float(rng.uniform(0.2, 1.8))
-        x = float(rng.uniform(0.5, 2.0))
-        u = float(rng.random())
+        alpha, x, u = np.array([d[2:] for d in draws if d[:2] == (q, p)]).T
         # one draw, two ranges: y on [0, 0.9 qx) and on [0.1 qx, 0.9 qx),
         # each the value rng.uniform(lo, hi) = lo + (hi - lo) u would give
         lo, hi = 0.1 * q * x, 0.9 * q * x
+        y = np.concatenate((hi * u, lo + (hi - lo) * u))
+        alpha, x = np.tile(alpha, 2), np.tile(x, 2)
         qn = q_number(p * alpha, q)
         pw = lambda s, t, e: q_power_general(s, t, e, params, ctrl)
-        rel = lambda lhs, rhs: abs(lhs - rhs) / max(abs(rhs), 1e-300)
-        for y in (hi * u, lo + (hi - lo) * u):
-            lhs_x = (pw(x, y, alpha) - pw(q * x, y, alpha)) / ((1.0 - q) * x)
-            worst = max(worst, rel(lhs_x, x ** (p - 1.0) * qn
-                                   * pw(x, y, alpha - 1.0)))
-            if y > 0.0:
-                lhs_y = -pw(x, y, alpha) * math.expm1(
-                    _log_product_ratio((q * y / x) ** p, alpha, params, ctrl)
-                    - _log_product_ratio((y / x) ** p, alpha, params, ctrl)
-                ) / ((1.0 - q) * y)
-                worst = max(worst, rel(lhs_y, -y ** (p - 1.0) * qn
-                                       * pw(x, q * y, alpha - 1.0)))
-    return worst
+        at_y = pw(x, y, alpha)
+        lhs_x = (at_y - pw(q * x, y, alpha)) / ((1.0 - q) * x)
+        errors.append(rel(lhs_x, x ** (p - 1.0) * qn * pw(x, y, alpha - 1.0)))
+        # pw(x, y) - pw(x, qy) = -pw(x, y) expm1(L(Qr) - L(r)), with L the
+        # log of the q-power's product ratio at r = (y/x)**p: that keeps its
+        # digits where y**p << x**p, where the plain difference subtracts
+        # two nearly equal O(1) values
+        y, x, alpha, at_y, qn = (v[y > 0.0] for v in (y, x, alpha, at_y, qn))
+        r = (y / x) ** p
+        logs = log_q_pochhammer_ratio(r, params.qp**alpha * r, params.qp, 2,
+                                      ctrl)
+        lhs_y = -at_y * np.expm1(logs[:, 1] - logs[:, 0]) / ((1.0 - q) * y)
+        errors.append(rel(lhs_y, -y ** (p - 1.0) * qn
+                          * pw(x, q * y, alpha - 1.0)))
+    return _worst(errors)
 
 
-def _log_product_ratio(r: float, alpha: float, params: QParams,
-                       ctrl: SeriesControl) -> float:
-    """L(r) = log((r; Q)_inf / (Q**alpha r; Q)_inf), Q = q**p, summed factor
-    by factor over the product lengths q_power_general uses.
-
-    At r = (y/x)**p the q-power is pw(x, y) = x**(p alpha) exp(L(r)), so
-    pw(x, y) - pw(x, qy) = -pw(x, y) expm1(L((qy/x)**p) - L((y/x)**p)).
-    That keeps its digits where y**p << x**p, where the plain difference
-    subtracts two nearly equal O(1) values.
-    """
-    Q = params.qp
-    s = Q**alpha * r
-    return math.fsum(
-        [math.log1p(-r * Q**j) for j in range(_product_length(r, Q, ctrl))]
-        + [-math.log1p(-s * Q**j)
-           for j in range(_product_length(s, Q, ctrl))])
+def _family(q: float, p: float, k: int = 4):
+    """(f, D_q f) for the family f = w**e, D_q f = [e]_q w**(e-1), e in
+    1, 2, 3, 0.7 p, of its first k members."""
+    e = np.array([1.0, 2.0, 3.0, 0.7 * p][:k])[:, None]
+    c = q_number(e, q)
+    return (_FromTable(lambda w: w ** e),
+            _FromTable(lambda w: c * w ** (e - 1.0)))
 
 
-def _family(q: float, p: float) -> list:
-    """(f, D_q f) for f = w**e, D_q f = [e]_q w**(e-1), e in 1, 2, 3, 0.7 p."""
-    return [(lambda w, e=e: w**e,
-             lambda w, e=e, c=q_number(e, q): c * w ** (e - 1.0))
-            for e in (1.0, 2.0, 3.0, 0.7 * p)]
-
-
-def _horner(c0: float, c1: float, c2: float, c3: float, c4: float):
-    """The quartic with these coefficients, highest first, in plain floats:
-    bit for bit the value np.polyval gives."""
-    return lambda w: (((c0 * w + c1) * w + c2) * w + c3) * w + c4
+def _horner(coeffs: np.ndarray):
+    """The family of quartics whose coefficient rows, highest first, are
+    coeffs: bit for bit the values np.polyval gives."""
+    c0, c1, c2, c3, c4 = coeffs.T[:, :, None]
+    return _FromTable(
+        lambda w: (((c0 * w + c1) * w + c2) * w + c3) * w + c4)
 
 
 def _check_caputo_relation(restrict, ctrl) -> float:
-    worst = 0.0
+    errors = []
     for q, p in _pairs(restrict):
         ctx = OperatorContext(QParams(q, p), a=0.25, ctrl=ctrl)
+        f, _ = _family(q, p, 2)
         for alpha in (0.25, 0.5, 0.75):
             # qx must stay above a for the RL stencil, even at q = 0.3
-            for f, _ in _family(q, p)[:2]:
-                for x in (0.9, 1.0):
-                    worst = max(worst, abs(caputo_rl_relation_residual(
-                        f, x, FracOrder(alpha), ctx)))
-    return worst
+            for x in (0.9, 1.0):
+                errors.append(np.abs(caputo_rl_relation_residual(
+                    f, x, FracOrder(alpha), ctx)))
+    return _worst(errors)
 
 
 def _check_caputo_equivalence(restrict, ctrl) -> float:
-    worst = 0.0
+    errors = []
     for q, p in _pairs(restrict):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
-        cases = [(f, dqf, 12) for f, dqf in _family(q, p)]
-        # 1 + w^2 only to depth 8: deeper, f(w) - f(0) in the definitional
-        # form cancels to few digits (2.6e-8 at q = 0.3, p = 2,
-        # alpha = 0.75, node 11)
-        cases.append((lambda w: 1.0 + w * w, lambda w: (1.0 + q) * w, 8))
+        powers, d_powers = _family(q, p)
+        # 1 + w^2 joins as a fifth member, compared to depth 8 only: deeper,
+        # f(w) - f(0) in the definitional form cancels to few digits
+        # (2.6e-8 at q = 0.3, p = 2, alpha = 0.75, node 11)
+        f = _FromTable(lambda w: np.vstack((powers.table(w), 1.0 + w * w)))
+        dqf = _FromTable(
+            lambda w: np.vstack((d_powers.table(w), (1.0 + q) * w)))
+        lattice = QLattice(1.0, q, 12)
         for alpha in (0.25, 0.5, 0.75):
             order = FracOrder(alpha)
-            for f, dqf, depth in cases:
-                lattice = QLattice(1.0, q, depth)
-                d1 = caputo_derivative(f, lattice, order, ctx)
-                d2 = caputo_derivative_simplified(f, dqf, lattice, order, ctx)
-                worst = max(worst, float(np.max(np.abs(d1 - d2))))
-    return worst
+            diff = np.abs(caputo_derivative(f, lattice, order, ctx)
+                          - caputo_derivative_simplified(f, dqf, lattice,
+                                                         order, ctx))
+            errors += [diff[:-1], diff[-1, :8]]
+    return _worst(errors)
 
 
 def _check_corollary(restrict, ctrl) -> float:
     """Caputo derivative through the plain q-derivative, two equivalent
     routes: cD f = J^(1-alpha)(w**(1-p) D_q f), and the same with the order
     raised to 2-alpha and the outer x**(1-p) D_q applied on top."""
-    worst = 0.0
+    errors = []
     for q, p in _pairs(restrict):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
+        f, dqf = _family(q, p, 3)
+        g = _FromTable(lambda w: w ** (1.0 - p) * dqf.table(w))
         for alpha in (0.25, 0.5, 0.75):
             order = FracOrder(alpha)
-            for f, dqf in _family(q, p)[:3]:
-                g = lambda w: w ** (1.0 - p) * dqf(w)
-                inner = lambda s: frac_integral(g, s, 2.0 - alpha, ctx)
-                for x in (0.7, 1.0):
-                    lhs = caputo_derivative(f, x, order, ctx)
-                    via_j = frac_integral(g, x, 1.0 - alpha, ctx)
-                    wrapped = x ** (1.0 - p) * q_derivative(inner, x, q)
-                    worst = max(worst, abs(lhs - via_j), abs(lhs - wrapped))
-    return worst
+            inner = lambda s: frac_integral(g, s, 2.0 - alpha, ctx)
+            for x in (0.7, 1.0):
+                lhs = caputo_derivative(f, x, order, ctx)
+                via_j = frac_integral(g, x, 1.0 - alpha, ctx)
+                wrapped = x ** (1.0 - p) * q_derivative(inner, x, q)
+                errors += [np.abs(lhs - via_j), np.abs(lhs - wrapped)]
+    return _worst(errors)
 
 
 def _check_boundedness(restrict, ctrl) -> float:
@@ -202,31 +214,29 @@ def _check_boundedness(restrict, ctrl) -> float:
     pairs = _pairs(restrict)
     dealt = np.random.default_rng(20240817).uniform(-1.0, 1.0, size=(50, 5))
     rng = np.random.default_rng(99)
-    worst = -np.inf
+    errors = []
     for j, (q, p) in enumerate(pairs):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
         lattice = QLattice(1.0, q, 12)
         norm_lattice = QLattice(1.0, q, 200)
         bound = bound_constant(FracOrder(0.5), ctx, 1.0)
-        polys = [rng.uniform(-1.0, 1.0, size=5) for _ in range(8)]
-        for coeffs in polys + list(dealt[j::len(pairs)]):
-            f = _horner(*coeffs.tolist())
-            lhs = float(np.max(np.abs(frac_integral(
-                f, lattice, FracOrder(0.5), ctx))))
-            worst = max(worst, lhs - bound * sup_norm(f, norm_lattice))
-    return float(worst)
+        f = _horner(np.vstack((rng.uniform(-1.0, 1.0, size=(8, 5)),
+                               dealt[j::len(pairs)])))
+        lhs = np.max(np.abs(frac_integral(f, lattice, FracOrder(0.5), ctx)),
+                     axis=-1)
+        errors.append(lhs - bound * sup_norm(f, norm_lattice))
+    return _worst(errors)
 
 
 def _check_inversion(restrict, ctrl) -> float:
-    worst = 0.0
+    errors = []
     for q, p in _pairs(restrict):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
         lattice = QLattice(1.0, q, 12)
+        f, _ = _family(q, p)
         for alpha in (0.25, 0.5, 0.75):
-            for f, _ in _family(q, p):
-                worst = max(worst, *inversion_residuals(
-                    f, lattice, FracOrder(alpha), ctx))
-    return worst
+            errors += inversion_residuals(f, lattice, FracOrder(alpha), ctx)
+    return _worst(errors)
 
 
 _REGISTRY: dict[str, tuple[Callable, float]] = {
@@ -246,7 +256,8 @@ def run_identity(name: str, restrict: dict | None = None,
                  ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL,
                  inject_fault: bool = False) -> IdentityResult:
     """Run one identity check; inject_fault perturbs the measured error so
-    the harness's failure path can be exercised deliberately."""
+    the harness's failure path can be exercised deliberately. A NaN error
+    fails."""
     check, tol = _REGISTRY[name]
     err = float(check(restrict, ctrl))
     if inject_fault:

@@ -12,6 +12,7 @@ from qfrac.operators import (
     LatticeKernel,
     OperatorContext,
     _kernel_weights,
+    _sum_length,
     bound_constant,
     caputo_derivative,
     caputo_derivative_simplified,
@@ -336,6 +337,96 @@ class TestLatticePath:
         ctx = OperatorContext(QParams(0.5))
         with pytest.raises(DomainError, match="lattice ratio"):
             frac_integral(lambda w: w, QLattice(1.0, 0.6, 4), 0.5, ctx)
+
+
+def tabled(table):
+    """A function given by its table; a call is the table at one node."""
+    f = lambda w: table(np.array([w], dtype=float))[..., 0]
+    f.table = table
+    return f
+
+
+MEMBERS = (lambda w: 1.0 + 0.5 * w, lambda w: (w - 0.3) * w,
+           lambda w: ((0.2 * w - 1.0) * w + 0.7) * w - 2.0)
+
+
+class TestFamilies:
+    """A family of k functions, one callable whose table is a (k, N)
+    stack, shares one kernel pass: each of its rows is the single call."""
+
+    @pytest.mark.parametrize("q,depth", [(0.5, 10), (0.9, 12), (0.99, 4),
+                                         (0.99, 130)])
+    @pytest.mark.parametrize("a", (0.0, 0.25))
+    @pytest.mark.parametrize("p", PS)
+    def test_rows_equal_single_calls(self, q, depth, a, p):
+        ctx = OperatorContext(QParams(q, p), a=a)
+        # floor a/q: every node's q-difference stencil stays above a
+        lattice = QLattice(1.0, q, depth, floor_a=a / q)
+        rows = len(lattice.nodes)
+        fft = rows * _sum_length(q, p, ctx.ctrl) >= _FFT_MIN_MADDS
+        assert fft == (depth == 130)
+        singles = [tabled(m) for m in MEMBERS]
+        d_singles = [tabled(lambda w, m=m: m(w) * w - 1.0) for m in MEMBERS]
+        family = tabled(lambda w: np.stack([m(w) for m in MEMBERS]))
+        d_family = tabled(lambda w: np.stack([d.table(w) for d in d_singles]))
+        order = FracOrder(0.4)
+        for call in (lambda f, df, x: frac_integral(f, x, order, ctx),
+                     lambda f, df, x: frac_derivative_rl(f, x, order, ctx),
+                     lambda f, df, x: caputo_derivative(f, x, order, ctx),
+                     lambda f, df, x: caputo_derivative_simplified(
+                         f, df, x, order, ctx)):
+            got = call(family, d_family, lattice)
+            assert got.shape == (len(MEMBERS), rows)
+            at_point = call(family, d_family, lattice.nodes[-1])
+            assert at_point.shape == (len(MEMBERS),)
+            for row, value, f, df in zip(got, at_point, singles, d_singles):
+                want = call(f, df, lattice)
+                if fft:
+                    assert np.all(np.abs(row - want)
+                                  <= 1e-15 * np.maximum(1.0, np.abs(want)))
+                else:
+                    assert row.tolist() == want.tolist()
+                assert value == call(f, df, lattice.nodes[-1])
+
+    def test_family_without_table(self):
+        ctx = OperatorContext(QParams(0.5), a=0.25)
+        lattice = QLattice(1.0, 0.5, 8, floor_a=0.5)
+        family = tabled(lambda w: np.stack([m(w) for m in MEMBERS]))
+        by_node = lambda w: np.array([m(w) for m in MEMBERS])
+        for op in (frac_integral, caputo_derivative):
+            assert (op(by_node, lattice, 0.4, ctx).tolist()
+                    == op(family, lattice, 0.4, ctx).tolist())
+        assert (np.array(inversion_residuals(by_node, lattice, 0.4, ctx))
+                .tolist() == np.array(inversion_residuals(
+                    family, lattice, 0.4, ctx)).tolist())
+
+    def test_inversion_residuals_per_member(self):
+        ctx = OperatorContext(QParams(0.5, 2.0))
+        lattice = QLattice(1.0, 0.5, 10)
+        family = tabled(lambda w: np.stack([m(w) for m in MEMBERS]))
+        left, right = inversion_residuals(family, lattice, 0.6, ctx)
+        for k, m in enumerate(MEMBERS):
+            assert (left[k], right[k]) == inversion_residuals(
+                tabled(m), lattice, 0.6, ctx)
+
+    def test_errors_name_the_same_node(self):
+        ctx = OperatorContext(QParams(0.5), a=0.25)
+        lattice = QLattice(1.0, 0.5, 4)  # nodes 1, 0.5, 0.25, 0.125
+        single = tabled(MEMBERS[0])
+        family = tabled(lambda w: np.stack([m(w) for m in MEMBERS]))
+        for op, text in (
+                (frac_integral, "s=0.25, a=0.25"),
+                (lambda f, x, o, c: caputo_derivative_simplified(
+                    f, f, x, o, c), "s=0.25, a=0.25"),
+                (frac_derivative_rl, "at x=0.5: qx=0.25"),
+                (caputo_derivative, "at x=0.5: qx=0.25")):
+            messages = []
+            for f in (single, family):
+                with pytest.raises(DomainError) as err:
+                    op(f, lattice, 0.5, ctx)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
+            assert text in messages[0]
 
 
 def mixed_sign_table(size, seed):

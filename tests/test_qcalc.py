@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,6 +99,69 @@ class TestJacksonIntegral:
         assert v1 == pytest.approx(v2, rel=1e-12)
 
 
+class Tabled:
+    """f(x) = c2 x**2 + c1 x + c0 with a table giving the same floats."""
+
+    def __init__(self, c2, c1, c0):
+        self.c = (c2, c1, c0)
+
+    def __call__(self, x):
+        c2, c1, c0 = self.c
+        return (c2 * x + c1) * x + c0
+
+    table = __call__
+
+
+class TestJacksonTablePath:
+    """A function with a table is summed in blocks; the sum is the loop's
+    float bit for bit, and so is its failure at max_terms."""
+
+    @given(q=st.floats(0.05, 0.995), b=st.floats(0.01, 5.0),
+           c=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+                       st.floats(-3.0, 3.0)),
+           consecutive=st.integers(1, 4), rel_tol=st.sampled_from(
+               [0.0, 1e-13, 1e-6]))
+    @settings(max_examples=150, deadline=None)
+    def test_same_float_as_the_loop(self, q, b, c, consecutive, rel_tol):
+        f = Tabled(*c)
+        ctrl = SeriesControl(abs_tol=1e-15, rel_tol=rel_tol,
+                             max_terms=20_000, consecutive_small=consecutive)
+        got = jackson_integral_zero(f, b, q, ctrl)
+        want = jackson_integral_zero(lambda x: f(x), b, q, ctrl)
+        assert type(got) is float
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        assert got == want
+
+    def test_run_of_small_terms_spans_blocks(self):
+        # terms 0.3 * 0.7**i drop below 1e-10 times the partial sum from
+        # i = 62 on, so the third small term in a row, where the sum stops,
+        # is the first of the second 64-term block
+        ctrl = SeriesControl(abs_tol=1e-300, rel_tol=1e-10, max_terms=500,
+                             consecutive_small=3)
+        assert [i for i in range(61, 64)
+                if 0.3 * 0.7**i < 1e-10 * (1.0 - 0.7 ** (i + 1))] == [62, 63]
+        got = jackson_integral_zero(Tabled(0.0, 0.0, 1.0), 1.0, 0.7, ctrl)
+        assert got == jackson_integral_zero(lambda x: 1.0, 1.0, 0.7, ctrl)
+        assert abs(got - (1.0 - 0.7**65)) < 1e-14
+
+    @pytest.mark.parametrize("max_terms", [10, 64, 100, 300])
+    def test_same_error_at_max_terms(self, max_terms):
+        ctrl = SeriesControl(abs_tol=1e-30, rel_tol=0.0, max_terms=max_terms,
+                             consecutive_small=3)
+        f = Tabled(0.0, 0.0, 1.0)
+        with pytest.raises(ConvergenceError) as table_err:
+            jackson_integral_zero(f, 1.0, 0.99, ctrl)
+        with pytest.raises(ConvergenceError) as loop_err:
+            jackson_integral_zero(lambda x: 1.0, 1.0, 0.99, ctrl)
+        assert str(table_err.value) == str(loop_err.value)
+
+    def test_nan_never_stops_the_sum(self):
+        ctrl = SeriesControl(max_terms=200)
+        f = Tabled(0.0, 0.0, math.nan)
+        with pytest.raises(ConvergenceError):
+            jackson_integral_zero(f, 1.0, 0.5, ctrl)
+
+
 class TestFundamentalTheorem:
     @given(q=st.sampled_from([0.3, 0.5, 0.9]), x=st.floats(0.1, 2.0))
     @settings(max_examples=50, deadline=None)
@@ -172,3 +236,16 @@ class TestSupNorm:
     def test_absolute_value(self):
         lat = QLattice(1.0, 0.5, 6)
         assert sup_norm(lambda x: -3.0 * x, lat) == pytest.approx(3.0)
+
+    def test_table_and_family(self):
+        lat = QLattice(1.0, 0.5, 6)
+        f = Tabled(1.0, -1.0, 0.0)
+        assert sup_norm(f, lat) == sup_norm(lambda x: f(x), lat)
+        family = lambda x: np.array([-3.0 * x, x * x])
+        family.table = lambda xs: np.stack((-3.0 * xs, xs * xs))
+        assert sup_norm(family, lat).tolist() == [3.0, 1.0]
+
+    def test_nan_at_a_node_is_nan(self):
+        lat = QLattice(1.0, 0.5, 6)
+        assert math.isnan(sup_norm(lambda x: math.nan if x < 0.2 else x,
+                                   lat))

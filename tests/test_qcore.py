@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,10 @@ from qfrac.qcore import (
     q_gamma,
     q_number,
     q_pochhammer_finite,
+    log_q_pochhammer_ratio,
     q_pochhammer_infinite,
     q_power_general,
+    q_power_lattice,
 )
 
 
@@ -206,6 +209,98 @@ class TestQPowerGeneral:
             q_power_general(1.0, 2.0, 0.5, QParams(0.5))
         with pytest.raises(DomainError):
             q_power_general(-1.0, 0.0, 0.5, QParams(0.5))
+
+
+class TestArrayProducts:
+    """q-products over ndarrays: each element is the scalar call's value."""
+
+    @given(q=st.floats(0.3, 0.99), p=st.sampled_from([1.0, 2.0]),
+           alpha=st.lists(st.floats(-1.0, 2.0, exclude_min=True,
+                                    exclude_max=True), min_size=1,
+                          max_size=6),
+           x=st.floats(0.5, 2.0), fracs=st.lists(st.floats(0.0, 1.0),
+                                                 min_size=6, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_elements_equal_scalar_calls(self, q, p, alpha, x, fracs):
+        params = QParams(q, p)
+        alpha = np.array(alpha)
+        ys = (x * np.array(fracs[:len(alpha)]))[:, None]
+        try:
+            want = [[q_power_general(x, y, a, params) for a in alpha]
+                    for y in ys[:, 0]]
+        except PoleError:
+            return
+        got = q_power_general(x, ys, alpha, params)
+        assert got.shape == (len(ys), len(alpha))
+        assert got.tolist() == want
+        rs = (ys[:, 0] / x) ** p
+        assert q_pochhammer_infinite(rs, params.qp).tolist() == [
+            q_pochhammer_infinite(r, params.qp) for r in rs.tolist()]
+
+    def test_edges(self):
+        params = QParams(0.5, 2.0)
+        got = q_power_general(np.array([1.5, 1.5, 2.0]),
+                              np.array([1.5, 0.0, 1.0]), 0.7, params)
+        assert got.tolist() == [0.0, 1.5 ** 1.4,
+                                q_power_general(2.0, 1.0, 0.7, params)]
+        assert q_pochhammer_infinite(np.zeros(2), 0.5).tolist() == [1.0, 1.0]
+
+    def test_errors_still_raise(self):
+        params = QParams(0.5)
+        with pytest.raises(DomainError, match="y must not exceed x"):
+            q_power_general(np.array([1.0, 1.0]), np.array([0.5, 2.0]), 0.5,
+                            params)
+        with pytest.raises(DomainError, match="x must be positive"):
+            q_power_general(np.array([1.0, -1.0]), 0.0, 0.5, params)
+        # (q**alpha y/x; q)_inf has the factor 1 - 2 * 0.5 = 0
+        with pytest.raises(PoleError):
+            q_power_general(1.0, 0.5, -1.0, params)
+        with pytest.raises(PoleError):
+            q_power_general(np.ones(2), np.array([0.25, 0.5]), -1.0, params)
+        with pytest.raises(DomainError):
+            q_pochhammer_infinite(np.array([0.5]), 1.5)
+
+
+class TestLatticeQPower:
+    """q_power_lattice: the q-power at y q**i from one suffix-sum pass."""
+
+    @given(q=st.sampled_from([0.3, 0.5, 0.9]), p=st.sampled_from([1.0, 2.0]),
+           alpha=st.floats(-0.95, 1.95), x=st.floats(0.5, 2.0),
+           frac=st.floats(0.0, 1.0), n=st.integers(1, 80))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_q_power(self, q, p, alpha, x, frac, n):
+        params = QParams(q, p)
+        y = frac * x
+        try:
+            got = q_power_lattice(x, y, alpha, params, n)
+        except PoleError:
+            assert params.qp**alpha * (y / x) ** p >= 1.0
+            return
+        want = np.array([q_power_general(x, y * q**i, alpha, params)
+                         for i in range(n)])
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    def test_coincident_node_is_zero(self):
+        got = q_power_lattice(1.0, 1.0, 0.5, QParams(0.5), 3)
+        assert got[0] == 0.0 and got[1] > 0.0
+
+    def test_log_ratio_is_the_product_ratio(self):
+        q, r, s = 0.7, 0.6, 0.2
+        got = log_q_pochhammer_ratio(np.array([r, s]), s, q, 3)
+        assert got.shape == (2, 3)
+        for i in range(3):
+            want = math.log(q_pochhammer_infinite(r * q**i, q)
+                            / q_pochhammer_infinite(s * q**i, q))
+            assert got[0, i] == pytest.approx(want, rel=1e-14, abs=1e-16)
+        assert np.all(got[1] == 0.0)
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            log_q_pochhammer_ratio(1.5, 0.1, 0.5, 2)
+        with pytest.raises(DomainError):
+            log_q_pochhammer_ratio(0.5, 1.0, 0.5, 2)
+        with pytest.raises(DomainError):
+            q_power_lattice(1.0, 2.0, 0.5, QParams(0.5), 2)
 
 
 class TestInvariantsOfTypes:

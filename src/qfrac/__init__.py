@@ -43,7 +43,6 @@ from .qcalc import (
 )
 from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
-    DEFAULT_PRODUCT_CTRL,
     QParams,
     SeriesControl,
     q_binomial,

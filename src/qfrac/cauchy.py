@@ -29,8 +29,9 @@ from .errors import (
 from .operators import (
     FracOrder,
     LatticeKernel,
-    _integral_coef,
+    OperatorContext,
     _sum_length,
+    bound_constant,
 )
 from .qcalc import QLattice, _tabulate
 from .qcore import (
@@ -39,7 +40,6 @@ from .qcore import (
     SeriesControl,
     q_gamma,
     q_number,
-    q_power_general,
 )
 
 __all__ = [
@@ -129,9 +129,10 @@ class _PicardEngine:
         p = problem.params.p
         alpha = problem.order.alpha
         self.n_active = m = int(np.count_nonzero(self.nodes > problem.a))
-        self.coef = _integral_coef(alpha, problem.params)
         self.kernel = LatticeKernel(problem.params, alpha - 1.0, problem.a,
                                     ctrl, self.nodes[:m])
+        self.coef = (q_number(p, problem.params.q) ** (1.0 - alpha)
+                     / self.kernel.gamma)
         self.active_nodes = self.nodes[:m]
         self.active_weight = self.nodes[:m] ** (p - 1.0)
         # Below a the iterates extend by the constant zeta, so the integrand
@@ -225,7 +226,9 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
     a_const = problem.lipschitz_A
     if a_const is None:
         a_const = max(estimate_lipschitz(problem.rhs, problem), 1e-300)
-    bound_problem = replace(problem, lipschitz_A=a_const)
+    # C(b), computed once per solve: the bound at n = 1 with K = 1
+    c_bound = apriori_bound(1, problem.b,
+                            replace(problem, lipschitz_A=a_const), 1.0, ctrl)
 
     phi = np.full(len(engine.nodes), problem.zeta)
     iterates = [phi[:rows].tolist()]
@@ -237,7 +240,7 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
         phi_next = engine.step(phi)
         residual = float(np.max(np.abs(phi_next[:rows] - phi[:rows])))
         residuals.append(residual)
-        bounds.append(apriori_bound(n, problem.b, bound_problem, k_est, ctrl))
+        bounds.append(_induction_bound(n, c_bound, a_const, k_est))
         iterates.append(phi_next[:rows].tolist())
         phi = phi_next
         iterations = n
@@ -307,12 +310,14 @@ def apriori_bound(n: int, t: float, problem: CauchyProblem, K: float,
             "apriori_bound needs problem.lipschitz_A; supply one or use "
             "estimate_lipschitz"
         )
-    q, p = problem.params.q, problem.params.p
-    alpha = problem.order.alpha
-    c = (q_number(p, q) ** (1.0 - alpha)
-         / (q_number(p * alpha, q) * q_gamma(alpha, problem.params.qp))
-         * q_power_general(t, problem.a, alpha, problem.params))
-    A = problem.lipschitz_A
+    # C(t) is bound_constant, the norm bound of J^alpha on C_q[a, t]
+    c = 0.0 if t == problem.a else bound_constant(
+        problem.order, OperatorContext(problem.params, problem.a, ctrl), t)
+    return _induction_bound(n, c, problem.lipschitz_A, K)
+
+
+def _induction_bound(n: int, c: float, A: float, K: float) -> float:
+    """C**n A**(n-1) K; math.inf past float range."""
     if K == 0.0 or c == 0.0:
         return 0.0
     try:
@@ -332,15 +337,12 @@ def q_mittag_leffler(x: float, m: int, order: FracOrder, params: QParams,
         raise DomainError(f"x must be nonnegative, got {x}")
     alpha = order.alpha
     q, p = params.q, params.p
-    Q = params.qp
     pq = q_number(p, q)
-    total = 0.0
-    for n in range(m + 1):
-        if n == 0:
-            total += 1.0
-        else:
-            total += (pq ** (-n * alpha) / q_gamma(n * alpha + 1.0, Q)
-                      * x ** (p * n * alpha))
+    gammas = q_gamma(np.arange(1, m + 1) * alpha + 1.0, params.qp,
+                     ctrl).tolist()
+    total = 1.0
+    for n, gamma in enumerate(gammas, 1):
+        total += pq ** (-n * alpha) / gamma * x ** (p * n * alpha)
     return total
 
 

@@ -5,8 +5,8 @@ and the boundedness constant.
 
 All integrals are Jackson sums over geometric lattices; the kernel
 (x**p - (wq)**p)^(beta) at node w = x q**i reduces to a pure power of
-q**p, so kernel weights for a whole sum are built in O(N) from two infinite
-products and cumulative finite Pochhammers. At the nodes of a QLattice every
+q**p, so kernel weights for a whole sum are one q-product ratio pass in
+O(N + product length). At the nodes of a QLattice every
 operator value comes from one LatticeKernel pass over f tabulated once; a
 point x is the one-node lattice QLattice(x, q, 1). A family of k functions
 (see qcalc) shares that pass: its values run along the last axis, and the
@@ -26,9 +26,9 @@ from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
     SeriesControl,
+    _log_q_ratio,
     q_gamma,
     q_number,
-    q_pochhammer_infinite,
     q_power_general,
 )
 
@@ -97,31 +97,14 @@ def _sum_length(q: float, p: float, ctrl: SeriesControl) -> int:
     return n
 
 
-def _kernel_weights(Q: float, beta: float, c: float, n: int,
+def _kernel_weights(log_Q: float, beta: float, log_c: float, n: int,
                     ctrl: SeriesControl) -> np.ndarray:
-    """k_i = (c Q**i; Q)_inf / (Q**beta c Q**i; Q)_inf for i = 0..n-1.
-
-    Built from two infinite products and cumulative finite Pochhammers:
-    (c Q**i; Q)_inf = (c; Q)_inf / prod_{j<i} (1 - c Q**j).
-    """
-    prod_ctrl = SeriesControl(abs_tol=ctrl.abs_tol, rel_tol=0.0,
-                              max_terms=ctrl.max_terms, consecutive_small=3)
-    cden = Q**beta * c
-    u0 = q_pochhammer_infinite(c, Q, prod_ctrl)
-    v0 = q_pochhammer_infinite(cden, Q, prod_ctrl)
-    if v0 == 0.0:
-        raise PoleError(
-            f"kernel denominator product vanishes (Q={Q}, beta={beta})")
-    q_j = np.power(Q, np.arange(n - 1))
-    cum_u, cum_v = np.ones((2, n))
-    for cum, base in ((cum_u, c), (cum_v, cden)):
-        np.cumprod(1.0 - base * q_j, out=cum[1:])
-    if not (np.all(cum_u) and np.all(cum_v)):
-        raise PoleError(
-            f"kernel weight recurrence hit a vanishing factor "
-            f"(Q={Q}, beta={beta})"
-        )
-    return (u0 / cum_u) * (cum_v / v0)
+    """k_i = (c Q**i; Q)_inf / (Q**beta c Q**i; Q)_inf for i = 0..n-1, from
+    log Q and log c: one q-ratio pass."""
+    logs, sign = _log_q_ratio(log_c, log_c + beta * log_Q, log_Q, n, ctrl)
+    if not np.all(logs < np.inf):
+        raise PoleError(f"kernel denominator product vanishes (beta={beta})")
+    return sign * np.exp(logs)
 
 
 # FFT from this many multiply-adds (rows x n) on. np.convolve vs FFT with the
@@ -169,22 +152,29 @@ class LatticeKernel:
     built from the deepest row's c: row m's weights are K[rows-1-m+i], a
     Toeplitz matrix applied as a second convolution. This is the matrix
     view of discrete fractional calculus (Podlubny, FCAA 2000).
+
+    Its first weight is (Q; Q)_inf / (Q**(1+beta); Q)_inf, so gamma = k_0
+    (1 - Q)**(-beta) is Gamma_Q(1 + beta), the operator coefficients' own.
     """
 
     def __init__(self, params: QParams, beta: float, a: float,
                  ctrl: SeriesControl, nodes: np.ndarray):
-        q, p, Q = params.q, params.p, params.qp
+        q, p = params.q, params.p
+        log_Q = p * math.log(q)
         nodes = np.asarray(nodes, dtype=float)
         rows = len(nodes)
         self.n = n = _sum_length(q, p, ctrl)
         q_i = np.power(q, np.arange(n))
-        weights = q_i * _kernel_weights(Q, beta, Q, n, ctrl)
+        weights = _kernel_weights(log_Q, beta, log_Q, n, ctrl)
+        self.gamma = float(weights[0]) * (1.0 - params.qp) ** -beta
+        weights *= q_i
         self.upper = _Convolution(weights[::-1], rows, n)
         self.head = (1.0 - q) * nodes ** (1.0 + p * beta)
         self.lower_nodes = a * q_i
         self.lower = None
         if a > 0.0:
-            table = _kernel_weights(Q, beta, (a * q / nodes[-1]) ** p,
+            table = _kernel_weights(log_Q, beta,
+                                    p * math.log(a * q / nodes[-1]),
                                     rows + n - 1, ctrl)
             self.lower = _Convolution(table[::-1], rows, n)
             self.lower_head = (1.0 - q) * nodes ** (p * beta)
@@ -255,27 +245,19 @@ def _on_lattice(f: ScalarFunction, lattice: QLattice, ctx: OperatorContext,
 
 def _sums(f_grid: np.ndarray, f_low: np.ndarray | None, grid: np.ndarray,
           rows: int, beta: float, ctx: OperatorContext) -> np.ndarray:
-    """Kernel sums of w**(p-1) f(w) at grid[:rows], from f tabulated on the
-    geometric grid and at the lower nodes (None: f = 0 on [0, a])."""
+    """Kernel sums of w**(p-1) f(w) at grid[:rows] over Gamma_Q(1 + beta),
+    from f tabulated on the geometric grid and at the lower nodes (None:
+    f = 0 on [0, a])."""
     kernel = LatticeKernel(ctx.params, beta, ctx.a, ctx.ctrl, grid[:rows])
     p1 = ctx.params.p - 1.0
     g_low = None if f_low is None else kernel.lower_nodes ** p1 * f_low
-    return kernel.apply(grid[:f_grid.shape[-1]] ** p1 * f_grid, g_low)
-
-
-def _integral_coef(alpha: float, params: QParams) -> float:
-    return (q_number(params.p, params.q) ** (1.0 - alpha)
-            / q_gamma(alpha, params.qp))
-
-
-def _derivative_coef(alpha: float, params: QParams) -> float:
-    return q_number(params.p, params.q) ** alpha / q_gamma(1.0 - alpha,
-                                                           params.qp)
+    return (kernel.apply(grid[:f_grid.shape[-1]] ** p1 * f_grid, g_low)
+            / kernel.gamma)
 
 
 def _integral_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
     """J^alpha f at grid[:rows]; f_grid must cover rows + n - 1 nodes."""
-    return (_integral_coef(alpha, ctx.params)
+    return (q_number(ctx.params.p, ctx.params.q) ** (1.0 - alpha)
             * _sums(f_grid, f_low, grid, rows, alpha - 1.0, ctx))
 
 
@@ -285,7 +267,7 @@ def _derivative_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
     q, p = ctx.params.q, ctx.params.p
     inner = _sums(f_grid, f_low, grid, rows + 1, -alpha, ctx)
     x = grid[:rows]
-    return (_derivative_coef(alpha, ctx.params) * x ** (1.0 - p)
+    return (q_number(p, q) ** alpha * x ** (1.0 - p)
             * (inner[..., :-1] - inner[..., 1:]) / ((1.0 - q) * x))
 
 
@@ -309,24 +291,27 @@ def frac_integral(f: ScalarFunction, x, order,
     return _integral_rows(*_on_lattice(f, x, ctx, stencil=False), alpha, ctx)
 
 
-def lemma_beta_integral(a: float, x: float, order_alpha: float, lam: float,
+def lemma_beta_integral(a: float, x, order_alpha: float, lam: float,
                         params: QParams,
-                        ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL) -> float:
+                        ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):
     """Closed form of the beta-type q-integral
     int_a^x t**(p-1) (x**p - (qt)**p)^(alpha-1) (t**p - a**p)^(lambda) d_q t
     = (1/[p]_q) * Gamma_Q(alpha) Gamma_Q(lambda+1) / Gamma_Q(alpha+lambda+1)
       * (x**p - a**p)^(alpha+lambda),  Q = q**p.
+
+    An ndarray of x gives the array of values, with the q-Gammas computed
+    once.
     """
     if not order_alpha > 0.0:
         raise DomainError(f"alpha must be positive, got {order_alpha}")
     if not lam > -1.0:
         raise DomainError(f"lambda must exceed -1, got {lam}")
-    if not x > a >= 0.0:
+    if not (np.all(np.asarray(x) > a) and a >= 0.0):
         raise DomainError(f"need x > a >= 0, got x={x}, a={a}")
-    Q = params.qp
-    gammas = q_gamma(order_alpha, Q) * q_gamma(lam + 1.0, Q) / q_gamma(
-        order_alpha + lam + 1.0, Q)
-    return (gammas / q_number(params.p, params.q)
+    g_alpha, g_lam, g_sum = q_gamma(
+        np.array([order_alpha, lam + 1.0, order_alpha + lam + 1.0]),
+        params.qp, ctrl).tolist()
+    return (g_alpha * g_lam / g_sum / q_number(params.p, params.q)
             * q_power_general(x, a, order_alpha + lam, params, ctrl))
 
 
@@ -386,7 +371,8 @@ def caputo_derivative_simplified(f: ScalarFunction, dqf: ScalarFunction,
         raise DomainError(f"derivative order must lie in (0, 1), got {alpha}")
     dq_grid, dq_low, grid, rows = _on_lattice(dqf, x, ctx, stencil=False)
     kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl, grid[:rows])
-    return _derivative_coef(alpha, ctx.params) * kernel.apply(dq_grid, dq_low)
+    return (q_number(ctx.params.p, ctx.params.q) ** alpha / kernel.gamma
+            * kernel.apply(dq_grid, dq_low))
 
 
 def caputo_rl_relation_residual(f: ScalarFunction, x: float, order,
@@ -399,7 +385,8 @@ def caputo_rl_relation_residual(f: ScalarFunction, x: float, order,
     Approximately zero whenever both derivative types exist.
     """
     alpha = _alpha_of(order)
-    shift = (f(ctx.a) * _derivative_coef(alpha, ctx.params)
+    shift = (f(ctx.a) * (q_number(ctx.params.p, ctx.params.q) ** alpha
+                         / q_gamma(1.0 - alpha, ctx.params.qp, ctx.ctrl))
              * q_power_general(x, ctx.a, -alpha, ctx.params, ctx.ctrl))
     return (frac_derivative_rl(f, x, order, ctx)
             - caputo_derivative(f, x, order, ctx) - shift)
@@ -410,23 +397,16 @@ def bound_constant(order, ctx: OperatorContext, b: float) -> float:
 
     ([p]_q)**(1-alpha) / ([p alpha]_q Gamma_Q(alpha)) *
     max over the q-lattice of [a, b] of |(x**p - a**p)^(alpha)|.
+
+    For alpha > 0 the q-power grows with x, so the max is its value at b.
     """
     alpha = _alpha_of(order)
     if not b > ctx.a:
         raise DomainError(f"need b > a, got b={b}, a={ctx.a}")
     q, p = ctx.params.q, ctx.params.p
     coef = q_number(p, q) ** (1.0 - alpha) / (
-        q_number(p * alpha, q) * q_gamma(alpha, ctx.params.qp))
-    # the lattice b, b q, (b q) q, ... above a and b * 1e-14, at most 2000
-    # nodes: cumprod multiplies in that order, so the nodes and the bound
-    # are the same floats as repeated x *= q gives
-    xs = np.full(2_000, q)
-    xs[0] = b
-    np.cumprod(xs, out=xs)
-    stop = np.flatnonzero((xs <= ctx.a) | (xs < b * 1e-14))
-    xs = xs[:stop[0]] if stop.size else xs
-    powers = q_power_general(xs, ctx.a, alpha, ctx.params, ctx.ctrl)
-    return coef * float(np.max(np.abs(powers), initial=0.0))
+        q_number(p * alpha, q) * q_gamma(alpha, ctx.params.qp, ctx.ctrl))
+    return coef * abs(q_power_general(b, ctx.a, alpha, ctx.params, ctx.ctrl))
 
 
 def inversion_residuals(f: ScalarFunction, lattice: QLattice, order,

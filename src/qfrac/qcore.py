@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -19,7 +18,6 @@ from .errors import ConvergenceError, DomainError, PoleError
 __all__ = [
     "QParams",
     "SeriesControl",
-    "DEFAULT_PRODUCT_CTRL",
     "DEFAULT_INTEGRATION_CTRL",
     "q_number",
     "q_factorial",
@@ -60,9 +58,10 @@ class QParams:
 class SeriesControl:
     """Truncation policy for infinite sums and products.
 
-    abs_tol / rel_tol are tail thresholds (not both zero); a sum or product
-    stops once `consecutive_small` successive terms fall below threshold, and
-    raises ConvergenceError if max_terms is hit first.
+    abs_tol / rel_tol are tail thresholds (not both zero); a sum stops once
+    `consecutive_small` successive terms fall below threshold, and raises
+    ConvergenceError if max_terms is hit first. A q-product truncates at a
+    fixed precision and reads only max_terms, its factor budget.
     """
 
     abs_tol: float = 1e-15
@@ -83,10 +82,6 @@ class SeriesControl:
             raise DomainError("max_terms must be >= consecutive_small")
 
 
-# Infinite products: factors approach 1 geometrically, so a tight absolute
-# threshold is cheap. Sums get the looser adaptive default.
-DEFAULT_PRODUCT_CTRL = SeriesControl(abs_tol=1e-17, rel_tol=0.0, max_terms=10_000,
-                                     consecutive_small=3)
 DEFAULT_INTEGRATION_CTRL = SeriesControl(abs_tol=1e-15, rel_tol=1e-13,
                                          max_terms=5_000, consecutive_small=3)
 
@@ -123,62 +118,89 @@ def q_pochhammer_finite(a: float, q: float, n: int) -> float:
     return out
 
 
-def _product_length(a: float, q: float, ctrl: SeriesControl) -> int:
-    """Number of factors until |q**j a| stays below threshold.
+# A q-product stops three factors after |b q**m| < 1e-17, a precision
+# constant: its skipped log tail stays below about 1e-17 / (1 - q).
+_LOG_TOL = math.log(1e-17)
+_BLOCK = 1 << 16  # table entries per numpy pass
 
-    The log-tail of the product is bounded by the geometric series
-    sum_j |q**j a|, so truncating once the factor offsets are below the
-    threshold keeps the skipped tail within tolerance.
+
+def _log_q_ratio(log_r, log_s, log_q: float, n: int, ctrl: SeriesControl,
+                 r_negative=False):
+    """log|(r q**i; q)_inf / (s q**i; q)_inf| at i = 0..n-1, shape (..., n),
+    and the ratios' signs (1.0 when no base exceeds 1): every q-product of
+    the library comes from here. Bases come as logs (broadcast; -inf is a
+    zero base), so r = q**u passes u log q unrounded; r_negative marks
+    bases -exp(log_r). ctrl.max_terms bounds the factor count.
+
+    The ratios are suffix sums, from the tail, of paired factor logs
+    log|1 - b q**m|: log1p(-b q**m), or log|expm1(log b + m log q)| where
+    b q**m > 1/2 (Maechler's log1mexp). Each element stops at its own
+    product length, so its value does not depend on the array around it.
+    A zero denominator factor gives +inf or NaN.
     """
-    thr = max(ctrl.abs_tol, ctrl.rel_tol)
-    mag = abs(a)
-    if mag < thr:
-        n = 0
-    else:
-        n = int(math.ceil(math.log(thr / mag) / math.log(q)))
-    n += ctrl.consecutive_small
-    if n > ctrl.max_terms:
-        fixed = ("; this q-product budget is fixed and QFRAC_MAX_TERMS "
-                 "does not raise it" if ctrl == DEFAULT_PRODUCT_CTRL else "")
+    log_r, log_s = (np.asarray(v, dtype=float) for v in (log_r, log_s))
+    top = np.maximum(log_r, log_s)
+    steps = np.maximum(np.ceil((_LOG_TOL - top) / log_q), 0.0)
+    longest = 3 + int(steps.max(initial=0.0))  # factors until |b q**m| < tol
+    if longest > ctrl.max_terms:
         raise ConvergenceError(
-            f"(a; q)_inf with a={a}, q={q} needs {n} factors, "
-            f"exceeding max_terms={ctrl.max_terms}{fixed}"
-        )
-    return n
-
-
-@lru_cache(maxsize=1 << 18)
-def _poch_inf_cached(a: float, q: float, abs_tol: float, rel_tol: float,
-                     max_terms: int, consecutive_small: int) -> float:
-    ctrl = SeriesControl(abs_tol, rel_tol, max_terms, consecutive_small)
-    n = _product_length(a, q, ctrl)
-    if n == 0:
-        return 1.0
-    factors = 1.0 - a * np.power(q, np.arange(n))
-    return float(np.prod(factors))
-
-
-def _elementwise(scalar, *args):
-    """scalar over the broadcast arrays args, element by element in C
-    order with Python floats: each element is bit for bit the scalar value,
-    and the first bad element raises the scalar error."""
-    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
-    flat = zip(*(v.ravel().tolist() for v in arrays))
-    return np.array([scalar(*v) for v in flat],
-                    dtype=float).reshape(arrays[0].shape)
+            f"q-product with base {math.exp(top.max()):.6g} and q="
+            f"{math.exp(log_q):.6g} needs {longest} factors, exceeding "
+            f"max_terms={ctrl.max_terms}; raise SeriesControl.max_terms (the "
+            f"CLI reads it from QFRAC_MAX_TERMS)")
+    width = n - 1 + longest
+    rows = max(1, _BLOCK // width)
+    if top.size > rows:  # blocks of elements bound the table
+        flat = [np.broadcast_to(v, top.shape).ravel()
+                for v in (log_r, log_s, r_negative)]
+        logs, sign = np.empty((2, top.size, n))
+        for blk in (slice(lo, lo + rows) for lo in range(0, top.size, rows)):
+            logs[blk], sign[blk] = _log_q_ratio(
+                flat[0][blk], flat[1][blk], log_q, n, ctrl, flat[2][blk])
+        return logs.reshape(top.shape + (n,)), sign.reshape(top.shape + (n,))
+    t_max = float(top.max(initial=-np.inf))
+    bases = np.empty(top.shape + (2, 1))
+    bases[..., 0, 0], bases[..., 1, 0] = log_r, log_s
+    m_log_q = np.arange(width, dtype=float)
+    m_log_q *= log_q
+    # the columns where some b q**m may exceed 1/2, with a rounding margin
+    lead = int(np.count_nonzero(m_log_q > math.log(0.5) - 1e-9 - t_max))
+    z = bases + m_log_q[:lead]
+    factors = -np.exp(bases)
+    if r_negative is not False:  # 1 + |b| q**m: log1p keeps its digits
+        neg = np.broadcast_to(r_negative, top.shape)
+        factors[neg, 0] *= -1.0
+        z[neg, 0] = -np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = factors * np.exp(m_log_q, out=m_log_q)  # -b q**m
+        np.log1p(f, out=f)
+        np.copyto(f[..., :lead], np.log(np.abs(np.expm1(z))),
+                  where=z > math.log(0.5))
+        terms = np.subtract(f[..., 0, :], f[..., 1, :], out=f[..., 1, :])
+        if top.size > 1 and steps.min() < steps.max():
+            terms[np.arange(width) >= n + 2 + steps[..., None]] = 0.0
+        sums = np.cumsum(terms[..., ::-1], axis=-1, out=f[..., 0, :])
+    # a copy: on a reversed view numpy's exp takes a loop with other bits
+    logs = sums[..., :-n - 1:-1].copy()
+    sign = 1.0
+    if t_max > 0.0:  # a base above 1: count the negative factors
+        below = np.count_nonzero(z > 0.0, axis=-1)
+        flips = np.maximum(below[..., None] - np.arange(n), 0).sum(axis=-2)
+        sign = 1.0 - 2.0 * (flips % 2)
+    return logs, sign
 
 
 def q_pochhammer_infinite(a, q: float,
-                          ctrl: SeriesControl = DEFAULT_PRODUCT_CTRL):
-    """(a; q)_inf = prod_{j>=0} (1 - q**j a), truncated per ctrl. An array
-    of a (an ndarray) gives the array of products."""
+                          ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):
+    """(a; q)_inf = prod_{j>=0} (1 - q**j a), for real a. An array of a (an
+    ndarray) gives the array of products."""
     _check_q(q)
-    if isinstance(a, np.ndarray):
-        return _elementwise(lambda v: q_pochhammer_infinite(v, q, ctrl), a)
-    if a == 0.0:
-        return 1.0
-    return _poch_inf_cached(a, q, ctrl.abs_tol, ctrl.rel_tol,
-                            ctrl.max_terms, ctrl.consecutive_small)
+    a_arr = np.asarray(a, dtype=float)
+    with np.errstate(divide="ignore"):
+        logs, sign = _log_q_ratio(np.log(np.abs(a_arr)), -np.inf,
+                                  math.log(q), 1, ctrl, a_arr < 0.0)
+    out = (sign * np.exp(logs))[..., 0]
+    return out if isinstance(a, np.ndarray) else float(out)
 
 
 def q_binomial(n: int, k: int, q: float) -> float:
@@ -191,24 +213,27 @@ def q_binomial(n: int, k: int, q: float) -> float:
     )
 
 
-def q_gamma(t: float, q: float,
-            ctrl: SeriesControl = DEFAULT_PRODUCT_CTRL) -> float:
+def q_gamma(t, q: float, ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):
     """q-Gamma function ((q; q)_inf / (q**t; q)_inf) * (1 - q)**(1 - t).
 
     Satisfies Gamma_q(t+1) = [t]_q Gamma_q(t) and Gamma_q(1) = 1. Poles sit at
-    nonpositive integers, where the (q**t; q)_inf factor vanishes.
+    nonpositive integers, where the (q**t; q)_inf factor vanishes. An array
+    of t (an ndarray) gives the array of values.
     """
     _check_q(q)
-    if t <= 0 and abs(t - round(t)) < 1e-12:
-        raise PoleError(f"q-Gamma pole at nonpositive integer t={t}")
-    den = q_pochhammer_infinite(q**t, q, ctrl)
-    if den == 0.0:
-        raise PoleError(f"q-Gamma pole at t={t}")
-    return q_pochhammer_infinite(q, q, ctrl) / den * (1.0 - q) ** (1.0 - t)
+    t_arr = np.asarray(t, dtype=float)
+    poles = t_arr[(t_arr <= 0) & (np.abs(t_arr - np.round(t_arr)) < 1e-12)]
+    if poles.size:
+        raise PoleError(f"q-Gamma pole at nonpositive integer t={poles[0]}")
+    log_q = math.log(q)
+    logs, sign = _log_q_ratio(log_q, t_arr * log_q, log_q, 1, ctrl)
+    with np.errstate(over="ignore"):  # Gamma_q past float range is inf
+        out = sign * np.exp(logs + ((1.0 - t_arr) * math.log1p(-q))[..., None])
+    return out[..., 0] if isinstance(t, np.ndarray) else float(out[..., 0])
 
 
 def q_power_general(x, y, alpha, params: QParams,
-                    ctrl: SeriesControl = DEFAULT_PRODUCT_CTRL):
+                    ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):
     """Generalized q-power (x**p - y**p)^(alpha) with base q**p.
 
     Evaluated through the closed quotient of infinite products
@@ -217,65 +242,57 @@ def q_power_general(x, y, alpha, params: QParams,
     a vanishing denominator factor raises PoleError. y = x returns exactly 0.
     ndarrays of x, y and alpha broadcast to the array of q-powers.
     """
-    if (isinstance(x, np.ndarray) or isinstance(y, np.ndarray)
-            or isinstance(alpha, np.ndarray)):
-        return _elementwise(
-            lambda *v: q_power_general(*v, params, ctrl), x, y, alpha)
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    if y < 0.0:
-        raise DomainError(f"y must be nonnegative, got {y}")
-    if y > x:
-        raise DomainError(f"y must not exceed x, got x={x}, y={y}")
-    if y == x:
-        return 0.0
-    Q = params.qp
-    head = x ** (params.p * alpha)
-    if y == 0.0:
-        return head
-    r = (y / x) ** params.p
-    num = q_pochhammer_infinite(r, Q, ctrl)
-    den = q_pochhammer_infinite(Q**alpha * r, Q, ctrl)
-    if den == 0.0:
-        raise PoleError(
-            f"generalized q-power pole: denominator product vanishes at "
-            f"x={x}, y={y}, alpha={alpha}"
-        )
-    return head * num / den
+    scalar = not any(isinstance(v, np.ndarray) for v in (x, y, alpha))
+    x, y, alpha = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (x, y, alpha)))
+    # 1-d and contiguous: numpy's power gives other bits on 0-d operands
+    shape, (x, y, alpha) = x.shape, (v.ravel() for v in (x, y, alpha))
+    for bad, what in ((~(x > 0.0), "x must be positive, got {x}"),
+                      (y < 0.0, "y must be nonnegative, got {y}"),
+                      (y > x, "y must not exceed x, got x={x}, y={y}")):
+        if np.any(bad):
+            raise DomainError(what.format(x=x[bad][0], y=y[bad][0]))
+    out = np.power(x, params.p * alpha)
+    out[y == x] = 0.0
+    inner = (y > 0.0) & (y < x)
+    if np.any(inner):
+        x, y, alpha = x[inner], y[inner], alpha[inner]
+        log_Q = params.p * math.log(params.q)
+        log_r = params.p * np.log(y / x)
+        logs, sign = _log_q_ratio(log_r, log_r + alpha * log_Q, log_Q, 1,
+                                  ctrl)
+        pole = ~(logs[:, 0] < np.inf)
+        if np.any(pole):
+            raise PoleError(
+                f"generalized q-power pole: denominator product vanishes at "
+                f"x={x[pole][0]}, y={y[pole][0]}, alpha={alpha[pole][0]}")
+        out[inner] *= (sign * np.exp(logs))[:, 0]
+    return float(out[0]) if scalar else out.reshape(shape)
 
 
 def log_q_pochhammer_ratio(r, s, q: float, n: int,
-                           ctrl: SeriesControl = DEFAULT_PRODUCT_CTRL
+                           ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL
                            ) -> np.ndarray:
     """log((r q**i; q)_inf / (s q**i; q)_inf) at i = 0..n-1, for r in
-    [0, 1] and s in [0, 1) (broadcast arrays): shape (..., n).
-
-    All n ratios are suffix sums of one table of factor-log differences
-    log1p(-r q**m) - log1p(-s q**m), m < n - 1 + the product length of the
-    larger base, so a whole lattice costs O(n + that length). r = 1 gives
-    -inf, the log of a vanishing numerator.
+    [0, 1] and s in [0, 1) (broadcast arrays): shape (..., n), from one
+    table of O(n + product length) factor logs. r = 1 gives -inf, the log
+    of a vanishing numerator.
     """
     _check_q(q)
-    r, s = np.broadcast_arrays(np.asarray(r, dtype=float),
-                               np.asarray(s, dtype=float))
-    r_top, s_top = r.max(initial=0.0), s.max(initial=0.0)
-    if (min(r.min(initial=0.0), s.min(initial=0.0)) < 0.0 or r_top > 1.0
-            or s_top >= 1.0):
+    r, s = (np.asarray(v, dtype=float) for v in (r, s))
+    if not (np.all((0.0 <= r) & (r <= 1.0)) and np.all((0.0 <= s) & (s < 1))):
         raise DomainError(
             "log q-Pochhammer ratio needs r in [0, 1] and s in [0, 1)")
-    length = n - 1 + _product_length(max(r_top, s_top), q, ctrl)
-    q_m = np.power(q, np.arange(length))
     with np.errstate(divide="ignore"):
-        logs = np.log1p(-r[..., None] * q_m) - np.log1p(-s[..., None] * q_m)
-    return np.cumsum(logs[..., ::-1], axis=-1)[..., :-n - 1:-1]
+        return _log_q_ratio(np.log(r), np.log(s), math.log(q), n, ctrl)[0]
 
 
 def q_power_lattice(x: float, y: float, alpha: float, params: QParams,
-                    n: int, ctrl: SeriesControl = DEFAULT_PRODUCT_CTRL
+                    n: int, ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL
                     ) -> np.ndarray:
     """The generalized q-power (x**p - y_i**p)^(alpha) at the n lattice
-    points y_i = y q**i, 0 <= y <= x, in one log_q_pochhammer_ratio pass:
-    x**(p alpha) exp(log ratio at r = (y/x)**p, s = q**(p alpha) r).
+    points y_i = y q**i, 0 <= y <= x, in one pass: x**(p alpha) times the
+    suffix ratios at r = (y/x)**p, s = q**(p alpha) r.
 
     It agrees with q_power_general to a few ulps times the size of the log
     products. A denominator base s >= 1 (alpha <= 0, y near x) raises
@@ -285,11 +302,11 @@ def q_power_lattice(x: float, y: float, alpha: float, params: QParams,
         raise DomainError(f"x must be positive, got {x}")
     if not 0.0 <= y <= x:
         raise DomainError(f"need 0 <= y <= x, got x={x}, y={y}")
-    Q = params.qp
-    r = (y / x) ** params.p
-    if not Q**alpha * r < 1.0:
+    log_Q = params.p * math.log(params.q)
+    log_r = params.p * math.log(y / x) if y > 0.0 else -math.inf
+    if not log_r + alpha * log_Q < 0.0:
         raise PoleError(
             f"lattice q-power: denominator base q**(p alpha) (y/x)**p >= 1 "
             f"at x={x}, y={y}, alpha={alpha}")
     return x ** (params.p * alpha) * np.exp(
-        log_q_pochhammer_ratio(r, Q**alpha * r, Q, n, ctrl))
+        _log_q_ratio(log_r, log_r + alpha * log_Q, log_Q, n, ctrl)[0])

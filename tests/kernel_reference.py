@@ -1,16 +1,55 @@
 """Plain-Python reference for the q-fractional operators at one point.
 
 `kernel_sum` forms the Jackson kernel sum term by term, one point at a
-time, as a loop over Python floats. The library computes every operator
-value with `operators.LatticeKernel`; the tests compare it with the
-operators built here from `kernel_sum`.
+time, as a loop over Python floats. Its kernel weights and q-Gammas come
+from plain factor-by-factor products here, not from the library's
+q-products. The library computes every operator value with
+`operators.LatticeKernel`; the tests compare it with the operators built
+here from `kernel_sum`.
 """
 
 from __future__ import annotations
 
-from qfrac.errors import DomainError
-from qfrac.operators import OperatorContext, _kernel_weights, _sum_length
-from qfrac.qcore import q_gamma, q_number
+import math
+
+import numpy as np
+
+from qfrac.errors import DomainError, PoleError
+from qfrac.operators import OperatorContext, _sum_length
+from qfrac.qcore import q_number
+
+
+def poch_inf(a: float, q: float, tol: float = 1e-17) -> float:
+    """(a; q)_inf as the product of its factors 1 - a q**j, stopping three
+    factors after |a q**j| falls below tol."""
+    n = 3
+    if abs(a) >= tol:
+        n += int(math.ceil(math.log(tol / abs(a)) / math.log(q)))
+    return float(np.prod(1.0 - a * np.power(q, np.arange(n))))
+
+
+def q_gamma(t: float, q: float) -> float:
+    """(q; q)_inf / (q**t; q)_inf * (1 - q)**(1 - t)."""
+    return poch_inf(q, q) / poch_inf(q**t, q) * (1.0 - q) ** (1.0 - t)
+
+
+def kernel_weights(Q: float, beta: float, c: float, n: int,
+                   tol: float) -> np.ndarray:
+    """k_i = (c Q**i; Q)_inf / (Q**beta c Q**i; Q)_inf for i = 0..n-1, from
+    two infinite products and cumulative finite Pochhammers:
+    (c Q**i; Q)_inf = (c; Q)_inf / prod_{j<i} (1 - c Q**j)."""
+    cden = Q**beta * c
+    u0, v0 = poch_inf(c, Q, tol), poch_inf(cden, Q, tol)
+    if v0 == 0.0:
+        raise PoleError(f"kernel denominator product vanishes (Q={Q})")
+    q_j = np.power(Q, np.arange(n - 1))
+    cum_u, cum_v = np.ones((2, n))
+    for cum, base in ((cum_u, c), (cum_v, cden)):
+        np.cumprod(1.0 - base * q_j, out=cum[1:])
+    if not (np.all(cum_u) and np.all(cum_v)):
+        raise PoleError(f"kernel weight recurrence hit a vanishing factor "
+                        f"(Q={Q})")
+    return (u0 / cum_u) * (cum_v / v0)
 
 
 def kernel_sum(g, s: float, beta: float, ctx: OperatorContext) -> float:
@@ -32,7 +71,7 @@ def kernel_sum(g, s: float, beta: float, ctx: OperatorContext) -> float:
 
     def one_sided(base: float) -> float:
         c = (base * q / s) ** p
-        k = _kernel_weights(Q, beta, c, n, ctx.ctrl).tolist()
+        k = kernel_weights(Q, beta, c, n, ctx.ctrl.abs_tol).tolist()
         total = 0.0
         qi = 1.0
         for i in range(n):

@@ -369,10 +369,10 @@ class TestIncrementalStep:
 
 class TestRhsEvals:
     @pytest.mark.parametrize("a,A,want", [
-        # 485 step points + 17 u samples at 8 nodes + 64 x 64 pairs
-        (0.0, None, 485 + 136 + 8192),
-        # 122 step points + 51 frozen and 53 lower nodes + 17 x 3 samples
-        (0.25, 1.0, 122 + 51 + 53 + 51),
+        # 484 step points + 17 u samples at 8 nodes + 64 x 64 pairs
+        (0.0, None, 484 + 136 + 8192),
+        # 121 step points + 51 frozen and 53 lower nodes + 17 x 3 samples
+        (0.25, 1.0, 121 + 51 + 53 + 51),
     ])
     def test_exact_count(self, a, A, want):
         rhs = CountingRhs(lambda t, u: u)

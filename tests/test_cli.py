@@ -11,7 +11,7 @@ from qfrac.cli import load_config, main
 from qfrac.cli import ConfigError
 from qfrac.cauchy import q_mittag_leffler
 from qfrac.operators import FracOrder
-from qfrac.qcore import QParams, q_gamma, q_number
+from qfrac.qcore import QParams, SeriesControl, q_gamma, q_number
 from qfrac.verify import run_registry
 
 
@@ -230,25 +230,32 @@ class TestSolve:
         out = str(tmp_path / "sol.csv")
         assert main(["solve", "--config", path, "--out", out]) == 0
         sidecar = json.loads(open(out + ".report.json").read())
-        # 485 points in 71 Picard steps, 17 u samples at each of 8 nodes
-        assert payload["rhs_evals"] == sidecar["rhs_evals"] == 485 + 136
+        # 484 points in 71 Picard steps, 17 u samples at each of 8 nodes
+        assert payload["rhs_evals"] == sidecar["rhs_evals"] == 484 + 136
 
-    @pytest.mark.parametrize("a", [0.0, 0.25])
+    @pytest.mark.parametrize("q,max_terms,n_nodes,a", [
+        (0.995, 8000, 6894, 0.0), (0.995, 8000, 6894, 0.25),
+        # the q-products need 39127 factors, the Jackson sums 34525 terms
+        (0.999, 40000, 34525, 0.0), (0.999, 40000, 34525, 0.25),
+    ], ids=["0.0", "0.25", "q0.999-0.0", "q0.999-0.25"])
     def test_q_near_one_with_raised_term_budget(self, tmp_path, capsys,
-                                                monkeypatch, a):
-        monkeypatch.setenv("QFRAC_MAX_TERMS", "8000")
+                                                monkeypatch, q, max_terms,
+                                                n_nodes, a):
+        monkeypatch.setenv("QFRAC_MAX_TERMS", str(max_terms))
         path = write_cfg(tmp_path, "s.cfg",
-                         f"q = 0.995\nalpha = 0.5\nzeta = 1\nrhs = u\n"
+                         f"q = {q}\nalpha = 0.5\nzeta = 1\nrhs = u\n"
                          f"r = 10\na = {a}\n")
         assert main(["solve", "--config", path, "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["converged"] is True
-        assert payload["n_nodes"] == 6894
+        assert payload["n_nodes"] == n_nodes
         if a == 0.0:
-            order, params = FracOrder(0.5), QParams(0.995)
+            order, params = FracOrder(0.5), QParams(q)
+            ctrl = SeriesControl(max_terms=max_terms)
             m = payload["iterations_used"]
             for x, u in zip(payload["table"]["x"], payload["table"]["u"]):
-                assert abs(u - q_mittag_leffler(x, m, order, params)) <= 1e-10
+                assert abs(u - q_mittag_leffler(x, m, order, params,
+                                                ctrl)) <= 1e-10
 
     def test_deterministic_output(self, tmp_path):
         path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
@@ -320,11 +327,11 @@ class TestFailurePaths:
          None, 3, "operator J failed: operator Jackson sum needs 6894 "
          "terms, exceeding max_terms=5000; raise SeriesControl.max_terms "
          "(the CLI reads it from QFRAC_MAX_TERMS)"),
+        # enough for the Jackson sums (34525 terms), not for the q-products
         ("solve", "q = 0.999\nalpha = 0.5\nzeta = 1\nrhs = u\nr = 10\n",
-         "40000", 3, "numerical non-convergence: (a; q)_inf with "
-         "a=0.999499874937461, q=0.999 needs 39127 factors, exceeding "
-         "max_terms=10000; this q-product budget is fixed and "
-         "QFRAC_MAX_TERMS does not raise it"),
+         "36000", 3, "numerical non-convergence: q-product with base 0.9995 "
+         "and q=0.999 needs 39127 factors, exceeding max_terms=36000; raise "
+         "SeriesControl.max_terms (the CLI reads it from QFRAC_MAX_TERMS)"),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch,
                                     command, cfg, max_terms, code, message):

@@ -11,7 +11,6 @@ from qfrac.operators import (
     FracOrder,
     LatticeKernel,
     OperatorContext,
-    _kernel_weights,
     _sum_length,
     bound_constant,
     caputo_derivative,
@@ -453,8 +452,8 @@ class TestKernelConvolutions:
                                nodes)
         n = kernel.n
         assert (kernel.upper.size > 0) == (rows * n >= _FFT_MIN_MADDS)
-        weights = np.power(q, np.arange(n)) * _kernel_weights(
-            params.qp, beta, params.qp, n, DEFAULT_INTEGRATION_CTRL)
+        weights = np.power(q, np.arange(n)) * reference.kernel_weights(
+            params.qp, beta, params.qp, n, DEFAULT_INTEGRATION_CTRL.abs_tol)
         g = mixed_sign_table(rows + n - 1, seed=rows)
         want = kernel.head * np.correlate(g, weights, "valid")
         got = kernel.apply(g)
@@ -478,7 +477,8 @@ class TestKernelConvolutions:
         q_i = np.power(q, np.arange(n))
         dense = np.array([
             (1.0 - q) * a * t ** (p * beta) * q_i
-            * _kernel_weights(params.qp, beta, (a * q / t) ** p, n, ctrl)
+            * reference.kernel_weights(params.qp, beta, (a * q / t) ** p, n,
+                                       ctrl.abs_tol)
             for t in nodes])
         g_low = mixed_sign_table(n, seed=len(nodes))
         want = dense @ g_low

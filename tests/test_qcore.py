@@ -331,11 +331,23 @@ class TestMpmathOracles:
 
     def test_q_gamma(self):
         mpmath = pytest.importorskip("mpmath")
+        # q = 0.999 needs 39127 factors, past the default budget of 5000
+        ctrl = SeriesControl(max_terms=40_000)
         with mpmath.workdps(30):
-            for q in self.QS:
+            for q in self.QS + (0.998, 0.999):
+                # mpmath.qgamma's own formula, with each infinite product
+                # formed once: (q**t; q)_inf = (q**f; q)_inf / (q**f; q)_n
+                # for t = f + n, f in (0, 1]; f = 1 gives (q; q)_inf
+                mq = mpmath.mpf(q)
+                prods = {1.0: mpmath.qp(mq, q, maxterms=10**6)}
                 for t in (0.25, 0.5, 1.5, 2.7, 4.0):
-                    want = float(mpmath.qgamma(t, q, maxterms=10**6))
-                    assert abs(q_gamma(t, q) - want) <= (
+                    n = math.ceil(t) - 1
+                    f = t - n
+                    if f not in prods:
+                        prods[f] = mpmath.qp(mq**f, q, maxterms=10**6)
+                    den = prods[f] / mpmath.qp(mq**f, q, n)
+                    want = float(prods[1.0] / den * (1 - mq) ** (1 - t))
+                    assert abs(q_gamma(t, q, ctrl) - want) <= (
                         mpmath_tolerance(q) * abs(want)), (q, t)
 
     def test_q_pochhammer_infinite(self):

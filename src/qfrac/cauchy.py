@@ -30,6 +30,7 @@ from .operators import (
     FracOrder,
     LatticeKernel,
     OperatorContext,
+    _Convolution,
     _sum_length,
     bound_constant,
 )
@@ -119,9 +120,14 @@ def solver_nodes(problem: CauchyProblem,
 
 
 class _PicardEngine:
-    """One LatticeKernel over the solver table; applies one Picard step to a
-    node-value table. Nodes above a come first, so the active rows are a
-    prefix of the table; g keeps their integrand from step to step."""
+    """Applies one Picard step to a node-value table over the solver table.
+    Nodes above a come first, so the active rows are a prefix of it.
+
+    Below a the iterates extend by the constant zeta, so the integrand
+    there, the kernel sums over it and the subtracted sums over [0, a] are
+    one vector fixed for the solve. A step correlates only the m active
+    integrand values with the first m kernel weights; g keeps them from
+    step to step."""
 
     def __init__(self, problem: CauchyProblem, ctrl: SeriesControl):
         self.problem = problem
@@ -129,22 +135,29 @@ class _PicardEngine:
         p = problem.params.p
         alpha = problem.order.alpha
         self.n_active = m = int(np.count_nonzero(self.nodes > problem.a))
-        self.kernel = LatticeKernel(problem.params, alpha - 1.0, problem.a,
-                                    ctrl, self.nodes[:m])
+        kernel = LatticeKernel(problem.params, alpha - 1.0, problem.a, ctrl,
+                               self.nodes[:m])
+        self.sum_length = n = kernel.n
         self.coef = (q_number(p, problem.params.q) ** (1.0 - alpha)
-                     / self.kernel.gamma)
+                     / kernel.gamma)
+        self.head = kernel.head
         self.active_nodes = self.nodes[:m]
         self.active_weight = self.nodes[:m] ** (p - 1.0)
-        # Below a the iterates extend by the constant zeta, so the integrand
-        # there, and with it the subtracted sums over [0, a], stay fixed.
-        self.frozen = self._integrand(self.nodes[m:])
-        self.lower = 0.0
+        self.active = kernel.upper
+        if m < n:  # the active rows read no weight past the m-th
+            self.active = _Convolution(kernel.upper.table[n - m:], m, m)
+        # the fixed sums, negated: x - 0.0 is x bit for bit (-0.0 too), and
+        # at a = 0 there are none
+        self.tail = 0.0
         if problem.a > 0.0:
-            self.lower = self.kernel.lower_sum(self._integrand(
-                self.kernel.lower_nodes))
+            frozen = np.zeros(n)
+            frozen[m:] = self._integrand(self.nodes[m:])
+            self.tail = -kernel.apply(frozen, self._integrand(
+                kernel.lower_nodes))
         # bits of the active iterate g was tabulated from; NaN matches none
         self.seen = np.full(m, np.nan).view(np.int64)
-        self.g = np.concatenate((np.full(m, np.nan), self.frozen))
+        self.g = np.zeros(2 * m - 1)  # zero past m: tail has those rows
+        self.g[:m] = np.nan
         self.steps = 0
 
     def _integrand(self, nodes: np.ndarray) -> np.ndarray:
@@ -155,23 +168,23 @@ class _PicardEngine:
     def step(self, prev: np.ndarray) -> np.ndarray:
         problem = self.problem
         over = np.abs(prev - problem.zeta) > problem.radius_r
-        if np.any(over):
-            idx = int(np.nonzero(over)[0][0])
+        if over.any():
+            idx = int(over.nonzero()[0][0])
             raise TrustRegionError(float(self.nodes[idx]), float(prev[idx]))
         self.steps += 1
         m = self.n_active
         u = prev[:m]
         # bits, not values: f(t, -0.0) may differ from f(t, 0.0); and a NaN
         # is evaluated, never taken for the seed
-        moved = np.flatnonzero((u.view(np.int64) != self.seen) | np.isnan(u))
+        moved = ((u.view(np.int64) != self.seen) | np.isnan(u)).nonzero()[0]
         self.g[moved] = self.active_weight[moved] * _tabulate(
             problem.rhs, self.active_nodes[moved], u[moved])
         np.copyto(self.seen, u.view(np.int64))
         out = np.full(len(self.nodes), problem.zeta)
-        out[:m] += self.coef * (self.kernel.apply(self.g) - self.lower)
+        out[:m] += self.coef * (self.head * self.active(self.g) - self.tail)
         bad = ~np.isfinite(out)
-        if np.any(bad):
-            idx = int(np.argmax(bad))
+        if bad.any():
+            idx = int(bad.argmax())
             raise ConvergenceError(
                 f"Picard step {self.steps} gave a non-finite value at node "
                 f"t={float(self.nodes[idx])!r}")
@@ -265,7 +278,7 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
         stop_reason="converged" if converged else "max_iter",
         n_nodes=len(engine.nodes),
         n_active=engine.n_active,
-        sum_length=engine.kernel.n,
+        sum_length=engine.sum_length,
         rhs_evals=problem.rhs.points,
         bound_slack=max(slack, 0.0),
     )

@@ -340,9 +340,10 @@ def _build(expr: Expr, index: Mapping[str, int],
     to an array (a float for a constant): + - * / and unary minus as numpy
     ufuncs, which round exactly as Python floats do, and function calls
     and ^ element by element through the math functions and float power
-    unchecked (^ only when no base is negative), since numpy's can differ
-    from math's in the last bit. array raises EvalError if scalar would at
-    some element, and otherwise returns scalar's values.
+    unchecked (at a negative base, once every exponent there is checked
+    and rounded), since numpy's can differ from math's in the last bit.
+    array raises EvalError if scalar would at some element, and otherwise
+    returns scalar's values.
     """
     if isinstance(expr, Num):
         value = expr.value
@@ -386,10 +387,16 @@ def _build(expr: Expr, index: Mapping[str, int],
     power = _checked_power(src)
 
     def power_array(c):
-        left = la(c)
-        # a negative base needs the checked power's integer rounding
-        fn = power if np.any(np.less(left, 0.0)) else operator.pow
-        return _elementwise(fn, left, ra(c))
+        left, right = la(c), ra(c)
+        negative = np.less(left, 0.0)
+        if negative.any():
+            # the checked power's rounding: float ** int is the same C pow
+            nearest = np.round(right)
+            if not (~negative | (np.abs(right - nearest) <= 1e-9)).all():
+                raise EvalError(f"negative base with non-integer exponent "
+                                f"in {src}")
+            right = np.where(negative, nearest, right)
+        return _elementwise(operator.pow, left, right)
 
     return (lambda v: power(ls(v), rs(v))), power_array
 
@@ -427,11 +434,15 @@ def compile(expr: Expr, names: Sequence[str],
     def table(*arrays) -> np.ndarray:
         check_arity(arrays)
         cols = [np.asarray(x, dtype=float) for x in arrays]
-        shape = np.broadcast_shapes(*(c.shape for c in cols))
+        shape = cols[0].shape if cols else ()
+        if any(c.shape != shape for c in cols):
+            shape = np.broadcast_shapes(*(c.shape for c in cols))
         try:
             with np.errstate(all="ignore"):
-                return np.array(np.broadcast_to(array(cols), shape),
-                                dtype=float)
+                values = array(cols)
+            if np.shape(values) != shape:
+                values = np.broadcast_to(values, shape)
+            return np.array(values, dtype=float)
         except EvalError:
             pass
         flat = [np.broadcast_to(c, shape).ravel().tolist() for c in cols]

@@ -107,11 +107,28 @@ def _kernel_weights(log_Q: float, beta: float, log_c: float, n: int,
     return sign * np.exp(logs)
 
 
-# FFT from this many multiply-adds (rows x n) on. np.convolve vs FFT with the
-# fixed transform cached, ms, 2-vCPU Xeon (AVX-512), numpy 2.4.6, 1 thread:
-# 3440x3440 2.05/0.14, 500x3440 0.35/0.11, 138x3440 0.13/0.10, 100x3440
-# 0.069/0.11, 600x600 0.063/0.062, 331x331 0.023/0.037, 21x3440 0.016/0.11.
+# FFT from this many multiply-adds (rows x n) on. np.convolve vs FFT at the
+# 5-smooth length with the fixed transform cached, us per _Convolution call,
+# 2-vCPU Xeon (AVX-512), numpy 2.4.6, 1 thread: 3440x3440 1242/74, 500x3440
+# 248/44, 138x3440 53/40, 100x3440 52/40, 80x3440 31/40, 21x3440 13/40;
+# 633x633 34/17, 460x460 19/14, 380x380 10/13, 331x331 10/13; 60x6894 64/79.
+# The crossover moves with the shape, from about 200,000 for square tables
+# to past 414,000 at n = 6894, so one constant is a compromise.
 _FFT_MIN_MADDS = 400_000
+
+
+def _fft_length(n: int) -> int:
+    """The least 2**i 3**j 5**k >= n, a length pocketfft transforms fast.
+    A cyclic convolution this long leaves the valid values unwrapped."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 class _Convolution:
@@ -124,7 +141,7 @@ class _Convolution:
         self.table, self.rows, self.n = table, rows, n
         self.size = 0
         if rows * n >= _FFT_MIN_MADDS:
-            self.size = 1 << (rows + n - 2).bit_length()
+            self.size = _fft_length(rows + n - 1)
             self.spectrum = np.fft.rfft(table, self.size)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

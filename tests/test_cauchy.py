@@ -29,6 +29,7 @@ from qfrac.operators import (
     FracOrder,
     LatticeKernel,
     OperatorContext,
+    _Convolution,
 )
 from qfrac.qcalc import QLattice
 from qfrac.qcore import (
@@ -211,6 +212,25 @@ class TestSolve:
         assert len(tables) >= 6
         assert all(t.ndim == 1 for t in tables)
         assert sum(t.nbytes for t in tables) < 1 << 20
+        # the Picard engine, up to n = 34,525 nodes: O(n) floats in 1-D
+        # tables, and at a = 0 one spectrum of the weight table
+        ctrl = SeriesControl(max_terms=40000)
+        for q in (0.995, 0.999):
+            for a in (0.0, 0.25):
+                problem = CauchyProblem(
+                    rhs=compiled_rhs("u"), a=a, b=1.0, zeta=1.0,
+                    order=FracOrder(0.5), params=QParams(q), radius_r=10.0)
+                engine = _PicardEngine(problem, ctrl)
+                convolutions = [v for v in vars(engine).values()
+                                if isinstance(v, _Convolution)]
+                tables = [v for obj in (engine, *convolutions)
+                          for v in vars(obj).values()
+                          if isinstance(v, np.ndarray)]
+                assert all(t.ndim == 1 for t in tables)
+                assert (sum(t.nbytes for t in tables)
+                        < 16 * 8 * len(engine.nodes))
+                if a == 0.0:
+                    assert [c.size > 0 for c in convolutions] == [True]
 
     def test_trust_region_exit(self):
         with pytest.raises(TrustRegionError):
@@ -319,6 +339,29 @@ class TestIncrementalStep:
     def test_matches_fresh_engine_compiled(self, q, a, source):
         self.iterate_both(self.problem(compiled_rhs(source), q, a))
 
+    @pytest.mark.parametrize("source", SOLVE_GRID_RHS)
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_fixed_tail_matches_the_full_table_sum(self, q, source):
+        # a step sums only the active rows and adds the sums over the
+        # frozen rows and [0, a] once formed; the full sum is the reference
+        rhs = compiled_rhs(source)
+        problem = self.problem(rhs, q, a=0.25)
+        ctrl = DEFAULT_INTEGRATION_CTRL
+        engine = _PicardEngine(problem, ctrl)
+        nodes, m = engine.nodes, engine.n_active
+        kernel = LatticeKernel(problem.params, -0.4, 0.25, ctrl, nodes[:m])
+        coef = q_number(1.0, q) ** 0.4 / kernel.gamma
+        g_low = rhs.table(kernel.lower_nodes, 1.0)
+        prev = np.full(len(nodes), 1.0)
+        for _ in range(20):
+            out = engine.step(prev)
+            g = rhs.table(nodes, np.where(nodes > 0.25, prev, 1.0))
+            want = np.full(len(nodes), 1.0)
+            want[:m] += coef * kernel.apply(g, g_low)
+            assert np.all(np.abs(out - want)
+                          <= 1e-15 * np.maximum(1.0, np.abs(want)))
+            prev = out
+
     @pytest.mark.parametrize("a", [0.0, 0.25])
     def test_matches_fresh_engine_python_rhs_with_fewer_calls(self, a):
         rhs = CountingRhs(lambda t, u: math.sin(t) - u)
@@ -371,8 +414,10 @@ class TestRhsEvals:
     @pytest.mark.parametrize("a,A,want", [
         # 484 step points + 17 u samples at 8 nodes + 64 x 64 pairs
         (0.0, None, 484 + 136 + 8192),
-        # 121 step points + 51 frozen and 53 lower nodes + 17 x 3 samples
-        (0.25, 1.0, 121 + 51 + 53 + 51),
+        # 122 step points (of 2 active nodes x 69 steps, those whose
+        # iterate moved bit for bit) + 51 frozen and 53 lower nodes
+        # + 17 x 3 samples
+        (0.25, 1.0, 122 + 51 + 53 + 51),
     ])
     def test_exact_count(self, a, A, want):
         rhs = CountingRhs(lambda t, u: u)

@@ -198,6 +198,9 @@ def outcome(fn, *args):
         return f"EvalError: {exc}"
 
 
+NEGATIVE_BASES = [-2.5, 0.75, -1.0, 3.0, -7.25, -1e-3]
+
+
 class TestCompile:
     @given(expr=exprs(ops="+-*/^", funcs=ALL_FUNCS), t=VALUES, u=VALUES)
     @settings(max_examples=300, deadline=None)
@@ -289,6 +292,15 @@ class TestCompile:
         ("u^0.5", [-0.0, 4.0]),
         ("u^3", [-0.0, 4.0]),
         ("u^-1", [1.0, -0.0]),
+        # negative bases: exponents rounded once over the table
+        ("u^2", NEGATIVE_BASES),
+        ("u^3", NEGATIVE_BASES),
+        ("u^-2", NEGATIVE_BASES),
+        ("u^0", NEGATIVE_BASES),
+        ("u^(2 + 5e-10)", NEGATIVE_BASES),
+        ("(-u)^3", NEGATIVE_BASES),
+        ("u^2.5", NEGATIVE_BASES),
+        ("u^3", [-2.0, -1e200, -3.0]),
     ])
     def test_table_through_raw_loops_matches_evaluate(self, source, us):
         """Functions and ^ map the raw math code over whole tables; where

@@ -11,6 +11,7 @@ from qfrac.operators import (
     FracOrder,
     LatticeKernel,
     OperatorContext,
+    _fft_length,
     _sum_length,
     bound_constant,
     caputo_derivative,
@@ -464,6 +465,15 @@ class TestKernelConvolutions:
         n = LatticeKernel(QParams(0.99), -0.5, 0.0, DEFAULT_INTEGRATION_CTRL,
                           [1.0]).n
         assert 21 * n < _FFT_MIN_MADDS <= 138 * n
+
+    def test_fft_length_is_the_least_5_smooth_length(self):
+        top = 10**5
+        smooth = sorted(2**i * 3**j * 5**k for i in range(18)
+                        for j in range(12) for k in range(9)
+                        if 2**i * 3**j * 5**k <= 2 * top)
+        sizes = np.arange(1, top + 1)
+        want = np.array(smooth)[np.searchsorted(smooth, sizes)]
+        assert [_fft_length(n) for n in sizes.tolist()] == want.tolist()
 
     @pytest.mark.parametrize("q", (0.5, 0.9, 0.99))
     @pytest.mark.parametrize("p", PS)

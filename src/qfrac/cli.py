@@ -19,6 +19,7 @@ import functools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass
@@ -208,10 +209,17 @@ def _write_atomic(path: str | None, text: str) -> None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
+    try:  # the mode open(path, "w") would leave; mkstemp's is 0600
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qfrac-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -16,9 +16,13 @@ implicit multiplication. Identifiers are either calls to one of
 {exp, log, sin, cos, sqrt, abs} or variables from the allowed set fixed at
 parse time. Errors are reported as "line:col: message".
 
-`evaluate` walks an AST once per call. `compile` turns it into a closure
-tree, built once, that gives the same values bit for bit and also
-evaluates whole arrays of bindings in one call.
+Every operator and function is its numpy float64 ufunc: + - * / and unary
+minus round as Python floats do, while exp, log and ^ can differ from
+`math` in the last bit (sin, cos, sqrt and abs agree with it). `compile`
+turns an AST into one closure per node, built once, over whole arrays;
+a call at one point runs it over one-element arrays, so a table's
+element is bit for bit the call at that element. `evaluate` is such a
+call.
 """
 
 from __future__ import annotations
@@ -48,12 +52,12 @@ __all__ = [
 ]
 
 FUNCTIONS = {
-    "exp": math.exp,
-    "log": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sqrt": math.sqrt,
-    "abs": abs,
+    "exp": np.exp,
+    "log": np.log,
+    "sin": np.sin,
+    "cos": np.cos,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
 }
 
 
@@ -226,179 +230,122 @@ def parse(source: str, allowed_vars: set[str] | frozenset[str]) -> Expr:
 
 
 def evaluate(expr: Expr, bindings: Mapping[str, float]) -> float:
-    """Evaluate an AST; deterministic for fixed bindings."""
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        if expr.name not in bindings:
-            raise EvalError(f"unbound variable {expr.name!r}")
-        return float(bindings[expr.name])
-    if isinstance(expr, Unary):
-        return -evaluate(expr.operand, bindings)
-    if isinstance(expr, Call):
-        x = evaluate(expr.arg, bindings)
-        if expr.func == "log" and x <= 0.0:
-            raise EvalError(f"log of nonpositive value {x} in {to_source(expr)}")
-        if expr.func == "sqrt" and x < 0.0:
-            raise EvalError(f"sqrt of negative value {x} in {to_source(expr)}")
-        try:
-            return FUNCTIONS[expr.func](x)
-        except (OverflowError, ValueError):
-            raise EvalError(f"{expr.func} of {x} is out of range in "
-                            f"{to_source(expr)}") from None
-    left = evaluate(expr.left, bindings)
-    right = evaluate(expr.right, bindings)
-    if expr.op == "+":
-        return left + right
-    if expr.op == "-":
-        return left - right
-    if expr.op == "*":
-        return left * right
-    if expr.op == "/":
-        if right == 0.0:
-            raise EvalError(f"division by zero in {to_source(expr)}")
-        return left / right
-    # "^": real power; negative base only for (near-)integer exponents
-    try:
-        if left < 0.0:
-            nearest = round(right)
-            if abs(right - nearest) > 1e-9:
-                raise EvalError(f"negative base with non-integer exponent "
-                                f"in {to_source(expr)}")
-            return left ** int(nearest)
-        return left**right
-    except ZeroDivisionError:
-        raise EvalError(
-            f"zero to a negative power in {to_source(expr)}") from None
-    except (OverflowError, ValueError):
-        raise EvalError(f"{left} ^ {right} is out of range in "
-                        f"{to_source(expr)}") from None
+    """Evaluate an AST at one point: compile(expr, names) called with the
+    bound values."""
+    return compile(expr, tuple(bindings))(*bindings.values())
 
 
-def _checked_call(func: str, src: str) -> Callable[[float], float]:
-    """FUNCTIONS[func] with evaluate's domain checks and error texts."""
-    fn = FUNCTIONS[func]
+def _first(values, mask) -> float:
+    """values at the first True of mask, in C order, as a Python float."""
+    return float(np.broadcast_to(values, np.shape(mask)).flat[np.argmax(mask)])
 
-    def call(x: float) -> float:
-        if func == "log" and x <= 0.0:
-            raise EvalError(f"log of nonpositive value {x} in {src}")
-        if func == "sqrt" and x < 0.0:
-            raise EvalError(f"sqrt of negative value {x} in {src}")
-        try:
-            return fn(x)
-        except (OverflowError, ValueError):
-            raise EvalError(f"{func} of {x} is out of range in "
-                            f"{src}") from None
+
+_ARITHMETIC = {"+": np.add, "-": np.subtract, "*": np.multiply}
+# the functions that can fail, with their domains; sin, cos and abs are
+# finite at every finite argument
+_CHECKED = {"exp": None, "log": (np.less_equal, "log of nonpositive value"),
+            "sqrt": (np.less, "sqrt of negative value")}
+
+
+def _call(func: str, arg: Callable, src: str) -> Callable:
+    """FUNCTIONS[func] of the argument, checked: a value outside the
+    domain, or a non-finite result from a finite argument, raises."""
+    ufunc, domain = FUNCTIONS[func], _CHECKED.get(func)
+    if func not in _CHECKED:
+        return lambda c: ufunc(arg(c))
+
+    def call(c):
+        x = arg(c)
+        values = ufunc(x)
+        if np.isfinite(values).all():
+            return values
+        if domain is not None:
+            bad = domain[0](x, 0.0)
+            if bad.any():
+                raise EvalError(f"{domain[1]} {_first(x, bad)} in {src}")
+        bad = np.isfinite(x) & ~np.isfinite(values)
+        if bad.any():
+            raise EvalError(f"{func} of {_first(x, bad)} is out of range "
+                            f"in {src}")
+        return values
 
     return call
 
 
-def _checked_power(src: str) -> Callable[[float, float], float]:
-    """left ^ right with evaluate's checks and error texts."""
-
-    def power(left: float, right: float) -> float:
-        try:
-            if left < 0.0:
-                nearest = round(right)
-                if abs(right - nearest) > 1e-9:
-                    raise EvalError(f"negative base with non-integer "
-                                    f"exponent in {src}")
-                return left ** int(nearest)
-            return left**right
-        except ZeroDivisionError:
-            raise EvalError(f"zero to a negative power in {src}") from None
-        except (OverflowError, ValueError):
-            raise EvalError(f"{left} ^ {right} is out of range in "
-                            f"{src}") from None
-
-    return power
-
-
-def _elementwise(fn: Callable[..., float], *args) -> np.ndarray:
-    """fn of Python floats at every element of the broadcast args, in C
-    order. Whatever fn raises becomes EvalError, on which table reruns the
-    checked scalar code for the error text."""
-    args = np.broadcast_arrays(*args)
-    flat = (a.ravel().tolist() for a in args)
-    try:
-        values = np.fromiter(map(fn, *flat), float, args[0].size)
-    except (ArithmeticError, ValueError, TypeError) as exc:
-        raise EvalError(str(exc)) from None
-    return values.reshape(args[0].shape)
-
-
-_ARITHMETIC = {"+": (operator.add, np.add), "-": (operator.sub, np.subtract),
-               "*": (operator.mul, np.multiply)}
+def _power(left, right, src: str):
+    """np.power(left, right), checked. At a negative base an exponent
+    within 1e-9 of an integer is rounded to it, there only: a scalar
+    exponent stays a scalar, since numpy computes a scalar 2, 0.5 or -1
+    differently from an array of them. Zero to a negative power, or a
+    non-finite result from finite operands, raises."""
+    values = np.power(left, right)
+    if np.isfinite(values).all():
+        return values
+    # a negative base with a non-integer exponent is NaN: round or raise
+    negative = np.less(left, 0.0)
+    if negative.any():
+        nearest = np.round(right)
+        if (negative & (np.abs(right - nearest) > 1e-9)).any():
+            raise EvalError(f"negative base with non-integer exponent "
+                            f"in {src}")
+        redo = negative & (right != nearest)
+        if redo.any():
+            if np.ndim(values) == 0:
+                values = np.power(left, nearest)
+            else:
+                values[redo] = np.power(
+                    left[redo] if np.ndim(left) else left,
+                    nearest[redo] if np.ndim(nearest) else nearest)
+    bad = ~np.isfinite(values) & np.isfinite(left) & np.isfinite(right)
+    if bad.any():
+        base = _first(left, bad)
+        if base == 0.0:
+            raise EvalError(f"zero to a negative power in {src}")
+        raise EvalError(f"{base} ^ {_first(right, bad)} is out of range "
+                        f"in {src}")
+    return values
 
 
 def _build(expr: Expr, index: Mapping[str, int],
-           consts: Mapping[str, float]):
-    """The (scalar, array) closure pair of one AST node.
-
-    scalar maps the tuple of variable values (Python floats) to a float,
-    in evaluate's operator order. array maps the list of variable arrays
-    to an array (a float for a constant): + - * / and unary minus as numpy
-    ufuncs, which round exactly as Python floats do, and function calls
-    and ^ element by element through the math functions and float power
-    unchecked (at a negative base, once every exponent there is checked
-    and rounded), since numpy's can differ from math's in the last bit.
-    array raises EvalError if scalar would at some element, and otherwise
-    returns scalar's values.
-    """
+           consts: Mapping[str, float]) -> Callable:
+    """The closure of one AST node: from the list of variable columns
+    (contiguous float arrays of one shape) to an array, or to a scalar for
+    a constant. Every node is one numpy float64 ufunc over the whole
+    column, and checks its own domain, so a masked error (0 * log(0))
+    still raises. Constants stay scalars."""
     if isinstance(expr, Num):
         value = expr.value
-        return (lambda v: value), (lambda c: value)
+        return lambda c: value
     if isinstance(expr, Var):
         if expr.name in index:
-            get = operator.itemgetter(index[expr.name])
-            return get, get
+            return operator.itemgetter(index[expr.name])
         if expr.name not in consts:
             raise EvalError(f"unbound variable {expr.name!r}")
         value = consts[expr.name]
-        return (lambda v: value), (lambda c: value)
+        return lambda c: value
     if isinstance(expr, Unary):
-        s, a = _build(expr.operand, index, consts)
-        return (lambda v: -s(v)), (lambda c: np.negative(a(c)))
+        a = _build(expr.operand, index, consts)
+        return lambda c: np.negative(a(c))
     if isinstance(expr, Call):
-        s, a = _build(expr.arg, index, consts)
-        call = _checked_call(expr.func, to_source(expr))
-        fn = FUNCTIONS[expr.func]
-        return (lambda v: call(s(v))), (lambda c: _elementwise(fn, a(c)))
-    ls, la = _build(expr.left, index, consts)
-    rs, ra = _build(expr.right, index, consts)
+        return _call(expr.func, _build(expr.arg, index, consts),
+                     to_source(expr))
+    la = _build(expr.left, index, consts)
+    ra = _build(expr.right, index, consts)
     if expr.op in _ARITHMETIC:
-        op, ufunc = _ARITHMETIC[expr.op]
-        return (lambda v: op(ls(v), rs(v))), (lambda c: ufunc(la(c), ra(c)))
+        ufunc = _ARITHMETIC[expr.op]
+        return lambda c: ufunc(la(c), ra(c))
     src = to_source(expr)
-    if expr.op == "/":
-        def divide(v):
-            left, right = ls(v), rs(v)
-            if right == 0.0:
-                raise EvalError(f"division by zero in {src}")
-            return left / right
+    if expr.op == "^":
+        return lambda c: _power(la(c), ra(c), src)
 
-        def divide_array(c):
-            left, right = la(c), ra(c)
-            if np.any(right == 0.0):
-                raise EvalError(f"division by zero in {src}")
-            return np.divide(left, right)
-
-        return divide, divide_array
-    power = _checked_power(src)
-
-    def power_array(c):
+    def divide(c):
         left, right = la(c), ra(c)
-        negative = np.less(left, 0.0)
-        if negative.any():
-            # the checked power's rounding: float ** int is the same C pow
-            nearest = np.round(right)
-            if not (~negative | (np.abs(right - nearest) <= 1e-9)).all():
-                raise EvalError(f"negative base with non-integer exponent "
-                                f"in {src}")
-            right = np.where(negative, nearest, right)
-        return _elementwise(operator.pow, left, right)
+        values = np.divide(left, right)
+        if not np.isfinite(values).all() and np.any(np.equal(right, 0.0)):
+            raise EvalError(f"division by zero in {src}")
+        return values
 
-    return (lambda v: power(ls(v), rs(v))), power_array
+    return divide
 
 
 def compile(expr: Expr, names: Sequence[str],
@@ -406,30 +353,37 @@ def compile(expr: Expr, names: Sequence[str],
     """Compile an AST, once, into a function of the variables in names.
 
     The function is called positionally, f(t, u) for names ("t", "u"), and
-    returns bit for bit evaluate(expr, {**consts, **dict(zip(names, args))})
-    or raises the EvalError evaluate would. An identifier bound by neither
-    names nor consts raises EvalError here.
+    returns a float, or raises EvalError naming the first node that fails.
+    An identifier bound by neither names nor consts raises EvalError here.
 
     Its attribute table(*arrays) gives f at every element of the broadcast
     arrays, as a new float array, from one pass over whole arrays (no
-    numpy warning escapes it). If that pass meets a domain error, table
-    calls f element by element in C order instead, so it returns the same
-    values and raises the same error as that loop would.
+    numpy warning escapes it). Each element is bit for bit f at that
+    element: f itself runs the same pass over one-element arrays. If the
+    pass meets a domain error, table calls f element by element in C
+    order instead, so it raises the error that loop would.
     """
     names = tuple(names)
     index = {name: i for i, name in enumerate(names)}
     bound = {name: float(value) for name, value in (consts or {}).items()
              if name not in index}
-    scalar, array = _build(expr, index, bound)
+    root = _build(expr, index, bound)
 
     def check_arity(args: tuple) -> None:
         if len(args) != len(names):
             raise TypeError(f"expected {len(names)} arguments "
                             f"({', '.join(names)}), got {len(args)}")
 
+    def run(cols: list):
+        with np.errstate(all="ignore"):
+            return root(cols)
+
     def fn(*args: float) -> float:
         check_arity(args)
-        return scalar(tuple(map(float, args)))
+        # shape (1,), never 0-d: numpy's power treats a 0-d exponent as a
+        # scalar one, which can round differently from an array
+        values = run([np.array([float(x)]) for x in args])
+        return float(values[0] if np.ndim(values) else values)
 
     def table(*arrays) -> np.ndarray:
         check_arity(arrays)
@@ -437,17 +391,21 @@ def compile(expr: Expr, names: Sequence[str],
         shape = cols[0].shape if cols else ()
         if any(c.shape != shape for c in cols):
             shape = np.broadcast_shapes(*(c.shape for c in cols))
+        # one contiguous column per variable: a broadcast column has
+        # stride 0, which numpy's power treats as a scalar exponent
+        if len(shape) != 1 or not all(c.shape == shape and c.flags.c_contiguous
+                                      for c in cols):
+            cols = [np.broadcast_to(c, shape).flatten() for c in cols]
         try:
-            with np.errstate(all="ignore"):
-                values = array(cols)
-            if np.shape(values) != shape:
-                values = np.broadcast_to(values, shape)
-            return np.array(values, dtype=float)
+            values = run(cols)
         except EvalError:
-            pass
-        flat = [np.broadcast_to(c, shape).ravel().tolist() for c in cols]
-        rows = zip(*flat) if flat else [()] * math.prod(shape)
-        return np.array([scalar(v) for v in rows], dtype=float).reshape(shape)
+            rows = (zip(*(c.tolist() for c in cols)) if cols
+                    else [()] * math.prod(shape))
+            values = np.array([fn(*row) for row in rows])
+        if np.ndim(values) == 0:
+            return np.full(shape, values, dtype=float)
+        values = np.array(values, dtype=float)  # a new array
+        return values if values.shape == shape else values.reshape(shape)
 
     fn.table = table
     return fn

@@ -507,6 +507,34 @@ class TestMittagLeffler:
             q_mittag_leffler(-1.0, 3, FracOrder(0.5), QParams(0.5))
 
 
+class TestClassicalLimit:
+    """As q -> 1 the q-problem D^(1/2) u = lam u, u(0) = 1 tends to the
+    classical one, solved by E_(1/2)(lam sqrt(t)) = exp(lam^2 t)
+    erfc(-lam sqrt(t)): an oracle for the whole chain (q-products, kernel
+    weights, solver) that none of it computes. The gap u_q(1) - E is
+    positive and O(1 - q); at lam = 1 it measures 0.1485, 0.01337,
+    0.00665 and 0.00132 at q = 0.9, 0.99, 0.995 and 0.999."""
+
+    @pytest.mark.parametrize("lam", [1.0, -1.0, 0.5])
+    def test_gap_shrinks_like_one_minus_q(self, lam):
+        classical = math.exp(lam * lam) * math.erfc(-lam)
+        ctrl = SeriesControl(max_terms=40000)
+
+        def gap(q):
+            problem = CauchyProblem(
+                rhs=compiled_rhs(f"{lam} * u"), a=0.0, b=1.0, zeta=1.0,
+                order=FracOrder(0.5), params=QParams(q),
+                lipschitz_A=abs(lam), radius_r=10.0)
+            report = solve(problem, QLattice(1.0, q, 1), max_iter=200,
+                           ctrl=ctrl)
+            assert report.converged
+            return report.solution[0] - classical
+
+        c = gap(0.9) / (1.0 - 0.9)
+        for q in (0.99, 0.995, 0.999):
+            assert 0.0 < gap(q) <= c * (1.0 - q)
+
+
 class TestLipschitzEstimate:
     def test_linear(self):
         got = estimate_lipschitz(lambda t, u: u, linear_problem())

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 
@@ -13,6 +14,8 @@ from qfrac.cauchy import q_mittag_leffler
 from qfrac.operators import FracOrder
 from qfrac.qcore import QParams, SeriesControl, q_gamma, q_number
 from qfrac.verify import run_registry
+
+import expr_reference
 
 
 def write_cfg(tmp_path, name, text):
@@ -267,6 +270,30 @@ class TestSolve:
                      "--format", "json"]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_output_files_get_the_modes_open_would_leave(self, tmp_path,
+                                                         umask):
+        """A new --out file and its sidecar get 0666 less the umask, as
+        open(path, "w") gives them; an existing one keeps its mode."""
+        path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
+        outs = [tmp_path / "sol.csv", tmp_path / "sol.csv.report.json"]
+
+        def modes():
+            assert main(["solve", "--config", path, "--out",
+                         str(outs[0])]) == 0
+            return [stat.S_IMODE(p.stat().st_mode) for p in outs]
+
+        saved = os.umask(umask)
+        try:
+            created = modes()
+            outs[0].chmod(0o640)
+            outs[1].chmod(0o604)
+            overwritten = modes()
+        finally:
+            os.umask(saved)
+        assert created == [0o666 & ~umask] * 2
+        assert overwritten == [0o640, 0o604]
+
 
 class TestVerify:
     def test_restricted_registry_passes(self, tmp_path, capsys):
@@ -416,8 +443,8 @@ GRID_RHS = ("u", "-u + sin(t)", "u - u^2/8", "exp(-u) + t^2")
 
 def test_compiled_bytes_equal_evaluate_bytes(tmp_path, monkeypatch):
     """eval and solve write the same bytes, sidecars included, whether the
-    expression runs compiled (whole tables) or through evaluate node by
-    node."""
+    expression runs compiled (whole tables) or through the tree-walking
+    reference node by node."""
     import qfrac.cli as cli
 
     configs = {}
@@ -450,8 +477,8 @@ def test_compiled_bytes_equal_evaluate_bytes(tmp_path, monkeypatch):
     def evaluate_backed(source, variables, cfg):
         expr = exprparse.parse(source, {*variables, "q", "p", "alpha"})
         consts = {"q": cfg.q, "p": cfg.p, "alpha": cfg.alpha}
-        return lambda *values: exprparse.evaluate(
-            expr, {**consts, **dict(zip(variables, values))})
+        return lambda *values: expr_reference.evaluate(
+            expr, dict(zip(variables, values)), consts)
 
     monkeypatch.setattr(cli, "_compiled_function", evaluate_backed)
     assert run("evaluated") == compiled

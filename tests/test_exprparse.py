@@ -21,6 +21,8 @@ from qfrac.exprparse import (
     to_source,
 )
 
+import expr_reference as reference
+
 VARS = frozenset({"t", "u"})
 
 
@@ -205,7 +207,7 @@ class TestCompile:
     @given(expr=exprs(ops="+-*/^", funcs=ALL_FUNCS), t=VALUES, u=VALUES)
     @settings(max_examples=300, deadline=None)
     def test_scalar_matches_evaluate_bit_for_bit(self, expr, t, u):
-        want = outcome(evaluate, expr, {"t": t, "u": u})
+        want = outcome(reference.evaluate, expr, {"t": t, "u": u})
         got = outcome(compile(expr, ("t", "u")), t, u)
         if isinstance(want, str):
             assert got == want
@@ -303,12 +305,13 @@ class TestCompile:
         ("u^3", [-2.0, -1e200, -3.0]),
     ])
     def test_table_through_raw_loops_matches_evaluate(self, source, us):
-        """Functions and ^ map the raw math code over whole tables; where
-        it raises, table still gives evaluate's first error, and its
-        values bit for bit."""
+        """Functions and ^ run their ufuncs over whole tables and check
+        every node there; where that raises, table still gives the
+        reference's first error, and otherwise its values bit for bit."""
         expr = parse(source, VARS)
         f = compile(expr, ("t", "u"))
-        want = [outcome(evaluate, expr, {"t": 0.5, "u": u}) for u in us]
+        want = [outcome(reference.evaluate, expr, {"t": 0.5, "u": u})
+                for u in us]
         errors = [w for w in want if isinstance(w, str)]
         if errors:
             with pytest.raises(EvalError) as raised:
@@ -317,3 +320,169 @@ class TestCompile:
         else:
             got = f.table(0.5, np.array(us)).tolist()
             assert [bits(x) for x in got] == [bits(x) for x in want]
+
+
+def table_outcome(f, *cols):
+    """f.table's values as bits, or the text of the EvalError it raises."""
+    try:
+        return [bits(x) for x in f.table(*cols).ravel().tolist()]
+    except EvalError as exc:
+        return f"EvalError: {exc}"
+
+
+def first_outcome(outcomes):
+    """The first error text among per-element outcomes, else their bits."""
+    errors = [w for w in outcomes if isinstance(w, str)]
+    return errors[0] if errors else [bits(w) for w in outcomes]
+
+
+# u * u rounds this u's square to ...c5p+0, numpy's array power to ...c6p+0:
+# a -1.5 beside it in the table must not switch u^2 from one to the other
+LAYOUT_U = 1.3251083656922211
+LAYOUT_EXPONENTS = [2.0, 0.5, -1.0, 3.0, 2 + 5e-10]
+LAYOUT_CASES = ([("u^t", e) for e in LAYOUT_EXPONENTS]
+                + [("t^2", None), ("u^0.5", None), ("u^-1", None),
+                   ("(-u)^3", None), ("u^(2 + 5e-10)", None)])
+
+
+class TestLayoutIndependence:
+    """An element's value is the scalar call's at that element, whatever
+    else shares its table and however the table is laid out."""
+
+    @staticmethod
+    def columns(exponent, signs):
+        rng = np.random.default_rng(15)
+        u = rng.uniform(0.05, 4.0, 80)
+        if signs == "mixed":
+            u[rng.random(80) < 0.3] *= -1.0
+        u[[3, 40]], u[[4, 41]] = LAYOUT_U, -1.5 if signs == "mixed" else 1.5
+        t = u[::-1].copy() if exponent is None else np.full(80, exponent)
+        return t, u
+
+    @pytest.mark.parametrize("signs", ["mixed", "positive"])
+    @pytest.mark.parametrize("source,exponent", LAYOUT_CASES)
+    def test_slices_broadcasts_and_calls_agree(self, source, exponent,
+                                               signs):
+        f = compile(parse(source, VARS), ("t", "u"))
+        t, u = self.columns(exponent, signs)
+        calls = [outcome(f, ti, ui) for ti, ui in zip(t.tolist(), u.tolist())]
+        refs = [outcome(reference.evaluate, parse(source, VARS),
+                        {"t": ti, "u": ui})
+                for ti, ui in zip(t.tolist(), u.tolist())]
+        assert first_outcome(calls) == first_outcome(refs)
+        for offset in (0, 1, 5, 16):
+            for length in range(1, 65):
+                s = slice(offset, offset + length)
+                assert (table_outcome(f, t[s], u[s])
+                        == first_outcome(calls[s])), (offset, length)
+        # t broadcast from a scalar, and from a column against a row
+        for j in (0, 3, 4, 40):
+            want = first_outcome([outcome(f, t[j], ui) for ui in u.tolist()])
+            assert table_outcome(f, t[j], u) == want
+        want = first_outcome([outcome(f, ti, ui) for ti in t[:6].tolist()
+                              for ui in u[:12].tolist()])
+        assert table_outcome(f, t[:6, None], u[None, :12]) == want
+
+    def test_square_keeps_its_bits_beside_a_negative_base(self):
+        f = compile(parse("u^2", VARS), ("t", "u"))
+        alone = f.table(0.0, np.array([LAYOUT_U]))[0]
+        shared = f.table(0.0, np.array([LAYOUT_U, -1.5]))[0]
+        assert alone.hex() == shared.hex() == (LAYOUT_U * LAYOUT_U).hex()
+        assert f(0.0, LAYOUT_U) == LAYOUT_U * LAYOUT_U
+
+
+def ulp_gap(got, want):
+    """|got - want| in units of want's last place, elementwise."""
+    got, want = np.asarray(got), np.asarray(want)
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+ORACLE_DRAWS = 20000
+
+
+def oracle_inputs(name):
+    rng = np.random.default_rng(1)
+    wide = np.exp(rng.uniform(-700.0, 700.0, ORACLE_DRAWS))
+    return {
+        "exp": rng.uniform(-700.0, 700.0, ORACLE_DRAWS),
+        "log": np.concatenate([wide, rng.uniform(0.5, 2.0, ORACLE_DRAWS)]),
+        "trig": rng.uniform(-100.0, 100.0, ORACLE_DRAWS),
+        "wide": wide,
+        "base": rng.uniform(0.0, 10.0, ORACLE_DRAWS),
+        "signed": rng.uniform(-10.0, 10.0, ORACLE_DRAWS),
+        "exponent": rng.uniform(-3.0, 3.0, ORACLE_DRAWS),
+    }[name]
+
+
+class TestMathOracle:
+    """Compiled tables against math and operator.pow, independent of
+    numpy. Over these draws the measured worst gap is 1 ulp (exp, ^);
+    log, sin, cos, sqrt and abs gave math's bits, where sqrt and abs must
+    (IEEE 754 rounds sqrt correctly)."""
+
+    @pytest.mark.parametrize("source,u_draws,t_draws", [
+        ("exp(u)", "exp", None),
+        ("log(u)", "log", None),
+        ("sin(u)", "trig", None),
+        ("cos(u)", "trig", None),
+        ("sqrt(u)", "wide", None),
+        ("abs(u)", "signed", None),
+        ("u^t", "base", "exponent"),
+        ("u^2", "base", None),
+        ("u^0.5", "base", None),
+        ("u^-1", "base", None),
+        ("u^3", "signed", None),
+        ("(-u)^3", "signed", None),
+        ("u^(2 + 5e-10)", "signed", None),
+        ("u^(1/3)", "base", None),
+    ])
+    def test_values_within_two_ulp(self, source, u_draws, t_draws):
+        expr = parse(source, VARS)
+        u = oracle_inputs(u_draws)
+        t = np.zeros_like(u) if t_draws is None else oracle_inputs(t_draws)
+        got = compile(expr, ("t", "u")).table(t, u)
+        want = [reference.evaluate_math(expr, {"t": ti, "u": ui})
+                for ti, ui in zip(t.tolist(), u.tolist())]
+        assert np.isfinite(want).all()
+        if source in ("sqrt(u)", "abs(u)"):
+            assert got.tolist() == want
+        assert ulp_gap(got, want).max() <= 2.0
+
+    @pytest.mark.parametrize("source,us", [
+        ("log(u)", [2.0, 0.0]),
+        ("log(u)", [2.0, -1.0]),
+        ("sqrt(u)", [4.0, -2.0]),
+        ("1/(u - 1)", [2.0, 1.0]),
+        ("exp(u)", [1.0, 1000.0]),
+        ("u^0.5", [4.0, -4.0]),
+        ("u^-1", [2.0, 0.0]),
+        ("u^-1", [2.0, -0.0]),
+        ("(u*10)^400", [0.1, 1.0]),
+        ("(-u)^3", [1.0, 1e200]),
+        # errors masked by a later node: a final isfinite would miss them
+        ("1/(1/u)", [2.0, 0.0]),
+        ("0*log(u)", [2.0, 0.0]),
+        ("exp(u)*0", [1.0, 1000.0]),
+    ])
+    def test_error_texts_match_math(self, source, us):
+        expr = parse(source, VARS)
+        f = compile(expr, ("t", "u"))
+        want = [outcome(reference.evaluate_math, expr, {"t": 0.5, "u": u})
+                for u in us]
+        assert isinstance(want[0], float) and isinstance(want[-1], str)
+        assert [outcome(f, 0.5, u) for u in us] == want
+        assert table_outcome(f, 0.5, np.array(us)) == want[-1]
+
+    @pytest.mark.parametrize("source,u,want", [
+        ("u^0.5", -0.0, -0.0),           # math: +0.0
+        ("sin(u)", math.inf, math.nan),  # math: ValueError
+        ("u^-1", -math.inf, -0.0),
+        ("0^u", -math.inf, math.inf),    # as Python's 0.0 ** -inf
+    ])
+    def test_ieee_values(self, source, u, want):
+        f = compile(parse(source, VARS), ("t", "u"))
+        got = [f.table(0.0, np.array([u, 1.0]))[0], f(0.0, u)]
+        if math.isnan(want):
+            assert np.isnan(got).all()
+        else:
+            assert [bits(x) for x in got] == [bits(want)] * 2

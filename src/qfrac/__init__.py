@@ -45,11 +45,9 @@ from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
     SeriesControl,
-    q_binomial,
     q_factorial,
     q_gamma,
     q_number,
-    q_pochhammer_finite,
     q_pochhammer_infinite,
     q_power_general,
 )

@@ -22,7 +22,7 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import cauchy, exprparse
 from .errors import ConvergenceError, DomainError, PoleError, TrustRegionError
@@ -193,8 +193,7 @@ def _series_control() -> SeriesControl:
                 f"QFRAC_MAX_TERMS: cannot parse {override!r} as int"
             ) from exc
         try:
-            ctrl = SeriesControl(ctrl.abs_tol, ctrl.rel_tol, max_terms,
-                                 ctrl.consecutive_small)
+            ctrl = replace(ctrl, max_terms=max_terms)
         except DomainError as exc:
             raise ConfigError(f"QFRAC_MAX_TERMS: {exc}") from exc
     return ctrl

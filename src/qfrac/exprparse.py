@@ -14,7 +14,10 @@ Grammar (EBNF):
 "^" is right-associative and binds tighter than unary minus; there is no
 implicit multiplication. Identifiers are either calls to one of
 {exp, log, sin, cos, sqrt, abs} or variables from the allowed set fixed at
-parse time. Errors are reported as "line:col: message".
+parse time. Errors are reported as "line:col: message". Each parenthesis,
+function call, unary minus and binary operator nests its operands one level
+deeper; parse rejects an expression more than MAX_DEPTH levels deep, so the
+parser, `compile` and the compiled closures never recurse past it.
 
 Every operator and function is its numpy float64 ufunc: + - * / and unary
 minus round as Python floats do, while exp, log and ^ can differ from
@@ -45,6 +48,7 @@ __all__ = [
     "ParseError",
     "EvalError",
     "FUNCTIONS",
+    "MAX_DEPTH",
     "parse",
     "evaluate",
     "compile",
@@ -59,6 +63,8 @@ FUNCTIONS = {
     "sqrt": np.sqrt,
     "abs": np.abs,
 }
+
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -143,6 +149,9 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.allowed = allowed_vars
+        # parse methods return (node, levels); self.depth counts the levels
+        # open around the current token, so recursion stops at MAX_DEPTH too
+        self.depth = 0
 
     @property
     def cur(self) -> _Token:
@@ -159,38 +168,56 @@ class _Parser:
             return
         raise ParseError(1, self.cur.col, f"expected {op!r}")
 
-    def parse_expr(self) -> Expr:
-        node = self.parse_term()
+    def deeper(self, levels: int, col: int) -> int:
+        """levels + 1, or a ParseError at col past MAX_DEPTH."""
+        if levels >= MAX_DEPTH:
+            raise ParseError(1, col, f"expression nests deeper than "
+                             f"{MAX_DEPTH} levels")
+        return levels + 1
+
+    def inner(self, parse, levels: int = 0) -> tuple[Expr, int]:
+        """parse() past the current "(", "-" or "^": its node, and one
+        level more than its levels and than the given levels."""
+        col = self.advance().col
+        self.depth = self.deeper(self.depth, col)
+        node, below = parse()
+        self.depth -= 1
+        return node, self.deeper(max(below, levels), col)
+
+    def parse_expr(self) -> tuple[Expr, int]:
+        node, levels = self.parse_term()
         while self.cur.kind == "op" and self.cur.text in "+-":
-            op = self.advance().text
-            node = Binary(op, node, self.parse_term())
-        return node
+            tok = self.advance()
+            right, r = self.parse_term()
+            node = Binary(tok.text, node, right)
+            levels = self.deeper(max(levels, r), tok.col)
+        return node, levels
 
-    def parse_term(self) -> Expr:
-        node = self.parse_unary()
+    def parse_term(self) -> tuple[Expr, int]:
+        node, levels = self.parse_unary()
         while self.cur.kind == "op" and self.cur.text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.parse_unary())
-        return node
+            tok = self.advance()
+            right, r = self.parse_unary()
+            node = Binary(tok.text, node, right)
+            levels = self.deeper(max(levels, r), tok.col)
+        return node, levels
 
-    def parse_unary(self) -> Expr:
+    def parse_unary(self) -> tuple[Expr, int]:
+        """unary = "-" unary | power, with power = atom ["^" unary]."""
         if self.cur.kind == "op" and self.cur.text == "-":
-            self.advance()
-            return Unary("-", self.parse_unary())
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_atom()
+            node, levels = self.inner(self.parse_unary)
+            return Unary("-", node), levels
+        base, levels = self.parse_atom()
         if self.cur.kind == "op" and self.cur.text == "^":
-            self.advance()
-            return Binary("^", base, self.parse_unary())
-        return base
+            exponent, levels = self.inner(self.parse_unary, levels)
+            return Binary("^", base, exponent), levels
+        return base, levels
 
-    def parse_atom(self) -> Expr:
+    def parse_atom(self) -> tuple[Expr, int]:
         tok = self.cur
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 0
         if tok.kind == "ident":
             self.advance()
             if self.cur.kind == "op" and self.cur.text == "(":
@@ -199,21 +226,19 @@ class _Parser:
                         1, tok.col,
                         f"unknown function {tok.text!r}; known functions: "
                         f"{', '.join(sorted(FUNCTIONS))}")
-                self.advance()
-                arg = self.parse_expr()
+                arg, levels = self.inner(self.parse_expr)
                 self.expect_op(")")
-                return Call(tok.text, arg)
+                return Call(tok.text, arg), levels
             if tok.text not in self.allowed:
                 raise ParseError(
                     1, tok.col,
                     f"unknown identifier {tok.text!r}; allowed: "
                     f"{{{', '.join(sorted(self.allowed))}}}")
-            return Var(tok.text)
+            return Var(tok.text), 0
         if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.parse_expr()
+            node, levels = self.inner(self.parse_expr)
             self.expect_op(")")
-            return node
+            return node, levels
         raise ParseError(1, tok.col, "expected expression")
 
 
@@ -222,7 +247,7 @@ def parse(source: str, allowed_vars: set[str] | frozenset[str]) -> Expr:
     if not source.strip():
         raise ParseError(1, 1, "expected expression")
     parser = _Parser(_tokenize(source), frozenset(allowed_vars))
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     if parser.cur.kind != "end":
         raise ParseError(1, parser.cur.col,
                          f"unexpected trailing input {parser.cur.text!r}")
@@ -391,9 +416,10 @@ def compile(expr: Expr, names: Sequence[str],
         shape = cols[0].shape if cols else ()
         if any(c.shape != shape for c in cols):
             shape = np.broadcast_shapes(*(c.shape for c in cols))
-        # one contiguous column per variable: a broadcast column has
-        # stride 0, which numpy's power treats as a scalar exponent
-        if len(shape) != 1 or not all(c.shape == shape and c.flags.c_contiguous
+        # one unit-stride column per variable: a broadcast column has
+        # stride 0, which numpy's power treats as a scalar exponent, and a
+        # reversed one stride -8, where exp takes a loop with other bits
+        if len(shape) != 1 or not all(c.shape == shape and c.strides == (8,)
                                       for c in cols):
             cols = [np.broadcast_to(c, shape).flatten() for c in cols]
         try:

@@ -93,57 +93,27 @@ def jackson_integral_zero(f: ScalarFunction, b: float, q: float,
     """Jackson integral (1-q) b sum_i q**i f(q**i b) over [0, b].
 
     Stops once |term| < max(abs_tol, rel_tol |partial|) for consecutive_small
-    successive terms; raises ConvergenceError at max_terms. When f carries
-    a table, it is called on blocks of nodes of doubling length (so at up
-    to twice the nodes the sum uses), and the sum is the same float as the
-    term-by-term loop's whenever the table gives f's values.
+    successive terms; raises ConvergenceError at max_terms. f is tabulated
+    on blocks of nodes of doubling length, so it is called at up to twice
+    the nodes the sum uses (f must be evaluable on the whole lattice); the
+    sum is the same float as a term-by-term loop's.
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie in (0, 1), got {q}")
     if not b > 0.0:
         raise DomainError(f"b must be positive, got {b}")
     scale = (1.0 - q) * b
-    table = getattr(f, "table", None)
-    total = (_jackson_loop(f, b, q, scale, ctrl) if table is None
-             else _jackson_blocks(table, b, q, scale, ctrl))
-    if total is None:
-        raise ConvergenceError(
-            f"Jackson integral on [0, {b}] did not meet its stopping rule "
-            f"within {ctrl.max_terms} terms"
-        )
-    return total
-
-
-def _jackson_loop(f, b, q, scale, ctrl) -> float | None:
-    """The Jackson sum term by term; None at max_terms."""
-    total = 0.0
-    small = 0
-    qi = 1.0
-    for _ in range(ctrl.max_terms):
-        term = scale * qi * f(qi * b)
-        total += term
-        qi *= q
-        if abs(term) < max(ctrl.abs_tol, ctrl.rel_tol * abs(total)):
-            small += 1
-            if small >= ctrl.consecutive_small:
-                return total
-        else:
-            small = 0
-    return None
-
-
-def _jackson_blocks(table, b, q, scale, ctrl) -> float | None:
-    """_jackson_loop over blocks of doubling length, one table call each:
-    its qi *= q and total += term are the sequential scans np.cumprod and
-    np.cumsum, so the terms and partial sums are the same floats."""
     total, small, qi = 0.0, 0, 1.0
     start, size = 0, 64
+    # qi *= q and total += term of a term-by-term loop are the sequential
+    # scans np.cumprod and np.cumsum, so the terms and partial sums are
+    # the same floats
     while start < ctrl.max_terms:
         m = min(size, ctrl.max_terms - start)
         qis = np.full(m, q)
         qis[0] = qi
         np.cumprod(qis, out=qis)
-        terms = scale * qis * table(qis * b)
+        terms = scale * qis * _tabulate(f, qis * b)
         totals = np.cumsum(np.concatenate(([total], terms)))[1:]
         # fmax keeps abs_tol where the partial sum is NaN, as max() does
         small_at = np.abs(terms) < np.fmax(ctrl.abs_tol,
@@ -154,7 +124,10 @@ def _jackson_blocks(table, b, q, scale, ctrl) -> float | None:
                 return float(totals[i])
         total, qi = float(totals[-1]), qis[-1] * q
         start, size = start + m, 2 * size
-    return None
+    raise ConvergenceError(
+        f"Jackson integral on [0, {b}] did not meet its stopping rule "
+        f"within {ctrl.max_terms} terms"
+    )
 
 
 def jackson_integral(f: ScalarFunction, a: float, b: float, q: float,

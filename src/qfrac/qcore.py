@@ -1,5 +1,5 @@
-"""q-analogue primitives: q-numbers, q-factorials, q-Pochhammer symbols,
-q-binomials, the q-Gamma function, and the generalized q-power.
+"""q-analogue primitives: q-numbers, q-factorials, infinite q-Pochhammer
+symbols and their ratios, the q-Gamma function, and the generalized q-power.
 
 All deformation parameters satisfy 0 < q < 1; the classical limit q -> 1 is
 approached but never representable. Everything here is a pure function of its
@@ -21,9 +21,7 @@ __all__ = [
     "DEFAULT_INTEGRATION_CTRL",
     "q_number",
     "q_factorial",
-    "q_pochhammer_finite",
     "q_pochhammer_infinite",
-    "q_binomial",
     "q_gamma",
     "q_power_general",
     "log_q_pochhammer_ratio",
@@ -82,8 +80,7 @@ class SeriesControl:
             raise DomainError("max_terms must be >= consecutive_small")
 
 
-DEFAULT_INTEGRATION_CTRL = SeriesControl(abs_tol=1e-15, rel_tol=1e-13,
-                                         max_terms=5_000, consecutive_small=3)
+DEFAULT_INTEGRATION_CTRL = SeriesControl()
 
 
 def _check_q(q: float) -> None:
@@ -105,16 +102,6 @@ def q_factorial(n: int, q: float) -> float:
     out = 1.0
     for k in range(2, int(n) + 1):
         out *= q_number(k, q)
-    return out
-
-
-def q_pochhammer_finite(a: float, q: float, n: int) -> float:
-    """(a; q)_n = prod_{j=0}^{n-1} (1 - q**j a); empty product for n = 0."""
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a nonnegative integer, got {n}")
-    out = 1.0
-    for j in range(int(n)):
-        out *= 1.0 - q**j * a
     return out
 
 
@@ -201,16 +188,6 @@ def q_pochhammer_infinite(a, q: float,
                                   math.log(q), 1, ctrl, a_arr < 0.0)
     out = (sign * np.exp(logs))[..., 0]
     return out if isinstance(a, np.ndarray) else float(out)
-
-
-def q_binomial(n: int, k: int, q: float) -> float:
-    """Gaussian binomial (q; q)_n / ((q; q)_{n-k} (q; q)_k)."""
-    _check_q(q)
-    if k < 0 or n < 0 or k > n:
-        raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return q_pochhammer_finite(q, q, n) / (
-        q_pochhammer_finite(q, q, n - k) * q_pochhammer_finite(q, q, k)
-    )
 
 
 def q_gamma(t, q: float, ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):

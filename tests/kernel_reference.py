@@ -1,11 +1,14 @@
-"""Plain-Python reference for the q-fractional operators at one point.
+"""Plain-Python reference for the Jackson integral and the q-fractional
+operators at one point.
 
-`kernel_sum` forms the Jackson kernel sum term by term, one point at a
-time, as a loop over Python floats. Its kernel weights and q-Gammas come
-from plain factor-by-factor products here, not from the library's
-q-products. The library computes every operator value with
-`operators.LatticeKernel`; the tests compare it with the operators built
-here from `kernel_sum`.
+`jackson_sum` forms the Jackson integral over [0, b] term by term, with
+the library's stopping rule; the library tabulates f in blocks instead
+(`qcalc.jackson_integral_zero`). `kernel_sum` forms the Jackson kernel
+sum term by term, one point at a time, as a loop over Python floats.
+Its kernel weights and q-Gammas come from plain factor-by-factor products
+here, not from the library's q-products. The library computes every
+operator value with `operators.LatticeKernel`; the tests compare it with
+the operators built here from `kernel_sum`.
 """
 
 from __future__ import annotations
@@ -14,9 +17,30 @@ import math
 
 import numpy as np
 
-from qfrac.errors import DomainError, PoleError
+from qfrac.errors import ConvergenceError, DomainError, PoleError
 from qfrac.operators import OperatorContext, _sum_length
 from qfrac.qcore import q_number
+
+
+def jackson_sum(f, b: float, q: float, ctrl) -> float:
+    """(1-q) b sum_i q**i f(q**i b), one term at a time, until
+    consecutive_small successive terms fall below max(abs_tol, rel_tol
+    |partial|); ConvergenceError at max_terms, with the library's text."""
+    scale = (1.0 - q) * b
+    total, small, qi = 0.0, 0, 1.0
+    for _ in range(ctrl.max_terms):
+        term = scale * qi * f(qi * b)
+        total += term
+        qi *= q
+        if abs(term) < max(ctrl.abs_tol, ctrl.rel_tol * abs(total)):
+            small += 1
+            if small >= ctrl.consecutive_small:
+                return total
+        else:
+            small = 0
+    raise ConvergenceError(
+        f"Jackson integral on [0, {b}] did not meet its stopping rule "
+        f"within {ctrl.max_terms} terms")
 
 
 def poch_inf(a: float, q: float, tol: float = 1e-17) -> float:

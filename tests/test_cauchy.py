@@ -534,6 +534,33 @@ class TestClassicalLimit:
         for q in (0.99, 0.995, 0.999):
             assert 0.0 < gap(q) <= c * (1.0 - q)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("lam", [1.0, -1.0])
+    def test_extrapolated_limit_is_mittag_leffler(self, alpha, lam):
+        # D^alpha u = lam u, u(0) = 1 solves to E_alpha(lam t^alpha); u_q(1)
+        # is smooth in h = 1 - q, so the parabola through three solves,
+        # read at h = 0, meets E_alpha(lam) far inside the O(h) gap
+        classical, k, term = 0.0, 0, 1.0
+        while abs(term) > 1e-18:
+            term = lam**k / math.gamma(alpha * k + 1.0)
+            classical, k = classical + term, k + 1
+        ctrl = SeriesControl(max_terms=40000)
+        hs, us = (0.005, 0.002, 0.001), []
+        for h in hs:
+            q = 1.0 - h
+            problem = CauchyProblem(
+                rhs=compiled_rhs(f"{lam} * u"), a=0.0, b=1.0, zeta=1.0,
+                order=FracOrder(alpha), params=QParams(q),
+                lipschitz_A=abs(lam), radius_r=10.0)
+            report = solve(problem, QLattice(1.0, q, 1), max_iter=200,
+                           ctrl=ctrl)
+            assert report.converged
+            us.append(report.solution[0])
+        # Lagrange's parabola through (h_i, u_i) at h = 0
+        limit = sum(u * math.prod(g / (g - h) for g in hs if g != h)
+                    for h, u in zip(hs, us))
+        assert abs(limit - classical) <= 1e-7, (limit, classical)
+
 
 class TestLipschitzEstimate:
     def test_linear(self):

@@ -85,6 +85,28 @@ class TestExitCodes:
         assert main(["solve", "--config", path]) == 2
         assert "1:4: expected expression" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("too_deep, col, at_bound", [
+        ("-" * 3000 + "u", 101, "-" * 100 + "u"),
+        ("(" * 400 + "u" + ")" * 400, 101, "(" * 100 + "u" + ")" * 100),
+        ("u" + "+u" * 1199, 202, "u" + "+0" * 100),
+    ], ids=["minuses", "parentheses", "sum"])
+    def test_nesting_past_the_bound_is_2(self, tmp_path, capsys, too_deep,
+                                         col, at_bound):
+        assert exprparse.MAX_DEPTH == 100
+        base = "q = 0.5\nalpha = 0.5\nzeta = 1\nr = 10\nmax_iter = 150\nrhs = "
+        path = write_cfg(tmp_path, "a.cfg", base + too_deep + "\n")
+        assert main(["solve", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err == f"1:{col}: expression nests deeper than 100 levels\n"
+        # at the bound the same rhs, u, solves to the same report
+        reports = []
+        for rhs in (at_bound, "u"):
+            path = write_cfg(tmp_path, "b.cfg", base + rhs + "\n")
+            assert main(["solve", "--config", path, "--format", "json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+            assert reports[-1]["config"].pop("rhs") == rhs
+        assert reports[0] == reports[1]
+
     def test_max_iter_exhaustion_is_4(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "a.cfg",
                          "q = 0.5\nalpha = 0.5\nzeta = 1\nrhs = u\n"

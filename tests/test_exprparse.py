@@ -390,6 +390,17 @@ class TestLayoutIndependence:
         assert alone.hex() == shared.hex() == (LAYOUT_U * LAYOUT_U).hex()
         assert f(0.0, LAYOUT_U) == LAYOUT_U * LAYOUT_U
 
+    @pytest.mark.parametrize("source", ["exp(u)", "u^t", "log(u)"])
+    def test_one_element_views_at_any_stride(self, source):
+        # numpy flags every one-element array contiguous, whatever its
+        # stride; exp(1.546875) over a reversed view is 1 ulp off
+        f = compile(parse(source, VARS), ("t", "u"))
+        u = np.array([1.546875, 0.5, 2.0])
+        for view in (u[::-1][2:], u[::2][:1], np.broadcast_to(u[0], (1,))):
+            assert view.flags.c_contiguous and view[0] == u[0]
+            got = f.table(np.array([2.5]), view)
+            assert got[0].hex() == f(2.5, u[0]).hex(), view.strides
+
 
 def ulp_gap(got, want):
     """|got - want| in units of want's last place, elementwise."""

@@ -15,6 +15,8 @@ from qfrac.qcalc import (
 )
 from qfrac.qcore import SeriesControl, q_number
 
+import kernel_reference as reference
+
 
 def brute_jackson(f, b, q, terms):
     """Independent oracle: fixed-length geometric sum, no adaptivity."""
@@ -113,8 +115,9 @@ class Tabled:
 
 
 class TestJacksonTablePath:
-    """A function with a table is summed in blocks; the sum is the loop's
-    float bit for bit, and so is its failure at max_terms."""
+    """Every function is summed in blocks, through its table or one call
+    per node; the sum is the term-by-term loop's float bit for bit, and so
+    is its failure at max_terms."""
 
     @given(q=st.floats(0.05, 0.995), b=st.floats(0.01, 5.0),
            c=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
@@ -126,11 +129,12 @@ class TestJacksonTablePath:
         f = Tabled(*c)
         ctrl = SeriesControl(abs_tol=1e-15, rel_tol=rel_tol,
                              max_terms=20_000, consecutive_small=consecutive)
-        got = jackson_integral_zero(f, b, q, ctrl)
-        want = jackson_integral_zero(lambda x: f(x), b, q, ctrl)
-        assert type(got) is float
-        assert math.copysign(1.0, got) == math.copysign(1.0, want)
-        assert got == want
+        want = reference.jackson_sum(f, b, q, ctrl)
+        for g in (f, lambda x: f(x)):  # through f.table, and per node
+            got = jackson_integral_zero(g, b, q, ctrl)
+            assert type(got) is float
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+            assert got == want
 
     def test_run_of_small_terms_spans_blocks(self):
         # terms 0.3 * 0.7**i drop below 1e-10 times the partial sum from
@@ -141,19 +145,35 @@ class TestJacksonTablePath:
         assert [i for i in range(61, 64)
                 if 0.3 * 0.7**i < 1e-10 * (1.0 - 0.7 ** (i + 1))] == [62, 63]
         got = jackson_integral_zero(Tabled(0.0, 0.0, 1.0), 1.0, 0.7, ctrl)
-        assert got == jackson_integral_zero(lambda x: 1.0, 1.0, 0.7, ctrl)
+        assert got == reference.jackson_sum(lambda x: 1.0, 1.0, 0.7, ctrl)
         assert abs(got - (1.0 - 0.7**65)) < 1e-14
 
     @pytest.mark.parametrize("max_terms", [10, 64, 100, 300])
     def test_same_error_at_max_terms(self, max_terms):
         ctrl = SeriesControl(abs_tol=1e-30, rel_tol=0.0, max_terms=max_terms,
                              consecutive_small=3)
-        f = Tabled(0.0, 0.0, 1.0)
-        with pytest.raises(ConvergenceError) as table_err:
-            jackson_integral_zero(f, 1.0, 0.99, ctrl)
         with pytest.raises(ConvergenceError) as loop_err:
-            jackson_integral_zero(lambda x: 1.0, 1.0, 0.99, ctrl)
-        assert str(table_err.value) == str(loop_err.value)
+            reference.jackson_sum(lambda x: 1.0, 1.0, 0.99, ctrl)
+        for f in (Tabled(0.0, 0.0, 1.0), lambda x: 1.0):
+            with pytest.raises(ConvergenceError) as err:
+                jackson_integral_zero(f, 1.0, 0.99, ctrl)
+            assert str(err.value) == str(loop_err.value)
+
+    def test_error_past_the_stop_propagates(self):
+        # the sum of 0.5**i stops at i = 45, inside the first 64-node
+        # block; f raises from node 50 on, which only the block reaches
+        boom = ValueError("f is undefined below 2**-50")
+
+        def f(x):
+            if x < 2.0**-49.5:
+                raise boom
+            return 1.0
+
+        ctrl = SeriesControl()
+        assert reference.jackson_sum(f, 1.0, 0.5, ctrl) == pytest.approx(1.0)
+        with pytest.raises(ValueError) as err:
+            jackson_integral_zero(f, 1.0, 0.5, ctrl)
+        assert err.value is boom
 
     def test_nan_never_stops_the_sum(self):
         ctrl = SeriesControl(max_terms=200)

@@ -1,19 +1,21 @@
+import importlib
 import math
+import pkgutil
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qfrac
 from qfrac.errors import ConvergenceError, DomainError, PoleError
 from qfrac.qcore import (
     QParams,
     SeriesControl,
-    q_binomial,
     q_factorial,
     q_gamma,
     q_number,
-    q_pochhammer_finite,
     log_q_pochhammer_ratio,
     q_pochhammer_infinite,
     q_power_general,
@@ -76,16 +78,6 @@ class TestQFactorial:
 
 
 class TestPochhammer:
-    def test_finite_empty(self):
-        assert q_pochhammer_finite(0.5, 0.5, 0) == 1.0
-
-    def test_finite_two(self):
-        assert q_pochhammer_finite(0.5, 0.5, 2) == pytest.approx(0.375,
-                                                                 rel=1e-15)
-
-    def test_finite_zero_factor(self):
-        assert q_pochhammer_finite(1.0, 0.5, 3) == 0.0
-
     def test_infinite_trivial(self):
         assert q_pochhammer_infinite(0.0, 0.5) == 1.0
         assert q_pochhammer_infinite(1.0, 0.5) == 0.0
@@ -106,24 +98,9 @@ class TestPochhammer:
     @settings(max_examples=60, deadline=None)
     def test_splitting_identity(self, a, q, n):
         whole = q_pochhammer_infinite(a, q)
-        split = (q_pochhammer_finite(a, q, n)
+        split = (brute_pochhammer(a, q, n)
                  * q_pochhammer_infinite(a * q**n, q))
         assert split == pytest.approx(whole, rel=1e-10, abs=1e-12)
-
-
-class TestQBinomial:
-    def test_edge(self):
-        assert q_binomial(5, 0, 0.3) == pytest.approx(1.0, rel=1e-15)
-
-    def test_values(self):
-        assert q_binomial(2, 1, 0.5) == pytest.approx(1.5, rel=1e-13)
-        assert q_binomial(3, 1, 0.5) == pytest.approx(1.75, rel=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            q_binomial(2, 3, 0.5)
-        with pytest.raises(DomainError):
-            q_binomial(2, -1, 0.5)
 
 
 class TestQGamma:
@@ -315,6 +292,23 @@ class TestInvariantsOfTypes:
             SeriesControl(abs_tol=0.0, rel_tol=0.0)
         with pytest.raises(DomainError):
             SeriesControl(max_terms=2, consecutive_small=3)
+
+    def test_public_names_exist(self):
+        """Every name in a module's __all__ exists, and every public name
+        of the package is one of them (or of errors, which has no
+        __all__)."""
+        exported = set()
+        for info in pkgutil.iter_modules(qfrac.__path__):
+            module = importlib.import_module(f"qfrac.{info.name}")
+            names = getattr(module, "__all__", None)
+            if names is None:
+                names = [n for n in vars(module) if not n.startswith("_")]
+            missing = [n for n in names if not hasattr(module, n)]
+            assert not missing, (info.name, missing)
+            exported.update(names)
+        public = {n for n, v in vars(qfrac).items() if not n.startswith("_")
+                  and not isinstance(v, types.ModuleType)}
+        assert public <= exported, public - exported
 
 
 def mpmath_tolerance(q):

@@ -56,6 +56,8 @@ __all__ = [
 
 Rhs = Callable[[float, float], float]
 _LOG_MAX = math.log(sys.float_info.max)
+_SUP_U_SAMPLES = 17  # u values per node in the sampled sup of |f|
+_LIPSCHITZ_SAMPLES = 64  # nodes, and u pairs per node, in estimate_lipschitz
 
 
 @dataclass(frozen=True)
@@ -296,12 +298,11 @@ class _CountedRhs:
         return values
 
 
-def _estimate_sup_rhs(problem: CauchyProblem, lattice: QLattice,
-                      u_samples: int = 17) -> float:
+def _estimate_sup_rhs(problem: CauchyProblem, lattice: QLattice) -> float:
     """Sampled sup of |f| over lattice nodes x a trust-region grid; a lower
     estimate of the theorem's constant K, reported as a diagnostic."""
     us = np.linspace(problem.zeta - problem.radius_r,
-                     problem.zeta + problem.radius_r, u_samples)
+                     problem.zeta + problem.radius_r, _SUP_U_SAMPLES)
     ws = [problem.a] + lattice.nodes if problem.a > 0.0 else lattice.nodes
     values = _tabulate(problem.rhs, np.array(ws, dtype=float)[:, None], us)
     return _max_skipping_nan(np.abs(values))
@@ -359,24 +360,21 @@ def q_mittag_leffler(x: float, m: int, order: FracOrder, params: QParams,
     return total
 
 
-def estimate_lipschitz(rhs: Rhs, problem: CauchyProblem,
-                       samples: int = 64) -> float:
+def estimate_lipschitz(rhs: Rhs, problem: CauchyProblem) -> float:
     """Sampled difference-quotient estimate of the Lipschitz constant of
     u -> rhs(w, u) over [a, b] x [zeta - r, zeta + r].
 
     A lower estimate of the true constant, never a certificate.
     """
-    if samples < 2:
-        raise DomainError(f"samples must be >= 2, got {samples}")
     q = problem.params.q
-    ws = [problem.b * q**k for k in range(samples)]
+    ws = [problem.b * q**k for k in range(_LIPSCHITZ_SAMPLES)]
     ws = [w for w in ws if w > problem.a] + (
         [problem.a] if problem.a > 0.0 else [])
     lo = problem.zeta - problem.radius_r
     hi = problem.zeta + problem.radius_r
     # one (y1, y2) pair per row and column; equal pairs are skipped
     pairs = np.random.default_rng(0).uniform(
-        lo, hi, size=(len(ws), 2 * samples)).reshape(len(ws), samples, 2)
+        lo, hi, size=(len(ws), _LIPSCHITZ_SAMPLES, 2))
     keep = pairs[..., 0] != pairs[..., 1]
     ys = pairs[keep]
     ts = np.broadcast_to(np.array(ws, dtype=float)[:, None], keep.shape)

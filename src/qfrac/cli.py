@@ -12,8 +12,6 @@ failure (non-convergence, expression overflow, non-finite values); 4 solver
 max_iter exhausted; 5 trust-region exit.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import json
@@ -22,7 +20,8 @@ import os
 import stat
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass, fields, replace
 
 from . import cauchy, exprparse
 from .errors import ConvergenceError, DomainError, PoleError, TrustRegionError
@@ -30,31 +29,12 @@ from .operators import FracOrder, OperatorContext, caputo_derivative, \
     frac_derivative_rl, frac_integral
 from .qcalc import QLattice
 from .qcore import DEFAULT_INTEGRATION_CTRL, QParams, SeriesControl
-from .verify import run_registry
+from .verify import _QS, run_registry
 
 __all__ = ["main", "RunConfig", "load_config"]
 
 _COMMANDS = ("eval", "solve", "verify", "ml")
 _OPERATORS = ("J", "D", "caputo")
-
-_KEY_TYPES = {
-    "command": str,
-    "q": float,
-    "p": float,
-    "alpha": float,
-    "a": float,
-    "b": float,
-    "zeta": float,
-    "rhs": str,
-    "r": float,
-    "lipschitz_a": float,
-    "lattice_depth": int,
-    "tol": float,
-    "max_iter": int,
-    "operator": str,
-    "function": str,
-    "m_terms": int,
-}
 
 
 class ConfigError(ValueError):
@@ -63,6 +43,9 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
+    """One run's settings. Its fields are the config keys, each parsed as
+    its field's type (X for X | None)."""
+
     command: str
     q: float | None = None
     p: float = 1.0
@@ -82,12 +65,12 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """Fully resolved key = value view, embedded in JSON reports."""
-        out = {}
-        for key in _KEY_TYPES:
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        return out
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if getattr(self, f.name) is not None}
+
+
+_KEY_TYPES = {f.name: (typing.get_args(f.type) or (f.type,))[0]
+              for f in fields(RunConfig)}
 
 
 def load_config(path: str, command: str) -> RunConfig:
@@ -105,8 +88,7 @@ def load_config(path: str, command: str) -> RunConfig:
         if "=" not in text:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, _, value = text.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key not in _KEY_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key in raw:
@@ -116,15 +98,13 @@ def load_config(path: str, command: str) -> RunConfig:
     cfg = RunConfig(command=command)
     for key, value in raw.items():
         typ = _KEY_TYPES[key]
-        if typ is str:
-            parsed = value
-        else:
-            try:
-                parsed = typ(value)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{key}: cannot parse {value!r} as {typ.__name__}"
-                ) from exc
+        try:
+            parsed = typ(value)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{key}: cannot parse {value!r} as {typ.__name__}") from exc
+        if typ is float and not math.isfinite(parsed):
+            raise ConfigError(f"{key}: must be finite, got {parsed}")
         setattr(cfg, key, parsed)
     if "command" in raw and raw["command"] != command:
         raise ConfigError(
@@ -152,6 +132,11 @@ def _validate(cfg: RunConfig) -> None:
         raise ConfigError(f"alpha: must lie in (0, 1), got {cfg.alpha}")
     if not cfg.p > 0.0:
         raise ConfigError(f"p: must be positive, got {cfg.p}")
+    for q in _QS if cfg.q is None else (cfg.q,):  # verify's grid, or q
+        try:
+            QParams(q, cfg.p)
+        except DomainError as exc:
+            raise ConfigError(f"p: {exc}") from exc
     if cfg.a < 0.0:
         raise ConfigError(f"a: must be nonnegative, got {cfg.a}")
     if not cfg.b > cfg.a:
@@ -175,6 +160,10 @@ def _validate(cfg: RunConfig) -> None:
                 f"operator: must be one of {', '.join(_OPERATORS)}")
     elif cfg.command == "solve":
         _require(cfg, "zeta", "rhs")
+        if not math.isfinite((cfg.zeta + cfg.r) - (cfg.zeta - cfg.r)):
+            raise ConfigError(
+                f"r: the trust region [zeta - r, zeta + r] is wider than "
+                f"float range, got zeta={cfg.zeta}, r={cfg.r}")
     elif cfg.command == "ml":
         _require(cfg, "m_terms")
         if cfg.m_terms < 0:
@@ -226,12 +215,6 @@ def _write_atomic(path: str | None, text: str) -> None:
         raise
 
 
-def _csv(header: str, rows: list[tuple[float, float]]) -> str:
-    lines = [header]
-    lines += [f"{_fmt(x)},{_fmt(v)}" for x, v in rows]
-    return "\n".join(lines) + "\n"
-
-
 def _report_json(payload: dict) -> str:
     try:
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
@@ -241,19 +224,25 @@ def _report_json(payload: dict) -> str:
     return text + "\n"
 
 
-def _write_table(cfg: RunConfig, out: str | None, fmt: str,
-                 rows: list[tuple[float, float]]) -> int:
-    """The x,value table of eval and ml, as JSON or CSV."""
+def _write_table(cfg: RunConfig, out: str | None, fmt: str, column: str,
+                 rows: list[tuple[float, float]],
+                 report: dict | None = None) -> None:
+    """The x,<column> table of eval, ml and solve. As JSON it carries the
+    report's fields; as CSV the report goes beside it, to the
+    <out>.report.json sidecar, or to stderr when there is no --out."""
+    payload = {"schema": 1, "config": cfg.resolved(), **(report or {})}
     if fmt == "json":
-        _write_atomic(out, _report_json({
-            "schema": 1,
-            "config": cfg.resolved(),
-            "table": {"x": [r[0] for r in rows],
-                      "value": [r[1] for r in rows]},
-        }))
-    else:
-        _write_atomic(out, _csv("x,value", rows))
-    return 0
+        payload["table"] = {"x": [x for x, _ in rows],
+                            column: [v for _, v in rows]}
+        _write_atomic(out, _report_json(payload))
+        return
+    sidecar = None if report is None else _report_json(payload)
+    _write_atomic(out, f"x,{column}\n" + "".join(
+        f"{_fmt(x)},{_fmt(v)}\n" for x, v in rows))
+    if sidecar is not None and out is None:
+        sys.stderr.write(sidecar)
+    elif sidecar is not None:
+        _write_atomic(out + ".report.json", sidecar)
 
 
 def _compiled_function(source: str, variables: tuple[str, ...],
@@ -271,11 +260,8 @@ def _cmd_eval(cfg: RunConfig, out: str | None, fmt: str) -> int:
     params = QParams(cfg.q, cfg.p)
     ctx = OperatorContext(params, a=cfg.a, ctrl=ctrl)
     order = FracOrder(cfg.alpha)
-    op = {
-        "J": frac_integral,
-        "D": frac_derivative_rl,
-        "caputo": caputo_derivative,
-    }[cfg.operator]
+    op = {"J": frac_integral, "D": frac_derivative_rl,
+          "caputo": caputo_derivative}[cfg.operator]
     lattice = QLattice(cfg.b, cfg.q, cfg.lattice_depth, floor_a=cfg.a)
     try:
         values = op(f, lattice, order, ctx).tolist()
@@ -288,7 +274,8 @@ def _cmd_eval(cfg: RunConfig, out: str | None, fmt: str) -> int:
             print(f"operator {cfg.operator} gave {v} at node x={_fmt(x)}",
                   file=sys.stderr)
             return 3
-    return _write_table(cfg, out, fmt, rows)
+    _write_table(cfg, out, fmt, "value", rows)
+    return 0
 
 
 def _cmd_ml(cfg: RunConfig, out: str | None, fmt: str) -> int:
@@ -303,7 +290,8 @@ def _cmd_ml(cfg: RunConfig, out: str | None, fmt: str) -> int:
     except (ConvergenceError, PoleError) as exc:
         print(f"q-Mittag-Leffler evaluation failed: {exc}", file=sys.stderr)
         return 3
-    return _write_table(cfg, out, fmt, rows)
+    _write_table(cfg, out, fmt, "value", rows)
+    return 0
 
 
 def _cmd_solve(cfg: RunConfig, out: str | None, fmt: str) -> int:
@@ -328,35 +316,12 @@ def _cmd_solve(cfg: RunConfig, out: str | None, fmt: str) -> int:
         print(f"numerical non-convergence: {exc}", file=sys.stderr)
         return 3
 
-    nodes = lattice.nodes
-    rows = list(zip(nodes, report.solution))
-    payload = {
-        "schema": 1,
-        "config": cfg.resolved(),
-        "table": {"x": [r[0] for r in rows], "u": [r[1] for r in rows]},
-        "residuals": report.residuals,
-        "apriori_bounds": [bd if math.isfinite(bd) else None
-                           for bd in report.apriori_bounds],
-        "converged": report.converged,
-        "iterations_used": report.iterations_used,
-        "k_estimate": report.k_estimate,
-        "bound_slack": report.bound_slack,
-        "stop_reason": report.stop_reason,
-        "n_nodes": report.n_nodes,
-        "n_active": report.n_active,
-        "sum_length": report.sum_length,
-        "rhs_evals": report.rhs_evals,
-    }
-    if fmt == "json":
-        _write_atomic(out, _report_json(payload))
-    else:
-        _write_atomic(out, _csv("x,u", rows))
-        report_text = _report_json({k: v for k, v in payload.items()
-                                    if k != "table"})
-        if out is None:
-            sys.stderr.write(report_text)
-        else:
-            _write_atomic(out + ".report.json", report_text)
+    record = {f.name: getattr(report, f.name) for f in fields(report)
+              if f.name not in ("lattice", "iterates")}
+    record["apriori_bounds"] = [bd if math.isfinite(bd) else None
+                                for bd in report.apriori_bounds]
+    _write_table(cfg, out, fmt, "u", list(zip(lattice.nodes,
+                                              report.solution)), record)
     if not report.converged:
         print(f"solver did not converge within max_iter={cfg.max_iter} "
               f"(last residual {report.residuals[-1]:.3e})", file=sys.stderr)
@@ -364,7 +329,7 @@ def _cmd_solve(cfg: RunConfig, out: str | None, fmt: str) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, out: str | None, fmt: str,
+def _cmd_verify(cfg: RunConfig, out: str | None,
                 inject_fault: str | None) -> int:
     ctrl = _series_control()
     restrict = {}
@@ -416,21 +381,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-
     try:
         cfg = load_config(args.config, args.command)
-    except (ConfigError, exprparse.ParseError) as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-
-    try:
-        if args.command == "eval":
-            return _cmd_eval(cfg, args.out, args.format)
-        if args.command == "solve":
-            return _cmd_solve(cfg, args.out, args.format)
-        if args.command == "ml":
-            return _cmd_ml(cfg, args.out, args.format)
-        return _cmd_verify(cfg, args.out, args.format, args.inject_fault)
+        if args.command == "verify":
+            return _cmd_verify(cfg, args.out, args.inject_fault)
+        command = {"eval": _cmd_eval, "solve": _cmd_solve, "ml": _cmd_ml}
+        return command[args.command](cfg, args.out, args.format)
     except (ConfigError, exprparse.ParseError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

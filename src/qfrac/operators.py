@@ -186,7 +186,7 @@ class LatticeKernel:
         self.gamma = float(weights[0]) * (1.0 - params.qp) ** -beta
         weights *= q_i
         self.upper = _Convolution(weights[::-1], rows, n)
-        self.head = (1.0 - q) * nodes ** (1.0 + p * beta)
+        self.head = _head(q, p, nodes, 1.0 + p * beta)
         self.lower_nodes = a * q_i
         self.lower = None
         if a > 0.0:
@@ -194,7 +194,7 @@ class LatticeKernel:
                                     p * math.log(a * q / nodes[-1]),
                                     rows + n - 1, ctrl)
             self.lower = _Convolution(table[::-1], rows, n)
-            self.lower_head = (1.0 - q) * nodes ** (p * beta)
+            self.lower_head = _head(q, p, nodes, p * beta)
 
     def lower_sum(self, g_low: np.ndarray) -> np.ndarray:
         """For a > 0: the subtracted sums over [0, a] at every row node,
@@ -219,6 +219,18 @@ class LatticeKernel:
         if g_low is not None and self.lower is not None:
             out -= self.lower_sum(g_low)
         return out
+
+
+def _head(q: float, p: float, nodes: np.ndarray, power: float) -> np.ndarray:
+    """(1 - q) t**power at the row nodes; a large p overflows it there."""
+    with np.errstate(over="ignore"):
+        head = (1.0 - q) * nodes ** power
+    bad = ~np.isfinite(head)
+    if bad.any():
+        raise ConvergenceError(
+            f"kernel row factor t**{power!r} leaves float range at p={p!r}; "
+            f"first at node t={float(nodes[bad.argmax()])!r}")
+    return head
 
 
 def _check_above(x: float, a: float) -> None:

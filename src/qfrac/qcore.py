@@ -45,6 +45,9 @@ class QParams:
             raise DomainError(f"q must lie in (0, 1), got {self.q}")
         if not self.p > 0.0:
             raise DomainError(f"p must be positive, got {self.p}")
+        if self.qp == 0.0:
+            raise DomainError(f"q**p underflows to 0 at q={self.q}, "
+                              f"p={self.p}")
 
     @property
     def qp(self) -> float:

@@ -1,16 +1,18 @@
+import dataclasses
 import json
 import os
 import stat
 import subprocess
 import sys
+import typing
 
 import pytest
 
 import qfrac
 from qfrac import exprparse
 from qfrac.cli import load_config, main
-from qfrac.cli import ConfigError
-from qfrac.cauchy import q_mittag_leffler
+from qfrac.cli import ConfigError, RunConfig
+from qfrac.cauchy import SolverReport, q_mittag_leffler
 from qfrac.operators import FracOrder
 from qfrac.qcore import QParams, SeriesControl, q_gamma, q_number
 from qfrac.verify import run_registry
@@ -71,6 +73,78 @@ class TestLoadConfig:
         path = write_cfg(tmp_path, "a.cfg", "q = 0.5\nalpha = 0.5\n")
         with pytest.raises(ConfigError, match="required for command 'solve'"):
             load_config(path, "solve")
+
+
+def cfg_text(values):
+    return "".join(f"{k} = {v!r}\n" if isinstance(v, float)
+                   else f"{k} = {v}\n" for k, v in values.items())
+
+
+# a value of each RunConfig field's type; together a valid solve config
+FIELD_SAMPLES = {
+    "command": "solve", "q": 0.5, "p": 2.0, "alpha": 0.75, "a": 0.25,
+    "b": 2.0, "zeta": 1.5, "rhs": "u - t", "r": 3.0, "lipschitz_a": 1.25,
+    "lattice_depth": 4, "tol": 1e-9, "max_iter": 20, "operator": "J",
+    "function": "x^2", "m_terms": 3,
+}
+
+
+class TestSchemas:
+    """The config keys are RunConfig's fields and the solve report's keys
+    are SolverReport's, with nothing listed twice."""
+
+    def test_every_field_is_a_key_of_its_type(self, tmp_path):
+        hints = typing.get_type_hints(RunConfig)
+        assert [f.name for f in dataclasses.fields(RunConfig)] == list(
+            FIELD_SAMPLES)
+        cfg = load_config(write_cfg(tmp_path, "a.cfg",
+                                    cfg_text(FIELD_SAMPLES)), "solve")
+        resolved = cfg.resolved()
+        assert resolved == FIELD_SAMPLES
+        for key, value in resolved.items():
+            assert type(value) is type(FIELD_SAMPLES[key]), key
+            assert isinstance(value, hints[key]), key
+        # round trip: the resolved view, written back, loads to itself
+        assert load_config(write_cfg(tmp_path, "b.cfg", cfg_text(resolved)),
+                           "solve") == cfg
+
+    def test_defaults_round_trip(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, "a.cfg", "q = 0.5\n"),
+                          "verify")
+        assert cfg.resolved() == {
+            f.name: f.default for f in dataclasses.fields(RunConfig)
+            if f.default not in (None, dataclasses.MISSING)
+        } | {"command": "verify", "q": 0.5}
+
+    @pytest.mark.parametrize("key,text,typ", [
+        ("lattice_depth", "1.5", "int"), ("max_iter", "1e3", "int"),
+        ("q", "half", "float"), ("m_terms", "x", "int")])
+    def test_a_value_not_of_its_type(self, tmp_path, key, text, typ):
+        path = write_cfg(tmp_path, "a.cfg", f"{key} = {text}\n")
+        with pytest.raises(ConfigError,
+                           match=f"^{key}: cannot parse '{text}' as {typ}$"):
+            load_config(path, "verify")
+
+    def test_solve_report_carries_every_solver_report_field(self, tmp_path,
+                                                            capsys):
+        record = {f.name for f in dataclasses.fields(SolverReport)} - {
+            "lattice", "iterates"}
+        path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
+        assert main(["solve", "--config", path, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.keys() == record | {"schema", "config", "table"}
+        assert report["table"].keys() == {"x", "u"}
+        table = report.pop("table")
+        out = str(tmp_path / "sol.csv")
+        assert main(["solve", "--config", path, "--out", out]) == 0
+        sidecar = json.loads(open(out + ".report.json").read())
+        assert main(["solve", "--config", path]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == sidecar == report
+        assert captured.out == open(out).read()
+        assert [tuple(map(float, line.split(",")))
+                for line in captured.out.splitlines()[1:]] == list(
+                    zip(table["x"], table["u"]))
 
 
 class TestExitCodes:
@@ -381,6 +455,40 @@ class TestFailurePaths:
          "36000", 3, "numerical non-convergence: q-product with base 0.9995 "
          "and q=0.999 needs 39127 factors, exceeding max_terms=36000; raise "
          "SeriesControl.max_terms (the CLI reads it from QFRAC_MAX_TERMS)"),
+        # a large p: the kernel's row factor (1 - q) t**(1 + p beta)
+        # overflows at small nodes
+        ("solve", SOLVE_BASE + "rhs = u\np = 50\n", None, 3,
+         "numerical non-convergence: kernel row factor t**-24.0 leaves "
+         "float range at p=50.0; first at node t=1.1368683772161603e-13"),
+        ("eval", EVAL_BASE + "operator = J\nfunction = x\np = 200\n", None,
+         3, "operator J failed: kernel row factor t**-99.0 leaves float "
+         "range at p=200.0; first at node t=0.00048828125"),
+        # config floats the library cannot take
+        *[(command, base + "p = inf\n", None, 2, "p: must be finite, got inf")
+          for command, base in [("solve", SOLVE_BASE + "rhs = u\n"),
+                                ("eval", EVAL_BASE + "operator = J\n"
+                                                     "function = x\n"),
+                                ("ml", EVAL_BASE + "m_terms = 2\n"),
+                                ("verify", "q = 0.5\n")]],
+        *[(command, base + "p = 1e6\n", None, 2,
+           f"p: q**p underflows to 0 at q={q}, p=1000000.0")
+          for command, base, q in [("solve", SOLVE_BASE + "rhs = u\n", 0.5),
+                                   ("ml", EVAL_BASE + "m_terms = 2\n", 0.5),
+                                   ("verify", "q = 0.5\n", 0.5),
+                                   ("verify", "", 0.3)]],
+        ("solve", "q = 0.5\nalpha = 0.5\nzeta = inf\nrhs = u\n", None, 2,
+         "zeta: must be finite, got inf"),
+        ("solve", EVAL_BASE + "zeta = 1\nrhs = u\nr = -inf\n", None, 2,
+         "r: must be finite, got -inf"),
+        ("solve", EVAL_BASE + "zeta = 1\nrhs = u\nr = 1e308\n", None, 2,
+         "r: the trust region [zeta - r, zeta + r] is wider than float "
+         "range, got zeta=1.0, r=1e+308"),
+        ("solve", SOLVE_BASE + "rhs = u\ntol = inf\n", None, 2,
+         "tol: must be finite, got inf"),
+        ("solve", SOLVE_BASE + "rhs = u\nb = inf\n", None, 2,
+         "b: must be finite, got inf"),
+        ("eval", "q = nan\nalpha = 0.5\noperator = J\nfunction = x\n",
+         None, 2, "q: must be finite, got nan"),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch,
                                     command, cfg, max_terms, code, message):
@@ -507,16 +615,23 @@ def test_compiled_bytes_equal_evaluate_bytes(tmp_path, monkeypatch):
 
 
 def test_real_stderr_is_one_line_without_warnings(tmp_path):
-    """A solve whose rhs overflows to NaN ends in one stderr line in a real
-    process, where numpy's RuntimeWarnings would reach stderr."""
-    path = write_cfg(tmp_path, "a.cfg",
-                     SOLVE_BASE + "rhs = (u*1e308*10)*0\n")
+    """A solve that fails ends in one stderr line in a real process, where
+    numpy's RuntimeWarnings would reach stderr."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(qfrac.__file__)))
-    done = subprocess.run([sys.executable, "-m", "qfrac.cli", "solve",
-                           "--config", path], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert done.returncode == 3
-    assert done.stderr.count("\n") == 1, done.stderr
-    assert "RuntimeWarning" not in done.stderr
-    assert "Picard step 1 gave a non-finite value" in done.stderr
+    for cfg, code, message in [
+        (SOLVE_BASE + "rhs = (u*1e308*10)*0\n", 3,
+         "Picard step 1 gave a non-finite value"),
+        (SOLVE_BASE + "rhs = u\np = 50\n", 3,
+         "kernel row factor t**-24.0 leaves float range at p=50.0"),
+        (EVAL_BASE + "zeta = 1\nrhs = u\nr = 1e308\n", 2,
+         "r: the trust region"),
+    ]:
+        path = write_cfg(tmp_path, "a.cfg", cfg)
+        done = subprocess.run([sys.executable, "-m", "qfrac.cli", "solve",
+                               "--config", path], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == code
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert message in done.stderr

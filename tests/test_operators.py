@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qfrac.errors import DomainError
+from qfrac.errors import ConvergenceError, DomainError
 from qfrac.operators import (
     _FFT_MIN_MADDS,
     FracOrder,
@@ -496,3 +496,18 @@ class TestKernelConvolutions:
         assert len(got) == len(nodes)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0,
                                                                 np.abs(want)))
+
+    @pytest.mark.parametrize("q,p,a,first", [
+        (0.5, 50.0, 0.0, 2.0**-43), (0.99, 1070.0, 0.25, 0.99**133)])
+    def test_head_past_float_range_names_p_and_the_node(self, q, p, a,
+                                                        first):
+        """(1 - q) t**(1 + p beta) overflows at the small nodes of a large
+        p: one ConvergenceError, and no RuntimeWarning (an error here)."""
+        nodes = QLattice(1.0, q, 200, floor_a=a).nodes
+        with pytest.raises(ConvergenceError) as info:
+            LatticeKernel(QParams(q, p), -0.5, a, DEFAULT_INTEGRATION_CTRL,
+                          nodes)
+        assert str(info.value) == (
+            f"kernel row factor t**{1 - p / 2!r} leaves float range at "
+            f"p={p!r}; first at node t={first!r}")
+

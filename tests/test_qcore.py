@@ -287,6 +287,15 @@ class TestInvariantsOfTypes:
         with pytest.raises(DomainError):
             QParams(0.5, 0.0)
 
+    @pytest.mark.parametrize("q,p", [(0.5, 1e6), (0.5, math.inf),
+                                     (0.9, 1e4)])
+    def test_qparams_rejects_an_underflowing_base(self, q, p):
+        """q**p = 0 is no base: every base-q**p quantity divides by it or
+        takes its log."""
+        with pytest.raises(DomainError, match=r"q\*\*p underflows to 0"):
+            QParams(q, p)
+        assert QParams(q, 500.0).qp > 0.0  # tiny, yet a base
+
     def test_series_control_validation(self):
         with pytest.raises(DomainError):
             SeriesControl(abs_tol=0.0, rel_tol=0.0)

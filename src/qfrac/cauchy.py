@@ -34,7 +34,7 @@ from .operators import (
     _sum_length,
     bound_constant,
 )
-from .qcalc import QLattice, _tabulate
+from .qcalc import QLattice, _nodes, _tabulate
 from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
@@ -118,7 +118,7 @@ def solver_nodes(problem: CauchyProblem,
     the table."""
     q, p = problem.params.q, problem.params.p
     depth = _sum_length(q, p, ctrl)
-    return problem.b * np.power(q, np.arange(depth))
+    return _nodes(problem.b, q, depth)
 
 
 class _PicardEngine:
@@ -215,8 +215,8 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
 
     Never returns a silent partial answer: the report's converged flag is
     False when max_iter is exhausted, a non-finite iterate raises
-    ConvergenceError, and a report lattice deeper than the solver table
-    raises DomainError.
+    ConvergenceError, and a report lattice deeper than the solver table,
+    or of another ratio than q, raises DomainError.
     """
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -227,6 +227,9 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
     if not math.isclose(lattice.floor_a, problem.a, rel_tol=1e-12,
                         abs_tol=1e-300):
         raise DomainError("lattice floor must equal the problem lower limit a")
+    if lattice.q != problem.params.q:
+        raise DomainError(f"lattice ratio {lattice.q} differs from "
+                          f"q={problem.params.q}")
 
     problem = replace(problem, rhs=_CountedRhs(problem.rhs))
     engine = _PicardEngine(problem, ctrl)
@@ -366,10 +369,8 @@ def estimate_lipschitz(rhs: Rhs, problem: CauchyProblem) -> float:
 
     A lower estimate of the true constant, never a certificate.
     """
-    q = problem.params.q
-    ws = [problem.b * q**k for k in range(_LIPSCHITZ_SAMPLES)]
-    ws = [w for w in ws if w > problem.a] + (
-        [problem.a] if problem.a > 0.0 else [])
+    ws = _nodes(problem.b, problem.params.q, _LIPSCHITZ_SAMPLES)
+    ws = np.append(ws[ws > problem.a], [problem.a] if problem.a > 0.0 else [])
     lo = problem.zeta - problem.radius_r
     hi = problem.zeta + problem.radius_r
     # one (y1, y2) pair per row and column; equal pairs are skipped
@@ -377,7 +378,7 @@ def estimate_lipschitz(rhs: Rhs, problem: CauchyProblem) -> float:
         lo, hi, size=(len(ws), _LIPSCHITZ_SAMPLES, 2))
     keep = pairs[..., 0] != pairs[..., 1]
     ys = pairs[keep]
-    ts = np.broadcast_to(np.array(ws, dtype=float)[:, None], keep.shape)
+    ts = np.broadcast_to(ws[:, None], keep.shape)
     f = _tabulate(rhs, ts[keep][:, None], ys)
     with np.errstate(all="ignore"):  # inf - inf and overflow, as floats do
         quotients = np.abs(f[:, 0] - f[:, 1]) / np.abs(ys[:, 0] - ys[:, 1])

@@ -16,17 +16,17 @@ operators return one row per function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError
-from .qcalc import QLattice, ScalarFunction, _tabulate
+from .errors import ConvergenceError, DomainError
+from .qcalc import QLattice, ScalarFunction, _nodes, _tabulate
 from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
     SeriesControl,
-    _log_q_ratio,
+    _kernel_weights,
     q_gamma,
     q_number,
     q_power_general,
@@ -95,16 +95,6 @@ def _sum_length(q: float, p: float, ctrl: SeriesControl) -> int:
             f"(the CLI reads it from QFRAC_MAX_TERMS)"
         )
     return n
-
-
-def _kernel_weights(log_Q: float, beta: float, log_c: float, n: int,
-                    ctrl: SeriesControl) -> np.ndarray:
-    """k_i = (c Q**i; Q)_inf / (Q**beta c Q**i; Q)_inf for i = 0..n-1, from
-    log Q and log c: one q-ratio pass."""
-    logs, sign = _log_q_ratio(log_c, log_c + beta * log_Q, log_Q, n, ctrl)
-    if not np.all(logs < np.inf):
-        raise PoleError(f"kernel denominator product vanishes (beta={beta})")
-    return sign * np.exp(logs)
 
 
 # FFT from this many multiply-adds (rows x n) on. np.convolve vs FFT at the
@@ -181,20 +171,20 @@ class LatticeKernel:
         nodes = np.asarray(nodes, dtype=float)
         rows = len(nodes)
         self.n = n = _sum_length(q, p, ctrl)
-        q_i = np.power(q, np.arange(n))
+        q_i = _nodes(1.0, q, n)
         weights = _kernel_weights(log_Q, beta, log_Q, n, ctrl)
         self.gamma = float(weights[0]) * (1.0 - params.qp) ** -beta
         weights *= q_i
         self.upper = _Convolution(weights[::-1], rows, n)
-        self.head = _head(q, p, nodes, 1.0 + p * beta)
-        self.lower_nodes = a * q_i
+        self.head = (1.0 - q) * _power(nodes, 1.0 + p * beta, p)
+        self.lower_nodes = a * q_i  # bit for bit _nodes(a, q, n)
         self.lower = None
         if a > 0.0:
             table = _kernel_weights(log_Q, beta,
                                     p * math.log(a * q / nodes[-1]),
                                     rows + n - 1, ctrl)
             self.lower = _Convolution(table[::-1], rows, n)
-            self.lower_head = _head(q, p, nodes, p * beta)
+            self.lower_head = (1.0 - q) * _power(nodes, p * beta, p)
 
     def lower_sum(self, g_low: np.ndarray) -> np.ndarray:
         """For a > 0: the subtracted sums over [0, a] at every row node,
@@ -221,16 +211,18 @@ class LatticeKernel:
         return out
 
 
-def _head(q: float, p: float, nodes: np.ndarray, power: float) -> np.ndarray:
-    """(1 - q) t**power at the row nodes; a large p overflows it there."""
+def _power(nodes: np.ndarray, power: float, p: float,
+           factor: str = "kernel row factor") -> np.ndarray:
+    """t**power at the nodes. A large p overflows it at small nodes, which
+    raises ConvergenceError naming the factor, p and the first such node."""
     with np.errstate(over="ignore"):
-        head = (1.0 - q) * nodes ** power
-    bad = ~np.isfinite(head)
+        out = nodes ** power
+    bad = ~np.isfinite(out)
     if bad.any():
         raise ConvergenceError(
-            f"kernel row factor t**{power!r} leaves float range at p={p!r}; "
+            f"{factor} t**{power!r} leaves float range at p={p!r}; "
             f"first at node t={float(nodes[bad.argmax()])!r}")
-    return head
+    return out
 
 
 def _check_above(x: float, a: float) -> None:
@@ -251,24 +243,24 @@ def _value(v):
 
 
 def _on_lattice(f: ScalarFunction, lattice: QLattice, ctx: OperatorContext,
-                stencil: bool):
+                extra: int = 0):
     """f tabulated for one kernel pass over the nodes of a lattice: f on the
-    geometric grid b q**j the pass reads (one more row for a q-difference
-    stencil) and at the lower nodes (None for a = 0), the grid, and the
-    number of lattice nodes."""
+    geometric grid b q**j the pass reads, plus `extra` rows (1 for a
+    q-difference stencil, whose x reads qx > a), and at the lower nodes
+    (None for a = 0), the grid, and the number of lattice nodes."""
     q, a = ctx.params.q, ctx.a
     if lattice.q != q:
         raise DomainError(f"lattice ratio {lattice.q} differs from q={q}")
     xs = lattice.nodes
     for x in xs:
         _check_above(x, a)
-        if stencil and not q * x > a:
+        if extra and not q * x > a:
             raise DomainError(
                 f"q-difference stencil leaves the domain at x={x}: "
                 f"qx={q * x} <= a={a}")
     n = _sum_length(q, ctx.params.p, ctx.ctrl)
-    grid = lattice.b * np.power(q, np.arange(len(xs) + n - 1 + stencil))
-    low = _tabulate(f, a * np.power(q, np.arange(n))) if a > 0.0 else None
+    grid = _nodes(lattice.b, q, len(xs) + n - 1 + extra)
+    low = _tabulate(f, _nodes(a, q, n)) if a > 0.0 else None
     return _tabulate(f, grid), low, grid, len(xs)
 
 
@@ -296,7 +288,7 @@ def _derivative_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
     q, p = ctx.params.q, ctx.params.p
     inner = _sums(f_grid, f_low, grid, rows + 1, -alpha, ctx)
     x = grid[:rows]
-    return (q_number(p, q) ** alpha * x ** (1.0 - p)
+    return (q_number(p, q) ** alpha * _power(x, 1.0 - p, p, "outer factor")
             * (inner[..., :-1] - inner[..., 1:]) / ((1.0 - q) * x))
 
 
@@ -317,7 +309,7 @@ def frac_integral(f: ScalarFunction, x, order,
     alpha = _alpha_of(order)
     if not alpha > 0.0:
         raise DomainError(f"integral order must be positive, got {alpha}")
-    return _integral_rows(*_on_lattice(f, x, ctx, stencil=False), alpha, ctx)
+    return _integral_rows(*_on_lattice(f, x, ctx), alpha, ctx)
 
 
 def lemma_beta_integral(a: float, x, order_alpha: float, lam: float,
@@ -360,8 +352,7 @@ def frac_derivative_rl(f: ScalarFunction, x, order,
         return _tabulate(f, np.array(x.nodes))
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"derivative order must lie in [0, 1), got {alpha}")
-    return _derivative_rows(*_on_lattice(f, x, ctx, stencil=True), alpha,
-                            ctx)
+    return _derivative_rows(*_on_lattice(f, x, ctx, 1), alpha, ctx)
 
 
 def caputo_derivative(f: ScalarFunction, x, order, ctx: OperatorContext):
@@ -398,7 +389,7 @@ def caputo_derivative_simplified(f: ScalarFunction, dqf: ScalarFunction,
     alpha = _alpha_of(order)
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"derivative order must lie in (0, 1), got {alpha}")
-    dq_grid, dq_low, grid, rows = _on_lattice(dqf, x, ctx, stencil=False)
+    dq_grid, dq_low, grid, rows = _on_lattice(dqf, x, ctx)
     kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl, grid[:rows])
     return (q_number(ctx.params.p, ctx.params.q) ** alpha / kernel.gamma
             * kernel.apply(dq_grid, dq_low))
@@ -455,15 +446,12 @@ def inversion_residuals(f: ScalarFunction, lattice: QLattice, order,
     """
     alpha = _alpha_of(order)
     q, a = ctx.params.q, ctx.a
-    if lattice.q != q:
-        raise DomainError(f"lattice ratio {lattice.q} differs from q={q}")
     rows = sum(1 for x in lattice.nodes if q * x > a)
     if rows == 0:
         return 0.0, 0.0
     n = _sum_length(q, ctx.params.p, ctx.ctrl)
-    grid = lattice.b * np.power(q, np.arange(rows + 2 * n - 1))
-    f_grid = _tabulate(f, grid)
-    f_low = _tabulate(f, a * np.power(q, np.arange(n))) if a > 0.0 else None
+    f_grid, f_low, grid, rows = _on_lattice(
+        f, replace(lattice, depth=rows), ctx, n)
     fa = np.expand_dims(f(a), -1)
     stack = f_grid.shape[:-1]
 

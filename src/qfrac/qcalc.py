@@ -11,6 +11,7 @@ the operators and sup_norm then give k results in one call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,14 +55,22 @@ class QLattice:
 
     @property
     def nodes(self) -> list[float]:
-        """Nodes b q**k, strictly decreasing, restricted to (floor_a, b]."""
-        out = []
-        for k in range(self.depth):
-            x = self.b * self.q**k
-            if x <= self.floor_a:
-                break
-            out.append(x)
-        return out
+        """Nodes b q**k, strictly decreasing, restricted to (floor_a, b]:
+        the floats every kernel grid holds. Only the k at which b q**k may
+        exceed the floor and 2**-1075 (below which it rounds to 0) are
+        formed, however deep the lattice."""
+        lowest = math.log2(max(self.floor_a, 5e-324)) - 1.0
+        size = min(self.depth, 2 + int(
+            (lowest - math.log2(self.b)) / math.log2(self.q)))
+        return [x for x in _nodes(self.b, self.q, size).tolist()
+                if x > self.floor_a]
+
+
+def _nodes(b: float, q: float, size: int) -> np.ndarray:
+    """The geometric nodes b q**k, k < size: every lattice, kernel grid and
+    node table of the library is formed here, so equal nodes are equal
+    floats."""
+    return b * np.power(q, np.arange(size))
 
 
 def _tabulate(f, *tables) -> np.ndarray:

@@ -24,8 +24,6 @@ __all__ = [
     "q_pochhammer_infinite",
     "q_gamma",
     "q_power_general",
-    "log_q_pochhammer_ratio",
-    "q_power_lattice",
 ]
 
 
@@ -180,6 +178,17 @@ def _log_q_ratio(log_r, log_s, log_q: float, n: int, ctrl: SeriesControl,
     return logs, sign
 
 
+def _kernel_weights(log_Q: float, beta: float, log_c: float, n: int,
+                    ctrl: SeriesControl) -> np.ndarray:
+    """k_i = (c Q**i; Q)_inf / (Q**beta c Q**i; Q)_inf for i = 0..n-1, from
+    log Q and log c: one q-ratio pass. At c = (y/x)**p, Q = q**p,
+    x**(p beta) k_i is the generalized q-power (x**p - (y q**i)**p)^(beta)."""
+    logs, sign = _log_q_ratio(log_c, log_c + beta * log_Q, log_Q, n, ctrl)
+    if not np.all(logs < np.inf):
+        raise PoleError(f"kernel denominator product vanishes (beta={beta})")
+    return sign * np.exp(logs)
+
+
 def q_pochhammer_infinite(a, q: float,
                           ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):
     """(a; q)_inf = prod_{j>=0} (1 - q**j a), for real a. An array of a (an
@@ -248,45 +257,3 @@ def q_power_general(x, y, alpha, params: QParams,
                 f"x={x[pole][0]}, y={y[pole][0]}, alpha={alpha[pole][0]}")
         out[inner] *= (sign * np.exp(logs))[:, 0]
     return float(out[0]) if scalar else out.reshape(shape)
-
-
-def log_q_pochhammer_ratio(r, s, q: float, n: int,
-                           ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL
-                           ) -> np.ndarray:
-    """log((r q**i; q)_inf / (s q**i; q)_inf) at i = 0..n-1, for r in
-    [0, 1] and s in [0, 1) (broadcast arrays): shape (..., n), from one
-    table of O(n + product length) factor logs. r = 1 gives -inf, the log
-    of a vanishing numerator.
-    """
-    _check_q(q)
-    r, s = (np.asarray(v, dtype=float) for v in (r, s))
-    if not (np.all((0.0 <= r) & (r <= 1.0)) and np.all((0.0 <= s) & (s < 1))):
-        raise DomainError(
-            "log q-Pochhammer ratio needs r in [0, 1] and s in [0, 1)")
-    with np.errstate(divide="ignore"):
-        return _log_q_ratio(np.log(r), np.log(s), math.log(q), n, ctrl)[0]
-
-
-def q_power_lattice(x: float, y: float, alpha: float, params: QParams,
-                    n: int, ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL
-                    ) -> np.ndarray:
-    """The generalized q-power (x**p - y_i**p)^(alpha) at the n lattice
-    points y_i = y q**i, 0 <= y <= x, in one pass: x**(p alpha) times the
-    suffix ratios at r = (y/x)**p, s = q**(p alpha) r.
-
-    It agrees with q_power_general to a few ulps times the size of the log
-    products. A denominator base s >= 1 (alpha <= 0, y near x) raises
-    PoleError.
-    """
-    if not x > 0.0:
-        raise DomainError(f"x must be positive, got {x}")
-    if not 0.0 <= y <= x:
-        raise DomainError(f"need 0 <= y <= x, got x={x}, y={y}")
-    log_Q = params.p * math.log(params.q)
-    log_r = params.p * math.log(y / x) if y > 0.0 else -math.inf
-    if not log_r + alpha * log_Q < 0.0:
-        raise PoleError(
-            f"lattice q-power: denominator base q**(p alpha) (y/x)**p >= 1 "
-            f"at x={x}, y={y}, alpha={alpha}")
-    return x ** (params.p * alpha) * np.exp(
-        _log_q_ratio(log_r, log_r + alpha * log_Q, log_Q, n, ctrl)[0])

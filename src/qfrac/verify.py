@@ -9,6 +9,7 @@ their only implementation. Grids may be restricted to particular q / p values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,6 +18,7 @@ import numpy as np
 from .operators import (
     FracOrder,
     OperatorContext,
+    _power,
     bound_constant,
     caputo_derivative,
     caputo_derivative_simplified,
@@ -30,10 +32,10 @@ from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
     SeriesControl,
-    log_q_pochhammer_ratio,
+    _kernel_weights,
+    _log_q_ratio,
     q_number,
     q_power_general,
-    q_power_lattice,
 )
 
 __all__ = ["IdentityResult", "IDENTITY_NAMES", "run_identity", "run_registry"]
@@ -89,13 +91,14 @@ def _check_lemma(restrict, ctrl) -> float:
                 closed = lemma_beta_integral(0.0, np.array(xs), alpha, lam,
                                              params, ctrl).tolist()
                 for x, rhs in zip(xs, closed):
-                    # a block of Jackson nodes of [0, x] is t_0 q**i, so the
-                    # q-power at q t is one lattice pass from q t_0
+                    # a block of Jackson nodes of [0, x] is t_0 q**i: the
+                    # q-power at q t is x**(p beta) k_i at c = (q t_0 / x)**p
                     integrand = _FromTable(
                         lambda t: (
                             t ** (p - 1.0)
-                            * q_power_lattice(x, q * t[0], alpha - 1.0,
-                                              params, len(t), ctrl)
+                            * (x ** (p * (alpha - 1.0)) * _kernel_weights(
+                                p * math.log(q), alpha - 1.0,
+                                p * math.log(q * t[0] / x), len(t), ctrl))
                             * t ** (p * lam)))
                     lhs = jackson_integral(integrand, 0.0, x, q, ctrl)
                     errors.append(abs(lhs - rhs) / abs(rhs))
@@ -129,8 +132,9 @@ def _check_qpower_derivatives(restrict, ctrl) -> float:
         # two nearly equal O(1) values
         y, x, alpha, at_y, qn = (v[y > 0.0] for v in (y, x, alpha, at_y, qn))
         r = (y / x) ** p
-        logs = log_q_pochhammer_ratio(r, params.qp**alpha * r, params.qp, 2,
-                                      ctrl)
+        with np.errstate(divide="ignore"):  # r = 0, a zero base, at large p
+            logs = _log_q_ratio(np.log(r), np.log(params.qp**alpha * r),
+                                math.log(params.qp), 2, ctrl)[0]
         lhs_y = -at_y * np.expm1(logs[:, 1] - logs[:, 0]) / ((1.0 - q) * y)
         errors.append(rel(lhs_y, -y ** (p - 1.0) * qn
                           * pw(x, q * y, alpha - 1.0)))
@@ -196,7 +200,8 @@ def _check_corollary(restrict, ctrl) -> float:
     for q, p in _pairs(restrict):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
         f, dqf = _family(q, p, 3)
-        g = _FromTable(lambda w: w ** (1.0 - p) * dqf.table(w))
+        g = _FromTable(lambda w: dqf.table(w) * _power(
+            w, 1.0 - p, p, "corollary integrand factor"))
         for alpha in (0.25, 0.5, 0.75):
             order = FracOrder(alpha)
             inner = lambda s: frac_integral(g, s, 2.0 - alpha, ctx)

@@ -60,6 +60,14 @@ class TestSolverNodes:
         nodes = solver_nodes(linear_problem())
         assert 0.5 * nodes[0] == pytest.approx(nodes[1])
 
+    @pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+    def test_report_lattice_nodes_are_the_table_nodes(self, q):
+        """A report lattice holds the solver table's floats, bit for bit,
+        so the x written beside a value is the node it was computed at."""
+        nodes = solver_nodes(linear_problem(q=q),
+                             SeriesControl(max_terms=40_000))
+        assert QLattice(1.0, q, len(nodes)).nodes == nodes.tolist()
+
 
 class TestPicardStep:
     def test_zero_rhs_is_fixed_at_zeta(self):
@@ -272,6 +280,12 @@ print(max(run(alpha) for alpha in (0.47, 0.53, 0.59, 0.65, 0.71)) - first)
     def test_lattice_must_match_problem(self):
         with pytest.raises(DomainError):
             solve(linear_problem(), QLattice(2.0, 0.5, 8))
+
+    def test_lattice_ratio_must_be_q(self):
+        """Values at 0.5**k are not labelled as 0.9**k."""
+        with pytest.raises(DomainError,
+                           match=r"lattice ratio 0\.9 differs from q=0\.5"):
+            solve(linear_problem(q=0.5), QLattice(1.0, 0.9, 4))
 
     def test_nonzero_lower_limit_constant_solution(self):
         problem = CauchyProblem(rhs=lambda t, u: 0.0, a=0.25, b=1.0,

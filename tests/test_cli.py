@@ -6,6 +6,7 @@ import subprocess
 import sys
 import typing
 
+import numpy as np
 import pytest
 
 import qfrac
@@ -252,6 +253,22 @@ class TestEval:
         v0 = lines[1].split(",")[1]
         assert float(v0) == pytest.approx(1.0 / q_gamma(1.5, 0.5), rel=1e-15)
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_x_column_is_the_grid_node(self, tmp_path, capsys, fmt):
+        """x is the node b q**k the kernel grid holds, the node the value
+        was computed at; a Python b * q**k may be one ulp away from it."""
+        path = write_cfg(tmp_path, "a.cfg",
+                         "q = 0.99\nalpha = 0.5\na = 0.25\noperator = D\n"
+                         "function = 1 + x^2\nlattice_depth = 12\n")
+        assert main(["eval", "--config", path, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            xs = json.loads(out)["table"]["x"]
+        else:
+            xs = [float(line.split(",")[0])
+                  for line in out.splitlines()[1:]]
+        assert xs == np.power(0.99, np.arange(12)).tolist()
+
 
 class TestMl:
     def test_zero_terms_is_all_ones(self, tmp_path, capsys):
@@ -489,6 +506,20 @@ class TestFailurePaths:
          "b: must be finite, got inf"),
         ("eval", "q = nan\nalpha = 0.5\noperator = J\nfunction = x\n",
          None, 2, "q: must be finite, got nan"),
+        # a large p: the derivative's outer factor x**(1 - p) overflows
+        *[("eval", EVAL_BASE + f"operator = {operator}\nfunction = 1 + x\n"
+           "p = 500\nlattice_depth = 4\n", None, 3,
+           f"operator {operator} failed: outer factor t**-499.0 leaves "
+           "float range at p=500.0; first at node t=0.125")
+          for operator in ("D", "caputo")],
+        # verify's own grid at p = 20: the corollary's integrand
+        # w**(1 - p) D_q f, and at q = 0.5 the inversion's outer factor
+        ("verify", "p = 20\n", None, 3, "numerical error: corollary "
+         "integrand factor t**-19.0 leaves float range at p=20.0; first at "
+         "node t="),
+        ("verify", "q = 0.5\np = 20\n", None, 3, "numerical error: outer "
+         "factor t**-19.0 leaves float range at p=20.0; first at node "
+         "t=5.551115123125783e-17"),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch,
                                     command, cfg, max_terms, code, message):
@@ -615,20 +646,25 @@ def test_compiled_bytes_equal_evaluate_bytes(tmp_path, monkeypatch):
 
 
 def test_real_stderr_is_one_line_without_warnings(tmp_path):
-    """A solve that fails ends in one stderr line in a real process, where
+    """A run that fails ends in one stderr line in a real process, where
     numpy's RuntimeWarnings would reach stderr."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(qfrac.__file__)))
-    for cfg, code, message in [
-        (SOLVE_BASE + "rhs = (u*1e308*10)*0\n", 3,
+    for command, cfg, code, message in [
+        ("solve", SOLVE_BASE + "rhs = (u*1e308*10)*0\n", 3,
          "Picard step 1 gave a non-finite value"),
-        (SOLVE_BASE + "rhs = u\np = 50\n", 3,
+        ("solve", SOLVE_BASE + "rhs = u\np = 50\n", 3,
          "kernel row factor t**-24.0 leaves float range at p=50.0"),
-        (EVAL_BASE + "zeta = 1\nrhs = u\nr = 1e308\n", 2,
+        ("solve", EVAL_BASE + "zeta = 1\nrhs = u\nr = 1e308\n", 2,
          "r: the trust region"),
+        ("eval", EVAL_BASE + "operator = D\nfunction = 1 + x\np = 500\n"
+         "lattice_depth = 4\n", 3,
+         "outer factor t**-499.0 leaves float range at p=500.0"),
+        ("verify", "p = 20\n", 3,
+         "corollary integrand factor t**-19.0 leaves float range at p=20.0"),
     ]:
         path = write_cfg(tmp_path, "a.cfg", cfg)
-        done = subprocess.run([sys.executable, "-m", "qfrac.cli", "solve",
+        done = subprocess.run([sys.executable, "-m", "qfrac.cli", command,
                                "--config", path], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == code

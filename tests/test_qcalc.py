@@ -240,6 +240,14 @@ class TestLattice:
         assert min(lat.nodes) > 0.2
         assert len(lat.nodes) == 3
 
+    def test_depth_past_the_floor_forms_no_nodes(self):
+        """A lattice deeper than float range holds only its positive
+        nodes above the floor: lattice_depth has no upper bound."""
+        assert QLattice(1.0, 0.5, 10**12, floor_a=0.2).nodes == [
+            1.0, 0.5, 0.25]
+        nodes = QLattice(1.0, 0.5, 10**12).nodes
+        assert len(nodes) == 1075 and nodes[-1] == 2.0**-1074
+
     def test_validation(self):
         with pytest.raises(DomainError):
             QLattice(0.0, 0.5, 4)

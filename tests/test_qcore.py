@@ -5,7 +5,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qfrac
@@ -13,13 +13,12 @@ from qfrac.errors import ConvergenceError, DomainError, PoleError
 from qfrac.qcore import (
     QParams,
     SeriesControl,
+    _kernel_weights,
     q_factorial,
     q_gamma,
     q_number,
-    log_q_pochhammer_ratio,
     q_pochhammer_infinite,
     q_power_general,
-    q_power_lattice,
 )
 
 
@@ -239,7 +238,8 @@ class TestArrayProducts:
 
 
 class TestLatticeQPower:
-    """q_power_lattice: the q-power at y q**i from one suffix-sum pass."""
+    """The kernel weights at c = (y/x)**p: x**(p alpha) k_i is the q-power
+    at y q**i, from one suffix-sum pass."""
 
     @given(q=st.sampled_from([0.3, 0.5, 0.9]), p=st.sampled_from([1.0, 2.0]),
            alpha=st.floats(-0.95, 1.95), x=st.floats(0.5, 2.0),
@@ -248,36 +248,16 @@ class TestLatticeQPower:
     def test_matches_scalar_q_power(self, q, p, alpha, x, frac, n):
         params = QParams(q, p)
         y = frac * x
-        try:
-            got = q_power_lattice(x, y, alpha, params, n)
-        except PoleError:
-            assert params.qp**alpha * (y / x) ** p >= 1.0
-            return
+        log_Q = p * math.log(q)
+        log_c = p * math.log(y / x) if y > 0.0 else -math.inf
+        # a denominator base q**(p alpha) (y/x)**p < 1 keeps every factor
+        # away from zero, the poles near which the two forms part
+        assume(log_c + alpha * log_Q < 0.0)
+        got = x ** (p * alpha) * _kernel_weights(
+            log_Q, alpha, log_c, n, SeriesControl())
         want = np.array([q_power_general(x, y * q**i, alpha, params)
                          for i in range(n)])
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
-
-    def test_coincident_node_is_zero(self):
-        got = q_power_lattice(1.0, 1.0, 0.5, QParams(0.5), 3)
-        assert got[0] == 0.0 and got[1] > 0.0
-
-    def test_log_ratio_is_the_product_ratio(self):
-        q, r, s = 0.7, 0.6, 0.2
-        got = log_q_pochhammer_ratio(np.array([r, s]), s, q, 3)
-        assert got.shape == (2, 3)
-        for i in range(3):
-            want = math.log(q_pochhammer_infinite(r * q**i, q)
-                            / q_pochhammer_infinite(s * q**i, q))
-            assert got[0, i] == pytest.approx(want, rel=1e-14, abs=1e-16)
-        assert np.all(got[1] == 0.0)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            log_q_pochhammer_ratio(1.5, 0.1, 0.5, 2)
-        with pytest.raises(DomainError):
-            log_q_pochhammer_ratio(0.5, 1.0, 0.5, 2)
-        with pytest.raises(DomainError):
-            q_power_lattice(1.0, 2.0, 0.5, QParams(0.5), 2)
 
 
 class TestInvariantsOfTypes:

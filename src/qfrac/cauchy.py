@@ -31,7 +31,6 @@ from .operators import (
     LatticeKernel,
     OperatorContext,
     _Convolution,
-    _sum_length,
     bound_constant,
 )
 from .qcalc import QLattice, _nodes, _tabulate
@@ -39,6 +38,8 @@ from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
     SeriesControl,
+    _power,
+    _sum_length,
     q_gamma,
     q_number,
 )
@@ -92,7 +93,7 @@ class SolverReport:
     """Full diagnostic output of one solve."""
 
     lattice: QLattice
-    iterates: list[list[float]]
+    solution: list[float]  # final iterate on the report lattice nodes
     residuals: list[float]
     apriori_bounds: list[float]
     converged: bool
@@ -104,11 +105,6 @@ class SolverReport:
     sum_length: int  # terms per Jackson kernel sum
     rhs_evals: int  # points at which the rhs was evaluated
     bound_slack: float = 0.0
-
-    @property
-    def solution(self) -> list[float]:
-        """Final iterate on the report lattice nodes."""
-        return self.iterates[-1]
 
 
 def solver_nodes(problem: CauchyProblem,
@@ -144,7 +140,8 @@ class _PicardEngine:
                      / kernel.gamma)
         self.head = kernel.head
         self.active_nodes = self.nodes[:m]
-        self.active_weight = self.nodes[:m] ** (p - 1.0)
+        self.active_weight = _power(self.nodes[:m], p - 1.0, p,
+                                    "integrand weight")
         self.active = kernel.upper
         if m < n:  # the active rows read no weight past the m-th
             self.active = _Convolution(kernel.upper.table[n - m:], m, m)
@@ -163,8 +160,8 @@ class _PicardEngine:
         self.steps = 0
 
     def _integrand(self, nodes: np.ndarray) -> np.ndarray:
-        problem = self.problem
-        return nodes ** (problem.params.p - 1.0) * _tabulate(
+        problem, p = self.problem, self.problem.params.p
+        return _power(nodes, p - 1.0, p, "integrand weight") * _tabulate(
             problem.rhs, nodes, problem.zeta)
 
     def step(self, prev: np.ndarray) -> np.ndarray:
@@ -249,7 +246,6 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
                             replace(problem, lipschitz_A=a_const), 1.0, ctrl)
 
     phi = np.full(len(engine.nodes), problem.zeta)
-    iterates = [phi[:rows].tolist()]
     residuals: list[float] = []
     bounds: list[float] = []
     converged = False
@@ -259,7 +255,6 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
         residual = float(np.max(np.abs(phi_next[:rows] - phi[:rows])))
         residuals.append(residual)
         bounds.append(_induction_bound(n, c_bound, a_const, k_est))
-        iterates.append(phi_next[:rows].tolist())
         phi = phi_next
         iterations = n
         if residual < tol:
@@ -274,7 +269,7 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
             slack = math.inf
     return SolverReport(
         lattice=lattice,
-        iterates=iterates,
+        solution=phi[:rows].tolist(),
         residuals=residuals,
         apriori_bounds=bounds,
         converged=converged,
@@ -347,11 +342,17 @@ def _induction_bound(n: int, c: float, A: float, K: float) -> float:
 def q_mittag_leffler(x: float, m: int, order: FracOrder, params: QParams,
                      ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL) -> float:
     """Partial sum sum_{n=0}^{m} ([p]_q)**(-n alpha) / Gamma_Q(n alpha + 1)
-    * x**(p n alpha); the series solution of cD^alpha u = u, u(0) = 1."""
+    * x**(p n alpha); the series solution of cD^alpha u = u, u(0) = 1.
+    An m past ctrl.max_terms raises ConvergenceError, as any term budget."""
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
     if x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
+    if m > ctrl.max_terms:
+        raise ConvergenceError(
+            f"q-Mittag-Leffler partial sum needs m={m} terms, exceeding "
+            f"max_terms={ctrl.max_terms}; raise SeriesControl.max_terms "
+            f"(the CLI reads it from QFRAC_MAX_TERMS)")
     alpha = order.alpha
     q, p = params.q, params.p
     pq = q_number(p, q)
@@ -359,7 +360,8 @@ def q_mittag_leffler(x: float, m: int, order: FracOrder, params: QParams,
                      ctrl).tolist()
     total = 1.0
     for n, gamma in enumerate(gammas, 1):
-        total += pq ** (-n * alpha) / gamma * x ** (p * n * alpha)
+        total += pq ** (-n * alpha) / gamma * _power(
+            x, p * n * alpha, p, "series term factor")
     return total
 
 

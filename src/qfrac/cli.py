@@ -317,7 +317,7 @@ def _cmd_solve(cfg: RunConfig, out: str | None, fmt: str) -> int:
         return 3
 
     record = {f.name: getattr(report, f.name) for f in fields(report)
-              if f.name not in ("lattice", "iterates")}
+              if f.name not in ("lattice", "solution")}
     record["apriori_bounds"] = [bd if math.isfinite(bd) else None
                                 for bd in report.apriori_bounds]
     _write_table(cfg, out, fmt, "u", list(zip(lattice.nodes,

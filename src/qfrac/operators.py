@@ -20,13 +20,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .qcalc import QLattice, ScalarFunction, _nodes, _tabulate
 from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
     SeriesControl,
     _kernel_weights,
+    _power,
+    _sum_length,
     q_gamma,
     q_number,
     q_power_general,
@@ -60,7 +62,7 @@ class FracOrder:
 
 @dataclass(frozen=True)
 class OperatorContext:
-    """Shared operator configuration: deformation pair, lower limit, truncation."""
+    """Operator configuration: deformation pair, lower limit, term budget."""
 
     params: QParams
     a: float = 0.0
@@ -77,24 +79,6 @@ def _alpha_of(order) -> float:
     if isinstance(order, FracOrder):
         return order.alpha
     return float(order)
-
-
-def _sum_length(q: float, p: float, ctrl: SeriesControl) -> int:
-    """Truncation length for operator Jackson sums.
-
-    Terms carry a factor q**i from the Jackson weight and w**(p-1) from the
-    integrand, so they decay at least like (q**min(1, p))**i for bounded f.
-    """
-    thr = ctrl.abs_tol if ctrl.abs_tol > 0 else ctrl.rel_tol
-    rate = q ** min(1.0, p)
-    n = int(math.ceil(math.log(thr) / math.log(rate))) + ctrl.consecutive_small
-    if n > ctrl.max_terms:
-        raise ConvergenceError(
-            f"operator Jackson sum needs {n} terms, exceeding "
-            f"max_terms={ctrl.max_terms}; raise SeriesControl.max_terms "
-            f"(the CLI reads it from QFRAC_MAX_TERMS)"
-        )
-    return n
 
 
 # FFT from this many multiply-adds (rows x n) on. np.convolve vs FFT at the
@@ -211,20 +195,6 @@ class LatticeKernel:
         return out
 
 
-def _power(nodes: np.ndarray, power: float, p: float,
-           factor: str = "kernel row factor") -> np.ndarray:
-    """t**power at the nodes. A large p overflows it at small nodes, which
-    raises ConvergenceError naming the factor, p and the first such node."""
-    with np.errstate(over="ignore"):
-        out = nodes ** power
-    bad = ~np.isfinite(out)
-    if bad.any():
-        raise ConvergenceError(
-            f"{factor} t**{power!r} leaves float range at p={p!r}; "
-            f"first at node t={float(nodes[bad.argmax()])!r}")
-    return out
-
-
 def _check_above(x: float, a: float) -> None:
     if not x > a:
         raise DomainError(f"evaluation point must exceed the lower limit, "
@@ -270,9 +240,10 @@ def _sums(f_grid: np.ndarray, f_low: np.ndarray | None, grid: np.ndarray,
     from f tabulated on the geometric grid and at the lower nodes (None:
     f = 0 on [0, a])."""
     kernel = LatticeKernel(ctx.params, beta, ctx.a, ctx.ctrl, grid[:rows])
-    p1 = ctx.params.p - 1.0
-    g_low = None if f_low is None else kernel.lower_nodes ** p1 * f_low
-    return (kernel.apply(grid[:f_grid.shape[-1]] ** p1 * f_grid, g_low)
+    p = ctx.params.p
+    weight = lambda w: _power(w, p - 1.0, p, "integrand weight")
+    g_low = None if f_low is None else weight(kernel.lower_nodes) * f_low
+    return (kernel.apply(weight(grid[:f_grid.shape[-1]]) * f_grid, g_low)
             / kernel.gamma)
 
 

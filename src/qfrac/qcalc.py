@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .qcore import DEFAULT_INTEGRATION_CTRL, SeriesControl
+from .qcore import _SUM_ABS_TOL, _SUM_REL_TOL, _SUM_RUN
 
 __all__ = [
     "ScalarFunction",
@@ -101,11 +102,11 @@ def jackson_integral_zero(f: ScalarFunction, b: float, q: float,
                           ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL) -> float:
     """Jackson integral (1-q) b sum_i q**i f(q**i b) over [0, b].
 
-    Stops once |term| < max(abs_tol, rel_tol |partial|) for consecutive_small
-    successive terms; raises ConvergenceError at max_terms. f is tabulated
-    on blocks of nodes of doubling length, so it is called at up to twice
-    the nodes the sum uses (f must be evaluable on the whole lattice); the
-    sum is the same float as a term-by-term loop's.
+    Stops once |term| < max(1e-15, 1e-13 |partial|) for 3 successive terms
+    (qcore's _SUM_* constants); raises ConvergenceError at max_terms. f is
+    tabulated on blocks of nodes of doubling length, so it is called at up
+    to twice the nodes the sum uses (f must be evaluable on the whole
+    lattice); the sum is the same float as a term-by-term loop's.
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must lie in (0, 1), got {q}")
@@ -124,12 +125,12 @@ def jackson_integral_zero(f: ScalarFunction, b: float, q: float,
         np.cumprod(qis, out=qis)
         terms = scale * qis * _tabulate(f, qis * b)
         totals = np.cumsum(np.concatenate(([total], terms)))[1:]
-        # fmax keeps abs_tol where the partial sum is NaN, as max() does
-        small_at = np.abs(terms) < np.fmax(ctrl.abs_tol,
-                                           ctrl.rel_tol * np.abs(totals))
+        # fmax keeps _SUM_ABS_TOL where the partial sum is NaN, as max() does
+        small_at = np.abs(terms) < np.fmax(_SUM_ABS_TOL,
+                                           _SUM_REL_TOL * np.abs(totals))
         for i, is_small in enumerate(small_at.tolist()):
             small = small + 1 if is_small else 0
-            if small >= ctrl.consecutive_small:
+            if small >= _SUM_RUN:
                 return float(totals[i])
         total, qi = float(totals[-1]), qis[-1] * q
         start, size = start + m, 2 * size

@@ -53,32 +53,27 @@ class QParams:
         return self.q**self.p
 
 
+# Every truncation precision of the library. A Jackson sum stops after a
+# run of _SUM_RUN terms below max(_SUM_ABS_TOL, _SUM_REL_TOL |partial sum|);
+# a q-product three factors after |b q**m| < 1e-17 (_LOG_TOL), so its
+# skipped log tail stays below about 1e-17 / (1 - q).
+_SUM_ABS_TOL = 1e-15
+_SUM_REL_TOL = 1e-13
+_SUM_RUN = 3
+_LOG_TOL = math.log(1e-17)
+
+
 @dataclass(frozen=True)
 class SeriesControl:
-    """Truncation policy for infinite sums and products.
+    """Term budget of the truncated sums and products: one needing more
+    than max_terms terms (or factors) raises ConvergenceError. Where each
+    stops is fixed by qcore's precision constants."""
 
-    abs_tol / rel_tol are tail thresholds (not both zero); a sum stops once
-    `consecutive_small` successive terms fall below threshold, and raises
-    ConvergenceError if max_terms is hit first. A q-product truncates at a
-    fixed precision and reads only max_terms, its factor budget.
-    """
-
-    abs_tol: float = 1e-15
-    rel_tol: float = 1e-13
     max_terms: int = 5_000
-    consecutive_small: int = 3
 
     def __post_init__(self):
-        if self.abs_tol < 0 or self.rel_tol < 0:
-            raise DomainError("tolerances must be nonnegative")
-        if self.abs_tol == 0 and self.rel_tol == 0:
-            raise DomainError("abs_tol and rel_tol must not both be zero")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be a positive integer")
-        if self.consecutive_small < 1:
-            raise DomainError("consecutive_small must be a positive integer")
-        if self.max_terms < self.consecutive_small:
-            raise DomainError("max_terms must be >= consecutive_small")
+        if self.max_terms < _SUM_RUN:  # the stopping run needs as many
+            raise DomainError(f"max_terms must be >= {_SUM_RUN}")
 
 
 DEFAULT_INTEGRATION_CTRL = SeriesControl()
@@ -106,9 +101,42 @@ def q_factorial(n: int, q: float) -> float:
     return out
 
 
-# A q-product stops three factors after |b q**m| < 1e-17, a precision
-# constant: its skipped log tail stays below about 1e-17 / (1 - q).
-_LOG_TOL = math.log(1e-17)
+def _sum_length(q: float, p: float, ctrl: SeriesControl) -> int:
+    """Terms per operator Jackson sum: they carry q**i from the Jackson
+    weight and w**(p-1) from the integrand, so they decay at least like
+    (q**min(1, p))**i for bounded f."""
+    rate = q ** min(1.0, p)
+    n = int(math.ceil(math.log(_SUM_ABS_TOL) / math.log(rate))) + _SUM_RUN
+    if n > ctrl.max_terms:
+        raise ConvergenceError(
+            f"operator Jackson sum needs {n} terms, exceeding "
+            f"max_terms={ctrl.max_terms}; raise SeriesControl.max_terms "
+            f"(the CLI reads it from QFRAC_MAX_TERMS)")
+    return n
+
+
+def _power(t, power, p: float, factor: str = "kernel row factor"):
+    """t**power, numpy's for an array of nodes (and a float or array power)
+    and Python's for a float. Past float range, as a large p takes it at
+    small or large nodes, it raises ConvergenceError naming the factor, p
+    and the first such node."""
+    if isinstance(t, np.ndarray):
+        with np.errstate(over="ignore"):
+            out = t ** power
+        bad = ~np.isfinite(out)
+        if not bad.any():
+            return out
+        t, power = (np.broadcast_to(v, out.shape)[bad][0] for v in (t, power))
+    else:
+        try:
+            return t ** power
+        except OverflowError:
+            pass
+    raise ConvergenceError(
+        f"{factor} t**{float(power)!r} leaves float range at p={p!r}; "
+        f"first at node t={float(t)!r}")
+
+
 _BLOCK = 1 << 16  # table entries per numpy pass
 
 
@@ -228,8 +256,9 @@ def q_power_general(x, y, alpha, params: QParams,
     Evaluated through the closed quotient of infinite products
     x**(p*alpha) * (y**p/x**p; q**p)_inf / (q**(p*alpha) y**p/x**p; q**p)_inf,
     which stays finite at lattice coincidences. Negative alpha is supported;
-    a vanishing denominator factor raises PoleError. y = x returns exactly 0.
-    ndarrays of x, y and alpha broadcast to the array of q-powers.
+    a vanishing denominator factor raises PoleError, and an x**(p*alpha)
+    past float range ConvergenceError. y = x returns exactly 0. ndarrays of
+    x, y and alpha broadcast to the array of q-powers.
     """
     scalar = not any(isinstance(v, np.ndarray) for v in (x, y, alpha))
     x, y, alpha = np.broadcast_arrays(
@@ -241,7 +270,7 @@ def q_power_general(x, y, alpha, params: QParams,
                       (y > x, "y must not exceed x, got x={x}, y={y}")):
         if np.any(bad):
             raise DomainError(what.format(x=x[bad][0], y=y[bad][0]))
-    out = np.power(x, params.p * alpha)
+    out = _power(x, params.p * alpha, params.p, "q-power factor")
     out[y == x] = 0.0
     inner = (y > 0.0) & (y < x)
     if np.any(inner):

@@ -18,7 +18,6 @@ import numpy as np
 from .operators import (
     FracOrder,
     OperatorContext,
-    _power,
     bound_constant,
     caputo_derivative,
     caputo_derivative_simplified,
@@ -34,6 +33,7 @@ from .qcore import (
     SeriesControl,
     _kernel_weights,
     _log_q_ratio,
+    _power,
     q_number,
     q_power_general,
 )
@@ -93,10 +93,12 @@ def _check_lemma(restrict, ctrl) -> float:
                 for x, rhs in zip(xs, closed):
                     # a block of Jackson nodes of [0, x] is t_0 q**i: the
                     # q-power at q t is x**(p beta) k_i at c = (q t_0 / x)**p
+                    head = _power(x, p * (alpha - 1.0), p,
+                                  "lemma integrand factor")
                     integrand = _FromTable(
                         lambda t: (
                             t ** (p - 1.0)
-                            * (x ** (p * (alpha - 1.0)) * _kernel_weights(
+                            * (head * _kernel_weights(
                                 p * math.log(q), alpha - 1.0,
                                 p * math.log(q * t[0] / x), len(t), ctrl))
                             * t ** (p * lam)))

@@ -18,23 +18,29 @@ import math
 import numpy as np
 
 from qfrac.errors import ConvergenceError, DomainError, PoleError
-from qfrac.operators import OperatorContext, _sum_length
-from qfrac.qcore import q_number
+from qfrac.operators import OperatorContext
+from qfrac.qcore import (
+    _SUM_ABS_TOL,
+    _SUM_REL_TOL,
+    _SUM_RUN,
+    _sum_length,
+    q_number,
+)
 
 
 def jackson_sum(f, b: float, q: float, ctrl) -> float:
-    """(1-q) b sum_i q**i f(q**i b), one term at a time, until
-    consecutive_small successive terms fall below max(abs_tol, rel_tol
-    |partial|); ConvergenceError at max_terms, with the library's text."""
+    """(1-q) b sum_i q**i f(q**i b), one term at a time, until _SUM_RUN
+    successive terms fall below max(_SUM_ABS_TOL, _SUM_REL_TOL |partial|);
+    ConvergenceError at ctrl.max_terms, with the library's text."""
     scale = (1.0 - q) * b
     total, small, qi = 0.0, 0, 1.0
     for _ in range(ctrl.max_terms):
         term = scale * qi * f(qi * b)
         total += term
         qi *= q
-        if abs(term) < max(ctrl.abs_tol, ctrl.rel_tol * abs(total)):
+        if abs(term) < max(_SUM_ABS_TOL, _SUM_REL_TOL * abs(total)):
             small += 1
-            if small >= ctrl.consecutive_small:
+            if small >= _SUM_RUN:
                 return total
         else:
             small = 0
@@ -95,7 +101,7 @@ def kernel_sum(g, s: float, beta: float, ctx: OperatorContext) -> float:
 
     def one_sided(base: float) -> float:
         c = (base * q / s) ** p
-        k = kernel_weights(Q, beta, c, n, ctx.ctrl.abs_tol).tolist()
+        k = kernel_weights(Q, beta, c, n, _SUM_ABS_TOL).tolist()
         total = 0.0
         qi = 1.0
         for i in range(n):

@@ -129,7 +129,7 @@ class TestSchemas:
     def test_solve_report_carries_every_solver_report_field(self, tmp_path,
                                                             capsys):
         record = {f.name for f in dataclasses.fields(SolverReport)} - {
-            "lattice", "iterates"}
+            "lattice", "solution"}
         path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
         assert main(["solve", "--config", path, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -287,6 +287,15 @@ class TestMl:
         payload = json.loads(capsys.readouterr().out)
         want = 1.0 + 1.0 / q_gamma(1.5, 0.5)
         assert payload["table"]["value"][0] == pytest.approx(want, rel=1e-13)
+
+    def test_m_terms_is_a_term_budget(self, tmp_path, capsys, monkeypatch):
+        path = write_cfg(tmp_path, "a.cfg",
+                         "q = 0.5\nalpha = 0.5\nm_terms = 6000\n")
+        assert main(["ml", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert "exceeding max_terms=5000" in err and "QFRAC_MAX_TERMS" in err
+        monkeypatch.setenv("QFRAC_MAX_TERMS", "8000")
+        assert main(["ml", "--config", path]) == 0
 
 
 class TestSolve:
@@ -520,6 +529,31 @@ class TestFailurePaths:
         ("verify", "q = 0.5\np = 20\n", None, 3, "numerical error: outer "
          "factor t**-19.0 leaves float range at p=20.0; first at node "
          "t=5.551115123125783e-17"),
+        # verify at p = 500: the lemma's closed form x**(p (alpha + lambda))
+        # in the q-power, and at p = 2000 the lemma's integrand factor
+        ("verify", "p = 500\n", None, 3, "numerical error: q-power factor "
+         "t**1100.0 leaves float range at p=500.0; first at node t=2.0"),
+        ("verify", "q = 0.9\np = 2000\n", None, 3, "numerical error: lemma "
+         "integrand factor t**-1400.0 leaves float range at p=2000.0; first "
+         "at node t=0.5"),
+        # a huge b: the integrand weight w**(p - 1) at the top node
+        ("solve", SOLVE_BASE + "rhs = u\np = 4\nb = 1e200\n", None, 3,
+         "numerical non-convergence: integrand weight t**3.0 leaves float "
+         "range at p=4.0; first at node t=1e+200"),
+        ("eval", EVAL_BASE + "operator = J\nfunction = 1\np = 4\n"
+         "b = 1e200\n", None, 3, "operator J failed: integrand weight "
+         "t**3.0 leaves float range at p=4.0; first at node t=1e+200"),
+        # ml: a series term x**(p n alpha), and m_terms past the budget
+        ("ml", EVAL_BASE + "p = 50\nb = 1e10\nm_terms = 10\n", None, 3,
+         "q-Mittag-Leffler evaluation failed: series term factor t**50.0 "
+         "leaves float range at p=50.0; first at node t=10000000000.0"),
+        ("ml", EVAL_BASE + "m_terms = 6000\n", None, 3,
+         "q-Mittag-Leffler evaluation failed: q-Mittag-Leffler partial sum "
+         "needs m=6000 terms, exceeding max_terms=5000; raise "
+         "SeriesControl.max_terms (the CLI reads it from QFRAC_MAX_TERMS)"),
+        # a budget below the run of 3 small terms a sum stops at
+        *[("solve", SOLVE_BASE + "rhs = u\n", budget, 2, "QFRAC_MAX_TERMS: "
+           "max_terms must be >= 3") for budget in ("1", "2")],
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch,
                                     command, cfg, max_terms, code, message):
@@ -662,9 +696,23 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
          "outer factor t**-499.0 leaves float range at p=500.0"),
         ("verify", "p = 20\n", 3,
          "corollary integrand factor t**-19.0 leaves float range at p=20.0"),
+        ("verify", "p = 500\n", 3,
+         "q-power factor t**1100.0 leaves float range at p=500.0"),
+        ("verify", "q = 0.9\np = 2000\n", 3,
+         "lemma integrand factor t**-1400.0 leaves float range at p=2000.0"),
+        ("solve", SOLVE_BASE + "rhs = u\np = 4\nb = 1e200\n", 3,
+         "integrand weight t**3.0 leaves float range at p=4.0"),
+        ("eval", EVAL_BASE + "operator = J\nfunction = 1\np = 4\n"
+         "b = 1e200\n", 3,
+         "integrand weight t**3.0 leaves float range at p=4.0"),
+        ("ml", EVAL_BASE + "p = 50\nb = 1e10\nm_terms = 10\n", 3,
+         "series term factor t**50.0 leaves float range at p=50.0"),
+        ("ml", EVAL_BASE + "m_terms = 6000\n", 3,
+         "needs m=6000 terms, exceeding max_terms=5000"),
     ]:
         path = write_cfg(tmp_path, "a.cfg", cfg)
-        done = subprocess.run([sys.executable, "-m", "qfrac.cli", command,
+        done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                               "-m", "qfrac.cli", command,
                                "--config", path], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == code

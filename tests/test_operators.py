@@ -12,7 +12,6 @@ from qfrac.operators import (
     LatticeKernel,
     OperatorContext,
     _fft_length,
-    _sum_length,
     bound_constant,
     caputo_derivative,
     caputo_derivative_simplified,
@@ -24,8 +23,10 @@ from qfrac.operators import (
 )
 from qfrac.qcalc import QLattice, jackson_integral
 from qfrac.qcore import (
+    _SUM_ABS_TOL,
     DEFAULT_INTEGRATION_CTRL,
     QParams,
+    _sum_length,
     q_gamma,
     q_number,
     q_power_general,
@@ -454,7 +455,7 @@ class TestKernelConvolutions:
         n = kernel.n
         assert (kernel.upper.size > 0) == (rows * n >= _FFT_MIN_MADDS)
         weights = np.power(q, np.arange(n)) * reference.kernel_weights(
-            params.qp, beta, params.qp, n, DEFAULT_INTEGRATION_CTRL.abs_tol)
+            params.qp, beta, params.qp, n, _SUM_ABS_TOL)
         g = mixed_sign_table(rows + n - 1, seed=rows)
         want = kernel.head * np.correlate(g, weights, "valid")
         got = kernel.apply(g)
@@ -488,7 +489,7 @@ class TestKernelConvolutions:
         dense = np.array([
             (1.0 - q) * a * t ** (p * beta) * q_i
             * reference.kernel_weights(params.qp, beta, (a * q / t) ** p, n,
-                                       ctrl.abs_tol)
+                                       _SUM_ABS_TOL)
             for t in nodes])
         g_low = mixed_sign_table(n, seed=len(nodes))
         want = dense @ g_low

@@ -72,8 +72,9 @@ class TestJacksonIntegral:
         assert jackson_integral(lambda x: x, 1.3, 1.3, 0.5) == 0.0
 
     def test_nonconvergence(self):
-        ctrl = SeriesControl(abs_tol=1e-30, rel_tol=0.0, max_terms=10,
-                             consecutive_small=3)
+        # at q = 0.99 the terms 0.01 * 0.99**i of f = 1 stay above 1e-13
+        # times the partial sum until i = 2521
+        ctrl = SeriesControl(max_terms=10)
         with pytest.raises(ConvergenceError):
             jackson_integral_zero(lambda x: 1.0, 1.0, 0.99, ctrl)
 
@@ -94,8 +95,8 @@ class TestJacksonIntegral:
     def test_monotone_truncation(self, q, b):
         # doubling the term budget must not move a converged value
         f = lambda x: math.sin(x) + 0.5
-        base = SeriesControl(abs_tol=1e-15, rel_tol=1e-13, max_terms=4000)
-        double = SeriesControl(abs_tol=1e-15, rel_tol=1e-13, max_terms=8000)
+        base = SeriesControl(max_terms=4000)
+        double = SeriesControl(max_terms=8000)
         v1 = jackson_integral_zero(f, b, q, base)
         v2 = jackson_integral_zero(f, b, q, double)
         assert v1 == pytest.approx(v2, rel=1e-12)
@@ -121,14 +122,11 @@ class TestJacksonTablePath:
 
     @given(q=st.floats(0.05, 0.995), b=st.floats(0.01, 5.0),
            c=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
-                       st.floats(-3.0, 3.0)),
-           consecutive=st.integers(1, 4), rel_tol=st.sampled_from(
-               [0.0, 1e-13, 1e-6]))
+                       st.floats(-3.0, 3.0)))
     @settings(max_examples=150, deadline=None)
-    def test_same_float_as_the_loop(self, q, b, c, consecutive, rel_tol):
+    def test_same_float_as_the_loop(self, q, b, c):
         f = Tabled(*c)
-        ctrl = SeriesControl(abs_tol=1e-15, rel_tol=rel_tol,
-                             max_terms=20_000, consecutive_small=consecutive)
+        ctrl = SeriesControl(max_terms=20_000)
         want = reference.jackson_sum(f, b, q, ctrl)
         for g in (f, lambda x: f(x)):  # through f.table, and per node
             got = jackson_integral_zero(g, b, q, ctrl)
@@ -137,21 +135,22 @@ class TestJacksonTablePath:
             assert got == want
 
     def test_run_of_small_terms_spans_blocks(self):
-        # terms 0.3 * 0.7**i drop below 1e-10 times the partial sum from
-        # i = 62 on, so the third small term in a row, where the sum stops,
-        # is the first of the second 64-term block
-        ctrl = SeriesControl(abs_tol=1e-300, rel_tol=1e-10, max_terms=500,
-                             consecutive_small=3)
-        assert [i for i in range(61, 64)
-                if 0.3 * 0.7**i < 1e-10 * (1.0 - 0.7 ** (i + 1))] == [62, 63]
-        got = jackson_integral_zero(Tabled(0.0, 0.0, 1.0), 1.0, 0.7, ctrl)
-        assert got == reference.jackson_sum(lambda x: 1.0, 1.0, 0.7, ctrl)
-        assert abs(got - (1.0 - 0.7**65)) < 1e-14
+        # terms 0.375 * 0.625**i of f = 1 drop below 1e-13 times the
+        # partial sum 1 - 0.625**(i + 1) from i = 62 on (log(1e-13 / 0.375)
+        # / log(0.625) = 61.6; 1e-15 is the lesser tolerance there), so the
+        # third small term in a row, where the sum stops, is the first of
+        # the second 64-term block
+        ctrl = SeriesControl()
+        assert [i for i in range(61, 64) if 0.375 * 0.625**i < max(
+            1e-15, 1e-13 * (1.0 - 0.625 ** (i + 1)))] == [62, 63]
+        got = jackson_integral_zero(Tabled(0.0, 0.0, 1.0), 1.0, 0.625, ctrl)
+        assert got == reference.jackson_sum(lambda x: 1.0, 1.0, 0.625, ctrl)
+        assert abs(got - (1.0 - 0.625**65)) < 1e-14
 
     @pytest.mark.parametrize("max_terms", [10, 64, 100, 300])
     def test_same_error_at_max_terms(self, max_terms):
-        ctrl = SeriesControl(abs_tol=1e-30, rel_tol=0.0, max_terms=max_terms,
-                             consecutive_small=3)
+        # at q = 0.99 no term gets small within 300 (see test_nonconvergence)
+        ctrl = SeriesControl(max_terms=max_terms)
         with pytest.raises(ConvergenceError) as loop_err:
             reference.jackson_sum(lambda x: 1.0, 1.0, 0.99, ctrl)
         for f in (Tabled(0.0, 0.0, 1.0), lambda x: 1.0):

@@ -87,8 +87,7 @@ class TestPochhammer:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_nonconvergence(self):
-        ctrl = SeriesControl(abs_tol=1e-17, rel_tol=0.0, max_terms=5,
-                             consecutive_small=3)
+        ctrl = SeriesControl(max_terms=5)  # the product needs 3829 factors
         with pytest.raises(ConvergenceError):
             q_pochhammer_infinite(0.5, 0.99, ctrl)
 
@@ -277,10 +276,10 @@ class TestInvariantsOfTypes:
         assert QParams(q, 500.0).qp > 0.0  # tiny, yet a base
 
     def test_series_control_validation(self):
-        with pytest.raises(DomainError):
-            SeriesControl(abs_tol=0.0, rel_tol=0.0)
-        with pytest.raises(DomainError):
-            SeriesControl(max_terms=2, consecutive_small=3)
+        # a sum stops after a run of 3 small terms, so a budget needs 3
+        with pytest.raises(DomainError, match="max_terms must be >= 3"):
+            SeriesControl(max_terms=2)
+        assert SeriesControl(max_terms=3).max_terms == 3
 
     def test_public_names_exist(self):
         """Every name in a module's __all__ exists, and every public name

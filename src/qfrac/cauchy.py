@@ -39,6 +39,7 @@ from .qcore import (
     QParams,
     SeriesControl,
     _power,
+    _power_times,
     _sum_length,
     q_gamma,
     q_number,
@@ -58,7 +59,12 @@ __all__ = [
 Rhs = Callable[[float, float], float]
 _LOG_MAX = math.log(sys.float_info.max)
 _SUP_U_SAMPLES = 17  # u values per node in the sampled sup of |f|
-_LIPSCHITZ_SAMPLES = 64  # nodes, and u pairs per node, in estimate_lipschitz
+_LIPSCHITZ_NODES = 64  # sample nodes in estimate_lipschitz
+_LIPSCHITZ_US = 128  # evenly spaced u values per sample node
+# Below this many active rows a Picard step forms all m sums afresh: the
+# correction's bookkeeping costs more than the product there. Solves of
+# u - u^2/8 at a = 0 broke even between m = 216 (q = 0.85) and 331 (0.9).
+_INCREMENTAL_MIN_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -118,14 +124,22 @@ def solver_nodes(problem: CauchyProblem,
 
 
 class _PicardEngine:
-    """Applies one Picard step to a node-value table over the solver table.
-    Nodes above a come first, so the active rows are a prefix of it.
+    """Steps the Picard iterate phi, a node-value table over the solver
+    table, in place. Nodes above a come first, so the active rows are a
+    prefix of it.
 
     Below a the iterates extend by the constant zeta, so the integrand
     there, the kernel sums over it and the subtracted sums over [0, a] are
     one vector fixed for the solve. A step correlates only the m active
-    integrand values with the first m kernel weights; g keeps them from
-    step to step."""
+    integrand values g with the first m kernel weights, and keeps g and the
+    unscaled sums for the next step. It re-tabulates g only where the
+    iterate moved; row i sums g from i on, so a change of g below row e
+    changes only the first e sums, and the step rewrites only those rows.
+    Past a row count where the bookkeeping pays, and when E, the next power
+    of two >= e, is below m, it adds the correlation of the change with the
+    first E weights to the first e sums; otherwise it forms the sums
+    afresh. Rows at or past e keep their bits, and the step's checks read
+    only the rows before it."""
 
     def __init__(self, problem: CauchyProblem, ctrl: SeriesControl):
         self.problem = problem
@@ -145,9 +159,10 @@ class _PicardEngine:
         self.active = kernel.upper
         if m < n:  # the active rows read no weight past the m-th
             self.active = _Convolution(kernel.upper.table[n - m:], m, m)
+        self.corrections = {}  # E < m -> its correlation
         # the fixed sums, negated: x - 0.0 is x bit for bit (-0.0 too), and
         # at a = 0 there are none
-        self.tail = 0.0
+        self.tail = np.zeros(m)
         if problem.a > 0.0:
             frozen = np.zeros(n)
             frozen[m:] = self._integrand(self.nodes[m:])
@@ -156,38 +171,80 @@ class _PicardEngine:
         # bits of the active iterate g was tabulated from; NaN matches none
         self.seen = np.full(m, np.nan).view(np.int64)
         self.g = np.zeros(2 * m - 1)  # zero past m: tail has those rows
-        self.g[:m] = np.nan
         self.steps = 0
+        self.load(np.full(len(self.nodes), problem.zeta))
 
     def _integrand(self, nodes: np.ndarray) -> np.ndarray:
         problem, p = self.problem, self.problem.params.p
-        return _power(nodes, p - 1.0, p, "integrand weight") * _tabulate(
-            problem.rhs, nodes, problem.zeta)
+        return _power_times(nodes, p - 1.0, p, "integrand weight",
+                            _tabulate(problem.rhs, nodes, problem.zeta))
 
-    def step(self, prev: np.ndarray) -> np.ndarray:
-        problem = self.problem
-        over = np.abs(prev - problem.zeta) > problem.radius_r
-        if over.any():
-            idx = int(over.nonzero()[0][0])
-            raise TrustRegionError(float(self.nodes[idx]), float(prev[idx]))
+    def load(self, prev: np.ndarray) -> None:
+        """Take a copy of prev, a table over the solver nodes, as the
+        iterate to step from."""
+        self.phi = np.array(prev, dtype=float)
+        self.changed = len(prev)  # rows of phi that may have moved
+        self.sums = None  # phi is not their image: the next step forms them
+        self._check_region(self.phi)
+
+    def _check_region(self, rows: np.ndarray) -> None:
+        """Note the first of the leading rows of phi outside the trust
+        region (NaN is not), for the next step to raise on."""
+        over = np.abs(rows - self.problem.zeta) > self.problem.radius_r
+        self.outside = int(over.argmax()) if over.any() else None
+
+    def _correction(self, rows: int) -> _Convolution:
+        conv = self.corrections.get(rows)
+        if conv is None:
+            conv = self.corrections[rows] = _Convolution(
+                self.active.table[self.n_active - rows:], rows, rows)
+        return conv
+
+    def step(self) -> np.ndarray:
+        """Replace phi by the next iterate. Returns the change on the rows
+        [:e] the step rewrote; rows past them keep their bits."""
+        problem, m, phi = self.problem, self.n_active, self.phi
+        if self.outside is not None:
+            raise TrustRegionError(float(self.nodes[self.outside]),
+                                   float(phi[self.outside]))
         self.steps += 1
-        m = self.n_active
-        u = prev[:m]
+        u = phi[:min(self.changed, m)]
+        seen = self.seen[:len(u)]
         # bits, not values: f(t, -0.0) may differ from f(t, 0.0); and a NaN
         # is evaluated, never taken for the seed
-        moved = ((u.view(np.int64) != self.seen) | np.isnan(u)).nonzero()[0]
-        self.g[moved] = self.active_weight[moved] * _tabulate(
+        moved = ((u.view(np.int64) != seen) | np.isnan(u)).nonzero()[0]
+        g = self.active_weight[moved] * _tabulate(
             problem.rhs, self.active_nodes[moved], u[moved])
-        np.copyto(self.seen, u.view(np.int64))
-        out = np.full(len(self.nodes), problem.zeta)
-        out[:m] += self.coef * (self.head * self.active(self.g) - self.tail)
-        bad = ~np.isfinite(out)
-        if bad.any():
-            idx = int(bad.argmax())
-            raise ConvergenceError(
-                f"Picard step {self.steps} gave a non-finite value at node "
-                f"t={float(self.nodes[idx])!r}")
-        return out
+        np.copyto(seen, u.view(np.int64))
+        # row i sums g from i on, so rows past e keep their sums and phi;
+        # after a load phi is not the sums' image, and every row is rewritten
+        e = int(moved[-1]) + 1 if len(moved) else 0
+        if self.sums is None:
+            e = m
+        rows = min(1 << max(e - 1, 0).bit_length(), m)
+        if rows == m or m < _INCREMENTAL_MIN_ROWS:
+            self.g[moved] = g
+            self.sums = self.active(self.g)
+        else:
+            dg = np.zeros(2 * rows - 1)
+            dg[moved] = g - self.g[moved]
+            self.g[moved] = g
+            self.sums[:e] += self._correction(rows)(dg)[:e]
+        new = problem.zeta + self.coef * (self.head[:e] * self.sums[:e]
+                                          - self.tail[:e])
+        # rows past e were checked when written; inf and NaN fail here
+        if not np.abs(new - problem.zeta).max(initial=0.0) <= problem.radius_r:
+            bad = ~np.isfinite(new)
+            if bad.any():
+                idx = int(bad.argmax())
+                raise ConvergenceError(
+                    f"Picard step {self.steps} gave a non-finite value at "
+                    f"node t={float(self.nodes[idx])!r}")
+            self._check_region(new)
+        change = new - phi[:e]
+        phi[:e] = new
+        self.changed = e
+        return change
 
 
 def picard_iterate(prev: Sequence[float], problem: CauchyProblem,
@@ -201,7 +258,10 @@ def picard_iterate(prev: Sequence[float], problem: CauchyProblem,
             f"prev has {prev.shape[0] if prev.ndim == 1 else '?'} values, "
             f"expected one per solver node ({len(engine.nodes)})"
         )
-    return engine.step(prev)
+    engine.load(prev)
+    engine.step()
+    engine.phi[engine.n_active:] = problem.zeta  # the iterate below a
+    return engine.phi
 
 
 def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
@@ -245,17 +305,15 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
     c_bound = apriori_bound(1, problem.b,
                             replace(problem, lipschitz_A=a_const), 1.0, ctrl)
 
-    phi = np.full(len(engine.nodes), problem.zeta)
     residuals: list[float] = []
     bounds: list[float] = []
     converged = False
     iterations = 0
     for n in range(1, max_iter + 1):
-        phi_next = engine.step(phi)
-        residual = float(np.max(np.abs(phi_next[:rows] - phi[:rows])))
+        change = engine.step()[:rows]
+        residual = float(np.abs(change).max(initial=0.0))
         residuals.append(residual)
         bounds.append(_induction_bound(n, c_bound, a_const, k_est))
-        phi = phi_next
         iterations = n
         if residual < tol:
             converged = True
@@ -269,7 +327,7 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
             slack = math.inf
     return SolverReport(
         lattice=lattice,
-        solution=phi[:rows].tolist(),
+        solution=engine.phi[:rows].tolist(),
         residuals=residuals,
         apriori_bounds=bounds,
         converged=converged,
@@ -367,23 +425,18 @@ def q_mittag_leffler(x: float, m: int, order: FracOrder, params: QParams,
 
 def estimate_lipschitz(rhs: Rhs, problem: CauchyProblem) -> float:
     """Sampled difference-quotient estimate of the Lipschitz constant of
-    u -> rhs(w, u) over [a, b] x [zeta - r, zeta + r].
+    u -> rhs(w, u) over [a, b] x [zeta - r, zeta + r]: the largest quotient
+    between adjacent points of an even u grid, at sample nodes w.
 
     A lower estimate of the true constant, never a certificate.
     """
-    ws = _nodes(problem.b, problem.params.q, _LIPSCHITZ_SAMPLES)
+    ws = _nodes(problem.b, problem.params.q, _LIPSCHITZ_NODES)
     ws = np.append(ws[ws > problem.a], [problem.a] if problem.a > 0.0 else [])
-    lo = problem.zeta - problem.radius_r
-    hi = problem.zeta + problem.radius_r
-    # one (y1, y2) pair per row and column; equal pairs are skipped
-    pairs = np.random.default_rng(0).uniform(
-        lo, hi, size=(len(ws), _LIPSCHITZ_SAMPLES, 2))
-    keep = pairs[..., 0] != pairs[..., 1]
-    ys = pairs[keep]
-    ts = np.broadcast_to(ws[:, None], keep.shape)
-    f = _tabulate(rhs, ts[keep][:, None], ys)
+    ys = np.linspace(problem.zeta - problem.radius_r,
+                     problem.zeta + problem.radius_r, _LIPSCHITZ_US)
+    f = _tabulate(rhs, ws[:, None], ys)
     with np.errstate(all="ignore"):  # inf - inf and overflow, as floats do
-        quotients = np.abs(f[:, 0] - f[:, 1]) / np.abs(ys[:, 0] - ys[:, 1])
+        quotients = np.abs(np.diff(f)) / np.diff(ys)
     return _max_skipping_nan(quotients)
 
 

@@ -28,6 +28,7 @@ from .qcore import (
     SeriesControl,
     _kernel_weights,
     _power,
+    _power_times,
     _sum_length,
     q_gamma,
     q_number,
@@ -241,9 +242,9 @@ def _sums(f_grid: np.ndarray, f_low: np.ndarray | None, grid: np.ndarray,
     f = 0 on [0, a])."""
     kernel = LatticeKernel(ctx.params, beta, ctx.a, ctx.ctrl, grid[:rows])
     p = ctx.params.p
-    weight = lambda w: _power(w, p - 1.0, p, "integrand weight")
-    g_low = None if f_low is None else weight(kernel.lower_nodes) * f_low
-    return (kernel.apply(weight(grid[:f_grid.shape[-1]]) * f_grid, g_low)
+    integrand = lambda w, f: _power_times(w, p - 1.0, p, "integrand weight", f)
+    g_low = None if f_low is None else integrand(kernel.lower_nodes, f_low)
+    return (kernel.apply(integrand(grid[:f_grid.shape[-1]], f_grid), g_low)
             / kernel.gamma)
 
 
@@ -259,8 +260,9 @@ def _derivative_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
     q, p = ctx.params.q, ctx.params.p
     inner = _sums(f_grid, f_low, grid, rows + 1, -alpha, ctx)
     x = grid[:rows]
-    return (q_number(p, q) ** alpha * _power(x, 1.0 - p, p, "outer factor")
-            * (inner[..., :-1] - inner[..., 1:]) / ((1.0 - q) * x))
+    return _power_times(x, 1.0 - p, p, "outer factor",
+                        inner[..., :-1] - inner[..., 1:],
+                        q_number(p, q) ** alpha, (1.0 - q) * x)
 
 
 def frac_integral(f: ScalarFunction, x, order,

@@ -137,6 +137,31 @@ def _power(t, power, p: float, factor: str = "kernel row factor"):
         f"first at node t={float(t)!r}")
 
 
+def _power_times(t, power, p: float, factor: str, values, coef=1.0,
+                 divisor=None):
+    """coef * t**power * values [/ divisor], the nodes t along the last
+    axis of values, in that order of operations: t**power is checked by
+    _power, and where the product leaves float range although values and
+    divisor are finite, it raises ConvergenceError naming the factor, p
+    and the first such node. An inf or NaN already in values passes
+    through."""
+    with np.errstate(over="ignore", divide="ignore"):
+        out = coef * _power(t, power, p, factor) * values
+        if divisor is not None:
+            out /= divisor
+    if np.isfinite(out).all():
+        return out
+    bad = ~np.isfinite(out) & np.isfinite(values)
+    if divisor is not None:
+        bad &= np.isfinite(divisor)
+    if bad.any():
+        raise ConvergenceError(
+            f"{factor} t**{float(power)!r} times its table leaves float "
+            f"range at p={p!r}; first at node "
+            f"t={float(np.broadcast_to(t, out.shape)[bad][0])!r}")
+    return out
+
+
 _BLOCK = 1 << 16  # table entries per numpy pass
 
 

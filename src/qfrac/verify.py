@@ -34,6 +34,7 @@ from .qcore import (
     _kernel_weights,
     _log_q_ratio,
     _power,
+    _power_times,
     q_number,
     q_power_general,
 )
@@ -202,8 +203,8 @@ def _check_corollary(restrict, ctrl) -> float:
     for q, p in _pairs(restrict):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
         f, dqf = _family(q, p, 3)
-        g = _FromTable(lambda w: dqf.table(w) * _power(
-            w, 1.0 - p, p, "corollary integrand factor"))
+        g = _FromTable(lambda w: _power_times(
+            w, 1.0 - p, p, "corollary integrand factor", dqf.table(w)))
         for alpha in (0.25, 0.5, 0.75):
             order = FracOrder(alpha)
             inner = lambda s: frac_integral(g, s, 2.0 - alpha, ctx)

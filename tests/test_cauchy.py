@@ -8,7 +8,7 @@ import pytest
 
 import qfrac
 
-from qfrac import exprparse
+from qfrac import cauchy, exprparse
 from qfrac.cauchy import (
     CauchyProblem,
     _PicardEngine,
@@ -31,7 +31,7 @@ from qfrac.operators import (
     OperatorContext,
     _Convolution,
 )
-from qfrac.qcalc import QLattice
+from qfrac.qcalc import QLattice, _tabulate
 from qfrac.qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
@@ -326,8 +326,12 @@ class CountingRhs:
 
 
 class TestIncrementalStep:
-    """One engine re-tabulates the rhs only where the iterate moved; every
-    step must equal a fresh engine's step, which tabulates every node."""
+    """One engine re-tabulates the rhs only where the iterate moved, and
+    past _INCREMENTAL_MIN_ROWS active rows adds the change of the sums over
+    the rows the move reached. Its g must equal a full tabulation bit for
+    bit, the rows past a step's extent must keep their bits, and each step
+    must match a fresh engine's step, which tabulates every node and forms
+    every sum; below the row count, bit for bit."""
 
     @staticmethod
     def problem(rhs, q=0.9, a=0.0, zeta=1.0):
@@ -338,13 +342,22 @@ class TestIncrementalStep:
     @staticmethod
     def iterate_both(problem, steps=30):
         engine = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
-        prev = np.full(len(engine.nodes), problem.zeta)
+        m = engine.n_active
         for _ in range(steps):
-            out = engine.step(prev)
-            assert np.array_equal(out, picard_iterate(prev, problem))
+            prev = engine.phi.copy()
+            e = len(engine.step())
+            out = engine.phi
+            full = engine.active_weight * _tabulate(
+                problem.rhs, engine.active_nodes, prev[:m])
+            assert engine.g[:m].tobytes() == full.tobytes()
+            assert out[e:].tobytes() == prev[e:].tobytes()
+            want = picard_iterate(prev, problem)
+            assert np.all(np.abs(out - want)
+                          <= 2e-15 * np.maximum(1.0, np.abs(want)))
+            if m < cauchy._INCREMENTAL_MIN_ROWS:
+                assert out.tobytes() == want.tobytes()
             if out.tobytes() == prev.tobytes():
                 break
-            prev = out
         return engine
 
     @pytest.mark.parametrize("source", SOLVE_GRID_RHS)
@@ -352,6 +365,42 @@ class TestIncrementalStep:
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
     def test_matches_fresh_engine_compiled(self, q, a, source):
         self.iterate_both(self.problem(compiled_rhs(source), q, a))
+
+    @pytest.mark.parametrize("source", SOLVE_GRID_RHS + (
+        "u + sin(t*u) - 0.5*exp(-t)*u^2",))
+    @pytest.mark.parametrize("a", [0.0, 0.25])
+    @pytest.mark.parametrize("q", [0.9, 0.99, 0.995, 0.999])
+    def test_solve_matches_the_full_product_path(self, monkeypatch, q, a,
+                                                 source):
+        problem = CauchyProblem(rhs=compiled_rhs(source), a=a, b=1.0,
+                                zeta=1.0, order=FracOrder(0.6),
+                                params=QParams(q), lipschitz_A=1.0,
+                                radius_r=10.0)
+        lattice = QLattice(1.0, q, 12, floor_a=a)
+        ctrl = SeriesControl(max_terms=40000)
+        got = solve(problem, lattice, max_iter=300, ctrl=ctrl)
+        monkeypatch.setattr(cauchy, "_INCREMENTAL_MIN_ROWS", math.inf)
+        want = solve(problem, lattice, max_iter=300, ctrl=ctrl)
+        assert ((got.iterations_used, got.converged, got.n_active)
+                == (want.iterations_used, want.converged, want.n_active))
+        u = np.array(want.solution)
+        assert np.all(np.abs(np.array(got.solution) - u)
+                      <= 1e-14 * np.maximum(1.0, np.abs(u)))
+
+    def test_cached_corrections_stay_under_twice_the_full_transform(self):
+        # q = 0.999, a = 0: 34,525 rows; the corrections of 2**k rows hold
+        # 1-D tables, and their spectra sum to less than twice the full one
+        problem = self.problem(compiled_rhs("u"), 0.999)
+        engine = _PicardEngine(problem, SeriesControl(max_terms=40000))
+        extents = [len(engine.step()) for _ in range(30)]
+        assert extents[-1] < 1024 < extents[0] == engine.n_active
+        extra = [c for rows, c in engine.corrections.items()
+                 if rows < engine.n_active]
+        assert len(extra) >= 6
+        assert all(t.ndim == 1 for c in extra for t in vars(c).values()
+                   if isinstance(t, np.ndarray))
+        assert (sum(c.spectrum.nbytes for c in extra if c.size)
+                < 2 * engine.active.spectrum.nbytes)
 
     @pytest.mark.parametrize("source", SOLVE_GRID_RHS)
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
@@ -366,15 +415,14 @@ class TestIncrementalStep:
         kernel = LatticeKernel(problem.params, -0.4, 0.25, ctrl, nodes[:m])
         coef = q_number(1.0, q) ** 0.4 / kernel.gamma
         g_low = rhs.table(kernel.lower_nodes, 1.0)
-        prev = np.full(len(nodes), 1.0)
         for _ in range(20):
-            out = engine.step(prev)
+            prev = engine.phi.copy()
+            engine.step()
             g = rhs.table(nodes, np.where(nodes > 0.25, prev, 1.0))
             want = np.full(len(nodes), 1.0)
             want[:m] += coef * kernel.apply(g, g_low)
-            assert np.all(np.abs(out - want)
+            assert np.all(np.abs(engine.phi - want)
                           <= 1e-15 * np.maximum(1.0, np.abs(want)))
-            prev = out
 
     @pytest.mark.parametrize("a", [0.0, 0.25])
     def test_matches_fresh_engine_python_rhs_with_fewer_calls(self, a):
@@ -383,21 +431,21 @@ class TestIncrementalStep:
         steps = self.iterate_both(problem, steps=25).steps
         engine = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
         rhs.calls = 0
-        prev = np.full(len(engine.nodes), 1.0)
         for _ in range(steps):
-            prev = engine.step(prev)
+            engine.step()
         assert rhs.calls < steps * engine.n_active
 
     def test_sign_of_zero_counts_as_a_move(self):
         problem = self.problem(lambda t, u: math.copysign(1.0, u), zeta=0.0)
         engine = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
-        zeros = np.zeros(len(engine.nodes))
-        first = engine.step(zeros)
-        signed = zeros.copy()
+        engine.step()
+        first = engine.phi.copy()
+        signed = np.zeros(len(engine.nodes))
         signed[3] = -0.0
-        second = engine.step(signed)
-        assert np.array_equal(second, picard_iterate(signed, problem))
-        assert not np.array_equal(second, first)
+        engine.load(signed)
+        engine.step()
+        assert np.array_equal(engine.phi, picard_iterate(signed, problem))
+        assert not np.array_equal(engine.phi, first)
 
     def test_nothing_moved_tabulates_empty_tables(self):
         sizes = []
@@ -412,9 +460,10 @@ class TestIncrementalStep:
         engine = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
         sizes.clear()  # the build tabulated the frozen rows below a
         prev = np.full(len(engine.nodes), 2.0)
-        first = engine.step(prev)
-        assert first.tobytes() == prev.tobytes()
-        assert engine.step(first).tobytes() == first.tobytes()
+        assert len(engine.step()) == engine.n_active
+        assert engine.phi.tobytes() == prev.tobytes()
+        assert len(engine.step()) == 0
+        assert engine.phi.tobytes() == prev.tobytes()
         assert sizes == [engine.n_active, 0]
 
     def test_nan_in_prev_is_evaluated(self):
@@ -591,3 +640,19 @@ class TestLipschitzEstimate:
                                 params=QParams(0.5), radius_r=1.0)
         got = estimate_lipschitz(lambda t, u: u * u, problem)
         assert 0.5 < got <= 2.0
+
+    # Lipschitz constants in u over u in [-9, 11] (zeta = 1, r = 10) and
+    # t in [0, 1]: |1 - u/4| at u = -9, exp(9), 3 u^2 at u = 11, 5 t at t = 1
+    @pytest.mark.parametrize("source,true", [
+        ("u - u^2/8", 3.25), ("exp(-u) + t^2", math.exp(9.0)),
+        ("u^3", 363.0), ("sin(5*u)*t", 5.0)])
+    @pytest.mark.parametrize("a", [0.0, 0.25])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_within_a_tenth_under_the_true_constant(self, q, a, source,
+                                                     true):
+        rhs = compiled_rhs(source)
+        problem = CauchyProblem(rhs=rhs, a=a, b=1.0, zeta=1.0,
+                                order=FracOrder(0.5), params=QParams(q),
+                                radius_r=10.0)
+        got = estimate_lipschitz(rhs, problem)
+        assert 0.9 * true <= got <= true

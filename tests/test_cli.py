@@ -543,6 +543,16 @@ class TestFailurePaths:
         ("eval", EVAL_BASE + "operator = J\nfunction = 1\np = 4\n"
          "b = 1e200\n", None, 3, "operator J failed: integrand weight "
          "t**3.0 leaves float range at p=4.0; first at node t=1e+200"),
+        # a checked power times a table: the integrand weight w**(p - 1)
+        # times f at a huge b, and verify's outer factor x**(1 - p) times
+        # the inner differences over (1 - q) x
+        ("eval", EVAL_BASE + "operator = J\nfunction = 1 + x\np = 2\n"
+         "b = 1e200\n", None, 3, "operator J failed: integrand weight "
+         "t**1.0 times its table leaves float range at p=2.0; first at node "
+         "t=1e+200"),
+        ("verify", "q = 0.99\np = 20\n", None, 3, "numerical error: outer "
+         "factor t**-19.0 times its table leaves float range at p=20.0; "
+         "first at node t=3.1597803226596884e-14"),
         # ml: a series term x**(p n alpha), and m_terms past the budget
         ("ml", EVAL_BASE + "p = 50\nb = 1e10\nm_terms = 10\n", None, 3,
          "q-Mittag-Leffler evaluation failed: series term factor t**50.0 "
@@ -709,6 +719,11 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
          "series term factor t**50.0 leaves float range at p=50.0"),
         ("ml", EVAL_BASE + "m_terms = 6000\n", 3,
          "needs m=6000 terms, exceeding max_terms=5000"),
+        ("eval", EVAL_BASE + "operator = J\nfunction = 1 + x\np = 2\n"
+         "b = 1e200\n", 3,
+         "integrand weight t**1.0 times its table leaves float range"),
+        ("verify", "q = 0.99\np = 20\n", 3,
+         "outer factor t**-19.0 times its table leaves float range"),
     ]:
         path = write_cfg(tmp_path, "a.cfg", cfg)
         done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
@@ -719,3 +734,20 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
         assert done.stderr.count("\n") == 1, done.stderr
         assert "RuntimeWarning" not in done.stderr
         assert message in done.stderr
+
+
+def test_solve_without_lipschitz_a_leaves_numpy_random_unloaded(tmp_path):
+    """The Lipschitz estimate samples an even grid: a solve that estimates
+    the constant never loads numpy.random."""
+    path = write_cfg(tmp_path, "a.cfg", SOLVE_CFG)
+    script = f"""
+import sys
+from qfrac import cli
+assert cli.main(["solve", "--config", {path!r}]) == 0
+assert "numpy.random" not in sys.modules
+"""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(qfrac.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -139,10 +140,15 @@ class _PicardEngine:
     of two >= e, is below m, it adds the correlation of the change with the
     first E weights to the first e sums; otherwise it forms the sums
     afresh. Rows at or past e keep their bits, and the step's checks read
-    only the rows before it."""
+    only the rows before it. `points` counts the rhs values tabulated.
+    Callers build and step it under np.errstate(over="ignore",
+    invalid="ignore"); the step raises on the inf or NaN of a huge rhs."""
 
     def __init__(self, problem: CauchyProblem, ctrl: SeriesControl):
         self.problem = problem
+        self.rhs_table = (getattr(problem.rhs, "table", None)
+                          or partial(_tabulate, problem.rhs))
+        self.points = 0
         self.nodes = solver_nodes(problem, ctrl)
         p = problem.params.p
         alpha = problem.order.alpha
@@ -150,6 +156,7 @@ class _PicardEngine:
         kernel = LatticeKernel(problem.params, alpha - 1.0, problem.a, ctrl,
                                self.nodes[:m])
         self.sum_length = n = kernel.n
+        self.gamma = kernel.gamma  # Gamma_Q(alpha), of the steps and C(b)
         self.coef = (q_number(p, problem.params.q) ** (1.0 - alpha)
                      / kernel.gamma)
         self.head = kernel.head
@@ -175,9 +182,10 @@ class _PicardEngine:
         self.load(np.full(len(self.nodes), problem.zeta))
 
     def _integrand(self, nodes: np.ndarray) -> np.ndarray:
-        problem, p = self.problem, self.problem.params.p
-        return _power_times(nodes, p - 1.0, p, "integrand weight",
-                            _tabulate(problem.rhs, nodes, problem.zeta))
+        p = self.problem.params.p
+        values = self.rhs_table(nodes, self.problem.zeta)
+        self.points += values.size
+        return _power_times(nodes, p - 1.0, p, "integrand weight", values)
 
     def load(self, prev: np.ndarray) -> None:
         """Take a copy of prev, a table over the solver nodes, as the
@@ -213,8 +221,9 @@ class _PicardEngine:
         # bits, not values: f(t, -0.0) may differ from f(t, 0.0); and a NaN
         # is evaluated, never taken for the seed
         moved = ((u.view(np.int64) != seen) | np.isnan(u)).nonzero()[0]
-        g = self.active_weight[moved] * _tabulate(
-            problem.rhs, self.active_nodes[moved], u[moved])
+        g = self.active_weight[moved] * self.rhs_table(
+            self.active_nodes[moved], u[moved])
+        self.points += len(g)
         np.copyto(seen, u.view(np.int64))
         # row i sums g from i on, so rows past e keep their sums and phi;
         # after a load phi is not the sums' image, and every row is rewritten
@@ -251,15 +260,17 @@ def picard_iterate(prev: Sequence[float], problem: CauchyProblem,
                    ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL) -> np.ndarray:
     """One Picard step: phi_next(t) = zeta + J^alpha f(., phi_prev)(t) on the
     solver_nodes table. prev must be given on that same table."""
-    engine = _PicardEngine(problem, ctrl)
     prev = np.asarray(prev, dtype=float)
-    if prev.shape != engine.nodes.shape:
-        raise DomainError(
-            f"prev has {prev.shape[0] if prev.ndim == 1 else '?'} values, "
-            f"expected one per solver node ({len(engine.nodes)})"
-        )
-    engine.load(prev)
-    engine.step()
+    # a huge rhs overflows to inf or NaN, which the step raises on
+    with np.errstate(over="ignore", invalid="ignore"):
+        engine = _PicardEngine(problem, ctrl)
+        if prev.shape != engine.nodes.shape:
+            raise DomainError(
+                f"prev has {prev.shape[0] if prev.ndim == 1 else '?'} "
+                f"values, expected one per solver node ({len(engine.nodes)})"
+            )
+        engine.load(prev)
+        engine.step()
     engine.phi[engine.n_active:] = problem.zeta  # the iterate below a
     return engine.phi
 
@@ -288,8 +299,9 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
         raise DomainError(f"lattice ratio {lattice.q} differs from "
                           f"q={problem.params.q}")
 
-    problem = replace(problem, rhs=_CountedRhs(problem.rhs))
-    engine = _PicardEngine(problem, ctrl)
+    # a huge rhs overflows to inf or NaN, which the step raises on
+    with np.errstate(over="ignore", invalid="ignore"):
+        engine = _PicardEngine(problem, ctrl)
     rows = len(lattice.nodes)
     if rows > engine.n_active:
         raise DomainError(
@@ -297,27 +309,30 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
             f"holds {engine.n_active} above a; the largest depth it allows "
             f"is {engine.n_active}")
 
-    k_est = _estimate_sup_rhs(problem, lattice)
+    k_est, points = _estimate_sup_rhs(problem, lattice)
     a_const = problem.lipschitz_A
     if a_const is None:
-        a_const = max(estimate_lipschitz(problem.rhs, problem), 1e-300)
-    # C(b), computed once per solve: the bound at n = 1 with K = 1
-    c_bound = apriori_bound(1, problem.b,
-                            replace(problem, lipschitz_A=a_const), 1.0, ctrl)
+        a_const, lipschitz_points = _estimate_lipschitz(problem.rhs, problem)
+        a_const = max(a_const, 1e-300)
+        points += lipschitz_points
+    # C(b), computed once per solve, with the Gamma_Q(alpha) of the steps
+    c_bound = bound_constant(problem.order, OperatorContext(
+        problem.params, problem.a, ctrl), problem.b, engine.gamma)
 
     residuals: list[float] = []
     bounds: list[float] = []
     converged = False
     iterations = 0
-    for n in range(1, max_iter + 1):
-        change = engine.step()[:rows]
-        residual = float(np.abs(change).max(initial=0.0))
-        residuals.append(residual)
-        bounds.append(_induction_bound(n, c_bound, a_const, k_est))
-        iterations = n
-        if residual < tol:
-            converged = True
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, max_iter + 1):
+            change = engine.step()[:rows]
+            residual = float(np.abs(change).max(initial=0.0))
+            residuals.append(residual)
+            bounds.append(_induction_bound(n, c_bound, a_const, k_est))
+            iterations = n
+            if residual < tol:
+                converged = True
+                break
 
     slack = 0.0
     for r, bd in zip(residuals, bounds):
@@ -337,31 +352,21 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
         n_nodes=len(engine.nodes),
         n_active=engine.n_active,
         sum_length=engine.sum_length,
-        rhs_evals=problem.rhs.points,
+        rhs_evals=engine.points + points,
         bound_slack=max(slack, 0.0),
     )
 
 
-class _CountedRhs:
-    """The rhs as _tabulate sees it; counts the points tabulated."""
-
-    def __init__(self, rhs: Rhs):
-        self.rhs, self.points = rhs, 0
-
-    def table(self, *tables) -> np.ndarray:
-        values = _tabulate(self.rhs, *tables)
-        self.points += values.size
-        return values
-
-
-def _estimate_sup_rhs(problem: CauchyProblem, lattice: QLattice) -> float:
-    """Sampled sup of |f| over lattice nodes x a trust-region grid; a lower
-    estimate of the theorem's constant K, reported as a diagnostic."""
+def _estimate_sup_rhs(problem: CauchyProblem,
+                      lattice: QLattice) -> tuple[float, int]:
+    """Sampled sup of |f| over lattice nodes x a trust-region grid, a lower
+    estimate of the theorem's constant K reported as a diagnostic, and the
+    number of points tabulated."""
     us = np.linspace(problem.zeta - problem.radius_r,
                      problem.zeta + problem.radius_r, _SUP_U_SAMPLES)
     ws = [problem.a] + lattice.nodes if problem.a > 0.0 else lattice.nodes
     values = _tabulate(problem.rhs, np.array(ws, dtype=float)[:, None], us)
-    return _max_skipping_nan(np.abs(values))
+    return _max_skipping_nan(np.abs(values)), values.size
 
 
 def apriori_bound(n: int, t: float, problem: CauchyProblem, K: float,
@@ -430,6 +435,11 @@ def estimate_lipschitz(rhs: Rhs, problem: CauchyProblem) -> float:
 
     A lower estimate of the true constant, never a certificate.
     """
+    return _estimate_lipschitz(rhs, problem)[0]
+
+
+def _estimate_lipschitz(rhs: Rhs, problem: CauchyProblem) -> tuple[float, int]:
+    """estimate_lipschitz, and the number of points tabulated."""
     ws = _nodes(problem.b, problem.params.q, _LIPSCHITZ_NODES)
     ws = np.append(ws[ws > problem.a], [problem.a] if problem.a > 0.0 else [])
     ys = np.linspace(problem.zeta - problem.radius_r,
@@ -437,7 +447,7 @@ def estimate_lipschitz(rhs: Rhs, problem: CauchyProblem) -> float:
     f = _tabulate(rhs, ws[:, None], ys)
     with np.errstate(all="ignore"):  # inf - inf and overflow, as floats do
         quotients = np.abs(np.diff(f)) / np.diff(ys)
-    return _max_skipping_nan(quotients)
+    return _max_skipping_nan(quotients), f.size
 
 
 def _max_skipping_nan(values: np.ndarray) -> float:

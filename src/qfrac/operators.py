@@ -385,20 +385,28 @@ def caputo_rl_relation_residual(f: ScalarFunction, x: float, order,
             - caputo_derivative(f, x, order, ctx) - shift)
 
 
-def bound_constant(order, ctx: OperatorContext, b: float) -> float:
+def bound_constant(order, ctx: OperatorContext, b: float,
+                   gamma: float | None = None) -> float:
     """Operator-norm bound A for J^alpha on C_q[a, b]:
 
     ([p]_q)**(1-alpha) / ([p alpha]_q Gamma_Q(alpha)) *
     max over the q-lattice of [a, b] of |(x**p - a**p)^(alpha)|.
 
     For alpha > 0 the q-power grows with x, so the max is its value at b.
+    At a = 0 it is b**(p alpha), numpy's power as q_power_general takes it.
+    gamma is Gamma_Q(alpha) where the caller holds it already, as a
+    LatticeKernel of beta = alpha - 1 does; by default q_gamma's.
     """
     alpha = _alpha_of(order)
     if not b > ctx.a:
         raise DomainError(f"need b > a, got b={b}, a={ctx.a}")
     q, p = ctx.params.q, ctx.params.p
-    coef = q_number(p, q) ** (1.0 - alpha) / (
-        q_number(p * alpha, q) * q_gamma(alpha, ctx.params.qp, ctx.ctrl))
+    if gamma is None:
+        gamma = q_gamma(alpha, ctx.params.qp, ctx.ctrl)
+    coef = q_number(p, q) ** (1.0 - alpha) / (q_number(p * alpha, q) * gamma)
+    if ctx.a == 0.0:
+        return coef * float(_power(np.array([b]), p * alpha, p,
+                                   "q-power factor")[0])
     return coef * abs(q_power_general(b, ctx.a, alpha, ctx.params, ctx.ctrl))
 
 

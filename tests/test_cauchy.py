@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from qfrac.operators import (
     LatticeKernel,
     OperatorContext,
     _Convolution,
+    bound_constant,
 )
 from qfrac.qcalc import QLattice, _tabulate
 from qfrac.qcore import (
@@ -472,6 +474,17 @@ class TestIncrementalStep:
         out = picard_iterate(np.full(len(nodes), math.nan), problem)
         assert np.all(out == 2.0)
 
+    def test_loaded_nan_is_tabulated_not_taken_for_the_seed(self):
+        # a new engine's seen bits are NaN's, the bits of a loaded NaN;
+        # f does not read u, so the step from NaN is the step from zeta
+        problem = self.problem(lambda t, u: 1.0, zeta=2.0)
+        want = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
+        want.step()
+        engine = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
+        engine.load(np.full(len(engine.nodes), math.nan))
+        engine.step()
+        assert engine.phi.tobytes() == want.phi.tobytes()
+
 
 class TestRhsEvals:
     @pytest.mark.parametrize("a,A,want", [
@@ -540,6 +553,46 @@ class TestAprioriBound:
     def test_rejects_bad_n(self):
         with pytest.raises(DomainError):
             apriori_bound(0, 1.0, linear_problem(A=1.0), 1.0)
+
+
+class TestBoundFromEngine:
+    """solve passes its engine's Gamma_Q(alpha), the Gamma of every Picard
+    step, to operators.bound_constant. C(b) must agree with bound_constant's
+    own, and each reported bound with apriori_bound at the solve's A and K."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("a", [0.0, 0.25])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.99])
+    def test_matches_bound_constant(self, q, a, p, alpha):
+        ctrl = SeriesControl(max_terms=8000)  # q = 0.99, p = 0.5: 6877
+        params = QParams(q, p)
+        problem = CauchyProblem(rhs=compiled_rhs("u"), a=a, b=2.5,
+                                zeta=1.0, order=FracOrder(alpha),
+                                params=params, radius_r=10.0)
+        ctx = OperatorContext(params, a, ctrl)
+        got = bound_constant(FracOrder(alpha), ctx, 2.5,
+                             _PicardEngine(problem, ctrl).gamma)
+        want = bound_constant(FracOrder(alpha), ctx, 2.5)
+        assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("lipschitz_A", [None, 2.0])
+    @pytest.mark.parametrize("a", [0.0, 0.25])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_report_bounds_match_apriori_bound(self, q, a, lipschitz_A):
+        for source in SOLVE_GRID_RHS:
+            rhs = compiled_rhs(source)
+            problem = CauchyProblem(rhs=rhs, a=a, b=1.0, zeta=1.0,
+                                    order=FracOrder(0.6), params=QParams(q),
+                                    lipschitz_A=lipschitz_A, radius_r=10.0)
+            report = solve(problem, QLattice(1.0, q, 12, floor_a=a),
+                           max_iter=300)
+            A = lipschitz_A or max(estimate_lipschitz(rhs, problem), 1e-300)
+            with_A = replace(problem, lipschitz_A=A)
+            assert report.converged and report.apriori_bounds
+            for n, got in enumerate(report.apriori_bounds, 1):
+                want = apriori_bound(n, 1.0, with_A, report.k_estimate)
+                assert abs(got - want) <= 1e-13 * want
 
 
 class TestMittagLeffler:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import stat
 import subprocess
@@ -564,6 +565,10 @@ class TestFailurePaths:
         # a budget below the run of 3 small terms a sum stops at
         *[("solve", SOLVE_BASE + "rhs = u\n", budget, 2, "QFRAC_MAX_TERMS: "
            "max_terms must be >= 3") for budget in ("1", "2")],
+        # a huge rhs: the integrand weight times the rhs table overflows
+        ("solve", SOLVE_BASE + "p = 2\nb = 100\nrhs = u*1e307\n", None, 3,
+         "numerical non-convergence: Picard step 1 gave a non-finite value "
+         "at node t=100.0"),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch,
                                     command, cfg, max_terms, code, message):
@@ -583,6 +588,38 @@ class TestFailurePaths:
                          SOLVE_BASE + "rhs = u\nlattice_depth = 100\n")
         assert main(["solve", "--config", path]) == 2
         assert "largest depth it allows is 53" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("b", [1.0, 1e200])
+    @pytest.mark.parametrize("q", [0.5, 0.99])
+    @pytest.mark.parametrize("p", [0.5, 2.0, 20.0, 500.0])
+    @pytest.mark.parametrize("a", [0.0, 0.25])
+    def test_solve_sweep_ends_cleanly(self, tmp_path, capsys, a, p, q, b):
+        """Huge rhs values, p and b, in both formats, with RuntimeWarnings
+        as errors: a documented exit code, one stderr line on failure, and
+        no NaN or inf in any output file."""
+        def no_constant(name):
+            raise AssertionError(f"{name} in a JSON output")
+
+        for i, rhs in enumerate(("u", "u*1e307", "exp(u)", "-u*1e300")):
+            path = write_cfg(tmp_path, "a.cfg",
+                             f"q = {q}\nalpha = 0.5\nzeta = 1\nr = 10\n"
+                             f"p = {p}\na = {a}\nb = {b}\nrhs = {rhs}\n"
+                             "lattice_depth = 6\n")
+            for fmt in ("json", "csv"):
+                out = tmp_path / f"out-{i}.{fmt}"
+                code = main(["solve", "--config", path, "--out", str(out),
+                             "--format", fmt])
+                err = capsys.readouterr().err
+                assert code in (0, 2, 3, 4, 5), (rhs, fmt, err)
+                assert err.count("\n") == (code != 0), (rhs, fmt, err)
+                for written in tmp_path.glob(f"{out.name}*"):
+                    text = written.read_text()
+                    if written.suffix == ".json":
+                        json.loads(text, parse_constant=no_constant)
+                    else:
+                        values = [float(v) for line in text.splitlines()[1:]
+                                  for v in line.split(",")]
+                        assert all(map(math.isfinite, values)), written
 
     @pytest.mark.parametrize("q", [0.5, 0.9])
     @pytest.mark.parametrize("operator", ["D", "caputo"])
@@ -724,6 +761,8 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
          "integrand weight t**1.0 times its table leaves float range"),
         ("verify", "q = 0.99\np = 20\n", 3,
          "outer factor t**-19.0 times its table leaves float range"),
+        ("solve", SOLVE_BASE + "p = 2\nb = 100\nrhs = u*1e307\n", 3,
+         "Picard step 1 gave a non-finite value at node t=100.0"),
     ]:
         path = write_cfg(tmp_path, "a.cfg", cfg)
         done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",

@@ -247,6 +247,19 @@ class TestBoundConstant:
                 want = 1.0 / q_gamma(alpha + 1.0, q)
                 assert got == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("b", [1e-3, 2.5, 1e3])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 20.0])
+    def test_zero_lower_limit_keeps_the_q_power_bits(self, p, alpha, b):
+        # at a = 0 the q-power is b**(p alpha) without a q_power_general
+        # call, and the bound keeps the bits that call gave
+        params = QParams(0.5, p)
+        coef = q_number(p, 0.5) ** (1.0 - alpha) / (
+            q_number(p * alpha, 0.5) * q_gamma(alpha, params.qp))
+        want = coef * abs(q_power_general(b, 0.0, alpha, params))
+        got = bound_constant(FracOrder(alpha), OperatorContext(params), b)
+        assert got == want
+
     def test_monotone_in_b(self):
         ctx = OperatorContext(QParams(0.5, 2.0))
         b1 = bound_constant(FracOrder(0.5), ctx, 1.0)

@@ -99,7 +99,6 @@ class CauchyProblem:
 class SolverReport:
     """Full diagnostic output of one solve."""
 
-    lattice: QLattice
     solution: list[float]  # final iterate on the report lattice nodes
     residuals: list[float]
     apriori_bounds: list[float]
@@ -341,7 +340,6 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
         elif r > 0.0:
             slack = math.inf
     return SolverReport(
-        lattice=lattice,
         solution=engine.phi[:rows].tolist(),
         residuals=residuals,
         apriori_bounds=bounds,

@@ -62,6 +62,7 @@ class RunConfig:
     operator: str | None = None
     function: str | None = None
     m_terms: int | None = None
+    given = frozenset()  # keys the file set; unannotated, so not a key
 
     def resolved(self) -> dict:
         """Fully resolved key = value view, embedded in JSON reports."""
@@ -110,7 +111,7 @@ def load_config(path: str, command: str) -> RunConfig:
         raise ConfigError(
             f"command: config says {raw['command']!r} but the "
             f"{command!r} subcommand was invoked")
-    cfg.command = command
+    cfg.command, cfg.given = command, frozenset(raw)
     _validate(cfg)
     return cfg
 
@@ -254,8 +255,8 @@ def _compiled_function(source: str, variables: tuple[str, ...],
                              {"q": cfg.q, "p": cfg.p, "alpha": cfg.alpha})
 
 
-def _cmd_eval(cfg: RunConfig, out: str | None, fmt: str) -> int:
-    ctrl = _series_control()
+def _cmd_eval(cfg: RunConfig, ctrl: SeriesControl, out: str | None,
+              fmt: str) -> int:
     f = _compiled_function(cfg.function, ("x",), cfg)
     params = QParams(cfg.q, cfg.p)
     ctx = OperatorContext(params, a=cfg.a, ctrl=ctrl)
@@ -278,8 +279,8 @@ def _cmd_eval(cfg: RunConfig, out: str | None, fmt: str) -> int:
     return 0
 
 
-def _cmd_ml(cfg: RunConfig, out: str | None, fmt: str) -> int:
-    ctrl = _series_control()
+def _cmd_ml(cfg: RunConfig, ctrl: SeriesControl, out: str | None,
+            fmt: str) -> int:
     params = QParams(cfg.q, cfg.p)
     order = FracOrder(cfg.alpha)
     lattice = QLattice(cfg.b, cfg.q, cfg.lattice_depth, floor_a=cfg.a)
@@ -294,8 +295,8 @@ def _cmd_ml(cfg: RunConfig, out: str | None, fmt: str) -> int:
     return 0
 
 
-def _cmd_solve(cfg: RunConfig, out: str | None, fmt: str) -> int:
-    ctrl = _series_control()
+def _cmd_solve(cfg: RunConfig, ctrl: SeriesControl, out: str | None,
+               fmt: str) -> int:
     rhs = _compiled_function(cfg.rhs, ("t", "u"), cfg)
     problem = cauchy.CauchyProblem(
         rhs=rhs, a=cfg.a, b=cfg.b, zeta=cfg.zeta,
@@ -317,7 +318,7 @@ def _cmd_solve(cfg: RunConfig, out: str | None, fmt: str) -> int:
         return 3
 
     record = {f.name: getattr(report, f.name) for f in fields(report)
-              if f.name not in ("lattice", "solution")}
+              if f.name != "solution"}
     record["apriori_bounds"] = [bd if math.isfinite(bd) else None
                                 for bd in report.apriori_bounds]
     _write_table(cfg, out, fmt, "u", list(zip(lattice.nodes,
@@ -329,15 +330,11 @@ def _cmd_solve(cfg: RunConfig, out: str | None, fmt: str) -> int:
     return 0
 
 
-def _cmd_verify(cfg: RunConfig, out: str | None,
-                inject_fault: str | None) -> int:
-    ctrl = _series_control()
-    restrict = {}
-    if cfg.q is not None:
-        restrict["q"] = cfg.q
-    if cfg.p != 1.0:
-        restrict["p"] = cfg.p
-    results = run_registry(restrict or None, ctrl, inject_fault=inject_fault)
+def _cmd_verify(cfg: RunConfig, ctrl: SeriesControl, out: str | None,
+                fmt: str) -> int:
+    """The registry's results as JSON, whatever fmt."""
+    results = run_registry({key: getattr(cfg, key) for key in ("q", "p")
+                            if key in cfg.given}, ctrl)
     payload = {
         "schema": 1,
         "config": cfg.resolved(),
@@ -371,11 +368,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default=None,
                          help="output path (default: stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), default="csv")
-        if name == "verify":
-            cmd.add_argument("--inject-fault", default=None,
-                             metavar="IDENTITY",
-                             help="deliberately fail one identity "
-                                  "(harness self-test)")
     return parser
 
 
@@ -383,10 +375,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.command)
-        if args.command == "verify":
-            return _cmd_verify(cfg, args.out, args.inject_fault)
-        command = {"eval": _cmd_eval, "solve": _cmd_solve, "ml": _cmd_ml}
-        return command[args.command](cfg, args.out, args.format)
+        command = {"eval": _cmd_eval, "solve": _cmd_solve, "ml": _cmd_ml,
+                   "verify": _cmd_verify}
+        return command[args.command](cfg, _series_control(), args.out,
+                                     args.format)
     except (ConfigError, exprparse.ParseError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -133,13 +133,8 @@ def _tokenize(source: str) -> list[_Token]:
             col = len(source) - len(stripped) + 1
             raise ParseError(1, col, f"unexpected character {stripped[0]!r}")
         pos = m.end()
-        if m.lastgroup == "num":
-            tokens.append(_Token("num", m.group("num"), m.start("num") + 1))
-        elif m.lastgroup == "ident":
-            tokens.append(_Token("ident", m.group("ident"),
-                                 m.start("ident") + 1))
-        else:
-            tokens.append(_Token("op", m.group("op"), m.start("op") + 1))
+        kind = m.lastgroup
+        tokens.append(_Token(kind, m.group(kind), m.start(kind) + 1))
     tokens.append(_Token("end", "", len(source) + 1))
     return tokens
 

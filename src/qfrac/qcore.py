@@ -54,11 +54,14 @@ class QParams:
 
 
 # Every truncation precision of the library. A Jackson sum stops after a
-# run of _SUM_RUN terms below max(_SUM_ABS_TOL, _SUM_REL_TOL |partial sum|);
+# run of _SUM_RUN terms each at most max(_SUM_REL_TOL |partial sum|,
+# _SUM_MASS_TOL sum of |terms| so far), a floor that scales with the sum;
+# an operator sum holds the terms down to _SUM_ABS_TOL (_sum_length);
 # a q-product three factors after |b q**m| < 1e-17 (_LOG_TOL), so its
 # skipped log tail stays below about 1e-17 / (1 - q).
 _SUM_ABS_TOL = 1e-15
 _SUM_REL_TOL = 1e-13
+_SUM_MASS_TOL = float(np.finfo(float).eps)
 _SUM_RUN = 3
 _LOG_TOL = math.log(1e-17)
 

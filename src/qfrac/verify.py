@@ -262,23 +262,16 @@ IDENTITY_NAMES = tuple(_REGISTRY)
 
 
 def run_identity(name: str, restrict: dict | None = None,
-                 ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL,
-                 inject_fault: bool = False) -> IdentityResult:
-    """Run one identity check; inject_fault perturbs the measured error so
-    the harness's failure path can be exercised deliberately. A NaN error
-    fails."""
+                 ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL
+                 ) -> IdentityResult:
+    """Run one identity check. A NaN error fails."""
     check, tol = _REGISTRY[name]
     err = float(check(restrict, ctrl))
-    if inject_fault:
-        err = abs(err) * 1e9 + 1.0
     return IdentityResult(name=name, max_error=err, tolerance=tol,
                           passed=bool(err <= tol))
 
 
 def run_registry(restrict: dict | None = None,
-                 ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL,
-                 inject_fault: str | None = None) -> list[IdentityResult]:
-    return [
-        run_identity(name, restrict, ctrl, inject_fault=(name == inject_fault))
-        for name in IDENTITY_NAMES
-    ]
+                 ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL
+                 ) -> list[IdentityResult]:
+    return [run_identity(name, restrict, ctrl) for name in IDENTITY_NAMES]

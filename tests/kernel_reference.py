@@ -21,6 +21,7 @@ from qfrac.errors import ConvergenceError, DomainError, PoleError
 from qfrac.operators import OperatorContext
 from qfrac.qcore import (
     _SUM_ABS_TOL,
+    _SUM_MASS_TOL,
     _SUM_REL_TOL,
     _SUM_RUN,
     _sum_length,
@@ -30,15 +31,18 @@ from qfrac.qcore import (
 
 def jackson_sum(f, b: float, q: float, ctrl) -> float:
     """(1-q) b sum_i q**i f(q**i b), one term at a time, until _SUM_RUN
-    successive terms fall below max(_SUM_ABS_TOL, _SUM_REL_TOL |partial|);
-    ConvergenceError at ctrl.max_terms, with the library's text."""
+    successive terms lie at or below max(_SUM_REL_TOL |partial|,
+    _SUM_MASS_TOL sum of |terms|); ConvergenceError at ctrl.max_terms,
+    with the library's text."""
     scale = (1.0 - q) * b
-    total, small, qi = 0.0, 0, 1.0
+    total, mass, small, qi = 0.0, 0.0, 0, 1.0
     for _ in range(ctrl.max_terms):
         term = scale * qi * f(qi * b)
         total += term
+        mass += abs(term)
         qi *= q
-        if abs(term) < max(_SUM_ABS_TOL, _SUM_REL_TOL * abs(total)):
+        # max() keeps its first argument, the mass floor, if total is NaN
+        if abs(term) <= max(_SUM_MASS_TOL * mass, _SUM_REL_TOL * abs(total)):
             small += 1
             if small >= _SUM_RUN:
                 return total

@@ -130,7 +130,7 @@ class TestSchemas:
     def test_solve_report_carries_every_solver_report_field(self, tmp_path,
                                                             capsys):
         record = {f.name for f in dataclasses.fields(SolverReport)} - {
-            "lattice", "solution"}
+            "solution"}
         path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
         assert main(["solve", "--config", path, "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -433,17 +433,21 @@ class TestVerify:
         path = write_cfg(tmp_path, "v.cfg", "q = 0.3\np = 2\n")
         assert main(["verify", "--config", path]) == 0
 
-    def test_injected_fault_is_1(self, tmp_path, capsys):
-        path = write_cfg(tmp_path, "v.cfg", "q = 0.5\np = 2\n")
-        code = main(["verify", "--config", path,
-                     "--inject-fault", "beta_integral_lemma"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "failing identities: beta_integral_lemma" in captured.err
-        payload = json.loads(captured.out)
-        flags = {r["name"]: r["passed"] for r in payload["identity_results"]}
-        assert flags["beta_integral_lemma"] is False
-        assert flags["inversion_identities"] is True
+    @pytest.mark.parametrize("text,restrict", [
+        ("", {}), ("q = 0.5\n", {"q": 0.5}), ("p = 1\n", {"p": 1.0}),
+        ("q = 0.5\np = 1\n", {"q": 0.5, "p": 1.0}),
+        ("q = 0.3\np = 2\nb = 4\n", {"q": 0.3, "p": 2.0})])
+    def test_grid_is_restricted_where_the_file_sets_q_or_p(
+            self, tmp_path, capsys, monkeypatch, text, restrict):
+        """p = 1, the default, still restricts when the file sets it."""
+        seen = []
+        monkeypatch.setattr("qfrac.cli.run_registry",
+                            lambda given, ctrl: seen.append(given) or [])
+        assert main(["verify", "--config",
+                     write_cfg(tmp_path, "v.cfg", text)]) == 0
+        assert seen == [restrict]
+        assert json.loads(capsys.readouterr().out)["config"]["p"] == (
+            restrict.get("p", 1.0))
 
 
 EVAL_BASE = "q = 0.5\nalpha = 0.5\n"
@@ -589,37 +593,59 @@ class TestFailurePaths:
         assert main(["solve", "--config", path]) == 2
         assert "largest depth it allows is 53" in capsys.readouterr().err
 
+    @staticmethod
+    def ends_cleanly(tmp_path, capsys, command, cfg, name):
+        """cfg run in both formats (RuntimeWarnings are errors): a
+        documented exit code, one stderr line on failure, and no NaN or
+        inf in any file written."""
+        def no_constant(constant):
+            raise AssertionError(f"{constant} in a JSON output")
+
+        path = write_cfg(tmp_path, "a.cfg", cfg)
+        for fmt in ("json", "csv"):
+            out = tmp_path / f"{name}.{fmt}"
+            code = main([command, "--config", path, "--out", str(out),
+                         "--format", fmt])
+            err = capsys.readouterr().err
+            assert code in (0, 2, 3, 4, 5), (cfg, fmt, err)
+            assert err.count("\n") == (code != 0), (cfg, fmt, err)
+            for written in tmp_path.glob(f"{out.name}*"):
+                text = written.read_text()
+                if command == "verify" or written.suffix == ".json":
+                    json.loads(text, parse_constant=no_constant)
+                else:
+                    values = [float(v) for line in text.splitlines()[1:]
+                              for v in line.split(",")]
+                    assert all(map(math.isfinite, values)), written
+
     @pytest.mark.parametrize("b", [1.0, 1e200])
     @pytest.mark.parametrize("q", [0.5, 0.99])
     @pytest.mark.parametrize("p", [0.5, 2.0, 20.0, 500.0])
     @pytest.mark.parametrize("a", [0.0, 0.25])
     def test_solve_sweep_ends_cleanly(self, tmp_path, capsys, a, p, q, b):
-        """Huge rhs values, p and b, in both formats, with RuntimeWarnings
-        as errors: a documented exit code, one stderr line on failure, and
-        no NaN or inf in any output file."""
-        def no_constant(name):
-            raise AssertionError(f"{name} in a JSON output")
-
+        """Huge rhs values, p and b end cleanly."""
         for i, rhs in enumerate(("u", "u*1e307", "exp(u)", "-u*1e300")):
-            path = write_cfg(tmp_path, "a.cfg",
-                             f"q = {q}\nalpha = 0.5\nzeta = 1\nr = 10\n"
-                             f"p = {p}\na = {a}\nb = {b}\nrhs = {rhs}\n"
-                             "lattice_depth = 6\n")
-            for fmt in ("json", "csv"):
-                out = tmp_path / f"out-{i}.{fmt}"
-                code = main(["solve", "--config", path, "--out", str(out),
-                             "--format", fmt])
-                err = capsys.readouterr().err
-                assert code in (0, 2, 3, 4, 5), (rhs, fmt, err)
-                assert err.count("\n") == (code != 0), (rhs, fmt, err)
-                for written in tmp_path.glob(f"{out.name}*"):
-                    text = written.read_text()
-                    if written.suffix == ".json":
-                        json.loads(text, parse_constant=no_constant)
-                    else:
-                        values = [float(v) for line in text.splitlines()[1:]
-                                  for v in line.split(",")]
-                        assert all(map(math.isfinite, values)), written
+            self.ends_cleanly(tmp_path, capsys, "solve",
+                              f"q = {q}\nalpha = 0.5\nzeta = 1\nr = 10\n"
+                              f"p = {p}\na = {a}\nb = {b}\nrhs = {rhs}\n"
+                              "lattice_depth = 6\n", f"out-{i}")
+
+    @pytest.mark.parametrize("b", [1.0, 1e200])
+    @pytest.mark.parametrize("q", [0.5, 0.99])
+    @pytest.mark.parametrize("p", [0.5, 2.0, 20.0, 500.0])
+    def test_other_commands_sweep_ends_cleanly(self, tmp_path, capsys, p, q,
+                                               b):
+        """ml, verify, and eval of each operator on a plain and a huge
+        function, at a = 0 and at a = 0.25 (the lower-limit sums and the
+        stencil's domain check), end cleanly at huge p and b."""
+        base = f"q = {q}\nalpha = 0.5\np = {p}\nb = {b}\nlattice_depth = 6\n"
+        runs = [("ml", "m_terms = 5\n"), ("verify", "")] + [
+            ("eval", f"operator = {op}\nfunction = {f}\na = {a}\n")
+            for op in ("J", "D", "caputo") for f in ("1 + x", "-1e300*x^2")
+            for a in (0.0, 0.25)]
+        for i, (command, keys) in enumerate(runs):
+            self.ends_cleanly(tmp_path, capsys, command, base + keys,
+                              f"out-{i}")
 
     @pytest.mark.parametrize("q", [0.5, 0.9])
     @pytest.mark.parametrize("operator", ["D", "caputo"])

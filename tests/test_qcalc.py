@@ -71,6 +71,25 @@ class TestJacksonIntegral:
     def test_empty_interval(self):
         assert jackson_integral(lambda x: x, 1.3, 1.3, 0.5) == 0.0
 
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_tiny_terms_are_summed(self, q):
+        # every term of f = 1e-20 lies far below 1e-15; the stopping floor
+        # scales with the sum, so the sum is 1e-20 times that of f = 1
+        got = jackson_integral_zero(lambda x: 1e-20, 1.0, q)
+        one = jackson_integral_zero(lambda x: 1.0, 1.0, q)
+        assert got == pytest.approx(1e-20 * one, rel=1e-14, abs=0.0)
+        # the stop at q = 0.99 leaves a relative tail of about 1e-11
+        assert got == pytest.approx(1e-20, rel=1e-10, abs=0.0)
+        assert jackson_integral_zero(lambda x: 0.0, 1.0, q) == 0.0
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_cancelling_integral_reaches_zero(self, q):
+        # x - 1/(1 + q) integrates to b**2 / (1 + q) - b / (1 + q) = 0 on
+        # [0, 1]; the partial sums pass through 0, so only a floor from the
+        # terms' own mass stops the sum near it
+        got = jackson_integral_zero(lambda x: x - 1.0 / (1.0 + q), 1.0, q)
+        assert abs(got) <= 1e-13
+
     def test_nonconvergence(self):
         # at q = 0.99 the terms 0.01 * 0.99**i of f = 1 stay above 1e-13
         # times the partial sum until i = 2521
@@ -137,12 +156,12 @@ class TestJacksonTablePath:
     def test_run_of_small_terms_spans_blocks(self):
         # terms 0.375 * 0.625**i of f = 1 drop below 1e-13 times the
         # partial sum 1 - 0.625**(i + 1) from i = 62 on (log(1e-13 / 0.375)
-        # / log(0.625) = 61.6; 1e-15 is the lesser tolerance there), so the
-        # third small term in a row, where the sum stops, is the first of
-        # the second 64-term block
+        # / log(0.625) = 61.6; eps times the sum of |terms|, here the
+        # partial sum, is the lesser floor), so the third small term in a
+        # row, where the sum stops, is the first of the second 64-term block
         ctrl = SeriesControl()
-        assert [i for i in range(61, 64) if 0.375 * 0.625**i < max(
-            1e-15, 1e-13 * (1.0 - 0.625 ** (i + 1)))] == [62, 63]
+        assert [i for i in range(61, 64) if 0.375 * 0.625**i <= max(
+            1e-13, np.finfo(float).eps) * (1.0 - 0.625 ** (i + 1))] == [62, 63]
         got = jackson_integral_zero(Tabled(0.0, 0.0, 1.0), 1.0, 0.625, ctrl)
         assert got == reference.jackson_sum(lambda x: 1.0, 1.0, 0.625, ctrl)
         assert abs(got - (1.0 - 0.625**65)) < 1e-14

@@ -63,6 +63,15 @@ class TestNaNFails:
                    if name != "caputo_equivalence")
 
 
+@pytest.mark.parametrize("q,p", [(0.9, 15.0), (0.9, 19.0), (0.99, 10.0),
+                                 (0.99, 15.0)])
+def test_lemma_holds_at_large_p(q, p):
+    """At a large p the lemma's Jackson sums at x = 0.5 hold terms far
+    below 1e-15, which the sum must still add up."""
+    result = verify.run_identity("beta_integral_lemma", {"q": q, "p": p})
+    assert result.max_error <= 1e-12
+
+
 def test_one_kernel_per_lattice_and_family(monkeypatch):
     """The checks pass whole families, so a registry builds few kernels
     (1,142 when every function and node had its own)."""

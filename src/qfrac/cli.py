@@ -291,6 +291,14 @@ def _cmd_ml(cfg: RunConfig, ctrl: SeriesControl, out: str | None,
     except (ConvergenceError, PoleError) as exc:
         print(f"q-Mittag-Leffler evaluation failed: {exc}", file=sys.stderr)
         return 3
+    # its terms grow like (x**p (1 - q))**(n alpha): past the radius a
+    # partial sum is no value of the series
+    past = [x for x in lattice.nodes
+            if cfg.p * math.log(x) + math.log1p(-cfg.q) >= 0.0]
+    if cfg.m_terms and past:
+        print(f"q-Mittag-Leffler series diverges: node x={past[0]!r} has "
+              f"x**p (1 - q) >= 1", file=sys.stderr)
+        return 3
     _write_table(cfg, out, fmt, "value", rows)
     return 0
 

@@ -82,52 +82,12 @@ def _alpha_of(order) -> float:
     return float(order)
 
 
-# FFT from this many multiply-adds (rows x n) on. np.convolve vs FFT at the
-# 5-smooth length with the fixed transform cached, us per _Convolution call,
-# 2-vCPU Xeon (AVX-512), numpy 2.4.6, 1 thread: 3440x3440 1242/74, 500x3440
-# 248/44, 138x3440 53/40, 100x3440 52/40, 80x3440 31/40, 21x3440 13/40;
-# 633x633 34/17, 460x460 19/14, 380x380 10/13, 331x331 10/13; 60x6894 64/79.
-# The crossover moves with the shape, from about 200,000 for square tables
-# to past 414,000 at n = 6894, so one constant is a compromise.
-_FFT_MIN_MADDS = 400_000
-
-
-def _fft_length(n: int) -> int:
-    """The least 2**i 3**j 5**k >= n, a length pocketfft transforms fast.
-    A cyclic convolution this long leaves the valid values unwrapped."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-class _Convolution:
-    """x -> the `rows` valid values of x convolved with a fixed table, one
-    of the two n long and the other rows + n - 1: np.convolve, or past the
-    crossover a real FFT with the table's transform computed once (Hairer,
-    Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985)."""
-
-    def __init__(self, table: np.ndarray, rows: int, n: int):
-        self.table, self.rows, self.n = table, rows, n
-        self.size = 0
-        if rows * n >= _FFT_MIN_MADDS:
-            self.size = _fft_length(rows + n - 1)
-            self.spectrum = np.fft.rfft(table, self.size)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        """Along the last axis: a (k, len) stack gives (k, rows)."""
-        if self.size:
-            full = np.fft.irfft(np.fft.rfft(x, self.size) * self.spectrum,
-                                self.size)
-            return full[..., self.n - 1:self.n - 1 + self.rows]
-        if x.ndim == 1:
-            return np.convolve(x, self.table, "valid")
-        return np.stack([self(row) for row in x])
+def _convolve(x: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The valid values of x convolved with table along the last axis, one
+    np.convolve per row of a stack."""
+    if x.ndim == 1:
+        return np.convolve(x, table, "valid")
+    return np.stack([_convolve(row, table) for row in x])
 
 
 class LatticeKernel:
@@ -143,7 +103,9 @@ class LatticeKernel:
     the rows by Q, every row reads one table K of rows + n - 1 weights
     built from the deepest row's c: row m's weights are K[rows-1-m+i], a
     Toeplitz matrix applied as a second convolution. This is the matrix
-    view of discrete fractional calculus (Podlubny, FCAA 2000).
+    view of discrete fractional calculus (Podlubny, FCAA 2000). upper and
+    lower hold w and K reversed. Each sum is a direct np.convolve, whose
+    rows keep their own digits (an FFT's error follows the largest row).
 
     Its first weight is (Q; Q)_inf / (Q**(1+beta); Q)_inf, so gamma = k_0
     (1 - Q)**(-beta) is Gamma_Q(1 + beta), the operator coefficients' own.
@@ -160,21 +122,15 @@ class LatticeKernel:
         weights = _kernel_weights(log_Q, beta, log_Q, n, ctrl)
         self.gamma = float(weights[0]) * (1.0 - params.qp) ** -beta
         weights *= q_i
-        self.upper = _Convolution(weights[::-1], rows, n)
+        self.upper = weights[::-1]
         self.head = (1.0 - q) * _power(nodes, 1.0 + p * beta, p)
         self.lower_nodes = a * q_i  # bit for bit _nodes(a, q, n)
         self.lower = None
         if a > 0.0:
-            table = _kernel_weights(log_Q, beta,
-                                    p * math.log(a * q / nodes[-1]),
-                                    rows + n - 1, ctrl)
-            self.lower = _Convolution(table[::-1], rows, n)
+            self.lower = _kernel_weights(log_Q, beta,
+                                         p * math.log(a * q / nodes[-1]),
+                                         rows + n - 1, ctrl)[::-1]
             self.lower_head = (1.0 - q) * _power(nodes, p * beta, p)
-
-    def lower_sum(self, g_low: np.ndarray) -> np.ndarray:
-        """For a > 0: the subtracted sums over [0, a] at every row node,
-        from g at lower_nodes."""
-        return self.lower_head * self.lower(self.lower_nodes * g_low)
 
     def apply(self, g: np.ndarray, g_low: np.ndarray | None = None
               ) -> np.ndarray:
@@ -190,9 +146,10 @@ class LatticeKernel:
         if g.shape[-1] < size:
             pad = np.zeros(g.shape[:-1] + (size - g.shape[-1],))
             g = np.concatenate((g, pad), axis=-1)
-        out = self.head * self.upper(g)
+        out = self.head * _convolve(g, self.upper)
         if g_low is not None and self.lower is not None:
-            out -= self.lower_sum(g_low)
+            out -= self.lower_head * _convolve(self.lower_nodes * g_low,
+                                               self.lower)
         return out
 
 

@@ -300,7 +300,7 @@ def q_power_general(x, y, alpha, params: QParams,
             raise DomainError(what.format(x=x[bad][0], y=y[bad][0]))
     out = _power(x, params.p * alpha, params.p, "q-power factor")
     out[y == x] = 0.0
-    inner = (y > 0.0) & (y < x)
+    inner = (y / x > 0.0) & (y < x)  # a y/x that underflows is y = 0
     if np.any(inner):
         x, y, alpha = x[inner], y[inner], alpha[inner]
         log_Q = params.p * math.log(params.q)

@@ -11,7 +11,10 @@ import qfrac
 
 from qfrac import cauchy, exprparse
 from qfrac.cauchy import (
+    _FFT_MIN_MADDS,
     CauchyProblem,
+    _Convolution,
+    _fft_length,
     _PicardEngine,
     apriori_bound,
     estimate_lipschitz,
@@ -30,7 +33,6 @@ from qfrac.operators import (
     FracOrder,
     LatticeKernel,
     OperatorContext,
-    _Convolution,
     bound_constant,
 )
 from qfrac.qcalc import QLattice, _tabulate
@@ -217,9 +219,9 @@ class TestSolve:
         ctrl = SeriesControl(max_terms=8000)
         nodes = np.power(0.995, np.arange(277))
         kernel = LatticeKernel(QParams(0.995), -0.5, 0.25, ctrl, nodes)
-        tables = [v for obj in (kernel, kernel.upper, kernel.lower)
-                  for v in vars(obj).values() if isinstance(v, np.ndarray)]
-        assert len(tables) >= 6
+        tables = [v for v in vars(kernel).values()
+                  if isinstance(v, np.ndarray)]
+        assert len(tables) == 5
         assert all(t.ndim == 1 for t in tables)
         assert sum(t.nbytes for t in tables) < 1 << 20
         # the Picard engine, up to n = 34,525 nodes: O(n) floats in 1-D
@@ -325,6 +327,45 @@ class CountingRhs:
     def __call__(self, t, u):
         self.calls += 1
         return self.f(t, u)
+
+
+class TestConvolution:
+    """The engine's square convolution: past the crossover its FFT against
+    np.convolve of the same table."""
+
+    @pytest.mark.parametrize("q,rows", [(0.9, 331), (0.99, 331),
+                                        (0.99, 633), (0.99, 1024),
+                                        (0.99, 3440)])
+    @pytest.mark.parametrize("p", (1.0, 2.0))
+    @pytest.mark.parametrize("beta", (-0.5, -0.15))
+    def test_fft_matches_direct(self, q, rows, p, beta):
+        kernel = LatticeKernel(QParams(q, p), beta, 0.0,
+                               DEFAULT_INTEGRATION_CTRL, [1.0])
+        table = kernel.upper[kernel.n - rows:]
+        conv = _Convolution(table)
+        assert len(table) == rows
+        assert (conv.size > 0) == (rows >= 633)
+        x = np.linspace(0.0, 6.0, 2 * rows - 1)
+        g = (np.sin(3.0 * x) - 0.4
+             + 0.1 * np.random.default_rng(rows).standard_normal(len(x)))
+        want = np.convolve(g, table, "valid")
+        got = conv(g)
+        assert len(got) == rows
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0,
+                                                                np.abs(want)))
+
+    def test_both_sides_of_the_crossover_are_reached(self):
+        # a q = 0.9 solve at a = 0 has 331 active rows, q = 0.99 has 3440
+        assert 632**2 < _FFT_MIN_MADDS <= 633**2
+
+    def test_fft_length_is_the_least_5_smooth_length(self):
+        top = 10**5
+        smooth = sorted(2**i * 3**j * 5**k for i in range(18)
+                        for j in range(12) for k in range(9)
+                        if 2**i * 3**j * 5**k <= 2 * top)
+        sizes = np.arange(1, top + 1)
+        want = np.array(smooth)[np.searchsorted(smooth, sizes)]
+        assert [_fft_length(n) for n in sizes.tolist()] == want.tolist()
 
 
 class TestIncrementalStep:

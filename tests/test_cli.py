@@ -298,6 +298,27 @@ class TestMl:
         monkeypatch.setenv("QFRAC_MAX_TERMS", "8000")
         assert main(["ml", "--config", path]) == 0
 
+    def test_nodes_past_the_radius_exit_3(self, tmp_path, capsys):
+        # at q = 0.5, p = 1 the series converges for x < 2
+        path = write_cfg(tmp_path, "a.cfg", "q = 0.5\nalpha = 0.5\n"
+                         "b = 100\nm_terms = 71\n")
+        out = tmp_path / "out.csv"
+        assert main(["ml", "--config", path, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == ("q-Mittag-Leffler series diverges: node x=100.0 has "
+                       "x**p (1 - q) >= 1\n")
+        assert not out.exists()
+
+    def test_nodes_inside_the_radius_keep_their_values(self, tmp_path,
+                                                        capsys):
+        path = write_cfg(tmp_path, "a.cfg", "q = 0.5\nalpha = 0.5\n"
+                         "b = 1.9\nm_terms = 71\nlattice_depth = 4\n")
+        assert main(["ml", "--config", path, "--format", "json"]) == 0
+        table = json.loads(capsys.readouterr().out)["table"]
+        assert table["value"] == [
+            q_mittag_leffler(x, 71, FracOrder(0.5), QParams(0.5))
+            for x in table["x"]]
+
 
 class TestSolve:
     def test_linear_solution_matches_ml(self, tmp_path, capsys):
@@ -549,15 +570,16 @@ class TestFailurePaths:
          "b = 1e200\n", None, 3, "operator J failed: integrand weight "
          "t**3.0 leaves float range at p=4.0; first at node t=1e+200"),
         # a checked power times a table: the integrand weight w**(p - 1)
-        # times f at a huge b, and verify's outer factor x**(1 - p) times
-        # the inner differences over (1 - q) x
+        # times f at a huge b, and D's outer factor x**(1 - p) times the
+        # inner differences of a huge f over (1 - q) x
         ("eval", EVAL_BASE + "operator = J\nfunction = 1 + x\np = 2\n"
          "b = 1e200\n", None, 3, "operator J failed: integrand weight "
          "t**1.0 times its table leaves float range at p=2.0; first at node "
          "t=1e+200"),
-        ("verify", "q = 0.99\np = 20\n", None, 3, "numerical error: outer "
-         "factor t**-19.0 times its table leaves float range at p=20.0; "
-         "first at node t=3.1597803226596884e-14"),
+        ("eval", EVAL_BASE + "operator = D\nfunction = 1e300*x\np = 20\n"
+         "lattice_depth = 20\n", None, 3, "operator D failed: outer factor "
+         "t**-19.0 times its table leaves float range at p=20.0; first at "
+         "node t=0.125"),
         # ml: a series term x**(p n alpha), and m_terms past the budget
         ("ml", EVAL_BASE + "p = 50\nb = 1e10\nm_terms = 10\n", None, 3,
          "q-Mittag-Leffler evaluation failed: series term factor t**50.0 "
@@ -785,7 +807,8 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
         ("eval", EVAL_BASE + "operator = J\nfunction = 1 + x\np = 2\n"
          "b = 1e200\n", 3,
          "integrand weight t**1.0 times its table leaves float range"),
-        ("verify", "q = 0.99\np = 20\n", 3,
+        ("eval", EVAL_BASE + "operator = D\nfunction = 1e300*x\np = 20\n"
+         "lattice_depth = 20\n", 3,
          "outer factor t**-19.0 times its table leaves float range"),
         ("solve", SOLVE_BASE + "p = 2\nb = 100\nrhs = u*1e307\n", 3,
          "Picard step 1 gave a non-finite value at node t=100.0"),

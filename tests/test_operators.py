@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from qfrac.errors import ConvergenceError, DomainError
 from qfrac.operators import (
-    _FFT_MIN_MADDS,
     FracOrder,
     LatticeKernel,
     OperatorContext,
-    _fft_length,
     bound_constant,
     caputo_derivative,
     caputo_derivative_simplified,
@@ -26,7 +24,7 @@ from qfrac.qcore import (
     _SUM_ABS_TOL,
     DEFAULT_INTEGRATION_CTRL,
     QParams,
-    _sum_length,
+    SeriesControl,
     q_gamma,
     q_number,
     q_power_general,
@@ -377,8 +375,6 @@ class TestFamilies:
         # floor a/q: every node's q-difference stencil stays above a
         lattice = QLattice(1.0, q, depth, floor_a=a / q)
         rows = len(lattice.nodes)
-        fft = rows * _sum_length(q, p, ctx.ctrl) >= _FFT_MIN_MADDS
-        assert fft == (depth == 130)
         singles = [tabled(m) for m in MEMBERS]
         d_singles = [tabled(lambda w, m=m: m(w) * w - 1.0) for m in MEMBERS]
         family = tabled(lambda w: np.stack([m(w) for m in MEMBERS]))
@@ -394,12 +390,7 @@ class TestFamilies:
             at_point = call(family, d_family, lattice.nodes[-1])
             assert at_point.shape == (len(MEMBERS),)
             for row, value, f, df in zip(got, at_point, singles, d_singles):
-                want = call(f, df, lattice)
-                if fft:
-                    assert np.all(np.abs(row - want)
-                                  <= 1e-15 * np.maximum(1.0, np.abs(want)))
-                else:
-                    assert row.tolist() == want.tolist()
+                assert row.tolist() == call(f, df, lattice).tolist()
                 assert value == call(f, df, lattice.nodes[-1])
 
     def test_family_without_table(self):
@@ -443,6 +434,46 @@ class TestFamilies:
             assert text in messages[0]
 
 
+DEEP_LATTICES = [(0.9, 659), (0.99, 1000), (0.99, 3000)]
+
+
+class TestDeepRows:
+    """Every row of a deep lattice against a closed form, relative to the
+    row's own value: the head t**(1 + p beta) of a small node must not
+    magnify the error of the larger sums."""
+
+    @pytest.mark.parametrize("q,depth", DEEP_LATTICES)
+    @pytest.mark.parametrize("p", (0.5, 1.0, 2.0, 5.0))
+    @pytest.mark.parametrize("lam", (0.0, 1.0))
+    @pytest.mark.parametrize("alpha", (0.25, 0.75))
+    def test_integral_of_a_power_is_the_lemma(self, q, depth, p, lam,
+                                              alpha):
+        # 6894 terms at q**p = 0.995
+        ctx = OperatorContext(QParams(q, p), ctrl=SeriesControl(
+            max_terms=8000))
+        lattice = QLattice(1.0, q, depth)
+        got = frac_integral(tabled(lambda w: w ** (p * lam)), lattice,
+                            alpha, ctx)
+        want = (lemma_beta_integral(0.0, np.array(lattice.nodes), alpha, lam,
+                                    ctx.params, ctx.ctrl)
+                * q_number(p, q) ** (1.0 - alpha)
+                / q_gamma(alpha, ctx.params.qp, ctx.ctrl))
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("q,depth", DEEP_LATTICES)
+    @pytest.mark.parametrize("p", (1.0, 2.0, 5.0))
+    @pytest.mark.parametrize("alpha", (0.25, 0.75))
+    def test_caputo_is_the_simplified_form(self, q, depth, p, alpha):
+        ctx = OperatorContext(QParams(q, p))
+        lattice = QLattice(1.0, q, depth)
+        for f, dqf in ((lambda w: w, lambda w: np.ones_like(w)),
+                       (lambda w: w * w, lambda w: (1.0 + q) * w)):
+            got = caputo_derivative(tabled(f), lattice, alpha, ctx)
+            want = caputo_derivative_simplified(tabled(f), tabled(dqf),
+                                                lattice, alpha, ctx)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 def mixed_sign_table(size, seed):
     """A smooth integrand of mixed sign plus noise, at size nodes."""
     rng = np.random.default_rng(seed)
@@ -451,43 +482,8 @@ def mixed_sign_table(size, seed):
 
 
 class TestKernelConvolutions:
-    """The FFT past the crossover against np.correlate, and the Toeplitz
-    lower-limit sums against the dense matrix of one weight row per node."""
-
-    @pytest.mark.parametrize("q,rows", [(0.9, 331), (0.97, 40),
-                                        (0.97, 1137), (0.99, 21),
-                                        (0.99, 138), (0.99, 500),
-                                        (0.99, 3440)])
-    @pytest.mark.parametrize("p", PS)
-    @pytest.mark.parametrize("beta", (-0.5, -0.15))
-    def test_fft_matches_direct(self, q, rows, p, beta):
-        params = QParams(q, p)
-        nodes = 1.3 * np.power(q, np.arange(rows))
-        kernel = LatticeKernel(params, beta, 0.0, DEFAULT_INTEGRATION_CTRL,
-                               nodes)
-        n = kernel.n
-        assert (kernel.upper.size > 0) == (rows * n >= _FFT_MIN_MADDS)
-        weights = np.power(q, np.arange(n)) * reference.kernel_weights(
-            params.qp, beta, params.qp, n, _SUM_ABS_TOL)
-        g = mixed_sign_table(rows + n - 1, seed=rows)
-        want = kernel.head * np.correlate(g, weights, "valid")
-        got = kernel.apply(g)
-        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0,
-                                                                np.abs(want)))
-
-    def test_both_sides_of_the_crossover_are_reached(self):
-        n = LatticeKernel(QParams(0.99), -0.5, 0.0, DEFAULT_INTEGRATION_CTRL,
-                          [1.0]).n
-        assert 21 * n < _FFT_MIN_MADDS <= 138 * n
-
-    def test_fft_length_is_the_least_5_smooth_length(self):
-        top = 10**5
-        smooth = sorted(2**i * 3**j * 5**k for i in range(18)
-                        for j in range(12) for k in range(9)
-                        if 2**i * 3**j * 5**k <= 2 * top)
-        sizes = np.arange(1, top + 1)
-        want = np.array(smooth)[np.searchsorted(smooth, sizes)]
-        assert [_fft_length(n) for n in sizes.tolist()] == want.tolist()
+    """The Toeplitz lower-limit sums against the dense matrix of one weight
+    row per node."""
 
     @pytest.mark.parametrize("q", (0.5, 0.9, 0.99))
     @pytest.mark.parametrize("p", PS)
@@ -506,7 +502,7 @@ class TestKernelConvolutions:
             for t in nodes])
         g_low = mixed_sign_table(n, seed=len(nodes))
         want = dense @ g_low
-        got = kernel.lower_sum(g_low)
+        got = -kernel.apply(np.zeros(len(nodes) + n - 1), g_low)
         assert len(got) == len(nodes)
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0,
                                                                 np.abs(want)))

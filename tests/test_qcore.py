@@ -5,7 +5,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qfrac
@@ -244,6 +244,7 @@ class TestLatticeQPower:
            alpha=st.floats(-0.95, 1.95), x=st.floats(0.5, 2.0),
            frac=st.floats(0.0, 1.0), n=st.integers(1, 80))
     @settings(max_examples=80, deadline=None)
+    @example(q=0.3, p=1.0, alpha=0.0, x=2.0, frac=5e-324, n=2)
     def test_matches_scalar_q_power(self, q, p, alpha, x, frac, n):
         params = QParams(q, p)
         y = frac * x
@@ -257,6 +258,15 @@ class TestLatticeQPower:
         want = np.array([q_power_general(x, y * q**i, alpha, params)
                          for i in range(n)])
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("alpha", (0.0, 0.5, -0.5))
+    def test_underflowed_ratio_is_a_zero_base(self, alpha):
+        # 5e-324 / 2 rounds to 0: the value at y = 0, with no RuntimeWarning
+        params = QParams(0.3)
+        want = q_power_general(2.0, 0.0, alpha, params)
+        assert q_power_general(2.0, 5e-324, alpha, params) == want
+        assert q_power_general(np.array([2.0, 2.0]), np.array([5e-324, 0.0]),
+                               alpha, params).tolist() == [want, want]
 
 
 class TestInvariantsOfTypes:

@@ -72,6 +72,23 @@ def test_lemma_holds_at_large_p(q, p):
     assert result.max_error <= 1e-12
 
 
+@pytest.mark.parametrize("restrict", [
+    {"p": 0.5}, {"q": 0.9, "p": 0.5},
+    *({"q": 0.99, "p": p} for p in (5.0, 10.0, 15.0, 20.0))])
+def test_registry_passes_on_deep_tables(restrict):
+    """Where q**p nears 1 the kernel tables run thousands of rows deep, and
+    at a large p the small nodes' heads t**(1 + p beta) are huge: every
+    row of every operator sum must keep its own digits."""
+    failed = [r for r in verify.run_registry(restrict) if not r.passed]
+    assert failed == []
+
+
+def test_cli_verify_at_q_099_p_20_exits_0(tmp_path, capsys):
+    assert main(["verify", "--config",
+                 write_cfg(tmp_path, "q = 0.99\np = 20\n")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_one_kernel_per_lattice_and_family(monkeypatch):
     """The checks pass whole families, so a registry builds few kernels
     (1,142 when every function and node had its own)."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -171,22 +170,21 @@ class _PicardEngine:
     Below a the iterates extend by the constant zeta, so the integrand
     there, the kernel sums over it and the subtracted sums over [0, a] are
     one vector fixed for the solve. A step correlates only the m active
-    integrand values g with the first m kernel weights, and keeps g and the
-    unscaled sums for the next step. It re-tabulates g only where the
-    iterate moved; row i sums g from i on, so a change of g below row e
-    changes only the first e sums, and the step rewrites only those rows.
-    Past a row count where the bookkeeping pays, and when E, the next power
-    of two >= e, is below m, it adds the correlation of the change with the
-    first E weights to the first e sums; otherwise it forms the sums
-    afresh. Rows at or past e keep their bits, and the step's checks read
-    only the rows before it. `points` counts the rhs values tabulated.
-    Callers build and step it under np.errstate(over="ignore",
+    rhs values g with the first m kernel weights, times (q**i)**(p-1), the
+    row heads carrying t**(p-1), so the rows convolve the rhs at one scale;
+    it keeps g and the unscaled sums for the next step. It re-tabulates g
+    only where the iterate moved; row i sums g from i on, so a change of g
+    below row e changes only the first e sums, and the step rewrites only
+    those rows. Past a row count where the bookkeeping pays, and when E,
+    the next power of two >= e, is below m, it adds the correlation of the
+    change with the first E weights to the first e sums; otherwise it forms
+    the sums afresh. Rows at or past e keep their bits, and the step's
+    checks read only the rows before it. `points` counts the rhs values
+    tabulated. Callers build and step it under np.errstate(over="ignore",
     invalid="ignore"); the step raises on the inf or NaN of a huge rhs."""
 
     def __init__(self, problem: CauchyProblem, ctrl: SeriesControl):
         self.problem = problem
-        self.rhs_table = (getattr(problem.rhs, "table", None)
-                          or partial(_tabulate, problem.rhs))
         self.points = 0
         self.nodes = solver_nodes(problem, ctrl)
         p = problem.params.p
@@ -198,12 +196,13 @@ class _PicardEngine:
         self.gamma = kernel.gamma  # Gamma_Q(alpha), of the steps and C(b)
         self.coef = (q_number(p, problem.params.q) ** (1.0 - alpha)
                      / kernel.gamma)
-        self.head = kernel.head
         self.active_nodes = self.nodes[:m]
-        self.active_weight = _power(self.nodes[:m], p - 1.0, p,
-                                    "integrand weight")
-        # the active rows read no weight past the m-th
-        self.active = _Convolution(kernel.upper[n - m:])
+        self.head = kernel.head * _power(self.active_nodes, p - 1.0, p,
+                                         "integrand weight")
+        # weights times (q**i)**(p-1): the rows convolve the rhs at one scale
+        tilt = _power(_nodes(1.0, problem.params.q, m), p - 1.0, p,
+                      "integrand weight")
+        self.active = _Convolution(kernel.upper[n - m:] * tilt[::-1])
         self.corrections = {}  # E < m -> its correlation
         # the fixed sums, negated: x - 0.0 is x bit for bit (-0.0 too), and
         # at a = 0 there are none
@@ -221,7 +220,7 @@ class _PicardEngine:
 
     def _integrand(self, nodes: np.ndarray) -> np.ndarray:
         p = self.problem.params.p
-        values = self.rhs_table(nodes, self.problem.zeta)
+        values = _tabulate(self.problem.rhs, nodes, self.problem.zeta)
         self.points += values.size
         return _power_times(nodes, p - 1.0, p, "integrand weight", values)
 
@@ -259,8 +258,7 @@ class _PicardEngine:
         # bits, not values: f(t, -0.0) may differ from f(t, 0.0); and a NaN
         # is evaluated, never taken for the seed
         moved = ((u.view(np.int64) != seen) | np.isnan(u)).nonzero()[0]
-        g = self.active_weight[moved] * self.rhs_table(
-            self.active_nodes[moved], u[moved])
+        g = _tabulate(problem.rhs, self.active_nodes[moved], u[moved])
         self.points += len(g)
         np.copyto(seen, u.view(np.int64))
         # row i sums g from i on, so rows past e keep their sums and phi;

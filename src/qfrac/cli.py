@@ -332,8 +332,11 @@ def _cmd_solve(cfg: RunConfig, ctrl: SeriesControl, out: str | None,
     _write_table(cfg, out, fmt, "u", list(zip(lattice.nodes,
                                               report.solution)), record)
     if not report.converged:
+        last = report.residuals[-2:]
+        ratio = (f", ratio {last[1] / last[0]:.4g}"
+                 if len(last) == 2 and last[0] else "")
         print(f"solver did not converge within max_iter={cfg.max_iter} "
-              f"(last residual {report.residuals[-1]:.3e})", file=sys.stderr)
+              f"(last residual {last[-1]:.3e}{ratio})", file=sys.stderr)
         return 4
     return 0
 

@@ -34,6 +34,7 @@ from qfrac.operators import (
     LatticeKernel,
     OperatorContext,
     bound_constant,
+    lemma_beta_integral,
 )
 from qfrac.qcalc import QLattice, _tabulate
 from qfrac.qcore import (
@@ -368,6 +369,56 @@ class TestConvolution:
         assert [_fft_length(n) for n in sizes.tolist()] == want.tolist()
 
 
+class TestTiltedRows:
+    """The engine convolves the rhs values alone: the integrand weight
+    w**(p-1) sits in the row heads and the weights, so at p != 1 its FFT
+    rows keep the digits of the direct path."""
+
+    @pytest.mark.parametrize("q,p", [(0.99, 0.5), (0.99, 1.0), (0.99, 2.0),
+                                     (0.99, 5.0), (0.999, 1.0),
+                                     (0.999, 2.0), (0.999, 5.0)])
+    @pytest.mark.parametrize("alpha", (0.25, 0.75))
+    def test_step_of_one_is_the_lemma(self, q, p, alpha):
+        # from zeta = 0 one step of rhs = 1 is J^alpha 1; rows past n/8
+        # lose the part of their sums past the table's end
+        ctrl = SeriesControl(max_terms=40000)
+        params = QParams(q, p)
+        problem = CauchyProblem(rhs=lambda t, u: 1.0, a=0.0, b=1.0,
+                                zeta=0.0, order=FracOrder(alpha),
+                                params=params, radius_r=10.0)
+        nodes = solver_nodes(problem, ctrl)
+        got = picard_iterate(np.zeros(len(nodes)), problem, ctrl)
+        rows = nodes[:len(nodes) // 8]
+        want = (q_number(p, q) ** (1.0 - alpha)
+                / q_gamma(alpha, params.qp, ctrl)
+                * lemma_beta_integral(0.0, rows, alpha, 0.0, params, ctrl))
+        assert np.all(np.abs(got[:len(rows)] - want) <= 1e-13 * want)
+
+    @staticmethod
+    def outcome(problem, lattice, ctrl):
+        try:
+            report = solve(problem, lattice, max_iter=300, ctrl=ctrl)
+        except (ConvergenceError, TrustRegionError) as exc:
+            return type(exc), None, None
+        return report.converged, report.iterations_used, report.solution
+
+    @pytest.mark.parametrize("source", SOLVE_GRID_RHS)
+    @pytest.mark.parametrize("p", (0.5, 2.0, 5.0))
+    def test_solve_ends_as_the_direct_path(self, monkeypatch, p, source):
+        problem = CauchyProblem(rhs=compiled_rhs(source), a=0.0, b=1.0,
+                                zeta=1.0, order=FracOrder(0.5),
+                                params=QParams(0.99, p), radius_r=10.0)
+        lattice = QLattice(1.0, 0.99, 12)
+        ctrl = SeriesControl(max_terms=40000)
+        got = self.outcome(problem, lattice, ctrl)
+        monkeypatch.setattr(cauchy, "_FFT_MIN_MADDS", math.inf)
+        want = self.outcome(problem, lattice, ctrl)
+        assert got[:2] == want[:2]
+        if want[2] is not None:
+            u = np.array(want[2])
+            assert np.all(np.abs(np.array(got[2]) - u) <= 1e-14 * np.abs(u))
+
+
 class TestIncrementalStep:
     """One engine re-tabulates the rhs only where the iterate moved, and
     past _INCREMENTAL_MIN_ROWS active rows adds the change of the sums over
@@ -390,8 +441,7 @@ class TestIncrementalStep:
             prev = engine.phi.copy()
             e = len(engine.step())
             out = engine.phi
-            full = engine.active_weight * _tabulate(
-                problem.rhs, engine.active_nodes, prev[:m])
+            full = _tabulate(problem.rhs, engine.active_nodes, prev[:m])
             assert engine.g[:m].tobytes() == full.tobytes()
             assert out[e:].tobytes() == prev[e:].tobytes()
             want = picard_iterate(prev, problem)

@@ -191,6 +191,17 @@ class TestExitCodes:
         assert main(["solve", "--config", path, "--out", out]) == 4
         assert "did not converge" in capsys.readouterr().err
 
+    def test_divergent_iteration_names_its_ratio(self, tmp_path, capsys):
+        # rhs = u diverges where |lambda| (b**p (1 - q))**alpha = 50**0.5 > 1
+        path = write_cfg(tmp_path, "a.cfg",
+                         "q = 0.5\nalpha = 0.5\nzeta = 1\nrhs = u\n"
+                         "b = 100\nr = 1e300\nmax_iter = 300\n")
+        out = str(tmp_path / "sol.csv")
+        assert main(["solve", "--config", path, "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "ratio 7.07" in err
+
     def test_trust_region_exit_is_5(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "a.cfg",
                          "q = 0.5\nalpha = 0.5\nzeta = 1\nrhs = u\n"
@@ -333,6 +344,14 @@ class TestSolve:
         ml_payload = json.loads(capsys.readouterr().out)
         for u, e in zip(payload["table"]["u"], ml_payload["table"]["value"]):
             assert u == pytest.approx(e, abs=1e-8)
+
+    def test_q_099_p_5_converges(self, tmp_path, capsys):
+        # the Picard engine's FFT rows keep their digits at p != 1
+        path = write_cfg(tmp_path, "s.cfg",
+                         "q = 0.99\nalpha = 0.5\nzeta = 1\nrhs = u\n"
+                         "r = 10\np = 5\n")
+        assert main(["solve", "--config", path, "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["converged"] is True
 
     def test_csv_writes_report_sidecar(self, tmp_path):
         path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)

@@ -172,17 +172,18 @@ class _PicardEngine:
     one vector fixed for the solve. A step correlates only the m active
     rhs values g with the first m kernel weights, times (q**i)**(p-1), the
     row heads carrying t**(p-1), so the rows convolve the rhs at one scale;
-    it keeps g and the unscaled sums for the next step. It re-tabulates g
-    only where the iterate moved; row i sums g from i on, so a change of g
-    below row e changes only the first e sums, and the step rewrites only
-    those rows. Past a row count where the bookkeeping pays, and when E,
-    the next power of two >= e, is below m, it adds the correlation of the
-    change with the first E weights to the first e sums; otherwise it forms
-    the sums afresh. Rows at or past e keep their bits, and the step's
-    checks read only the rows before it. `points` counts the rhs values
-    tabulated. Callers build and step it under np.errstate(over="ignore",
-    invalid="ignore"); the step raises on the inf or NaN of a huge rhs."""
+    it keeps g, the unscaled sums and `moved`, the rows to re-tabulate g
+    at: every active row after a load, else those whose bits the last step
+    changed. Row i sums g from i on, so a change of g below row e changes
+    only the first e sums, and the step rewrites only those rows. Past a
+    row count where the bookkeeping pays, and when E, the next power of two
+    >= e, is below m, it adds the correlation of the change with the first
+    E weights to the first e sums; otherwise it forms the sums afresh. Rows
+    at or past e keep their bits, and the step's checks read only the rows
+    before it. `points` counts the rhs values tabulated. A huge rhs
+    overflows to inf or NaN, which the step raises on."""
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, problem: CauchyProblem, ctrl: SeriesControl):
         self.problem = problem
         self.points = 0
@@ -212,8 +213,6 @@ class _PicardEngine:
             frozen[m:] = self._integrand(self.nodes[m:])
             self.tail = -kernel.apply(frozen, self._integrand(
                 kernel.lower_nodes))
-        # bits of the active iterate g was tabulated from; NaN matches none
-        self.seen = np.full(m, np.nan).view(np.int64)
         self.g = np.zeros(2 * m - 1)  # zero past m: tail has those rows
         self.steps = 0
         self.load(np.full(len(self.nodes), problem.zeta))
@@ -224,12 +223,13 @@ class _PicardEngine:
         self.points += values.size
         return _power_times(nodes, p - 1.0, p, "integrand weight", values)
 
+    @np.errstate(over="ignore", invalid="ignore")
     def load(self, prev: np.ndarray) -> None:
         """Take a copy of prev, a table over the solver nodes, as the
         iterate to step from."""
         self.phi = np.array(prev, dtype=float)
-        self.changed = len(prev)  # rows of phi that may have moved
-        self.sums = None  # phi is not their image: the next step forms them
+        # phi is not the image of g and the sums: the next step forms them
+        self.moved = np.arange(self.n_active)
         self._check_region(self.phi)
 
     def _check_region(self, rows: np.ndarray) -> None:
@@ -245,27 +245,21 @@ class _PicardEngine:
                 self.active.table[self.n_active - rows:])
         return conv
 
+    @np.errstate(over="ignore", invalid="ignore")
     def step(self) -> np.ndarray:
         """Replace phi by the next iterate. Returns the change on the rows
         [:e] the step rewrote; rows past them keep their bits."""
-        problem, m, phi = self.problem, self.n_active, self.phi
+        problem, m, phi, moved = (self.problem, self.n_active, self.phi,
+                                  self.moved)
         if self.outside is not None:
             raise TrustRegionError(float(self.nodes[self.outside]),
                                    float(phi[self.outside]))
         self.steps += 1
-        u = phi[:min(self.changed, m)]
-        seen = self.seen[:len(u)]
-        # bits, not values: f(t, -0.0) may differ from f(t, 0.0); and a NaN
-        # is evaluated, never taken for the seed
-        moved = ((u.view(np.int64) != seen) | np.isnan(u)).nonzero()[0]
-        g = _tabulate(problem.rhs, self.active_nodes[moved], u[moved])
+        g = _tabulate(problem.rhs, self.active_nodes[moved], phi[moved])
         self.points += len(g)
-        np.copyto(seen, u.view(np.int64))
         # row i sums g from i on, so rows past e keep their sums and phi;
-        # after a load phi is not the sums' image, and every row is rewritten
+        # after a load every row moved, and every row is rewritten
         e = int(moved[-1]) + 1 if len(moved) else 0
-        if self.sums is None:
-            e = m
         rows = min(1 << max(e - 1, 0).bit_length(), m)
         if rows == m or m < _INCREMENTAL_MIN_ROWS:
             self.g[moved] = g
@@ -287,8 +281,10 @@ class _PicardEngine:
                     f"node t={float(self.nodes[idx])!r}")
             self._check_region(new)
         change = new - phi[:e]
+        # bits, not values: f(t, -0.0) may differ from f(t, 0.0)
+        self.moved = (new.view(np.int64)
+                      != phi[:e].view(np.int64)).nonzero()[0]
         phi[:e] = new
-        self.changed = e
         return change
 
 
@@ -297,16 +293,14 @@ def picard_iterate(prev: Sequence[float], problem: CauchyProblem,
     """One Picard step: phi_next(t) = zeta + J^alpha f(., phi_prev)(t) on the
     solver_nodes table. prev must be given on that same table."""
     prev = np.asarray(prev, dtype=float)
-    # a huge rhs overflows to inf or NaN, which the step raises on
-    with np.errstate(over="ignore", invalid="ignore"):
-        engine = _PicardEngine(problem, ctrl)
-        if prev.shape != engine.nodes.shape:
-            raise DomainError(
-                f"prev has {prev.shape[0] if prev.ndim == 1 else '?'} "
-                f"values, expected one per solver node ({len(engine.nodes)})"
-            )
-        engine.load(prev)
-        engine.step()
+    engine = _PicardEngine(problem, ctrl)
+    if prev.shape != engine.nodes.shape:
+        raise DomainError(
+            f"prev has {prev.shape[0] if prev.ndim == 1 else '?'} "
+            f"values, expected one per solver node ({len(engine.nodes)})"
+        )
+    engine.load(prev)
+    engine.step()
     engine.phi[engine.n_active:] = problem.zeta  # the iterate below a
     return engine.phi
 
@@ -335,9 +329,7 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
         raise DomainError(f"lattice ratio {lattice.q} differs from "
                           f"q={problem.params.q}")
 
-    # a huge rhs overflows to inf or NaN, which the step raises on
-    with np.errstate(over="ignore", invalid="ignore"):
-        engine = _PicardEngine(problem, ctrl)
+    engine = _PicardEngine(problem, ctrl)
     rows = len(lattice.nodes)
     if rows > engine.n_active:
         raise DomainError(
@@ -359,16 +351,15 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
     bounds: list[float] = []
     converged = False
     iterations = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, max_iter + 1):
-            change = engine.step()[:rows]
-            residual = float(np.abs(change).max(initial=0.0))
-            residuals.append(residual)
-            bounds.append(_induction_bound(n, c_bound, a_const, k_est))
-            iterations = n
-            if residual < tol:
-                converged = True
-                break
+    for n in range(1, max_iter + 1):
+        change = engine.step()[:rows]
+        residual = float(np.abs(change).max(initial=0.0))
+        residuals.append(residual)
+        bounds.append(_induction_bound(n, c_bound, a_const, k_est))
+        iterations = n
+        if residual < tol:
+            converged = True
+            break
 
     slack = 0.0
     for r, bd in zip(residuals, bounds):

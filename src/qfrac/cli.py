@@ -80,7 +80,7 @@ def load_config(path: str, command: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
@@ -194,21 +194,39 @@ def _fmt(value: float) -> str:
 
 
 def _write_atomic(path: str | None, text: str) -> None:
+    """Write text to stdout, or where open(path, "w") would: into a device
+    or FIFO in place, and through a symlink to its target. A regular file,
+    new or not, is replaced whole with the mode open would leave."""
     if path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(path))
-    try:  # the mode open(path, "w") would leave; mkstemp's is 0600
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+    try:
+        _write_path(path, text)
+    except OSError as exc:
+        raise ConfigError(
+            f"--out: cannot write {path}: {exc.strerror}") from exc
+
+
+def _write_path(path: str, text: str) -> None:
+    try:  # follows links; the mode open(path, "w") would leave
+        st = os.stat(path)
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".qfrac-")
+    else:
+        if not stat.S_ISREG(st.st_mode):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        mode = stat.S_IMODE(st.st_mode)
+    # not before the stat: /dev/stdout on a pipe resolves to no path
+    path = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".qfrac-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.chmod(tmp, mode)
+        os.chmod(tmp, mode)  # mkstemp's is 0600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -559,6 +560,35 @@ class TestIncrementalStep:
         assert engine.phi.tobytes() == prev.tobytes()
         assert sizes == [engine.n_active, 0]
 
+    def test_a_load_retabulates_every_active_row(self):
+        sizes = []
+        zero = compiled_rhs("0*u")
+
+        class Spy:
+            def table(self, t, u):
+                sizes.append(np.size(u))
+                return zero.table(t, u)
+
+        engine = _PicardEngine(self.problem(Spy(), zeta=2.0),
+                               DEFAULT_INTEGRATION_CTRL)
+        engine.step()
+        engine.load(engine.phi.copy())
+        sizes.clear()
+        engine.step()
+        assert sizes == [engine.n_active] == [331]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_engine_holds_its_own_float_guard(self):
+        # built and stepped with no errstate around it: u*1e307 overflows
+        # to inf, which the step raises on, and numpy warns of nothing
+        problem = CauchyProblem(rhs=compiled_rhs("u*1e307"), a=0.0, b=100.0,
+                                zeta=1.0, order=FracOrder(0.5),
+                                params=QParams(0.5, 2.0), radius_r=10.0)
+        engine = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "Picard step 1 gave a non-finite value at node t=100.0")):
+            engine.step()
+
     def test_nan_in_prev_is_evaluated(self):
         problem = self.problem(lambda t, u: 0.0, zeta=2.0)
         nodes = solver_nodes(problem)
@@ -566,8 +596,8 @@ class TestIncrementalStep:
         assert np.all(out == 2.0)
 
     def test_loaded_nan_is_tabulated_not_taken_for_the_seed(self):
-        # a new engine's seen bits are NaN's, the bits of a loaded NaN;
-        # f does not read u, so the step from NaN is the step from zeta
+        # a load marks every row moved, a loaded NaN among them; f does
+        # not read u, so the step from NaN is the step from zeta
         problem = self.problem(lambda t, u: 1.0, zeta=2.0)
         want = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
         want.step()

@@ -155,6 +155,14 @@ class TestExitCodes:
         assert main(["solve", "--config", path]) == 2
         assert "expected key = value" in capsys.readouterr().err
 
+    def test_config_not_utf8_is_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"q = 0.5\377\n")
+        assert main(["solve", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"cannot read config {path}: 'utf-8' codec can't decode byte "
+            f"0xff in position 7: invalid start byte\n")
+
     def test_malformed_expression_is_2(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "a.cfg",
                          "q = 0.5\nalpha = 0.5\nzeta = 1\nrhs = t +\n")
@@ -456,6 +464,49 @@ class TestSolve:
             os.umask(saved)
         assert created == [0o666 & ~umask] * 2
         assert overwritten == [0o640, 0o604]
+
+    def test_out_through_a_symlink_replaces_its_target(self, tmp_path):
+        path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_text("old\n")
+        link.symlink_to(target.name)
+        assert main(["solve", "--config", path, "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("x,u\n")
+        # the sidecar goes beside the name given
+        assert json.loads((tmp_path / "link.csv.report.json").read_text())[
+            "converged"] is True
+
+    def test_out_to_a_fifo_writes_into_it(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["solve", "--config", path, "--out", str(fifo),
+                         "--format", "json"]) == 0
+            chunks = []
+            while chunk := os.read(reader, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert main(["solve", "--config", path, "--format", "json"]) == 0
+        assert b"".join(chunks).decode() == capsys.readouterr().out
+
+    @pytest.mark.parametrize("name,reason", [
+        ("missing/x.json", "No such file or directory"),
+        ("adir", "Is a directory"),
+    ], ids=["missing-directory", "a-directory"])
+    def test_out_that_cannot_be_written_is_2(self, tmp_path, capsys, name,
+                                             reason):
+        path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
+        (tmp_path / "adir").mkdir()
+        out = str(tmp_path / name)
+        assert main(["solve", "--config", path, "--out", out,
+                     "--format", "json"]) == 2
+        assert capsys.readouterr().err == (
+            f"--out: cannot write {out}: {reason}\n")
 
 
 class TestVerify:

@@ -193,21 +193,22 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_atomic(path: str | None, text: str) -> None:
+def _write_atomic(path: str | None, text: str) -> bool:
     """Write text to stdout, or where open(path, "w") would: into a device
     or FIFO in place, and through a symlink to its target. A regular file,
-    new or not, is replaced whole with the mode open would leave."""
+    new or not, is replaced whole with the mode open would leave. True
+    when the text went to a regular file."""
     if path is None:
         sys.stdout.write(text)
-        return
+        return False
     try:
-        _write_path(path, text)
+        return _write_path(path, text)
     except OSError as exc:
         raise ConfigError(
             f"--out: cannot write {path}: {exc.strerror}") from exc
 
 
-def _write_path(path: str, text: str) -> None:
+def _write_path(path: str, text: str) -> bool:
     try:  # follows links; the mode open(path, "w") would leave
         st = os.stat(path)
     except FileNotFoundError:
@@ -218,7 +219,7 @@ def _write_path(path: str, text: str) -> None:
         if not stat.S_ISREG(st.st_mode):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            return
+            return False
         mode = stat.S_IMODE(st.st_mode)
     # not before the stat: /dev/stdout on a pipe resolves to no path
     path = os.path.realpath(path)
@@ -232,6 +233,7 @@ def _write_path(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return True
 
 
 def _report_json(payload: dict) -> str:
@@ -248,7 +250,8 @@ def _write_table(cfg: RunConfig, out: str | None, fmt: str, column: str,
                  report: dict | None = None) -> None:
     """The x,<column> table of eval, ml and solve. As JSON it carries the
     report's fields; as CSV the report goes beside it, to the
-    <out>.report.json sidecar, or to stderr when there is no --out."""
+    <out>.report.json sidecar, or to stderr when there is no --out or it
+    is not a regular file (a device or FIFO has no place beside it)."""
     payload = {"schema": 1, "config": cfg.resolved(), **(report or {})}
     if fmt == "json":
         payload["table"] = {"x": [x for x, _ in rows],
@@ -256,12 +259,12 @@ def _write_table(cfg: RunConfig, out: str | None, fmt: str, column: str,
         _write_atomic(out, _report_json(payload))
         return
     sidecar = None if report is None else _report_json(payload)
-    _write_atomic(out, f"x,{column}\n" + "".join(
+    regular = _write_atomic(out, f"x,{column}\n" + "".join(
         f"{_fmt(x)},{_fmt(v)}\n" for x, v in rows))
-    if sidecar is not None and out is None:
-        sys.stderr.write(sidecar)
-    elif sidecar is not None:
+    if sidecar is not None and regular:
         _write_atomic(out + ".report.json", sidecar)
+    elif sidecar is not None:
+        sys.stderr.write(sidecar)
 
 
 def _compiled_function(source: str, variables: tuple[str, ...],

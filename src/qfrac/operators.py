@@ -121,8 +121,7 @@ class LatticeKernel:
         q_i = _nodes(1.0, q, n)
         weights = _kernel_weights(log_Q, beta, log_Q, n, ctrl)
         self.gamma = float(weights[0]) * (1.0 - params.qp) ** -beta
-        weights *= q_i
-        self.upper = weights[::-1]
+        self.upper = (weights * q_i)[::-1]
         self.head = (1.0 - q) * _power(nodes, 1.0 + p * beta, p)
         self.lower_nodes = a * q_i  # bit for bit _nodes(a, q, n)
         self.lower = None
@@ -259,11 +258,17 @@ def lemma_beta_integral(a: float, x, order_alpha: float, lam: float,
         raise DomainError(f"lambda must exceed -1, got {lam}")
     if not (np.all(np.asarray(x) > a) and a >= 0.0):
         raise DomainError(f"need x > a >= 0, got x={x}, a={a}")
-    g_alpha, g_lam, g_sum = q_gamma(
-        np.array([order_alpha, lam + 1.0, order_alpha + lam + 1.0]),
-        params.qp, ctrl).tolist()
-    return (g_alpha * g_lam / g_sum / q_number(params.p, params.q)
+    return (float(_lemma_constants(order_alpha, lam, params, ctrl))
             * q_power_general(x, a, order_alpha + lam, params, ctrl))
+
+
+def _lemma_constants(alpha, lam, params: QParams, ctrl: SeriesControl):
+    """The lemma's Gamma_Q(alpha) Gamma_Q(lambda+1) / Gamma_Q(alpha+lambda+1)
+    / [p]_q, for floats or equal-shape arrays of alpha and lambda, from one
+    q-Gamma pass (q_gamma is elementwise, so each keeps its bits)."""
+    g_alpha, g_lam, g_sum = q_gamma(
+        np.array([alpha, lam + 1.0, alpha + lam + 1.0]), params.qp, ctrl)
+    return g_alpha * g_lam / g_sum / q_number(params.p, params.q)
 
 
 def frac_derivative_rl(f: ScalarFunction, x, order,
@@ -335,11 +340,22 @@ def caputo_rl_relation_residual(f: ScalarFunction, x: float, order,
     Approximately zero whenever both derivative types exist.
     """
     alpha = _alpha_of(order)
-    shift = (f(ctx.a) * (q_number(ctx.params.p, ctx.params.q) ** alpha
-                         / q_gamma(1.0 - alpha, ctx.params.qp, ctx.ctrl))
+    fa = f(ctx.a)
+    shift = (fa * (q_number(ctx.params.p, ctx.params.q) ** alpha
+                   / q_gamma(1.0 - alpha, ctx.params.qp, ctx.ctrl))
              * q_power_general(x, ctx.a, -alpha, ctx.params, ctx.ctrl))
-    return (frac_derivative_rl(f, x, order, ctx)
-            - caputo_derivative(f, x, order, ctx) - shift)
+    fa_col = np.expand_dims(fa, -1)  # one per row of a family
+
+    def table(w):
+        t = _tabulate(f, w)
+        return np.vstack((t, t - fa_col))
+
+    # D f and cD f (the RL derivative of f - f(a)) as one family pass over
+    # [f, f - f(a)], f tabulated once: each row keeps its own pass's bits
+    both = lambda w: table(np.array([w]))[..., 0]
+    both.table = table
+    d, cd = np.split(frac_derivative_rl(both, x, order, ctx), 2)
+    return _value(np.reshape(d - cd, np.shape(fa))) - shift
 
 
 def bound_constant(order, ctx: OperatorContext, b: float,

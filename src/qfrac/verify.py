@@ -9,6 +9,7 @@ their only implementation. Grids may be restricted to particular q / p values.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,13 +19,13 @@ import numpy as np
 from .operators import (
     FracOrder,
     OperatorContext,
+    _lemma_constants,
     bound_constant,
     caputo_derivative,
     caputo_derivative_simplified,
     caputo_rl_relation_residual,
     frac_integral,
     inversion_residuals,
-    lemma_beta_integral,
 )
 from .qcalc import QLattice, jackson_integral, q_derivative, sup_norm
 from .qcore import (
@@ -82,29 +83,40 @@ class _FromTable:
         return self.table(np.array([w], dtype=float))[..., 0]
 
 
+_LEMMA_XS = (0.5, 1.0, 2.0)
+
+
+def _lemma_cases(params: QParams, ctrl):
+    """(alpha, lambda, the closed forms at _LEMMA_XS) of each lemma case in
+    turn, each as lemma_beta_integral gives it: the q-Gammas of all cases
+    come from one pass, and a case's q-power when the case is reached, so
+    a q-power past float range fails where a case-by-case loop fails."""
+    alphas, lams = np.array(list(itertools.product((0.3, 0.7, 1.2),
+                                                   (0.0, 0.5, 1.0)))).T
+    constants = _lemma_constants(alphas, lams, params, ctrl).tolist()
+    for alpha, lam, c in zip(alphas.tolist(), lams.tolist(), constants):
+        yield alpha, lam, (c * q_power_general(
+            np.array(_LEMMA_XS), 0.0, alpha + lam, params, ctrl)).tolist()
+
+
 def _check_lemma(restrict, ctrl) -> float:
     errors = []
-    xs = (0.5, 1.0, 2.0)
     for q, p in _pairs(restrict):
-        params = QParams(q, p)
-        for alpha in (0.3, 0.7, 1.2):
-            for lam in (0.0, 0.5, 1.0):
-                closed = lemma_beta_integral(0.0, np.array(xs), alpha, lam,
-                                             params, ctrl).tolist()
-                for x, rhs in zip(xs, closed):
-                    # a block of Jackson nodes of [0, x] is t_0 q**i: the
-                    # q-power at q t is x**(p beta) k_i at c = (q t_0 / x)**p
-                    head = _power(x, p * (alpha - 1.0), p,
-                                  "lemma integrand factor")
-                    integrand = _FromTable(
-                        lambda t: (
-                            t ** (p - 1.0)
-                            * (head * _kernel_weights(
-                                p * math.log(q), alpha - 1.0,
-                                p * math.log(q * t[0] / x), len(t), ctrl))
-                            * t ** (p * lam)))
-                    lhs = jackson_integral(integrand, 0.0, x, q, ctrl)
-                    errors.append(abs(lhs - rhs) / abs(rhs))
+        for alpha, lam, closed in _lemma_cases(QParams(q, p), ctrl):
+            for x, rhs in zip(_LEMMA_XS, closed):
+                # a block of Jackson nodes of [0, x] is t_0 q**i: the
+                # q-power at q t is x**(p beta) k_i at c = (q t_0 / x)**p
+                head = _power(x, p * (alpha - 1.0), p,
+                              "lemma integrand factor")
+                integrand = _FromTable(
+                    lambda t: (
+                        t ** (p - 1.0)
+                        * (head * _kernel_weights(
+                            p * math.log(q), alpha - 1.0,
+                            p * math.log(q * t[0] / x), len(t), ctrl))
+                        * t ** (p * lam)))
+                lhs = jackson_integral(integrand, 0.0, x, q, ctrl)
+                errors.append(abs(lhs - rhs) / abs(rhs))
     return _worst(errors)
 
 

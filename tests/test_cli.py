@@ -494,6 +494,31 @@ class TestSolve:
         assert main(["solve", "--config", path, "--format", "json"]) == 0
         assert b"".join(chunks).decode() == capsys.readouterr().out
 
+    def test_csv_out_to_a_fifo_sends_its_report_to_stderr(self, tmp_path,
+                                                          capsys):
+        """A FIFO has no place beside it for the sidecar: the report goes
+        to stderr, as without --out."""
+        path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["solve", "--config", path, "--out", str(fifo),
+                         "--format", "csv"]) == 0
+            chunks = []
+            while chunk := os.read(reader, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(reader)
+        err = capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.fifo",
+                                                               "s.cfg"]
+        assert main(["solve", "--config", path, "--format", "csv"]) == 0
+        plain = capsys.readouterr()
+        assert b"".join(chunks).decode() == plain.out
+        assert err == plain.err
+        assert json.loads(err)["converged"] is True
+
     @pytest.mark.parametrize("name,reason", [
         ("missing/x.json", "No such file or directory"),
         ("adir", "Is a directory"),

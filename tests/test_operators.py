@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qfrac import exprparse
 from qfrac.errors import ConvergenceError, DomainError
 from qfrac.operators import (
     FracOrder,
@@ -233,6 +234,26 @@ class TestCaputoDerivative:
             res = caputo_rl_relation_residual(f, 1.0, FracOrder(0.5), ctx)
             assert abs(res) < 1e-9
 
+    @pytest.mark.parametrize("q,p", [(0.5, 1.0), (0.9, 2.0)])
+    def test_rl_relation_residual_is_its_two_derivatives(self, q, p):
+        """The residual's one family pass over [f, f - f(a)] gives the bits
+        of D f - cD f - shift from two separate derivative calls."""
+        params = QParams(q, p)
+        ctx = OperatorContext(params, a=0.25)
+        compiled = exprparse.compile(exprparse.parse("1 + x*x - x^3", {"x"}),
+                                     ("x",), {})
+        family = tabled(lambda w: np.stack([m(w) for m in MEMBERS[:2]]))
+        for f in (lambda w: w * w + 1.0, compiled, family):
+            for alpha, x in ((0.25, 0.9), (0.5, 1.0), (0.75, 1.0)):
+                shift = (f(0.25) * (q_number(p, q) ** alpha
+                                    / q_gamma(1.0 - alpha, params.qp))
+                         * q_power_general(x, 0.25, -alpha, params))
+                want = (frac_derivative_rl(f, x, alpha, ctx)
+                        - caputo_derivative(f, x, alpha, ctx) - shift)
+                got = caputo_rl_relation_residual(f, x, alpha, ctx)
+                assert type(got) is type(want)
+                assert np.array(got).tolist() == np.array(want).tolist()
+
 
 class TestBoundConstant:
     def test_zero_base_closed_form(self):
@@ -337,6 +358,18 @@ class TestLatticePath:
             for x, v in zip(lattice.nodes, got):
                 want = ref(x)
                 assert abs(v - want) <= 1e-13 * max(1.0, abs(want)) * scale
+
+    def test_kernels_of_equal_arguments_are_equal(self):
+        """The weight tables are memoized: a kernel scales a copy, so the
+        next kernel of the same arguments reads the tables unchanged."""
+        ctx = OperatorContext(QParams(0.9, 2.0), a=0.25)
+        nodes = QLattice(1.0, 0.9, 12).nodes
+        k1, k2 = (LatticeKernel(ctx.params, -0.4, ctx.a, ctx.ctrl, nodes)
+                  for _ in range(2))
+        assert k1.gamma == k2.gamma
+        for table in ("upper", "lower"):
+            assert (getattr(k1, table).tolist()
+                    == getattr(k2, table).tolist())
 
     def test_stencil_leaving_the_domain(self):
         ctx = OperatorContext(QParams(0.5), a=0.25)

@@ -259,6 +259,14 @@ class TestLatticeQPower:
                          for i in range(n)])
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
+    def test_memoized_table_is_read_only(self):
+        table = _kernel_weights(math.log(0.5), -0.5, math.log(0.25), 8,
+                                SeriesControl())
+        with pytest.raises(ValueError, match="read-only"):
+            table *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+
     @pytest.mark.parametrize("alpha", (0.0, 0.5, -0.5))
     def test_underflowed_ratio_is_a_zero_base(self, alpha):
         # 5e-324 / 2 rounds to 0: the value at y = 0, with no RuntimeWarning

@@ -7,9 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from qfrac import operators, verify
+from qfrac import operators, qcore, verify
 from qfrac.cli import main
 from qfrac.qcalc import _tabulate
+from qfrac.qcore import DEFAULT_INTEGRATION_CTRL, QParams
 
 
 def write_cfg(tmp_path, text):
@@ -115,3 +116,39 @@ def test_families_give_their_table_bits_node_by_node(q, p):
     for family in (*verify._family(q, p), verify._horner(coeffs)):
         by_node = _tabulate(lambda w: family(w), nodes)
         assert by_node.tolist() == family.table(nodes).tolist()
+
+
+def test_registry_bits_do_not_depend_on_the_kernel_memo():
+    """A memoized kernel table gives the bits of a fresh one."""
+    warm = [r.max_error for r in verify.run_registry()]
+    cold = []
+    for name in verify.IDENTITY_NAMES:
+        qcore._kernel_weights.cache_clear()
+        cold.append(verify.run_identity(name).max_error)
+    assert cold == warm
+
+
+def test_kernel_memo_stays_bounded(tmp_path, capsys):
+    """A q = 0.99 solve and a verify in one process keep at most the
+    memo's constant number of kernel tables."""
+    solve = write_cfg(tmp_path, "q = 0.99\nalpha = 0.5\nzeta = 1\n"
+                                "rhs = u\nr = 10\n")
+    assert main(["solve", "--config", solve, "--format", "json"]) == 0
+    info = qcore._kernel_weights.cache_info()
+    assert info.maxsize == qcore._KERNEL_MEMO
+    assert info.currsize <= qcore._KERNEL_MEMO
+    assert main(["verify", "--config", write_cfg(tmp_path, "")]) == 0
+    assert qcore._kernel_weights.cache_info().currsize <= qcore._KERNEL_MEMO
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("q,p", [(0.3, 1.0), (0.9, 2.0), (0.99, 5.0)])
+def test_lemma_cases_are_lemma_beta_integral(q, p):
+    """The lemma check's closed forms, from one q-Gamma pass, are the bits
+    of one lemma_beta_integral call per case."""
+    params = QParams(q, p)
+    cases = list(verify._lemma_cases(params, DEFAULT_INTEGRATION_CTRL))
+    assert len(cases) == 9
+    for alpha, lam, closed in cases:
+        assert closed == operators.lemma_beta_integral(
+            0.0, np.array(verify._LEMMA_XS), alpha, lam, params).tolist()

@@ -14,7 +14,7 @@ max_iter exhausted; 5 trust-region exit.
 
 import argparse
 import functools
-import json
+import itertools
 import math
 import os
 import stat
@@ -22,6 +22,7 @@ import sys
 import tempfile
 import typing
 from dataclasses import dataclass, fields, replace
+from json.encoder import encode_basestring_ascii
 
 from . import cauchy, exprparse
 from .errors import ConvergenceError, DomainError, PoleError, TrustRegionError
@@ -237,12 +238,52 @@ def _write_path(path: str, text: str) -> bool:
 
 
 def _report_json(payload: dict) -> str:
-    try:
-        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    except ValueError as exc:
+    """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) and a
+    newline, without the pure-Python encoder that indent selects."""
+    return _json(payload, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """value as json.dumps(sort_keys=True, indent=2, allow_nan=False) writes
+    it at the indentation newline carries."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _floats((value,))[0]
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_json(v, inner)}"
+                 for key, v in sorted(value.items())]
+        ends = "{}"
+    elif isinstance(value, list):
+        try:  # a table column, in one pass
+            items = _floats(value)
+        except TypeError:
+            items = [_json(v, inner) for v in value]
+        ends = "[]"
+    else:
+        raise TypeError(
+            f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return ends
+    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
+
+
+def _floats(values) -> list[str]:
+    """json's text of each float; TypeError if one is no float. A
+    non-finite one raises FloatingPointError with json's words."""
+    text = list(map(float.__repr__, values))
+    for bad in itertools.filterfalse(math.isfinite, values):
         raise FloatingPointError(
-            f"report holds a non-finite number: {exc}") from exc
-    return text + "\n"
+            f"report holds a non-finite number: Out of range float values "
+            f"are not JSON compliant: {bad!r}")
+    return text
 
 
 def _write_table(cfg: RunConfig, out: str | None, fmt: str, column: str,
@@ -392,14 +433,12 @@ def _parser() -> argparse.ArgumentParser:
         prog="qfrac",
         description="Generalized q-fractional calculus operators and solver.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True,
-                         help="flat key = value config file")
-        cmd.add_argument("--out", default=None,
-                         help="output path (default: stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), default="csv")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True,
+                        help="flat key = value config file")
+    parser.add_argument("--out", default=None,
+                        help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 

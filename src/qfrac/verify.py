@@ -66,6 +66,62 @@ def _pairs(restrict: dict | None) -> list[tuple[float, float]]:
     return [(q, p) for q in qs for p in ps]
 
 
+# (state, inc) of np.random.default_rng(seed).bit_generator, which numpy's
+# SeedSequence derives from the seed
+_PCG64_SEEDS = {
+    1234: (0x160AD84006FE21EAF69B873D9FE45409,
+           0x50C8FB163C7CEA4ED0F51CE6006E4325),
+    99: (0xF31B894974AB7054E29B438DD79493EC,
+         0xF4188A9A07F2A554F59B2E1B089ED43D),
+    20240817: (0x1D69F3DE084E6A5F28AD013E3DAABAA4,
+               0x10957D136FB1D369CC7447F2C58CFBE9),
+}
+
+
+class _Pcg64:
+    """The draws np.random.default_rng(seed) gives for random(), uniform()
+    and choice() of a sequence, without loading numpy.random: O'Neill's
+    PCG64 (XSL-RR), numpy's 53-bit doubles, and Lemire's bounded draw on
+    32-bit words, the high half of a raw output kept for the next word."""
+
+    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+    def __init__(self, seed: int):
+        self.state, self.inc = _PCG64_SEEDS[seed]
+        self.half = None  # the buffered high 32 bits
+
+    def _raw(self) -> int:
+        self.state = s = (self.state * self._MULT + self.inc) % (1 << 128)
+        x, rot = ((s >> 64) ^ s) % (1 << 64), s >> 122
+        return ((x >> rot) | (x << (64 - rot))) % (1 << 64)
+
+    def _uint32(self) -> int:
+        if self.half is not None:
+            word, self.half = self.half, None
+            return word
+        raw = self._raw()
+        self.half = raw >> 32
+        return raw % (1 << 32)
+
+    def random(self) -> float:
+        return (self._raw() >> 11) * 2.0**-53
+
+    def uniform(self, lo: float, hi: float, size=None):
+        if size is None:
+            return lo + (hi - lo) * self.random()
+        return np.array([self.uniform(lo, hi)
+                         for _ in range(math.prod(size))]).reshape(size)
+
+    def choice(self, seq):
+        n = len(seq)
+        if n == 1:
+            return seq[0]
+        m = self._uint32() * n
+        while m % (1 << 32) < (1 << 32) % n:  # reject the biased words
+            m = self._uint32() * n
+        return seq[m >> 32]
+
+
 def _worst(errors) -> float:
     """The largest of all the error arrays; NaN if any error is NaN."""
     return float(np.max(np.concatenate([np.ravel(e) for e in errors])))
@@ -100,28 +156,26 @@ def _lemma_cases(params: QParams, ctrl):
 
 
 def _check_lemma(restrict, ctrl) -> float:
+    factor = "lemma integrand factor"
     errors = []
     for q, p in _pairs(restrict):
         for alpha, lam, closed in _lemma_cases(QParams(q, p), ctrl):
             for x, rhs in zip(_LEMMA_XS, closed):
                 # a block of Jackson nodes of [0, x] is t_0 q**i: the
                 # q-power at q t is x**(p beta) k_i at c = (q t_0 / x)**p
-                head = _power(x, p * (alpha - 1.0), p,
-                              "lemma integrand factor")
+                head = _power(x, p * (alpha - 1.0), p, factor)
                 integrand = _FromTable(
-                    lambda t: (
-                        t ** (p - 1.0)
-                        * (head * _kernel_weights(
+                    lambda t: _power_times(t, p * lam, p, factor, _power_times(
+                        t, p - 1.0, p, factor, head * _kernel_weights(
                             p * math.log(q), alpha - 1.0,
-                            p * math.log(q * t[0] / x), len(t), ctrl))
-                        * t ** (p * lam)))
+                            p * math.log(q * t[0] / x), len(t), ctrl))))
                 lhs = jackson_integral(integrand, 0.0, x, q, ctrl)
                 errors.append(abs(lhs - rhs) / abs(rhs))
     return _worst(errors)
 
 
 def _check_qpower_derivatives(restrict, ctrl) -> float:
-    rng = np.random.default_rng(1234)
+    rng = _Pcg64(1234)
     qs, ps = _grid(restrict)
     draws = [(float(rng.choice(qs)), float(rng.choice(ps)),
               float(rng.uniform(0.2, 1.8)), float(rng.uniform(0.5, 2.0)),
@@ -233,8 +287,8 @@ def _check_boundedness(restrict, ctrl) -> float:
     8 random quartics per (q, p) (seed 99) and 50 more (seed 20240817)
     dealt to the (q, p) pairs in turn."""
     pairs = _pairs(restrict)
-    dealt = np.random.default_rng(20240817).uniform(-1.0, 1.0, size=(50, 5))
-    rng = np.random.default_rng(99)
+    dealt = _Pcg64(20240817).uniform(-1.0, 1.0, size=(50, 5))
+    rng = _Pcg64(99)
     errors = []
     for j, (q, p) in enumerate(pairs):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)

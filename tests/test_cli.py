@@ -9,10 +9,12 @@ import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfrac
 from qfrac import exprparse
-from qfrac.cli import load_config, main
+from qfrac.cli import _report_json, load_config, main
 from qfrac.cli import ConfigError, RunConfig
 from qfrac.cauchy import SolverReport, q_mittag_leffler
 from qfrac.operators import FracOrder
@@ -888,6 +890,8 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
          "corollary integrand factor t**-19.0 leaves float range at p=20.0"),
         ("verify", "p = 500\n", 3,
          "q-power factor t**1100.0 leaves float range at p=500.0"),
+        ("verify", "q = 0.9\np = 1100\n", 3,
+         "lemma integrand factor t**1099.0 leaves float range at p=1100.0"),
         ("verify", "q = 0.9\np = 2000\n", 3,
          "lemma integrand factor t**-1400.0 leaves float range at p=2000.0"),
         ("solve", SOLVE_BASE + "rhs = u\np = 4\nb = 1e200\n", 3,
@@ -919,14 +923,17 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
         assert message in done.stderr
 
 
-def test_solve_without_lipschitz_a_leaves_numpy_random_unloaded(tmp_path):
-    """The Lipschitz estimate samples an even grid: a solve that estimates
-    the constant never loads numpy.random."""
-    path = write_cfg(tmp_path, "a.cfg", SOLVE_CFG)
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_command_leaves_numpy_random_unloaded(tmp_path, command):
+    """The Lipschitz estimate samples an even grid and verify draws from
+    its own PCG64 stream: no command loads numpy.random."""
+    path = write_cfg(tmp_path, "a.cfg",
+                     {"solve": SOLVE_CFG, "verify": ""}[command])
     script = f"""
 import sys
 from qfrac import cli
-assert cli.main(["solve", "--config", {path!r}]) == 0
+argv = [{command!r}, "--config", {path!r}, "--out", "/dev/null"]
+assert cli.main(argv) == 0
 assert "numpy.random" not in sys.modules
 """
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
@@ -934,3 +941,47 @@ assert "numpy.random" not in sys.modules
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers()
+                | st.floats(allow_nan=False, allow_infinity=False) | st.text())
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES, lambda inner: st.lists(inner, max_size=6)
+    | st.dictionaries(st.text(), inner, max_size=6), max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.text(), _JSON_VALUES, max_size=6))
+def test_report_json_is_json_dumps(payload):
+    assert _report_json(payload) == json.dumps(
+        payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [lambda v: v, lambda v: [1.0, v],
+                                   lambda v: [1, {"x": [v]}]])
+def test_report_json_refuses_non_finite_numbers(bad, where):
+    with pytest.raises(FloatingPointError) as exc:
+        _report_json({"a": where(bad)})
+    assert str(exc.value) == (
+        f"report holds a non-finite number: Out of range float values are "
+        f"not JSON compliant: {bad!r}")
+
+
+def test_options_may_come_before_the_command(tmp_path, capsys):
+    path = write_cfg(tmp_path, "a.cfg", SOLVE_CFG)
+    outs = []
+    for argv in (["solve", "--config", path, "--format", "json"],
+                 ["--format", "json", "--config", path, "solve"],
+                 ["--config", path, "solve", "--format", "json"]):
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+
+
+def test_unknown_command_exits_2(tmp_path, capsys):
+    path = write_cfg(tmp_path, "a.cfg", SOLVE_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "--config", path])
+    assert exc.value.code == 2
+    assert "invalid choice: 'integrate'" in capsys.readouterr().err

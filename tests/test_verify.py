@@ -152,3 +152,46 @@ def test_lemma_cases_are_lemma_beta_integral(q, p):
     for alpha, lam, closed in cases:
         assert closed == operators.lemma_beta_integral(
             0.0, np.array(verify._LEMMA_XS), alpha, lam, params).tolist()
+
+
+class TestPcg64:
+    """The registry's generator draws what np.random.default_rng draws."""
+
+    @pytest.mark.parametrize("seed", sorted(verify._PCG64_SEEDS))
+    def test_seed_states_are_numpys(self, seed):
+        state = np.random.default_rng(seed).bit_generator.state["state"]
+        assert verify._PCG64_SEEDS[seed] == (state["state"], state["inc"])
+
+    @pytest.mark.parametrize("qs,ps", [((0.3, 0.5, 0.9), (1.0, 2.0)),
+                                       ((0.5,), (1.0, 2.0)),
+                                       ((0.3, 0.5, 0.9), (1.0,)),
+                                       ((0.9,), (15.0,))])
+    def test_qpower_draws(self, qs, ps):
+        """The q-power check's 100 draws, q and p each restricted or not."""
+        def draws(rng):
+            return [(float(rng.choice(qs)), float(rng.choice(ps)),
+                     float(rng.uniform(0.2, 1.8)),
+                     float(rng.uniform(0.5, 2.0)), float(rng.random()))
+                    for _ in range(100)]
+        assert draws(verify._Pcg64(1234)) == draws(
+            np.random.default_rng(1234))
+
+    def test_uniform_tables(self):
+        """The boundedness check's dealt 50x5 table and six 8x5 tables."""
+        assert np.array_equal(
+            verify._Pcg64(20240817).uniform(-1.0, 1.0, size=(50, 5)),
+            np.random.default_rng(20240817).uniform(-1.0, 1.0, size=(50, 5)))
+        ours, numpys = verify._Pcg64(99), np.random.default_rng(99)
+        for _ in range(6):
+            assert np.array_equal(ours.uniform(-1.0, 1.0, size=(8, 5)),
+                                  numpys.uniform(-1.0, 1.0, size=(8, 5)))
+
+    def test_long_run_of_choices(self):
+        """20,000 three-way choices, with doubles between some of them:
+        the buffered 32-bit half lasts across choices, never doubles."""
+        ours, numpys = verify._Pcg64(99), np.random.default_rng(99)
+        seq = (0.3, 0.5, 0.9)
+        for i in range(20000):
+            assert ours.choice(seq) == numpys.choice(seq)
+            if i % 7 == 0:
+                assert ours.random() == numpys.random()

@@ -38,7 +38,6 @@ from .qcore import (
     QParams,
     SeriesControl,
     _power,
-    _power_times,
     _sum_length,
     q_gamma,
     q_number,
@@ -169,10 +168,10 @@ class _PicardEngine:
 
     Below a the iterates extend by the constant zeta, so the integrand
     there, the kernel sums over it and the subtracted sums over [0, a] are
-    one vector fixed for the solve. A step correlates only the m active
-    rhs values g with the first m kernel weights, times (q**i)**(p-1), the
-    row heads carrying t**(p-1), so the rows convolve the rhs at one scale;
-    it keeps g, the unscaled sums and `moved`, the rows to re-tabulate g
+    one vector fixed for the solve. A step correlates only the m active rhs
+    values g with the first m LatticeKernel weights; they and its row heads
+    carry the weight w**(p-1), so the rows convolve the rhs at one scale.
+    It keeps g, the unscaled sums and `moved`, the rows to re-tabulate g
     at: every active row after a load, else those whose bits the last step
     changed. Row i sums g from i on, so a change of g below row e changes
     only the first e sums, and the step rewrites only those rows. Past a
@@ -198,30 +197,22 @@ class _PicardEngine:
         self.coef = (q_number(p, problem.params.q) ** (1.0 - alpha)
                      / kernel.gamma)
         self.active_nodes = self.nodes[:m]
-        self.head = kernel.head * _power(self.active_nodes, p - 1.0, p,
-                                         "integrand weight")
-        # weights times (q**i)**(p-1): the rows convolve the rhs at one scale
-        tilt = _power(_nodes(1.0, problem.params.q, m), p - 1.0, p,
-                      "integrand weight")
-        self.active = _Convolution(kernel.upper[n - m:] * tilt[::-1])
+        self.head = kernel.head
+        self.active = _Convolution(kernel.upper[n - m:])
         self.corrections = {}  # E < m -> its correlation
         # the fixed sums, negated: x - 0.0 is x bit for bit (-0.0 too), and
         # at a = 0 there are none
         self.tail = np.zeros(m)
-        if problem.a > 0.0:
-            frozen = np.zeros(n)
-            frozen[m:] = self._integrand(self.nodes[m:])
-            self.tail = -kernel.apply(frozen, self._integrand(
-                kernel.lower_nodes))
+        if problem.a > 0.0:  # the rhs at zeta: rows below a, then [0, a]
+            fixed = _tabulate(problem.rhs, np.append(
+                self.nodes[m:], _nodes(problem.a, problem.params.q, n)),
+                problem.zeta)
+            self.points += fixed.size
+            self.tail = -kernel.apply(np.append(np.zeros(m), fixed[:n - m]),
+                                      fixed[n - m:])
         self.g = np.zeros(2 * m - 1)  # zero past m: tail has those rows
         self.steps = 0
         self.load(np.full(len(self.nodes), problem.zeta))
-
-    def _integrand(self, nodes: np.ndarray) -> np.ndarray:
-        p = self.problem.params.p
-        values = _tabulate(self.problem.rhs, nodes, self.problem.zeta)
-        self.points += values.size
-        return _power_times(nodes, p - 1.0, p, "integrand weight", values)
 
     @np.errstate(over="ignore", invalid="ignore")
     def load(self, prev: np.ndarray) -> None:

@@ -26,6 +26,7 @@ from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
     SeriesControl,
+    _checked_product,
     _kernel_weights,
     _power,
     _power_times,
@@ -91,65 +92,74 @@ def _convolve(x: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class LatticeKernel:
-    """The Jackson kernel sum int_a^t g(w) (t**p - (wq)**p)^(beta) d_q w at
-    every row node t_m = t_0 q**m of a geometric node table, in one pass
-    over g tabulated once.
+    """The Jackson kernel sum int_a^t w**(p-1) f(w) (t**p - (wq)**p)^(beta)
+    d_q w at every row node t_m = t_0 q**m of a geometric node table, in
+    one pass over f tabulated once; weighted=False drops w**(p-1).
 
     At w = t_m q**i the kernel is t_m**(p beta) k_i with one weight table
-    k (c = q**p), so the zero-based sums of all rows are one correlation,
-    head[m] * sum_{i<n} w_i g(t_0 q**(m+i)) with w_i = q**i k_i. For a > 0
-    the subtracted sums over [0, a] read g at the lower nodes a q**i. Row
-    m weighs them with k at c = (aq/t_m)**p, and since c Q**i steps down
-    the rows by Q, every row reads one table K of rows + n - 1 weights
-    built from the deepest row's c: row m's weights are K[rows-1-m+i], a
-    Toeplitz matrix applied as a second convolution. This is the matrix
-    view of discrete fractional calculus (Podlubny, FCAA 2000). upper and
-    lower hold w and K reversed. Each sum is a direct np.convolve, whose
-    rows keep their own digits (an FFT's error follows the largest row).
+    k (c = q**p) and w**(p-1) = t_m**(p-1) (q**i)**(p-1), so the sums of
+    all rows are one correlation, head[m] * sum_{i<n} w_i f(t_0 q**(m+i))
+    with w_i = (q**i k_i) (q**i)**(p-1); head[m] = (1 - q) t_m**((1 + p
+    beta) + (p - 1)) is one power, past float range only where the value
+    is. For a > 0 the subtracted sums over [0, a] read f at the lower nodes
+    w = a q**i, times a q**i w**(p-1). Row m weighs them with k at c =
+    (aq/t_m)**p, and since c Q**i steps down the rows by Q, every row
+    reads one table K of rows + n - 1 weights built from the deepest row's
+    c: row m's weights are K[rows-1-m+i], a Toeplitz matrix applied as a
+    second convolution. This is the matrix view of discrete fractional
+    calculus (Podlubny, FCAA 2000). upper and lower hold w and K reversed.
+    Each sum is a direct np.convolve, whose rows keep their own digits (an
+    FFT's error follows the largest row).
 
     Its first weight is (Q; Q)_inf / (Q**(1+beta); Q)_inf, so gamma = k_0
     (1 - Q)**(-beta) is Gamma_Q(1 + beta), the operator coefficients' own.
     """
 
     def __init__(self, params: QParams, beta: float, a: float,
-                 ctrl: SeriesControl, nodes: np.ndarray):
+                 ctrl: SeriesControl, nodes: np.ndarray,
+                 weighted: bool = True):
+        self.params, self.beta = params, beta
         q, p = params.q, params.p
         log_Q = p * math.log(q)
-        nodes = np.asarray(nodes, dtype=float)
+        self.nodes = nodes = np.asarray(nodes, dtype=float)
         rows = len(nodes)
         self.n = n = _sum_length(q, p, ctrl)
+        tilt = p - 1.0 if weighted else 0.0
+        weight = lambda w: _power(w, tilt, p, "integrand weight")
         q_i = _nodes(1.0, q, n)
         weights = _kernel_weights(log_Q, beta, log_Q, n, ctrl)
         self.gamma = float(weights[0]) * (1.0 - params.qp) ** -beta
-        self.upper = (weights * q_i)[::-1]
-        self.head = (1.0 - q) * _power(nodes, 1.0 + p * beta, p)
-        self.lower_nodes = a * q_i  # bit for bit _nodes(a, q, n)
+        self.upper = (weights * q_i * weight(q_i))[::-1]
+        self.power = (1.0 + p * beta) + tilt
+        self.head = (1.0 - q) * _power(nodes, self.power, p)
         self.lower = None
         if a > 0.0:
+            low = a * q_i  # bit for bit _nodes(a, q, n)
+            self.lower_weights = low * weight(low)
             self.lower = _kernel_weights(log_Q, beta,
                                          p * math.log(a * q / nodes[-1]),
                                          rows + n - 1, ctrl)[::-1]
-            self.lower_head = (1.0 - q) * _power(nodes, p * beta, p)
 
-    def apply(self, g: np.ndarray, g_low: np.ndarray | None = None
+    @np.errstate(over="ignore", invalid="ignore")
+    def apply(self, f: np.ndarray, f_low: np.ndarray | None = None
               ) -> np.ndarray:
-        """Kernel sums at every row node.
-
-        g holds the integrand at t_0 q**j, j < rows + n - 1; a shorter
-        table stands for g = 0 past its end. g_low holds it at lower_nodes;
-        None stands for g = 0 on [0, a]. A (k, len) stack of integrands
-        gives (k, rows).
-        """
+        """Kernel sums at every row node, from f itself at t_0 q**j, j <
+        rows + n - 1 (a shorter table: f = 0 past its end), and f_low at
+        _nodes(a, q, n) (None: f = 0 on [0, a]). A (k, len) stack gives
+        (k, rows); a row past float range raises, as _checked_product."""
+        q, p = self.params.q, self.params.p
         size = len(self.head) + self.n - 1
-        g = np.asarray(g, dtype=float)[..., :size]
-        if g.shape[-1] < size:
-            pad = np.zeros(g.shape[:-1] + (size - g.shape[-1],))
-            g = np.concatenate((g, pad), axis=-1)
-        out = self.head * _convolve(g, self.upper)
-        if g_low is not None and self.lower is not None:
-            out -= self.lower_head * _convolve(self.lower_nodes * g_low,
-                                               self.lower)
-        return out
+        f = np.asarray(f, dtype=float)[..., :size]
+        if f.shape[-1] < size:
+            pad = np.zeros(f.shape[:-1] + (size - f.shape[-1],))
+            f = np.concatenate((f, pad), axis=-1)
+        sums = [_convolve(f, self.upper)]
+        out = self.head * sums[0]
+        if f_low is not None and self.lower is not None:
+            sums.append(_convolve(self.lower_weights * f_low, self.lower))
+            out -= (1.0 - q) * _power(self.nodes, p * self.beta, p) * sums[1]
+        return _checked_product(out, self.nodes, self.power, p,
+                                "kernel row factor", *sums)
 
 
 def _check_above(x: float, a: float) -> None:
@@ -195,13 +205,9 @@ def _sums(f_grid: np.ndarray, f_low: np.ndarray | None, grid: np.ndarray,
           rows: int, beta: float, ctx: OperatorContext) -> np.ndarray:
     """Kernel sums of w**(p-1) f(w) at grid[:rows] over Gamma_Q(1 + beta),
     from f tabulated on the geometric grid and at the lower nodes (None:
-    f = 0 on [0, a])."""
+    f = 0 on [0, a]); the kernel carries the weight."""
     kernel = LatticeKernel(ctx.params, beta, ctx.a, ctx.ctrl, grid[:rows])
-    p = ctx.params.p
-    integrand = lambda w, f: _power_times(w, p - 1.0, p, "integrand weight", f)
-    g_low = None if f_low is None else integrand(kernel.lower_nodes, f_low)
-    return (kernel.apply(integrand(grid[:f_grid.shape[-1]], f_grid), g_low)
-            / kernel.gamma)
+    return kernel.apply(f_grid, f_low) / kernel.gamma
 
 
 def _integral_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
@@ -325,7 +331,8 @@ def caputo_derivative_simplified(f: ScalarFunction, dqf: ScalarFunction,
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"derivative order must lie in (0, 1), got {alpha}")
     dq_grid, dq_low, grid, rows = _on_lattice(dqf, x, ctx)
-    kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl, grid[:rows])
+    kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl, grid[:rows],
+                           weighted=False)
     return (q_number(ctx.params.p, ctx.params.q) ** alpha / kernel.gamma
             * kernel.apply(dq_grid, dq_low))
 

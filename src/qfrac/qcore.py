@@ -126,7 +126,7 @@ def _power(t, power, p: float, factor: str = "kernel row factor"):
     small or large nodes, it raises ConvergenceError naming the factor, p
     and the first such node."""
     if isinstance(t, np.ndarray):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", divide="ignore"):
             out = t ** power
         bad = ~np.isfinite(out)
         if not bad.any():
@@ -143,22 +143,23 @@ def _power(t, power, p: float, factor: str = "kernel row factor"):
 
 
 def _power_times(t, power, p: float, factor: str, values, coef=1.0,
-                 divisor=None):
-    """coef * t**power * values [/ divisor], the nodes t along the last
-    axis of values, in that order of operations: t**power is checked by
-    _power, and where the product leaves float range although values and
-    divisor are finite, it raises ConvergenceError naming the factor, p
-    and the first such node. An inf or NaN already in values passes
-    through."""
+                 divisor=1.0):
+    """coef * t**power * values / divisor, in that order, the nodes t along
+    the last axis: _power checks t**power, and _checked_product the rest."""
     with np.errstate(over="ignore", divide="ignore"):
-        out = coef * _power(t, power, p, factor) * values
-        if divisor is not None:
-            out /= divisor
-    if np.isfinite(out).all():
+        out = coef * _power(t, power, p, factor) * values / divisor
+    return _checked_product(out, t, power, p, factor, values, divisor)
+
+
+def _checked_product(out, t, power, p: float, factor: str, *tables):
+    """out, a product of t**power and tables, the nodes t on its last axis:
+    past float range where every table is finite, ConvergenceError names
+    the factor, p and the first such node. Non-finite tables pass through."""
+    bad = ~np.isfinite(out)
+    if not bad.any():
         return out
-    bad = ~np.isfinite(out) & np.isfinite(values)
-    if divisor is not None:
-        bad &= np.isfinite(divisor)
+    for table in tables:
+        bad &= np.isfinite(table)
     if bad.any():
         raise ConvergenceError(
             f"{factor} t**{float(power)!r} times its table leaves float "

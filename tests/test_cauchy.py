@@ -37,7 +37,7 @@ from qfrac.operators import (
     bound_constant,
     lemma_beta_integral,
 )
-from qfrac.qcalc import QLattice, _tabulate
+from qfrac.qcalc import QLattice, _nodes, _tabulate
 from qfrac.qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
@@ -372,12 +372,13 @@ class TestConvolution:
 
 class TestTiltedRows:
     """The engine convolves the rhs values alone: the integrand weight
-    w**(p-1) sits in the row heads and the weights, so at p != 1 its FFT
-    rows keep the digits of the direct path."""
+    w**(p-1) sits in the kernel's row heads and weights, so at p != 1 its
+    FFT rows keep the digits of the direct path."""
 
     @pytest.mark.parametrize("q,p", [(0.99, 0.5), (0.99, 1.0), (0.99, 2.0),
                                      (0.99, 5.0), (0.999, 1.0),
-                                     (0.999, 2.0), (0.999, 5.0)])
+                                     (0.999, 2.0), (0.999, 5.0),
+                                     (0.5, 50.0)])
     @pytest.mark.parametrize("alpha", (0.25, 0.75))
     def test_step_of_one_is_the_lemma(self, q, p, alpha):
         # from zeta = 0 one step of rhs = 1 is J^alpha 1; rows past n/8
@@ -508,7 +509,7 @@ class TestIncrementalStep:
         nodes, m = engine.nodes, engine.n_active
         kernel = LatticeKernel(problem.params, -0.4, 0.25, ctrl, nodes[:m])
         coef = q_number(1.0, q) ** 0.4 / kernel.gamma
-        g_low = rhs.table(kernel.lower_nodes, 1.0)
+        g_low = rhs.table(_nodes(0.25, q, kernel.n), 1.0)
         for _ in range(20):
             prev = engine.phi.copy()
             engine.step()

@@ -17,7 +17,7 @@ from qfrac import exprparse
 from qfrac.cli import _report_json, load_config, main
 from qfrac.cli import ConfigError, RunConfig
 from qfrac.cauchy import SolverReport, q_mittag_leffler
-from qfrac.operators import FracOrder
+from qfrac.operators import FracOrder, lemma_beta_integral
 from qfrac.qcore import QParams, SeriesControl, q_gamma, q_number
 from qfrac.verify import run_registry
 
@@ -604,14 +604,6 @@ class TestFailurePaths:
          "36000", 3, "numerical non-convergence: q-product with base 0.9995 "
          "and q=0.999 needs 39127 factors, exceeding max_terms=36000; raise "
          "SeriesControl.max_terms (the CLI reads it from QFRAC_MAX_TERMS)"),
-        # a large p: the kernel's row factor (1 - q) t**(1 + p beta)
-        # overflows at small nodes
-        ("solve", SOLVE_BASE + "rhs = u\np = 50\n", None, 3,
-         "numerical non-convergence: kernel row factor t**-24.0 leaves "
-         "float range at p=50.0; first at node t=1.1368683772161603e-13"),
-        ("eval", EVAL_BASE + "operator = J\nfunction = x\np = 200\n", None,
-         3, "operator J failed: kernel row factor t**-99.0 leaves float "
-         "range at p=200.0; first at node t=0.00048828125"),
         # config floats the library cannot take
         *[(command, base + "p = inf\n", None, 2, "p: must be finite, got inf")
           for command, base in [("solve", SOLVE_BASE + "rhs = u\n"),
@@ -659,18 +651,19 @@ class TestFailurePaths:
         ("verify", "q = 0.9\np = 2000\n", None, 3, "numerical error: lemma "
          "integrand factor t**-1400.0 leaves float range at p=2000.0; first "
          "at node t=0.5"),
-        # a huge b: the integrand weight w**(p - 1) at the top node
+        # a huge b: the kernel's row factor t**(p alpha) at the top node,
+        # where the value b**(p alpha) is itself past float range
         ("solve", SOLVE_BASE + "rhs = u\np = 4\nb = 1e200\n", None, 3,
-         "numerical non-convergence: integrand weight t**3.0 leaves float "
+         "numerical non-convergence: kernel row factor t**2.0 leaves float "
          "range at p=4.0; first at node t=1e+200"),
         ("eval", EVAL_BASE + "operator = J\nfunction = 1\np = 4\n"
-         "b = 1e200\n", None, 3, "operator J failed: integrand weight "
-         "t**3.0 leaves float range at p=4.0; first at node t=1e+200"),
-        # a checked power times a table: the integrand weight w**(p - 1)
-        # times f at a huge b, and D's outer factor x**(1 - p) times the
+         "b = 1e200\n", None, 3, "operator J failed: kernel row factor "
+         "t**2.0 leaves float range at p=4.0; first at node t=1e+200"),
+        # a checked power times a table: the kernel's row factor times its
+        # sums of f at a huge b, and D's outer factor x**(1 - p) times the
         # inner differences of a huge f over (1 - q) x
         ("eval", EVAL_BASE + "operator = J\nfunction = 1 + x\np = 2\n"
-         "b = 1e200\n", None, 3, "operator J failed: integrand weight "
+         "b = 1e200\n", None, 3, "operator J failed: kernel row factor "
          "t**1.0 times its table leaves float range at p=2.0; first at node "
          "t=1e+200"),
         ("eval", EVAL_BASE + "operator = D\nfunction = 1e300*x\np = 20\n"
@@ -688,7 +681,7 @@ class TestFailurePaths:
         # a budget below the run of 3 small terms a sum stops at
         *[("solve", SOLVE_BASE + "rhs = u\n", budget, 2, "QFRAC_MAX_TERMS: "
            "max_terms must be >= 3") for budget in ("1", "2")],
-        # a huge rhs: the integrand weight times the rhs table overflows
+        # a huge rhs: the row head times the sums of the rhs overflows
         ("solve", SOLVE_BASE + "p = 2\nb = 100\nrhs = u*1e307\n", None, 3,
          "numerical non-convergence: Picard step 1 gave a non-finite value "
          "at node t=100.0"),
@@ -778,6 +771,47 @@ class TestFailurePaths:
         assert err.startswith(f"operator {operator} failed: "
                               "q-difference stencil leaves the domain")
         assert err.count("\n") == 1
+
+
+class TestLargeP:
+    """At p > 1 the kernel's row head is one power of its node, so a row
+    holds every value a float can: deep rows hold their closed forms, and
+    a head leaves float range only where the value does (RuntimeWarnings
+    are errors)."""
+
+    @pytest.mark.parametrize("function,lam,p,depth,last", [
+        ("1", 0.0, 20.0, 60, 3),  # 1.8e-172 ... 1.7e-178, where w**19 is 0
+        ("x", 1.0 / 200.0, 200.0, 12, 11),  # t**(1 + p beta) is t**-99.0
+    ])
+    def test_eval_j_rows_hold_the_closed_form(self, tmp_path, function, lam,
+                                              p, depth, last):
+        path = write_cfg(tmp_path, "a.cfg", EVAL_BASE + (
+            f"operator = J\nfunction = {function}\np = {p}\n"
+            f"lattice_depth = {depth}\n"))
+        out = tmp_path / "out.json"
+        assert main(["eval", "--config", path, "--out", str(out),
+                     "--format", "json"]) == 0
+        table = json.loads(out.read_text())["table"]
+        params = QParams(0.5, p)
+        x, got = (np.array(table[key][-last:]) for key in ("x", "value"))
+        want = (lemma_beta_integral(0.0, x, 0.5, lam, params)
+                * q_number(p, 0.5) ** 0.5 / q_gamma(0.5, params.qp))
+        normal = want >= np.finfo(float).tiny
+        assert normal.sum() >= 2
+        assert np.all(np.abs(got - want)[normal] <= 1e-13 * want[normal])
+
+    def test_solve_at_p_50_converges_to_the_series(self, tmp_path):
+        path = write_cfg(tmp_path, "a.cfg", SOLVE_BASE + (
+            "rhs = u\np = 50\nmax_iter = 300\n"))
+        out = tmp_path / "out.json"
+        assert main(["solve", "--config", path, "--out", str(out),
+                     "--format", "json"]) == 0
+        report = json.loads(out.read_text())
+        assert report["converged"]
+        m, table = report["iterations_used"], report["table"]
+        for x, u in zip(table["x"], table["u"]):
+            assert abs(u - q_mittag_leffler(x, m, FracOrder(0.5),
+                                            QParams(0.5, 50.0))) <= 1e-15
 
 
 def test_counting_wrapper_leaves_bytes_unchanged(tmp_path, monkeypatch):
@@ -879,8 +913,6 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
     for command, cfg, code, message in [
         ("solve", SOLVE_BASE + "rhs = (u*1e308*10)*0\n", 3,
          "Picard step 1 gave a non-finite value"),
-        ("solve", SOLVE_BASE + "rhs = u\np = 50\n", 3,
-         "kernel row factor t**-24.0 leaves float range at p=50.0"),
         ("solve", EVAL_BASE + "zeta = 1\nrhs = u\nr = 1e308\n", 2,
          "r: the trust region"),
         ("eval", EVAL_BASE + "operator = D\nfunction = 1 + x\np = 500\n"
@@ -895,17 +927,17 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
         ("verify", "q = 0.9\np = 2000\n", 3,
          "lemma integrand factor t**-1400.0 leaves float range at p=2000.0"),
         ("solve", SOLVE_BASE + "rhs = u\np = 4\nb = 1e200\n", 3,
-         "integrand weight t**3.0 leaves float range at p=4.0"),
+         "kernel row factor t**2.0 leaves float range at p=4.0"),
         ("eval", EVAL_BASE + "operator = J\nfunction = 1\np = 4\n"
          "b = 1e200\n", 3,
-         "integrand weight t**3.0 leaves float range at p=4.0"),
+         "kernel row factor t**2.0 leaves float range at p=4.0"),
         ("ml", EVAL_BASE + "p = 50\nb = 1e10\nm_terms = 10\n", 3,
          "series term factor t**50.0 leaves float range at p=50.0"),
         ("ml", EVAL_BASE + "m_terms = 6000\n", 3,
          "needs m=6000 terms, exceeding max_terms=5000"),
         ("eval", EVAL_BASE + "operator = J\nfunction = 1 + x\np = 2\n"
          "b = 1e200\n", 3,
-         "integrand weight t**1.0 times its table leaves float range"),
+         "kernel row factor t**1.0 times its table leaves float range"),
         ("eval", EVAL_BASE + "operator = D\nfunction = 1e300*x\np = 20\n"
          "lattice_depth = 20\n", 3,
          "outer factor t**-19.0 times its table leaves float range"),

@@ -468,6 +468,9 @@ class TestFamilies:
 
 
 DEEP_LATTICES = [(0.9, 659), (0.99, 1000), (0.99, 3000)]
+# down to the last node above 2**-1075: at p >= 5 the integrand weight
+# w**(p-1) alone leaves float range there, while many values do not
+RANGE_LATTICES = [(0.5, 1075), (0.9, 7073)]
 
 
 class TestDeepRows:
@@ -492,6 +495,25 @@ class TestDeepRows:
                 * q_number(p, q) ** (1.0 - alpha)
                 / q_gamma(alpha, ctx.params.qp, ctx.ctrl))
         assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+    @pytest.mark.parametrize("q,depth", RANGE_LATTICES)
+    @pytest.mark.parametrize("p", (5.0, 20.0))
+    @pytest.mark.parametrize("lam", (0.0, 1.0))
+    @pytest.mark.parametrize("alpha", (0.25, 0.75))
+    def test_every_normal_row_at_large_p_is_the_lemma(self, q, depth, p,
+                                                      lam, alpha):
+        ctx = OperatorContext(QParams(q, p))
+        lattice = QLattice(1.0, q, depth)
+        got = frac_integral(tabled(lambda w: w ** (p * lam)), lattice,
+                            alpha, ctx)
+        want = (lemma_beta_integral(0.0, np.array(lattice.nodes), alpha, lam,
+                                    ctx.params, ctx.ctrl)
+                * q_number(p, q) ** (1.0 - alpha)
+                / q_gamma(alpha, ctx.params.qp, ctx.ctrl))
+        normal = want >= np.finfo(float).tiny
+        assert normal.sum() >= 30
+        assert np.all(got[normal] != 0.0)
+        assert np.all(np.abs(got - want)[normal] <= 1e-13 * want[normal])
 
     @pytest.mark.parametrize("q,depth", DEEP_LATTICES)
     @pytest.mark.parametrize("p", (1.0, 2.0, 5.0))
@@ -528,8 +550,9 @@ class TestKernelConvolutions:
         kernel = LatticeKernel(params, beta, a, ctrl, nodes)
         n = kernel.n
         q_i = np.power(q, np.arange(n))
+        # the lower nodes w = a q**i carry the integrand weight w**(p-1)
         dense = np.array([
-            (1.0 - q) * a * t ** (p * beta) * q_i
+            (1.0 - q) * a * t ** (p * beta) * q_i * (a * q_i) ** (p - 1.0)
             * reference.kernel_weights(params.qp, beta, (a * q / t) ** p, n,
                                        _SUM_ABS_TOL)
             for t in nodes])
@@ -544,12 +567,14 @@ class TestKernelConvolutions:
         (0.5, 50.0, 0.0, 2.0**-43), (0.99, 1070.0, 0.25, 0.99**133)])
     def test_head_past_float_range_names_p_and_the_node(self, q, p, a,
                                                         first):
-        """(1 - q) t**(1 + p beta) overflows at the small nodes of a large
-        p: one ConvergenceError, and no RuntimeWarning (an error here)."""
+        """Without the integrand weight, as the simplified Caputo form
+        builds it, (1 - q) t**(1 + p beta) overflows at the small nodes of
+        a large p: one ConvergenceError, and no RuntimeWarning (an error
+        here)."""
         nodes = QLattice(1.0, q, 200, floor_a=a).nodes
         with pytest.raises(ConvergenceError) as info:
             LatticeKernel(QParams(q, p), -0.5, a, DEFAULT_INTEGRATION_CTRL,
-                          nodes)
+                          nodes, weighted=False)
         assert str(info.value) == (
             f"kernel row factor t**{1 - p / 2!r} leaves float range at "
             f"p={p!r}; first at node t={first!r}")

@@ -29,7 +29,6 @@ from .qcore import (
     _checked_product,
     _kernel_weights,
     _power,
-    _power_times,
     _sum_length,
     q_gamma,
     q_number,
@@ -92,24 +91,28 @@ def _convolve(x: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class LatticeKernel:
-    """The Jackson kernel sum int_a^t w**(p-1) f(w) (t**p - (wq)**p)^(beta)
+    """The Jackson kernel sum int_a^t v(w) f(w) (t**p - (wq)**p)^(beta)
     d_q w at every row node t_m = t_0 q**m of a geometric node table, in
-    one pass over f tabulated once; weighted=False drops w**(p-1).
+    one pass over f tabulated once. The weight v is "w**(p-1)" (J), "1"
+    (the Caputo integrand D_q f) or "(w/t)**(p-1)" (D's inner sums, which
+    carry its outer t**(1-p)).
 
     At w = t_m q**i the kernel is t_m**(p beta) k_i with one weight table
     k (c = q**p) and w**(p-1) = t_m**(p-1) (q**i)**(p-1), so the sums of
     all rows are one correlation, head[m] * sum_{i<n} w_i f(t_0 q**(m+i))
-    with w_i = (q**i k_i) (q**i)**(p-1); head[m] = (1 - q) t_m**((1 + p
-    beta) + (p - 1)) is one power, past float range only where the value
-    is. For a > 0 the subtracted sums over [0, a] read f at the lower nodes
-    w = a q**i, times a q**i w**(p-1). Row m weighs them with k at c =
-    (aq/t_m)**p, and since c Q**i steps down the rows by Q, every row
-    reads one table K of rows + n - 1 weights built from the deepest row's
-    c: row m's weights are K[rows-1-m+i], a Toeplitz matrix applied as a
-    second convolution. This is the matrix view of discrete fractional
-    calculus (Podlubny, FCAA 2000). upper and lower hold w and K reversed.
-    Each sum is a direct np.convolve, whose rows keep their own digits (an
-    FFT's error follows the largest row).
+    with w_i = (q**i k_i) (q**i)**(p-1); head[m] = (1 - q) t_m**(((1 + p
+    beta) + (p - 1)) + outer), outer = 1 - p for D and 0 else, is one
+    power, past float range only where the value is. For a > 0 the
+    subtracted sums over [0, a] read f at the lower nodes w = a q**i, times
+    a q**i w**(p-1), under (1 - q) t_m**(p beta); D's (w/t)**(p-1) there is
+    (q**i)**(p-1) times the row scale (a/t_m)**(p-1), at most 1 for p >= 1.
+    Row m weighs them with k at c = (aq/t_m)**p, and since c Q**i steps
+    down the rows by Q, every row reads one table K of rows + n - 1 weights
+    built from the deepest row's c: row m's weights are K[rows-1-m+i], a
+    Toeplitz matrix applied as a second convolution. This is the matrix
+    view of discrete fractional calculus (Podlubny, FCAA 2000). upper and
+    lower hold w and K reversed. Each sum is a direct np.convolve, whose
+    rows keep their own digits (an FFT's error follows the largest row).
 
     Its first weight is (Q; Q)_inf / (Q**(1+beta); Q)_inf, so gamma = k_0
     (1 - Q)**(-beta) is Gamma_Q(1 + beta), the operator coefficients' own.
@@ -117,25 +120,27 @@ class LatticeKernel:
 
     def __init__(self, params: QParams, beta: float, a: float,
                  ctrl: SeriesControl, nodes: np.ndarray,
-                 weighted: bool = True):
+                 weight: str = "w**(p-1)"):
         self.params, self.beta = params, beta
         q, p = params.q, params.p
+        tilt, outer = {"w**(p-1)": (p - 1.0, 0.0), "1": (0.0, 0.0),
+                       "(w/t)**(p-1)": (p - 1.0, 1.0 - p)}[weight]
         log_Q = p * math.log(q)
         self.nodes = nodes = np.asarray(nodes, dtype=float)
         rows = len(nodes)
         self.n = n = _sum_length(q, p, ctrl)
-        tilt = p - 1.0 if weighted else 0.0
-        weight = lambda w: _power(w, tilt, p, "integrand weight")
+        tilted = lambda w: _power(w, tilt, p, "integrand weight")
         q_i = _nodes(1.0, q, n)
         weights = _kernel_weights(log_Q, beta, log_Q, n, ctrl)
         self.gamma = float(weights[0]) * (1.0 - params.qp) ** -beta
-        self.upper = (weights * q_i * weight(q_i))[::-1]
-        self.power = (1.0 + p * beta) + tilt
+        self.upper = (weights * q_i * tilted(q_i))[::-1]
+        self.power = ((1.0 + p * beta) + tilt) + outer
         self.head = (1.0 - q) * _power(nodes, self.power, p)
         self.lower = None
         if a > 0.0:
             low = a * q_i  # bit for bit _nodes(a, q, n)
-            self.lower_weights = low * weight(low)
+            self.lower_weights = low * tilted(q_i if outer else low)
+            self.low_scale = (a / nodes) ** tilt if outer else 1.0
             self.lower = _kernel_weights(log_Q, beta,
                                          p * math.log(a * q / nodes[-1]),
                                          rows + n - 1, ctrl)[::-1]
@@ -157,7 +162,8 @@ class LatticeKernel:
         out = self.head * sums[0]
         if f_low is not None and self.lower is not None:
             sums.append(_convolve(self.lower_weights * f_low, self.lower))
-            out -= (1.0 - q) * _power(self.nodes, p * self.beta, p) * sums[1]
+            out -= ((1.0 - q) * _power(self.nodes, p * self.beta, p)
+                    * (self.low_scale * sums[1]))
         return _checked_product(out, self.nodes, self.power, p,
                                 "kernel row factor", *sums)
 
@@ -201,30 +207,27 @@ def _on_lattice(f: ScalarFunction, lattice: QLattice, ctx: OperatorContext,
     return _tabulate(f, grid), low, grid, len(xs)
 
 
-def _sums(f_grid: np.ndarray, f_low: np.ndarray | None, grid: np.ndarray,
-          rows: int, beta: float, ctx: OperatorContext) -> np.ndarray:
-    """Kernel sums of w**(p-1) f(w) at grid[:rows] over Gamma_Q(1 + beta),
-    from f tabulated on the geometric grid and at the lower nodes (None:
-    f = 0 on [0, a]); the kernel carries the weight."""
-    kernel = LatticeKernel(ctx.params, beta, ctx.a, ctx.ctrl, grid[:rows])
-    return kernel.apply(f_grid, f_low) / kernel.gamma
-
-
 def _integral_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
     """J^alpha f at grid[:rows]; f_grid must cover rows + n - 1 nodes."""
+    kernel = LatticeKernel(ctx.params, alpha - 1.0, ctx.a, ctx.ctrl,
+                           grid[:rows])
     return (q_number(ctx.params.p, ctx.params.q) ** (1.0 - alpha)
-            * _sums(f_grid, f_low, grid, rows, alpha - 1.0, ctx))
+            * (kernel.apply(f_grid, f_low) / kernel.gamma))
 
 
 def _derivative_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
-    """D^alpha f at grid[:rows]: the outer q-difference of the inner sums
-    at adjacent rows. f_grid must cover rows + n nodes, all rows above a."""
+    """D^alpha f at grid[:rows], from inner sums whose heads carry x**(1-p)
+    = q**(p-1) (qx)**(1-p); f_grid covers rows + n nodes, all above a."""
     q, p = ctx.params.q, ctx.params.p
-    inner = _sums(f_grid, f_low, grid, rows + 1, -alpha, ctx)
-    x = grid[:rows]
-    return _power_times(x, 1.0 - p, p, "outer factor",
-                        inner[..., :-1] - inner[..., 1:],
-                        q_number(p, q) ** alpha, (1.0 - q) * x)
+    kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl,
+                           grid[:rows + 1], "(w/t)**(p-1)")
+    inner = kernel.apply(f_grid, f_low) / kernel.gamma
+    x, here, below = grid[:rows], inner[..., :-1], inner[..., 1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = (q_number(p, q) ** alpha * (here - q ** (p - 1.0) * below)
+               / ((1.0 - q) * x))
+    return _checked_product(out, x, -1.0, p, "q-difference factor", here,
+                            below)
 
 
 def frac_integral(f: ScalarFunction, x, order,
@@ -332,7 +335,7 @@ def caputo_derivative_simplified(f: ScalarFunction, dqf: ScalarFunction,
         raise DomainError(f"derivative order must lie in (0, 1), got {alpha}")
     dq_grid, dq_low, grid, rows = _on_lattice(dqf, x, ctx)
     kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl, grid[:rows],
-                           weighted=False)
+                           "1")
     return (q_number(ctx.params.p, ctx.params.q) ** alpha / kernel.gamma
             * kernel.apply(dq_grid, dq_low))
 

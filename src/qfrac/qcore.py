@@ -142,13 +142,15 @@ def _power(t, power, p: float, factor: str = "kernel row factor"):
         f"first at node t={float(t)!r}")
 
 
-def _power_times(t, power, p: float, factor: str, values, coef=1.0,
-                 divisor=1.0):
-    """coef * t**power * values / divisor, in that order, the nodes t along
-    the last axis: _power checks t**power, and _checked_product the rest."""
-    with np.errstate(over="ignore", divide="ignore"):
-        out = coef * _power(t, power, p, factor) * values / divisor
-    return _checked_product(out, t, power, p, factor, values, divisor)
+def _power_times(t, power, p: float, factor: str, values):
+    """t**power * values, the nodes t an array on the last axis: a result
+    not finite throughout names a non-finite power or product."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = t ** power * values
+    if not np.isfinite(out).all():
+        _power(t, power, p, factor)
+        _checked_product(out, t, power, p, factor, values)
+    return out
 
 
 def _checked_product(out, t, power, p: float, factor: str, *tables):

@@ -254,9 +254,11 @@ def _check_caputo_equivalence(restrict, ctrl) -> float:
         lattice = QLattice(1.0, q, 12)
         for alpha in (0.25, 0.5, 0.75):
             order = FracOrder(alpha)
-            diff = np.abs(caputo_derivative(f, lattice, order, ctx)
-                          - caputo_derivative_simplified(f, dqf, lattice,
-                                                         order, ctx))
+            got = caputo_derivative(f, lattice, order, ctx)
+            want = caputo_derivative_simplified(f, dqf, lattice, order, ctx)
+            # relative past 1e-8 / eps (4.5e7), where an ulp exceeds 1e-8
+            big = np.abs(want) > 1e-8 / np.finfo(float).eps
+            diff = np.abs(got - want) / np.where(big, np.abs(want), 1.0)
             errors += [diff[:-1], diff[-1, :8]]
     return _worst(errors)
 

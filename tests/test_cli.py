@@ -18,7 +18,8 @@ from qfrac.cli import _report_json, load_config, main
 from qfrac.cli import ConfigError, RunConfig
 from qfrac.cauchy import SolverReport, q_mittag_leffler
 from qfrac.operators import FracOrder, lemma_beta_integral
-from qfrac.qcore import QParams, SeriesControl, q_gamma, q_number
+from qfrac.qcore import (QParams, SeriesControl, q_gamma, q_number,
+                         q_power_general)
 from qfrac.verify import run_registry
 
 import expr_reference
@@ -630,20 +631,17 @@ class TestFailurePaths:
          "b: must be finite, got inf"),
         ("eval", "q = nan\nalpha = 0.5\noperator = J\nfunction = x\n",
          None, 2, "q: must be finite, got nan"),
-        # a large p: the derivative's outer factor x**(1 - p) overflows
-        *[("eval", EVAL_BASE + f"operator = {operator}\nfunction = 1 + x\n"
-           "p = 500\nlattice_depth = 4\n", None, 3,
-           f"operator {operator} failed: outer factor t**-499.0 leaves "
-           "float range at p=500.0; first at node t=0.125")
-          for operator in ("D", "caputo")],
+        # a deep D row whose value x**(-p alpha) is past float range: the
+        # q-difference's division by (1 - q) x overflows
+        ("eval", "q = 0.9\nalpha = 0.5\noperator = D\nfunction = 1\n"
+         "p = 5\nlattice_depth = 3000\n", None, 3, "operator D failed: "
+         "q-difference factor t**-1.0 times its table leaves float range at "
+         "p=5.0; first at node t=5.36192122885168e-124"),
         # verify's own grid at p = 20: the corollary's integrand
-        # w**(1 - p) D_q f, and at q = 0.5 the inversion's outer factor
+        # w**(1 - p) D_q f
         ("verify", "p = 20\n", None, 3, "numerical error: corollary "
          "integrand factor t**-19.0 leaves float range at p=20.0; first at "
          "node t="),
-        ("verify", "q = 0.5\np = 20\n", None, 3, "numerical error: outer "
-         "factor t**-19.0 leaves float range at p=20.0; first at node "
-         "t=5.551115123125783e-17"),
         # verify at p = 500: the lemma's closed form x**(p (alpha + lambda))
         # in the q-power, and at p = 2000 the lemma's integrand factor
         ("verify", "p = 500\n", None, 3, "numerical error: q-power factor "
@@ -660,16 +658,16 @@ class TestFailurePaths:
          "b = 1e200\n", None, 3, "operator J failed: kernel row factor "
          "t**2.0 leaves float range at p=4.0; first at node t=1e+200"),
         # a checked power times a table: the kernel's row factor times its
-        # sums of f at a huge b, and D's outer factor x**(1 - p) times the
-        # inner differences of a huge f over (1 - q) x
+        # sums of f at a huge b, and times D's inner sums of a huge f (their
+        # head carries the outer x**(1 - p)), whose values are past range
         ("eval", EVAL_BASE + "operator = J\nfunction = 1 + x\np = 2\n"
          "b = 1e200\n", None, 3, "operator J failed: kernel row factor "
          "t**1.0 times its table leaves float range at p=2.0; first at node "
          "t=1e+200"),
         ("eval", EVAL_BASE + "operator = D\nfunction = 1e300*x\np = 20\n"
-         "lattice_depth = 20\n", None, 3, "operator D failed: outer factor "
-         "t**-19.0 times its table leaves float range at p=20.0; first at "
-         "node t=0.125"),
+         "lattice_depth = 20\n", None, 3, "operator D failed: kernel row "
+         "factor t**-9.0 times its table leaves float range at p=20.0; first "
+         "at node t=0.0625"),
         # ml: a series term x**(p n alpha), and m_terms past the budget
         ("ml", EVAL_BASE + "p = 50\nb = 1e10\nm_terms = 10\n", None, 3,
          "q-Mittag-Leffler evaluation failed: series term factor t**50.0 "
@@ -800,6 +798,64 @@ class TestLargeP:
         assert normal.sum() >= 2
         assert np.all(np.abs(got - want)[normal] <= 1e-13 * want[normal])
 
+    # caputo of x, not 1 + x: below x = 1e-16, f(x) - f(0) cancels to 0
+    @pytest.mark.parametrize("operator,function", [("D", "1 + x"),
+                                                   ("caputo", "x")])
+    @pytest.mark.parametrize("p,depth", [(20.0, 55), (500.0, 4)])
+    def test_eval_derivative_rows_hold_the_closed_form(
+            self, tmp_path, operator, function, p, depth):
+        """D of 1 + x and caputo of x, where the outer x**(1 - p) alone
+        leaves float range at the deep nodes: D 1 = C_0 x**(-p alpha) and
+        D x = C_1 x**(1 - p alpha) (the monomial w**(p lam), lam = 1/p)."""
+        path = write_cfg(tmp_path, "a.cfg", EVAL_BASE + (
+            f"operator = {operator}\nfunction = {function}\np = {p}\n"
+            f"lattice_depth = {depth}\n"))
+        out = tmp_path / "out.json"
+        assert main(["eval", "--config", path, "--out", str(out),
+                     "--format", "json"]) == 0
+        table = json.loads(out.read_text())["table"]
+        Q, lam = QParams(0.5, p).qp, 1.0 / p
+        x, got = (np.array(table[key]) for key in ("x", "value"))
+        want = (q_number(p, 0.5) ** 0.5 * q_gamma(lam + 1.0, Q)
+                / q_gamma(lam + 0.5, Q) * x ** (1.0 - p / 2.0))
+        if operator == "D":
+            want += q_number(p, 0.5) ** 0.5 / q_gamma(0.5, Q) * x ** (-p / 2)
+        assert len(got) == depth
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    # above a the lower sums' head t**(p beta) and (a/t)**(p - 1) <= 1
+    # stay apart: their product t**(p beta + 1 - p) alone would leave
+    # float range at 0.0156 (p = 130) and 0.387 (p = 500)
+    @pytest.mark.parametrize("q,p,a,depth", [
+        (0.5, 130.0, 0.01, 6), (0.9, 500.0, 0.25, 12),
+        (0.5, 130.0, 0.001, 9),  # x**(1 - p) alone leaves range at 0.0039
+    ])
+    def test_eval_d_above_a_is_the_q_power(self, tmp_path, q, p, a, depth):
+        """D^alpha 1 = [p]_q**alpha / Gamma_Q(1-alpha) (x**p - a**p)^(-alpha)
+        at a large p."""
+        path = write_cfg(tmp_path, "a.cfg", (
+            f"q = {q}\nalpha = 0.5\na = {a}\noperator = D\nfunction = 1\n"
+            f"p = {p}\nlattice_depth = {depth}\n"))
+        out = tmp_path / "out.json"
+        assert main(["eval", "--config", path, "--out", str(out),
+                     "--format", "json"]) == 0
+        table = json.loads(out.read_text())["table"]
+        params = QParams(q, p)
+        x, got = (np.array(table[key]) for key in ("x", "value"))
+        want = (q_number(p, q) ** 0.5 / q_gamma(0.5, params.qp)
+                * q_power_general(x, a, -0.5, params))
+        assert len(got) == depth
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+    def test_verify_at_q_half_p_20_passes(self, tmp_path, capsys):
+        """The inversion's D rows reach 5.6e-17, where x**(1 - p) alone
+        leaves float range, and caputo_equivalence compares its values
+        (up to 3.8e46) relatively."""
+        path = write_cfg(tmp_path, "v.cfg", "q = 0.5\np = 20\n")
+        assert main(["verify", "--config", path]) == 0
+        results = json.loads(capsys.readouterr().out)["identity_results"]
+        assert all(r["passed"] for r in results)
+
     def test_solve_at_p_50_converges_to_the_series(self, tmp_path):
         path = write_cfg(tmp_path, "a.cfg", SOLVE_BASE + (
             "rhs = u\np = 50\nmax_iter = 300\n"))
@@ -915,9 +971,10 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
          "Picard step 1 gave a non-finite value"),
         ("solve", EVAL_BASE + "zeta = 1\nrhs = u\nr = 1e308\n", 2,
          "r: the trust region"),
-        ("eval", EVAL_BASE + "operator = D\nfunction = 1 + x\np = 500\n"
-         "lattice_depth = 4\n", 3,
-         "outer factor t**-499.0 leaves float range at p=500.0"),
+        ("eval", "q = 0.9\nalpha = 0.5\noperator = D\nfunction = 1\n"
+         "p = 5\nlattice_depth = 3000\n", 3,
+         "q-difference factor t**-1.0 times its table leaves float range at "
+         "p=5.0; first at node t=5.36192122885168e-124"),
         ("verify", "p = 20\n", 3,
          "corollary integrand factor t**-19.0 leaves float range at p=20.0"),
         ("verify", "p = 500\n", 3,
@@ -940,7 +997,7 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
          "kernel row factor t**1.0 times its table leaves float range"),
         ("eval", EVAL_BASE + "operator = D\nfunction = 1e300*x\np = 20\n"
          "lattice_depth = 20\n", 3,
-         "outer factor t**-19.0 times its table leaves float range"),
+         "kernel row factor t**-9.0 times its table leaves float range"),
         ("solve", SOLVE_BASE + "p = 2\nb = 100\nrhs = u*1e307\n", 3,
          "Picard step 1 gave a non-finite value at node t=100.0"),
     ]:

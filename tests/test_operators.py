@@ -536,6 +536,67 @@ def mixed_sign_table(size, seed):
     return np.sin(3.0 * x) - 0.4 + 0.1 * rng.standard_normal(size)
 
 
+# D's deep rows at p > 1: its heads carry the outer x**(1-p), which alone
+# leaves float range at 5.6e-17 (q = 0.5, p = 20) and 7.9e-78 (q = 0.9,
+# p = 5, alpha = 1/4) while the values stay finite
+D_RANGE_CASES = [(0.5, 20.0, 0.25, 60), (0.5, 20.0, 0.5, 60),
+                 (0.9, 5.0, 0.25, 3000)]
+
+
+class TestDeepDerivativeRows:
+    """D and the Caputo derivative on lattices whose rows reach far past
+    the point where x**(1-p) leaves float range."""
+
+    @pytest.mark.parametrize("q,p,alpha,depth", D_RANGE_CASES)
+    def test_derivative_of_one_is_the_closed_form(self, q, p, alpha, depth):
+        """D^alpha 1 = [p]_q**alpha / Gamma_Q(1-alpha) x**(-p alpha) on
+        every row whose value is a normal float."""
+        params = QParams(q, p)
+        lattice = QLattice(1.0, q, depth)
+        got = frac_derivative_rl(tabled(np.ones_like), lattice, alpha,
+                                 OperatorContext(params))
+        with np.errstate(over="ignore"):
+            want = (q_number(p, q) ** alpha / q_gamma(1.0 - alpha, params.qp)
+                    * np.array(lattice.nodes) ** (-p * alpha))
+        normal = want <= np.finfo(float).max
+        assert normal.sum() >= 55 and np.all(got[normal] != 0.0)
+        assert np.all(np.abs(got - want)[normal] <= 2e-15 * want[normal])
+
+    # depth 2000 at q = 0.9: deeper, the inner sums of w**3, x**(1-p) J
+    # ~ x**2.75, fall below float range before the value x**1.75 does
+    @pytest.mark.parametrize("q,p,alpha,depth", D_RANGE_CASES[:2] + [
+        (0.9, 5.0, 0.25, 2000),
+        pytest.param(*D_RANGE_CASES[2], marks=pytest.mark.xfail(
+            strict=True, reason="D divides by (1 - q) x after its kernel "
+            "sums, so from node 1e-104 the inner sums of w**3 underflow and "
+            "642 rows read 0 (CHANGES.md FOUND line on D's q-difference; "
+            "ROADMAP item 21)"))])
+    def test_caputo_is_the_simplified_form(self, q, p, alpha, depth):
+        ctx = OperatorContext(QParams(q, p))
+        lattice = QLattice(1.0, q, depth)
+        for e in (1.0, 2.0, 3.0):
+            got = caputo_derivative(tabled(lambda w: w ** e), lattice, alpha,
+                                    ctx)
+            want = caputo_derivative_simplified(
+                tabled(lambda w: w ** e),
+                tabled(lambda w: q_number(e, q) * w ** (e - 1.0)), lattice,
+                alpha, ctx)
+            assert np.all(np.isfinite(want))
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("q,p", [(0.9, 2.0), (0.9, 5.0), (0.99, 3.0)])
+    def test_derivative_of_one_above_a_is_the_q_power(self, q, p):
+        """At a > 0, D^alpha 1 = [p]_q**alpha / Gamma_Q(1-alpha)
+        (x**p - a**p)^(-alpha), on every node whose stencil stays above a."""
+        ctx = OperatorContext(QParams(q, p), a=0.25)
+        lattice = QLattice(1.0, q, 200, floor_a=0.25 / q)
+        got = frac_derivative_rl(tabled(np.ones_like), lattice, 0.5, ctx)
+        want = (q_number(p, q) ** 0.5 / q_gamma(0.5, ctx.params.qp)
+                * q_power_general(np.array(lattice.nodes), 0.25, -0.5,
+                                  ctx.params))
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
 class TestKernelConvolutions:
     """The Toeplitz lower-limit sums against the dense matrix of one weight
     row per node."""
@@ -574,7 +635,7 @@ class TestKernelConvolutions:
         nodes = QLattice(1.0, q, 200, floor_a=a).nodes
         with pytest.raises(ConvergenceError) as info:
             LatticeKernel(QParams(q, p), -0.5, a, DEFAULT_INTEGRATION_CTRL,
-                          nodes, weighted=False)
+                          nodes, "1")
         assert str(info.value) == (
             f"kernel row factor t**{1 - p / 2!r} leaves float range at "
             f"p={p!r}; first at node t={first!r}")

@@ -84,6 +84,14 @@ def test_registry_passes_on_deep_tables(restrict):
     assert failed == []
 
 
+@pytest.mark.parametrize("p", [5.0, 10.0, 20.0])
+def test_caputo_equivalence_is_relative_past_its_tolerance_ulp(p):
+    """At q = 0.5 the values reach 5e21 (p = 10), whose ulp is 1e6: there
+    the two routes are compared relative to the value, and agree."""
+    result = verify.run_identity("caputo_equivalence", {"q": 0.5, "p": p})
+    assert result.passed and result.max_error <= 1e-8
+
+
 def test_cli_verify_at_q_099_p_20_exits_0(tmp_path, capsys):
     assert main(["verify", "--config",
                  write_cfg(tmp_path, "q = 0.99\np = 20\n")]) == 0

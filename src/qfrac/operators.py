@@ -97,22 +97,26 @@ class LatticeKernel:
     (the Caputo integrand D_q f) or "(w/t)**(p-1)" (D's inner sums, which
     carry its outer t**(1-p)).
 
-    At w = t_m q**i the kernel is t_m**(p beta) k_i with one weight table
-    k (c = q**p) and w**(p-1) = t_m**(p-1) (q**i)**(p-1), so the sums of
+    Each row has one power of its node, the head; every other factor lies
+    in [0, 1]. At w = t_m q**i the kernel is t_m**(p beta) k_i with one
+    weight table k (c = q**p), and the Jackson weight w times w**(e - 1),
+    e = p for J and D and 1 for "1", is t_m**e (q**e)**i, so the sums of
     all rows are one correlation, head[m] * sum_{i<n} w_i f(t_0 q**(m+i))
-    with w_i = (q**i k_i) (q**i)**(p-1); head[m] = (1 - q) t_m**(((1 + p
-    beta) + (p - 1)) + outer), outer = 1 - p for D and 0 else, is one
-    power, past float range only where the value is. For a > 0 the
-    subtracted sums over [0, a] read f at the lower nodes w = a q**i, times
-    a q**i w**(p-1), under (1 - q) t_m**(p beta); D's (w/t)**(p-1) there is
-    (q**i)**(p-1) times the row scale (a/t_m)**(p-1), at most 1 for p >= 1.
-    Row m weighs them with k at c = (aq/t_m)**p, and since c Q**i steps
-    down the rows by Q, every row reads one table K of rows + n - 1 weights
-    built from the deepest row's c: row m's weights are K[rows-1-m+i], a
-    Toeplitz matrix applied as a second convolution. This is the matrix
-    view of discrete fractional calculus (Podlubny, FCAA 2000). upper and
-    lower hold w and K reversed. Each sum is a direct np.convolve, whose
-    rows keep their own digits (an FFT's error follows the largest row).
+    with w_i = k_i (q**e)**i; head[m] = (1 - q) t_m**(((1 + p beta) + (e -
+    1)) + outer), outer = 1 - p for D and 0 else, is past float range only
+    where the value is. For a > 0 the subtracted sums over [0, a] read f
+    at the lower nodes w = a q**i, whose weight t_m**e (a/t_m)**e
+    (q**e)**i is the same table under the same head, times the row scale
+    (a/t_m)**e <= 1: a row is head[m] * (upper sum - (a/t_m)**e lower
+    sum). Row m weighs the lower sum with k at c = (aq/t_m)**p, and since
+    c Q**i steps down the rows by Q, every row reads one table K of rows +
+    n - 1 weights built from the deepest row's c: row m's weights are
+    K[rows-1-m+i], a Toeplitz matrix applied as a second convolution. This
+    is the matrix view of discrete fractional calculus (Podlubny, FCAA
+    2000). upper and lower hold w and K reversed, and jackson the
+    geometric table (q**e)**i: at a small p, q**i underflows long before
+    q**(ip) is negligible. Each sum is a direct np.convolve, whose rows
+    keep their own digits (an FFT's error follows the largest row).
 
     Its first weight is (Q; Q)_inf / (Q**(1+beta); Q)_inf, so gamma = k_0
     (1 - Q)**(-beta) is Gamma_Q(1 + beta), the operator coefficients' own.
@@ -121,26 +125,23 @@ class LatticeKernel:
     def __init__(self, params: QParams, beta: float, a: float,
                  ctrl: SeriesControl, nodes: np.ndarray,
                  weight: str = "w**(p-1)"):
-        self.params, self.beta = params, beta
+        self.params = params
         q, p = params.q, params.p
-        tilt, outer = {"w**(p-1)": (p - 1.0, 0.0), "1": (0.0, 0.0),
-                       "(w/t)**(p-1)": (p - 1.0, 1.0 - p)}[weight]
+        e, outer = {"w**(p-1)": (p, 0.0), "1": (1.0, 0.0),
+                    "(w/t)**(p-1)": (p, 1.0 - p)}[weight]
         log_Q = p * math.log(q)
         self.nodes = nodes = np.asarray(nodes, dtype=float)
         rows = len(nodes)
         self.n = n = _sum_length(q, p, ctrl)
-        tilted = lambda w: _power(w, tilt, p, "integrand weight")
-        q_i = _nodes(1.0, q, n)
+        self.jackson = _nodes(1.0, q ** e, n)  # q**i itself at e = 1
         weights = _kernel_weights(log_Q, beta, log_Q, n, ctrl)
         self.gamma = float(weights[0]) * (1.0 - params.qp) ** -beta
-        self.upper = (weights * q_i * tilted(q_i))[::-1]
-        self.power = ((1.0 + p * beta) + tilt) + outer
+        self.upper = (weights * self.jackson)[::-1]
+        self.power = ((1.0 + p * beta) + (e - 1.0)) + outer
         self.head = (1.0 - q) * _power(nodes, self.power, p)
         self.lower = None
         if a > 0.0:
-            low = a * q_i  # bit for bit _nodes(a, q, n)
-            self.lower_weights = low * tilted(q_i if outer else low)
-            self.low_scale = (a / nodes) ** tilt if outer else 1.0
+            self.low_scale = (a / nodes) ** e
             self.lower = _kernel_weights(log_Q, beta,
                                          p * math.log(a * q / nodes[-1]),
                                          rows + n - 1, ctrl)[::-1]
@@ -152,20 +153,18 @@ class LatticeKernel:
         rows + n - 1 (a shorter table: f = 0 past its end), and f_low at
         _nodes(a, q, n) (None: f = 0 on [0, a]). A (k, len) stack gives
         (k, rows); a row past float range raises, as _checked_product."""
-        q, p = self.params.q, self.params.p
         size = len(self.head) + self.n - 1
         f = np.asarray(f, dtype=float)[..., :size]
         if f.shape[-1] < size:
             pad = np.zeros(f.shape[:-1] + (size - f.shape[-1],))
             f = np.concatenate((f, pad), axis=-1)
         sums = [_convolve(f, self.upper)]
-        out = self.head * sums[0]
+        row = sums[0]
         if f_low is not None and self.lower is not None:
-            sums.append(_convolve(self.lower_weights * f_low, self.lower))
-            out -= ((1.0 - q) * _power(self.nodes, p * self.beta, p)
-                    * (self.low_scale * sums[1]))
-        return _checked_product(out, self.nodes, self.power, p,
-                                "kernel row factor", *sums)
+            sums.append(_convolve(self.jackson * f_low, self.lower))
+            row = row - self.low_scale * sums[1]
+        return _checked_product(self.head * row, self.nodes, self.power,
+                                self.params.p, "kernel row factor", *sums)
 
 
 def _check_above(x: float, a: float) -> None:

@@ -223,8 +223,8 @@ class TestSolve:
         kernel = LatticeKernel(QParams(0.995), -0.5, 0.25, ctrl, nodes)
         tables = [v for v in vars(kernel).values()
                   if isinstance(v, np.ndarray)]
-        assert len(tables) == 5
-        assert all(t.ndim == 1 for t in tables)
+        assert all(t.ndim == 1 and len(t) <= len(nodes) + kernel.n - 1
+                   for t in tables)
         assert sum(t.nbytes for t in tables) < 1 << 20
         # the Picard engine, up to n = 34,525 nodes: O(n) floats in 1-D
         # tables, and at a = 0 one spectrum of the weight table

@@ -847,6 +847,27 @@ class TestLargeP:
         assert len(got) == depth
         assert np.all(np.abs(got - want) <= 1e-13 * want)
 
+    # the lower sums share the row head t**535 and take (a/t)**p <= 1: a
+    # head of their own, t**-535, would leave float range at 0.263
+    @pytest.mark.parametrize("q,p,a,depth", [(0.99, 1070.0, 0.25, 200)])
+    def test_eval_j_above_a_is_the_q_power(self, tmp_path, q, p, a, depth):
+        """J^alpha 1 = [p]_q**(-alpha) / Gamma_Q(1+alpha) (x**p -
+        a**p)^(alpha) on every row whose value is a normal float."""
+        path = write_cfg(tmp_path, "a.cfg", (
+            f"q = {q}\nalpha = 0.5\na = {a}\noperator = J\nfunction = 1\n"
+            f"p = {p}\nlattice_depth = {depth}\n"))
+        out = tmp_path / "out.json"
+        assert main(["eval", "--config", path, "--out", str(out),
+                     "--format", "json"]) == 0
+        table = json.loads(out.read_text())["table"]
+        params = QParams(q, p)
+        x, got = (np.array(table[key]) for key in ("x", "value"))
+        want = (q_number(p, q) ** -0.5 / q_gamma(1.5, params.qp)
+                * q_power_general(x, a, 0.5, params))
+        normal = want >= np.finfo(float).tiny
+        assert normal.sum() >= 130 and np.all(got != 0.0)
+        assert np.all(np.abs(got - want)[normal] <= 1e-15 * want[normal])
+
     def test_verify_at_q_half_p_20_passes(self, tmp_path, capsys):
         """The inversion's D rows reach 5.6e-17, where x**(1 - p) alone
         leaves float range, and caputo_equivalence compares its values

@@ -515,6 +515,21 @@ class TestDeepRows:
         assert np.all(got[normal] != 0.0)
         assert np.all(np.abs(got - want)[normal] <= 1e-13 * want[normal])
 
+    # at p = 0.01 the sum runs to q**i = 2.7e-312 at q = 0.5, where
+    # (q**i)**(p-1) alone would leave float range
+    @pytest.mark.parametrize("q,p,alpha,depth", [(0.5, 0.01, 0.5, 4),
+                                                 (0.9, 0.02, 0.25, 30)])
+    def test_integral_of_one_at_small_p_is_the_closed_form(self, q, p,
+                                                           alpha, depth):
+        ctx = OperatorContext(QParams(q, p), ctrl=SeriesControl(
+            max_terms=40000))
+        lattice = QLattice(1.0, q, depth)
+        got = frac_integral(tabled(np.ones_like), lattice, alpha, ctx)
+        want = (q_number(p, q) ** -alpha
+                / q_gamma(alpha + 1.0, ctx.params.qp, ctx.ctrl)
+                * np.array(lattice.nodes) ** (p * alpha))
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
     @pytest.mark.parametrize("q,depth", DEEP_LATTICES)
     @pytest.mark.parametrize("p", (1.0, 2.0, 5.0))
     @pytest.mark.parametrize("alpha", (0.25, 0.75))
@@ -608,21 +623,24 @@ class TestKernelConvolutions:
         a, ctrl = 0.25, DEFAULT_INTEGRATION_CTRL
         params = QParams(q, p)
         nodes = QLattice(1.0, q, 200, floor_a=a).nodes  # 138 at q = 0.99
-        kernel = LatticeKernel(params, beta, a, ctrl, nodes)
-        n = kernel.n
-        q_i = np.power(q, np.arange(n))
-        # the lower nodes w = a q**i carry the integrand weight w**(p-1)
-        dense = np.array([
-            (1.0 - q) * a * t ** (p * beta) * q_i * (a * q_i) ** (p - 1.0)
-            * reference.kernel_weights(params.qp, beta, (a * q / t) ** p, n,
-                                       _SUM_ABS_TOL)
-            for t in nodes])
-        g_low = mixed_sign_table(n, seed=len(nodes))
-        want = dense @ g_low
-        got = -kernel.apply(np.zeros(len(nodes) + n - 1), g_low)
-        assert len(got) == len(nodes)
-        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0,
-                                                                np.abs(want)))
+        # each weight v(w) at the lower nodes w = a q**i of row t
+        for weight, v in (("w**(p-1)", lambda w, t: w ** (p - 1.0)),
+                          ("1", lambda w, t: np.ones_like(w)),
+                          ("(w/t)**(p-1)", lambda w, t: (w / t) ** (p - 1.0))):
+            kernel = LatticeKernel(params, beta, a, ctrl, nodes, weight)
+            n = kernel.n
+            w = a * np.power(q, np.arange(n))
+            dense = np.array([
+                (1.0 - q) * w * v(w, t) * t ** (p * beta)
+                * reference.kernel_weights(params.qp, beta, (a * q / t) ** p,
+                                           n, _SUM_ABS_TOL)
+                for t in nodes])
+            g_low = mixed_sign_table(n, seed=len(nodes))
+            want = dense @ g_low
+            got = -kernel.apply(np.zeros(len(nodes) + n - 1), g_low)
+            assert len(got) == len(nodes)
+            assert np.all(np.abs(got - want)
+                          <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("q,p,a,first", [
         (0.5, 50.0, 0.0, 2.0**-43), (0.99, 1070.0, 0.25, 0.99**133)])

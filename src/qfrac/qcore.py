@@ -142,17 +142,6 @@ def _power(t, power, p: float, factor: str = "kernel row factor"):
         f"first at node t={float(t)!r}")
 
 
-def _power_times(t, power, p: float, factor: str, values):
-    """t**power * values, the nodes t an array on the last axis: a result
-    not finite throughout names a non-finite power or product."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = t ** power * values
-    if not np.isfinite(out).all():
-        _power(t, power, p, factor)
-        _checked_product(out, t, power, p, factor, values)
-    return out
-
-
 def _checked_product(out, t, power, p: float, factor: str, *tables):
     """out, a product of t**power and tables, the nodes t on its last axis:
     past float range where every table is finite, ConvergenceError names

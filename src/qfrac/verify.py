@@ -35,7 +35,6 @@ from .qcore import (
     _kernel_weights,
     _log_q_ratio,
     _power,
-    _power_times,
     q_number,
     q_power_general,
 )
@@ -162,13 +161,16 @@ def _check_lemma(restrict, ctrl) -> float:
         for alpha, lam, closed in _lemma_cases(QParams(q, p), ctrl):
             for x, rhs in zip(_LEMMA_XS, closed):
                 # a block of Jackson nodes of [0, x] is t_0 q**i: the
-                # q-power at q t is x**(p beta) k_i at c = (q t_0 / x)**p
-                head = _power(x, p * (alpha - 1.0), p, factor)
+                # q-power at q t is x**(p beta) k_i at c = (q t_0 / x)**p;
+                # one head x**(p (alpha + lam) - 1), rounded as the closed
+                # form's exponent, times (t / x)**(p (1 + lam) - 1) k_i
+                head = _power(x, p * (alpha + lam) - 1.0, p, factor)
                 integrand = _FromTable(
-                    lambda t: _power_times(t, p * lam, p, factor, _power_times(
-                        t, p - 1.0, p, factor, head * _kernel_weights(
-                            p * math.log(q), alpha - 1.0,
-                            p * math.log(q * t[0] / x), len(t), ctrl))))
+                    lambda t: head * _power(
+                        t / x, p * (1.0 + lam) - 1.0, p, factor)
+                    * _kernel_weights(p * math.log(q), alpha - 1.0,
+                                      p * math.log(q * t[0] / x), len(t),
+                                      ctrl))
                 lhs = jackson_integral(integrand, 0.0, x, q, ctrl)
                 errors.append(abs(lhs - rhs) / abs(rhs))
     return _worst(errors)
@@ -210,11 +212,16 @@ def _check_qpower_derivatives(restrict, ctrl) -> float:
     return _worst(errors)
 
 
+def _exponents(q: float, p: float, k: int):
+    """The columns e and [e]_q of _family's first k members."""
+    e = np.array([1.0, 2.0, 3.0, 0.7 * p][:k])[:, None]
+    return e, q_number(e, q)
+
+
 def _family(q: float, p: float, k: int = 4):
     """(f, D_q f) for the family f = w**e, D_q f = [e]_q w**(e-1), e in
     1, 2, 3, 0.7 p, of its first k members."""
-    e = np.array([1.0, 2.0, 3.0, 0.7 * p][:k])[:, None]
-    c = q_number(e, q)
+    e, c = _exponents(q, p, k)
     return (_FromTable(lambda w: w ** e),
             _FromTable(lambda w: c * w ** (e - 1.0)))
 
@@ -270,9 +277,11 @@ def _check_corollary(restrict, ctrl) -> float:
     errors = []
     for q, p in _pairs(restrict):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
-        f, dqf = _family(q, p, 3)
-        g = _FromTable(lambda w: _power_times(
-            w, 1.0 - p, p, "corollary integrand factor", dqf.table(w)))
+        # w**(1-p) D_q f = [e]_q w**(e-p), one power per member
+        f, _ = _family(q, p, 3)
+        e, c = _exponents(q, p, 3)
+        g = _FromTable(
+            lambda w: c * _power(w, e - p, p, "corollary integrand factor"))
         for alpha in (0.25, 0.5, 0.75):
             order = FracOrder(alpha)
             inner = lambda s: frac_integral(g, s, 2.0 - alpha, ctx)

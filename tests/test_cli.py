@@ -642,13 +642,17 @@ class TestFailurePaths:
         ("verify", "p = 20\n", None, 3, "numerical error: corollary "
          "integrand factor t**-19.0 leaves float range at p=20.0; first at "
          "node t="),
-        # verify at p = 500: the lemma's closed form x**(p (alpha + lambda))
-        # in the q-power, and at p = 2000 the lemma's integrand factor
+        # verify at p = 500 and at q = 0.9, p = 2000: the lemma's closed
+        # form x**(p (alpha + lambda)) in the q-power, itself past float range
         ("verify", "p = 500\n", None, 3, "numerical error: q-power factor "
          "t**1100.0 leaves float range at p=500.0; first at node t=2.0"),
-        ("verify", "q = 0.9\np = 2000\n", None, 3, "numerical error: lemma "
-         "integrand factor t**-1400.0 leaves float range at p=2000.0; first "
-         "at node t=0.5"),
+        ("verify", "q = 0.9\np = 2000\n", None, 3, "numerical error: q-power "
+         "factor t**1600.0 leaves float range at p=2000.0; first at node "
+         "t=2.0"),
+        # verify at p = 0.05: the lemma's ratio (t / x)**(p (1 + lambda) - 1)
+        # at a Jackson node that underflowed to 0
+        ("verify", "p = 0.05\n", None, 3, "numerical error: lemma integrand "
+         "factor t**-0.95 leaves float range at p=0.05; first at node t=0.0"),
         # a huge b: the kernel's row factor t**(p alpha) at the top node,
         # where the value b**(p alpha) is itself past float range
         ("solve", SOLVE_BASE + "rhs = u\np = 4\nb = 1e200\n", None, 3,
@@ -1001,9 +1005,9 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
         ("verify", "p = 500\n", 3,
          "q-power factor t**1100.0 leaves float range at p=500.0"),
         ("verify", "q = 0.9\np = 1100\n", 3,
-         "lemma integrand factor t**1099.0 leaves float range at p=1100.0"),
+         "q-power factor t**1430.0 leaves float range at p=1100.0"),
         ("verify", "q = 0.9\np = 2000\n", 3,
-         "lemma integrand factor t**-1400.0 leaves float range at p=2000.0"),
+         "q-power factor t**1600.0 leaves float range at p=2000.0"),
         ("solve", SOLVE_BASE + "rhs = u\np = 4\nb = 1e200\n", 3,
          "kernel row factor t**2.0 leaves float range at p=4.0"),
         ("eval", EVAL_BASE + "operator = J\nfunction = 1\np = 4\n"

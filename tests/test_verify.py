@@ -64,13 +64,22 @@ class TestNaNFails:
                    if name != "caputo_equivalence")
 
 
-@pytest.mark.parametrize("q,p", [(0.9, 15.0), (0.9, 19.0), (0.99, 10.0),
-                                 (0.99, 15.0)])
-def test_lemma_holds_at_large_p(q, p):
+LARGE_P = [
+    (0.9, 15.0, 1e-12), (0.9, 19.0, 1e-12), (0.99, 10.0, 1e-12),
+    (0.99, 15.0, 1e-12),
+    # the integrand's head x**(p (alpha + lambda) - 1) shares the closed
+    # form's rounded exponent: a head x**(p (alpha - 1)) apart from it
+    # rounds apart, an error growing like p eps (8.9e-14 at p = 400)
+    (0.5, 100.0, 2e-15), (0.9, 200.0, 2e-15), (0.9, 400.0, 2e-15)]
+
+
+@pytest.mark.parametrize("q,p,bound", LARGE_P,
+                         ids=[f"{q}-{p}" for q, p, _ in LARGE_P])
+def test_lemma_holds_at_large_p(q, p, bound):
     """At a large p the lemma's Jackson sums at x = 0.5 hold terms far
     below 1e-15, which the sum must still add up."""
     result = verify.run_identity("beta_integral_lemma", {"q": q, "p": p})
-    assert result.max_error <= 1e-12
+    assert result.max_error <= bound
 
 
 @pytest.mark.parametrize("restrict", [

@@ -14,7 +14,7 @@ max_iter exhausted; 5 trust-region exit.
 
 import argparse
 import functools
-import itertools
+import json
 import math
 import os
 import stat
@@ -22,7 +22,6 @@ import sys
 import tempfile
 import typing
 from dataclasses import dataclass, fields, replace
-from json.encoder import encode_basestring_ascii
 
 from . import cauchy, exprparse
 from .errors import ConvergenceError, DomainError, PoleError, TrustRegionError
@@ -239,51 +238,14 @@ def _write_path(path: str, text: str) -> bool:
 
 def _report_json(payload: dict) -> str:
     """json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) and a
-    newline, without the pure-Python encoder that indent selects."""
-    return _json(payload, "\n") + "\n"
-
-
-def _json(value, newline: str) -> str:
-    """value as json.dumps(sort_keys=True, indent=2, allow_nan=False) writes
-    it at the indentation newline carries."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _floats((value,))[0]
-    inner = newline + "  "
-    if isinstance(value, dict):
-        items = [f"{encode_basestring_ascii(key)}: {_json(v, inner)}"
-                 for key, v in sorted(value.items())]
-        ends = "{}"
-    elif isinstance(value, list):
-        try:  # a table column, in one pass
-            items = _floats(value)
-        except TypeError:
-            items = [_json(v, inner) for v in value]
-        ends = "[]"
-    else:
-        raise TypeError(
-            f"Object of type {type(value).__name__} is not JSON serializable")
-    if not items:
-        return ends
-    return ends[0] + inner + ("," + inner).join(items) + newline + ends[1]
-
-
-def _floats(values) -> list[str]:
-    """json's text of each float; TypeError if one is no float. A
-    non-finite one raises FloatingPointError with json's words."""
-    text = list(map(float.__repr__, values))
-    for bad in itertools.filterfalse(math.isfinite, values):
+    newline; a non-finite number raises FloatingPointError with json's
+    words."""
+    try:
+        return json.dumps(payload, sort_keys=True, indent=2,
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
         raise FloatingPointError(
-            f"report holds a non-finite number: Out of range float values "
-            f"are not JSON compliant: {bad!r}")
-    return text
+            f"report holds a non-finite number: {exc}") from None
 
 
 def _write_table(cfg: RunConfig, out: str | None, fmt: str, column: str,

@@ -94,8 +94,8 @@ class LatticeKernel:
     """The Jackson kernel sum int_a^t v(w) f(w) (t**p - (wq)**p)^(beta)
     d_q w at every row node t_m = t_0 q**m of a geometric node table, in
     one pass over f tabulated once. The weight v is "w**(p-1)" (J), "1"
-    (the Caputo integrand D_q f) or "(w/t)**(p-1)" (D's inner sums, which
-    carry its outer t**(1-p)).
+    (the Caputo integrand D_q f) or "w**(p-1)/t**p" (D's inner sums, which
+    carry its outer t**(1-p) over its q-difference divisor t).
 
     Each row has one power of its node, the head; every other factor lies
     in [0, 1]. At w = t_m q**i the kernel is t_m**(p beta) k_i with one
@@ -103,7 +103,7 @@ class LatticeKernel:
     e = p for J and D and 1 for "1", is t_m**e (q**e)**i, so the sums of
     all rows are one correlation, head[m] * sum_{i<n} w_i f(t_0 q**(m+i))
     with w_i = k_i (q**e)**i; head[m] = (1 - q) t_m**(((1 + p beta) + (e -
-    1)) + outer), outer = 1 - p for D and 0 else, is past float range only
+    1)) + outer), outer = -p for D and 0 else, is past float range only
     where the value is. For a > 0 the subtracted sums over [0, a] read f
     at the lower nodes w = a q**i, whose weight t_m**e (a/t_m)**e
     (q**e)**i is the same table under the same head, times the row scale
@@ -128,7 +128,7 @@ class LatticeKernel:
         self.params = params
         q, p = params.q, params.p
         e, outer = {"w**(p-1)": (p, 0.0), "1": (1.0, 0.0),
-                    "(w/t)**(p-1)": (p, 1.0 - p)}[weight]
+                    "w**(p-1)/t**p": (p, -p)}[weight]
         log_Q = p * math.log(q)
         self.nodes = nodes = np.asarray(nodes, dtype=float)
         rows = len(nodes)
@@ -215,18 +215,18 @@ def _integral_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
 
 
 def _derivative_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
-    """D^alpha f at grid[:rows], from inner sums whose heads carry x**(1-p)
-    = q**(p-1) (qx)**(1-p); f_grid covers rows + n nodes, all above a."""
+    """D^alpha f at grid[:rows], from inner sums whose heads carry x**-p =
+    q**p (qx)**-p, D's outer x**(1-p) over its q-difference divisor x;
+    f_grid covers rows + n nodes, all above a."""
     q, p = ctx.params.q, ctx.params.p
     kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl,
-                           grid[:rows + 1], "(w/t)**(p-1)")
+                           grid[:rows + 1], "w**(p-1)/t**p")
     inner = kernel.apply(f_grid, f_low) / kernel.gamma
     x, here, below = grid[:rows], inner[..., :-1], inner[..., 1:]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = (q_number(p, q) ** alpha * (here - q ** (p - 1.0) * below)
-               / ((1.0 - q) * x))
-    return _checked_product(out, x, -1.0, p, "q-difference factor", here,
-                            below)
+        out = q_number(p, q) ** alpha * (here - q ** p * below) / (1.0 - q)
+    return _checked_product(out, x, kernel.power, p, "kernel row factor",
+                            here, below)
 
 
 def frac_integral(f: ScalarFunction, x, order,

@@ -577,15 +577,17 @@ class TestDeepDerivativeRows:
         assert normal.sum() >= 55 and np.all(got[normal] != 0.0)
         assert np.all(np.abs(got - want)[normal] <= 2e-15 * want[normal])
 
-    # depth 2000 at q = 0.9: deeper, the inner sums of w**3, x**(1-p) J
-    # ~ x**2.75, fall below float range before the value x**1.75 does
+    # depth 2000 at q = 0.9, p = 5: deeper, f = w**3 itself falls below
+    # float range (below w ~ 6e-103) before the value x**1.75 does. At
+    # p = 1, where p alpha < 1, the inner sums carry the value's own power
+    # and every row keeps its digits.
     @pytest.mark.parametrize("q,p,alpha,depth", D_RANGE_CASES[:2] + [
-        (0.9, 5.0, 0.25, 2000),
+        (0.9, 5.0, 0.25, 2000), (0.9, 1.0, 0.5, 2200),
+        (0.9, 1.0, 0.25, 2200), (0.5, 1.0, 0.25, 330),
         pytest.param(*D_RANGE_CASES[2], marks=pytest.mark.xfail(
-            strict=True, reason="D divides by (1 - q) x after its kernel "
-            "sums, so from node 1e-104 the inner sums of w**3 underflow and "
-            "642 rows read 0 (CHANGES.md FOUND line on D's q-difference; "
-            "ROADMAP item 21)"))])
+            strict=True, reason="w**3 itself is subnormal below node 6e-103, "
+            "so the inner sums that read it underflow and 642 rows read 0 "
+            "(ROADMAP item 21)"))])
     def test_caputo_is_the_simplified_form(self, q, p, alpha, depth):
         ctx = OperatorContext(QParams(q, p))
         lattice = QLattice(1.0, q, depth)
@@ -626,7 +628,8 @@ class TestKernelConvolutions:
         # each weight v(w) at the lower nodes w = a q**i of row t
         for weight, v in (("w**(p-1)", lambda w, t: w ** (p - 1.0)),
                           ("1", lambda w, t: np.ones_like(w)),
-                          ("(w/t)**(p-1)", lambda w, t: (w / t) ** (p - 1.0))):
+                          ("w**(p-1)/t**p",
+                           lambda w, t: (w / t) ** (p - 1.0) / t)):
             kernel = LatticeKernel(params, beta, a, ctrl, nodes, weight)
             n = kernel.n
             w = a * np.power(q, np.arange(n))

@@ -179,23 +179,20 @@ class _Parser:
         self.depth -= 1
         return node, self.deeper(max(below, levels), col)
 
-    def parse_expr(self) -> tuple[Expr, int]:
-        node, levels = self.parse_term()
-        while self.cur.kind == "op" and self.cur.text in "+-":
+    def parse_binary(self, ops: str, operand) -> tuple[Expr, int]:
+        """operand() {op operand()} for op in ops, grouped from the left."""
+        node, levels = operand()
+        while self.cur.kind == "op" and self.cur.text in ops:
             tok = self.advance()
-            right, r = self.parse_term()
+            right, r = operand()
             node = Binary(tok.text, node, right)
             levels = self.deeper(max(levels, r), tok.col)
         return node, levels
 
-    def parse_term(self) -> tuple[Expr, int]:
-        node, levels = self.parse_unary()
-        while self.cur.kind == "op" and self.cur.text in "*/":
-            tok = self.advance()
-            right, r = self.parse_unary()
-            node = Binary(tok.text, node, right)
-            levels = self.deeper(max(levels, r), tok.col)
-        return node, levels
+    def parse_expr(self) -> tuple[Expr, int]:
+        """expr = term {("+" | "-") term}, term = unary {("*" | "/") unary}."""
+        return self.parse_binary(
+            "+-", lambda: self.parse_binary("*/", self.parse_unary))
 
     def parse_unary(self) -> tuple[Expr, int]:
         """unary = "-" unary | power, with power = atom ["^" unary]."""

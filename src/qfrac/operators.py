@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DomainError
-from .qcalc import QLattice, ScalarFunction, _nodes, _tabulate
+from .qcalc import QLattice, ScalarFunction, _FromTable, _nodes, _tabulate
 from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
@@ -301,16 +301,9 @@ def frac_derivative_rl(f: ScalarFunction, x, order,
 def caputo_derivative(f: ScalarFunction, x, order, ctx: OperatorContext):
     """Caputo-type derivative: the RL derivative of w -> f(w) - f(a), at a
     point or at the nodes of a QLattice."""
-    fa = f(ctx.a)
-
-    def shifted(w):
-        return f(w) - fa
-
-    table = getattr(f, "table", None)
-    if table is not None:
-        fa_col = np.expand_dims(fa, -1)  # one per row of a family
-        shifted.table = lambda w: table(w) - fa_col
-    return frac_derivative_rl(shifted, x, order, ctx)
+    fa = np.expand_dims(f(ctx.a), -1)  # one per row of a family
+    return frac_derivative_rl(_FromTable(lambda w: _tabulate(f, w) - fa),
+                              x, order, ctx)
 
 
 def caputo_derivative_simplified(f: ScalarFunction, dqf: ScalarFunction,
@@ -361,9 +354,7 @@ def caputo_rl_relation_residual(f: ScalarFunction, x: float, order,
 
     # D f and cD f (the RL derivative of f - f(a)) as one family pass over
     # [f, f - f(a)], f tabulated once: each row keeps its own pass's bits
-    both = lambda w: table(np.array([w]))[..., 0]
-    both.table = table
-    d, cd = np.split(frac_derivative_rl(both, x, order, ctx), 2)
+    d, cd = np.split(frac_derivative_rl(_FromTable(table), x, order, ctx), 2)
     return _value(np.reshape(d - cd, np.shape(fa))) - shift
 
 

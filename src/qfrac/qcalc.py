@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .qcore import DEFAULT_INTEGRATION_CTRL, SeriesControl
+from .qcore import DEFAULT_INTEGRATION_CTRL, SeriesControl, _check_q
 from .qcore import _SUM_MASS_TOL, _SUM_REL_TOL, _SUM_RUN
 
 __all__ = [
@@ -45,8 +45,7 @@ class QLattice:
     def __post_init__(self):
         if not self.b > 0.0:
             raise DomainError(f"b must be positive, got {self.b}")
-        if not 0.0 < self.q < 1.0:
-            raise DomainError(f"q must lie in (0, 1), got {self.q}")
+        _check_q(self.q)
         if self.depth < 1:
             raise DomainError(f"depth must be >= 1, got {self.depth}")
         if not 0.0 <= self.floor_a < self.b:
@@ -89,10 +88,21 @@ def _tabulate(f, *tables) -> np.ndarray:
     return values.T.reshape(values.shape[1:] + tables[0].shape)
 
 
+class _FromTable:
+    """A function given by its table: table(ws) gives its values at every
+    node, a (k, len(ws)) stack for a family of k, and a call at a point is
+    the table at that one node."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __call__(self, w):
+        return self.table(np.array([w], dtype=float))[..., 0]
+
+
 def q_derivative(f: ScalarFunction, x: float, q: float) -> float:
     """D_q f(x) = (f(x) - f(qx)) / ((1 - q) x), for x > 0."""
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     if not x > 0.0:
         raise DomainError(f"q-derivative needs x > 0, got {x}")
     return (f(x) - f(q * x)) / ((1.0 - q) * x)
@@ -110,8 +120,7 @@ def jackson_integral_zero(f: ScalarFunction, b: float, q: float,
     the nodes the sum uses (f must be evaluable on the whole lattice);
     the sum is the same float as a term-by-term loop's.
     """
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must lie in (0, 1), got {q}")
+    _check_q(q)
     if not b > 0.0:
         raise DomainError(f"b must be positive, got {b}")
     scale = (1.0 - q) * b

@@ -41,8 +41,7 @@ class QParams:
     p: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.q < 1.0:
-            raise DomainError(f"q must lie in (0, 1), got {self.q}")
+        _check_q(self.q)
         if not self.p > 0.0:
             raise DomainError(f"p must be positive, got {self.p}")
         if self.qp == 0.0:

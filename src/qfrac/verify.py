@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable
 
@@ -27,7 +28,14 @@ from .operators import (
     frac_integral,
     inversion_residuals,
 )
-from .qcalc import QLattice, jackson_integral, q_derivative, sup_norm
+from .qcalc import (
+    QLattice,
+    _FromTable,
+    _tabulate,
+    jackson_integral,
+    q_derivative,
+    sup_norm,
+)
 from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
@@ -65,77 +73,15 @@ def _pairs(restrict: dict | None) -> list[tuple[float, float]]:
     return [(q, p) for q in qs for p in ps]
 
 
-# (state, inc) of np.random.default_rng(seed).bit_generator, which numpy's
-# SeedSequence derives from the seed
-_PCG64_SEEDS = {
-    1234: (0x160AD84006FE21EAF69B873D9FE45409,
-           0x50C8FB163C7CEA4ED0F51CE6006E4325),
-    99: (0xF31B894974AB7054E29B438DD79493EC,
-         0xF4188A9A07F2A554F59B2E1B089ED43D),
-    20240817: (0x1D69F3DE084E6A5F28AD013E3DAABAA4,
-               0x10957D136FB1D369CC7447F2C58CFBE9),
-}
-
-
-class _Pcg64:
-    """The draws np.random.default_rng(seed) gives for random(), uniform()
-    and choice() of a sequence, without loading numpy.random: O'Neill's
-    PCG64 (XSL-RR), numpy's 53-bit doubles, and Lemire's bounded draw on
-    32-bit words, the high half of a raw output kept for the next word."""
-
-    _MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-    def __init__(self, seed: int):
-        self.state, self.inc = _PCG64_SEEDS[seed]
-        self.half = None  # the buffered high 32 bits
-
-    def _raw(self) -> int:
-        self.state = s = (self.state * self._MULT + self.inc) % (1 << 128)
-        x, rot = ((s >> 64) ^ s) % (1 << 64), s >> 122
-        return ((x >> rot) | (x << (64 - rot))) % (1 << 64)
-
-    def _uint32(self) -> int:
-        if self.half is not None:
-            word, self.half = self.half, None
-            return word
-        raw = self._raw()
-        self.half = raw >> 32
-        return raw % (1 << 32)
-
-    def random(self) -> float:
-        return (self._raw() >> 11) * 2.0**-53
-
-    def uniform(self, lo: float, hi: float, size=None):
-        if size is None:
-            return lo + (hi - lo) * self.random()
-        return np.array([self.uniform(lo, hi)
-                         for _ in range(math.prod(size))]).reshape(size)
-
-    def choice(self, seq):
-        n = len(seq)
-        if n == 1:
-            return seq[0]
-        m = self._uint32() * n
-        while m % (1 << 32) < (1 << 32) % n:  # reject the biased words
-            m = self._uint32() * n
-        return seq[m >> 32]
+def _coefficients(rng: random.Random, rows: int) -> np.ndarray:
+    """A (rows, 5) table of rng.uniform(-1, 1), drawn row by row."""
+    return np.array([[rng.uniform(-1.0, 1.0) for _ in range(5)]
+                     for _ in range(rows)])
 
 
 def _worst(errors) -> float:
     """The largest of all the error arrays; NaN if any error is NaN."""
     return float(np.max(np.concatenate([np.ravel(e) for e in errors])))
-
-
-class _FromTable:
-    """A test function given by its table (see qcalc): table(ws) gives its
-    values at every node, a (k, len(ws)) stack for a family of k, and a
-    call at a point is the table at that one node."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def __call__(self, w):
-        return self.table(np.array([w], dtype=float))[..., 0]
 
 
 _LEMMA_XS = (0.5, 1.0, 2.0)
@@ -176,12 +122,18 @@ def _check_lemma(restrict, ctrl) -> float:
     return _worst(errors)
 
 
-def _check_qpower_derivatives(restrict, ctrl) -> float:
-    rng = _Pcg64(1234)
+def _qpower_draws(restrict) -> list[tuple[float, ...]]:
+    """The q-power check's 100 cases (q, p, alpha, x, u), each draw one
+    Random.random(), the stream Python keeps for a seed."""
+    rng = random.Random(1234)
+    pick = lambda seq: float(seq[int(len(seq) * rng.random())])
     qs, ps = _grid(restrict)
-    draws = [(float(rng.choice(qs)), float(rng.choice(ps)),
-              float(rng.uniform(0.2, 1.8)), float(rng.uniform(0.5, 2.0)),
-              float(rng.random())) for _ in range(100)]
+    return [(pick(qs), pick(ps), rng.uniform(0.2, 1.8),
+             rng.uniform(0.5, 2.0), rng.random()) for _ in range(100)]
+
+
+def _check_qpower_derivatives(restrict, ctrl) -> float:
+    draws = _qpower_draws(restrict)
     rel = lambda lhs, rhs: np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
     errors = []
     for q, p in sorted({d[:2] for d in draws}):
@@ -255,9 +207,10 @@ def _check_caputo_equivalence(restrict, ctrl) -> float:
         # 1 + w^2 joins as a fifth member, compared to depth 8 only: deeper,
         # f(w) - f(0) in the definitional form cancels to few digits
         # (2.6e-8 at q = 0.3, p = 2, alpha = 0.75, node 11)
-        f = _FromTable(lambda w: np.vstack((powers.table(w), 1.0 + w * w)))
+        f = _FromTable(
+            lambda w: np.vstack((_tabulate(powers, w), 1.0 + w * w)))
         dqf = _FromTable(
-            lambda w: np.vstack((d_powers.table(w), (1.0 + q) * w)))
+            lambda w: np.vstack((_tabulate(d_powers, w), (1.0 + q) * w)))
         lattice = QLattice(1.0, q, 12)
         for alpha in (0.25, 0.5, 0.75):
             order = FracOrder(alpha)
@@ -298,16 +251,15 @@ def _check_boundedness(restrict, ctrl) -> float:
     8 random quartics per (q, p) (seed 99) and 50 more (seed 20240817)
     dealt to the (q, p) pairs in turn."""
     pairs = _pairs(restrict)
-    dealt = _Pcg64(20240817).uniform(-1.0, 1.0, size=(50, 5))
-    rng = _Pcg64(99)
+    dealt = _coefficients(random.Random(20240817), 50)
+    rng = random.Random(99)
     errors = []
     for j, (q, p) in enumerate(pairs):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
         lattice = QLattice(1.0, q, 12)
         norm_lattice = QLattice(1.0, q, 200)
         bound = bound_constant(FracOrder(0.5), ctx, 1.0)
-        f = _horner(np.vstack((rng.uniform(-1.0, 1.0, size=(8, 5)),
-                               dealt[j::len(pairs)])))
+        f = _horner(np.vstack((_coefficients(rng, 8), dealt[j::len(pairs)])))
         lhs = np.max(np.abs(frac_integral(f, lattice, FracOrder(0.5), ctx)),
                      axis=-1)
         errors.append(lhs - bound * sup_norm(f, norm_lattice))

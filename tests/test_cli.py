@@ -1058,7 +1058,7 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_command_leaves_numpy_random_unloaded(tmp_path, command):
     """The Lipschitz estimate samples an even grid and verify draws from
-    its own PCG64 stream: no command loads numpy.random."""
+    random.Random: no command loads numpy.random."""
     path = write_cfg(tmp_path, "a.cfg",
                      {"solve": SOLVE_CFG, "verify": ""}[command])
     script = f"""

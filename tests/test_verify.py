@@ -171,44 +171,36 @@ def test_lemma_cases_are_lemma_beta_integral(q, p):
             0.0, np.array(verify._LEMMA_XS), alpha, lam, params).tolist()
 
 
-class TestPcg64:
-    """The registry's generator draws what np.random.default_rng draws."""
+class TestDrawnCases:
+    """The q-power and boundedness checks draw their cases from
+    random.Random streams of fixed seeds."""
 
-    @pytest.mark.parametrize("seed", sorted(verify._PCG64_SEEDS))
-    def test_seed_states_are_numpys(self, seed):
-        state = np.random.default_rng(seed).bit_generator.state["state"]
-        assert verify._PCG64_SEEDS[seed] == (state["state"], state["inc"])
+    @pytest.mark.parametrize("name", ["qpower_q_derivatives",
+                                      "integral_boundedness"])
+    def test_repeat_runs_give_the_same_bits(self, name):
+        first, second = (verify.run_identity(name) for _ in range(2))
+        assert first.max_error.hex() == second.max_error.hex()
 
-    @pytest.mark.parametrize("qs,ps", [((0.3, 0.5, 0.9), (1.0, 2.0)),
-                                       ((0.5,), (1.0, 2.0)),
-                                       ((0.3, 0.5, 0.9), (1.0,)),
-                                       ((0.9,), (15.0,))])
-    def test_qpower_draws(self, qs, ps):
-        """The q-power check's 100 draws, q and p each restricted or not."""
-        def draws(rng):
-            return [(float(rng.choice(qs)), float(rng.choice(ps)),
-                     float(rng.uniform(0.2, 1.8)),
-                     float(rng.uniform(0.5, 2.0)), float(rng.random()))
-                    for _ in range(100)]
-        assert draws(verify._Pcg64(1234)) == draws(
-            np.random.default_rng(1234))
+    @pytest.mark.parametrize("restrict", [None, {"q": 0.5}, {"p": 1.0},
+                                          {"q": 0.9, "p": 15.0}])
+    def test_qpower_draws_lie_in_range_and_cover_the_grid(self, restrict):
+        draws = verify._qpower_draws(restrict)
+        assert len(draws) == 100
+        for _, _, alpha, x, u in draws:
+            assert 0.2 <= alpha <= 1.8 and 0.5 <= x <= 2.0 and 0.0 <= u < 1.0
+        assert {d[:2] for d in draws} == set(verify._pairs(restrict))
 
-    def test_uniform_tables(self):
-        """The boundedness check's dealt 50x5 table and six 8x5 tables."""
-        assert np.array_equal(
-            verify._Pcg64(20240817).uniform(-1.0, 1.0, size=(50, 5)),
-            np.random.default_rng(20240817).uniform(-1.0, 1.0, size=(50, 5)))
-        ours, numpys = verify._Pcg64(99), np.random.default_rng(99)
-        for _ in range(6):
-            assert np.array_equal(ours.uniform(-1.0, 1.0, size=(8, 5)),
-                                  numpys.uniform(-1.0, 1.0, size=(8, 5)))
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.9, 0.99])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 5.0, 20.0])
+    def test_drawn_identities_pass(self, q, p):
+        for name in ("qpower_q_derivatives", "integral_boundedness"):
+            assert verify.run_identity(name, {"q": q, "p": p}).passed
 
-    def test_long_run_of_choices(self):
-        """20,000 three-way choices, with doubles between some of them:
-        the buffered 32-bit half lasts across choices, never doubles."""
-        ours, numpys = verify._Pcg64(99), np.random.default_rng(99)
-        seq = (0.3, 0.5, 0.9)
-        for i in range(20000):
-            assert ours.choice(seq) == numpys.choice(seq)
-            if i % 7 == 0:
-                assert ours.random() == numpys.random()
+    @pytest.mark.xfail(strict=True, reason=(
+        "at a large p the weight w**(p-1) concentrates J^(1/2) f(1) on "
+        "f(1), so the bound is attained: J^(1/2) of 1 at x = 1 exceeds "
+        "bound_constant by 1.1e-16 at p = 50, over the 0.0 tolerance"))
+    @pytest.mark.parametrize("p", [50.0, 100.0])
+    def test_boundedness_at_large_p(self, p):
+        assert verify.run_identity("integral_boundedness",
+                                   {"q": 0.3, "p": p}).passed

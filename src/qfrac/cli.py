@@ -13,13 +13,14 @@ max_iter exhausted; 5 trust-region exit.
 """
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import os
 import stat
 import sys
-import tempfile
 import typing
 from dataclasses import dataclass, fields, replace
 
@@ -193,6 +194,9 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+_TMP_IDS = itertools.count()  # with the pid, no two calls share a name
+
+
 def _write_atomic(path: str | None, text: str) -> bool:
     """Write text to stdout, or where open(path, "w") would: into a device
     or FIFO in place, and through a symlink to its target. A regular file,
@@ -201,38 +205,34 @@ def _write_atomic(path: str | None, text: str) -> bool:
     if path is None:
         sys.stdout.write(text)
         return False
+    tmp = None
     try:
-        return _write_path(path, text)
-    except OSError as exc:
-        raise ConfigError(
-            f"--out: cannot write {path}: {exc.strerror}") from exc
-
-
-def _write_path(path: str, text: str) -> bool:
-    try:  # follows links; the mode open(path, "w") would leave
-        st = os.stat(path)
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = 0o666 & ~umask
-    else:
-        if not stat.S_ISREG(st.st_mode):
+        try:  # follows links
+            st = os.stat(path)
+        except FileNotFoundError:
+            st = None
+        if st is not None and not stat.S_ISREG(st.st_mode):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             return False
-        mode = stat.S_IMODE(st.st_mode)
-    # not before the stat: /dev/stdout on a pipe resolves to no path
-    path = os.path.realpath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".qfrac-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.chmod(tmp, mode)  # mkstemp's is 0600
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        # not before the stat: /dev/stdout on a pipe resolves to no path
+        real = os.path.realpath(path)
+        # short, so that any name open(path, "w") takes has its own
+        stem = os.path.join(os.path.dirname(real), f".qfrac-{os.getpid()}-")
+        while tmp is None:  # "x": a new file as "w" makes it; no old name
+            with contextlib.suppress(FileExistsError):  # a crash left it
+                tmp = open(f"{stem}{next(_TMP_IDS)}", "x", encoding="utf-8")
+        with tmp:
+            if st is not None:
+                os.fchmod(tmp.fileno(), stat.S_IMODE(st.st_mode))
+            tmp.write(text)
+        os.replace(tmp.name, real)
+    except OSError as exc:
+        raise ConfigError(
+            f"--out: cannot write {path}: {exc.strerror}") from exc
+    finally:  # only the file this call made
+        if tmp is not None and os.path.exists(tmp.name):
+            os.unlink(tmp.name)
     return True
 
 

@@ -180,10 +180,8 @@ def _family(q: float, p: float, k: int = 4):
 
 def _horner(coeffs: np.ndarray):
     """The family of quartics whose coefficient rows, highest first, are
-    coeffs: bit for bit the values np.polyval gives."""
-    c0, c1, c2, c3, c4 = coeffs.T[:, :, None]
-    return _FromTable(
-        lambda w: (((c0 * w + c1) * w + c2) * w + c3) * w + c4)
+    coeffs, by np.polyval's Horner scheme."""
+    return _FromTable(lambda w: np.polyval(coeffs.T[:, :, None], w))
 
 
 def _check_caputo_relation(restrict, ctrl) -> float:

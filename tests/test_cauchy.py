@@ -48,6 +48,7 @@ from qfrac.qcore import (
 )
 
 import kernel_reference as reference
+import series_reference
 
 
 def linear_problem(q=0.5, p=1.0, alpha=0.5, zeta=1.0, r=10.0, A=None):
@@ -318,6 +319,36 @@ SOLVE_GRID_RHS = ("u", "-u + sin(t)", "u - u^2/8", "exp(-u) + t^2")
 
 def compiled_rhs(source):
     return exprparse.compile(exprparse.parse(source, {"t", "u"}), ("t", "u"))
+
+
+class TestSeriesOracle:
+    """At a = 0 a linear rhs lam u + sum_j c_j t**mu_j has the Neumann
+    series of tests/series_reference.py for its solution, summed from the
+    closed form of J^beta t**mu alone: no kernel table, Jackson sum or
+    Picard step of the library enters it."""
+
+    # source: (lam, [(c_j, mu_j)])
+    CASES = {"-u + t": (-1.0, [(1.0, 1.0)]),
+             "0.5*u + 2*t^0.5 - t^3": (0.5, [(2.0, 0.5), (-1.0, 3.0)])}
+
+    @pytest.mark.parametrize("source", sorted(CASES))
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_every_row_is_the_series(self, q, p, alpha, source):
+        lam, g = self.CASES[source]
+        problem = CauchyProblem(rhs=compiled_rhs(source), a=0.0, b=1.0,
+                                zeta=1.0, order=FracOrder(alpha),
+                                params=QParams(q, p), lipschitz_A=abs(lam),
+                                radius_r=10.0)
+        lattice = QLattice(1.0, q, 10)
+        # q = 0.99, p = 0.5 takes a table of 6,877 nodes
+        report = solve(problem, lattice, tol=1e-14, max_iter=1000,
+                       ctrl=SeriesControl(max_terms=40000))
+        assert report.converged
+        want = series_reference.linear_series(lam, g, 1.0, alpha, q, p)(
+            np.array(lattice.nodes))
+        assert np.max(np.abs(np.array(report.solution) / want - 1.0)) <= 1e-12
 
 
 class CountingRhs:

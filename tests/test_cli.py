@@ -1,4 +1,6 @@
+import builtins
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import qfrac
-from qfrac import exprparse
+from qfrac import cli, exprparse
 from qfrac.cli import _report_json, load_config, main
 from qfrac.cli import ConfigError, RunConfig
 from qfrac.cauchy import SolverReport, q_mittag_leffler
@@ -478,6 +480,72 @@ class TestSolve:
         assert json.loads((tmp_path / "link.csv.report.json").read_text())[
             "converged"] is True
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_new_out_leaves_the_umask_alone(self, tmp_path, monkeypatch,
+                                            fmt):
+        """Reading the umask sets it, for every thread of the process."""
+        path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
+
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        assert main(["solve", "--config", path, "--out",
+                     str(tmp_path / f"sol.{fmt}"), "--format", fmt]) == 0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_out_leaves_no_temporary_file(self, tmp_path, monkeypatch, fmt):
+        """Each write goes through its own hidden file beside the target,
+        new or replacing, and leaves only the table and the sidecar."""
+        path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
+        out = tmp_path / f"sol.{fmt}"
+        made = []
+
+        def spy(file, mode="r", *args, **kwargs):
+            if mode == "x":
+                made.append(file)
+            return builtins.open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", spy, raising=False)
+        for _ in range(2):
+            assert main(["solve", "--config", path, "--out", str(out),
+                         "--format", fmt]) == 0
+        files = [out.name] + [f"{out.name}.report.json"] * (fmt == "csv")
+        assert sorted(os.listdir(tmp_path)) == sorted(["s.cfg", *files])
+        assert len(set(made)) == len(made) == 2 * len(files)
+        for tmp in made:
+            assert os.path.dirname(tmp) == str(tmp_path)
+            assert os.path.basename(tmp).startswith(".qfrac-")
+
+    def test_temporary_names_a_crash_left_are_passed_over(self, tmp_path,
+                                                          monkeypatch):
+        """A file or a link at a temporary name is neither opened nor
+        followed nor removed, whether the write succeeds or fails."""
+        path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
+        out = tmp_path / "sol.json"
+        stale = tmp_path / f".qfrac-{os.getpid()}-0"
+        stale.write_text("stale\n")
+        link = tmp_path / f".qfrac-{os.getpid()}-1"
+        link.symlink_to("elsewhere")
+        monkeypatch.setattr(cli, "_TMP_IDS", itertools.count())
+        args = ["solve", "--config", path, "--out", str(out), "--format",
+                "json"]
+        assert main(args) == 0
+        assert json.loads(out.read_text())["converged"] is True
+        left = sorted(os.listdir(tmp_path))
+        assert left == sorted(["s.cfg", "sol.json", stale.name, link.name])
+        assert stale.read_text() == "stale\n"
+        assert os.readlink(link) == "elsewhere"
+
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        monkeypatch.setattr(cli, "_TMP_IDS", itertools.count())
+        assert main(args) == 2
+        assert sorted(os.listdir(tmp_path)) == left
+        assert stale.read_text() == "stale\n"
+
     def test_out_to_a_fifo_writes_into_it(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
         fifo = tmp_path / "out.fifo"
@@ -519,6 +587,16 @@ class TestSolve:
         assert b"".join(chunks).decode() == plain.out
         assert err == plain.err
         assert json.loads(err)["converged"] is True
+
+    def test_out_with_the_longest_name_open_takes(self, tmp_path):
+        """The temporary file's name is short: it never makes a write fail
+        that open(path, "w") would make."""
+        path = write_cfg(tmp_path, "s.cfg", SOLVE_CFG)
+        out = tmp_path / ("x" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 5)
+                          + ".json")
+        assert main(["solve", "--config", path, "--out", str(out),
+                     "--format", "json"]) == 0
+        assert json.loads(out.read_text())["converged"] is True
 
     @pytest.mark.parametrize("name,reason", [
         ("missing/x.json", "No such file or directory"),

@@ -473,6 +473,38 @@ DEEP_LATTICES = [(0.9, 659), (0.99, 1000), (0.99, 3000)]
 RANGE_LATTICES = [(0.5, 1075), (0.9, 7073)]
 
 
+class TestChangeOfVariable:
+    """With Q = q**p, y = x**p and g(y) = f(y**(1/p)), the operators at
+    (q, p) are [p]_q**(-alpha) (J) or [p]_q**alpha (D and Caputo) times
+    the p = 1 operators at base Q applied to g at y, with lower limit a**p
+    (Annaby and Mansour, q-Fractional Calculus and Equations, LNM 2056,
+    2012). The p = 1 path shares no head power, (q**e)**i table or [p]_q
+    factor with the p != 1 one."""
+
+    @staticmethod
+    def f(x):
+        return math.exp(x) + x**3 + 1.0
+
+    @pytest.mark.parametrize("op,sign", [
+        (frac_integral, -1.0), (frac_derivative_rl, 1.0),
+        (caputo_derivative, 1.0)], ids=["J", "D", "caputo"])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("a", [0.0, 0.25])
+    @pytest.mark.parametrize("p", [0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_p_is_base_q_to_the_p(self, q, p, a, alpha, op, sign):
+        f = self.f
+        ctrl = SeriesControl(max_terms=40000)  # q = 0.99, p = 0.5: 6,877
+        ctx = OperatorContext(QParams(q, p), a=a, ctrl=ctrl)
+        base = OperatorContext(QParams(q**p), a=a**p, ctrl=ctrl)
+        scale = q_number(p, q) ** (sign * alpha)
+        for x in (0.7, 1.0):
+            got = op(f, x, FracOrder(alpha), ctx)
+            want = scale * op(lambda y: f(y ** (1.0 / p)), x**p,
+                              FracOrder(alpha), base)
+            assert abs(got / want - 1.0) <= 1e-13
+
+
 class TestDeepRows:
     """Every row of a deep lattice against a closed form, relative to the
     row's own value: the head t**(1 + p beta) of a small node must not

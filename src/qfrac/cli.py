@@ -353,6 +353,8 @@ def _cmd_solve(cfg: RunConfig, ctrl: SeriesControl, out: str | None,
               if f.name != "solution"}
     record["apriori_bounds"] = [bd if math.isfinite(bd) else None
                                 for bd in report.apriori_bounds]
+    if not math.isfinite(report.bound_slack):  # a bound of 0 under a residual
+        record["bound_slack"] = None
     _write_table(cfg, out, fmt, "u", list(zip(lattice.nodes,
                                               report.solution)), record)
     if not report.converged:

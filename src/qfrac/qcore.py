@@ -122,39 +122,31 @@ def _sum_length(q: float, p: float, ctrl: SeriesControl) -> int:
 def _power(t, power, p: float, factor: str = "kernel row factor"):
     """t**power, numpy's for an array of nodes (and a float or array power)
     and Python's for a float. Past float range, as a large p takes it at
-    small or large nodes, it raises ConvergenceError naming the factor, p
-    and the first such node."""
+    small or large nodes, _checked_product raises ConvergenceError."""
     if isinstance(t, np.ndarray):
         with np.errstate(over="ignore", divide="ignore"):
-            out = t ** power
-        bad = ~np.isfinite(out)
-        if not bad.any():
-            return out
-        t, power = (np.broadcast_to(v, out.shape)[bad][0] for v in (t, power))
-    else:
-        try:
-            return t ** power
-        except OverflowError:
-            pass
-    raise ConvergenceError(
-        f"{factor} t**{float(power)!r} leaves float range at p={p!r}; "
-        f"first at node t={float(t)!r}")
+            return _checked_product(t ** power, t, power, p, factor)
+    try:
+        return t ** power
+    except OverflowError:
+        return _checked_product(np.array([np.inf]), t, power, p, factor)
 
 
 def _checked_product(out, t, power, p: float, factor: str, *tables):
     """out, a product of t**power and tables, the nodes t on its last axis:
     past float range where every table is finite, ConvergenceError names
-    the factor, p and the first such node. Non-finite tables pass through."""
+    the factor, p and the first such node and its exponent (t and power
+    broadcast against out). Non-finite tables pass through."""
     bad = ~np.isfinite(out)
     if not bad.any():
         return out
     for table in tables:
         bad &= np.isfinite(table)
     if bad.any():
+        t, power = (np.broadcast_to(v, out.shape)[bad][0] for v in (t, power))
         raise ConvergenceError(
-            f"{factor} t**{float(power)!r} times its table leaves float "
-            f"range at p={p!r}; first at node "
-            f"t={float(np.broadcast_to(t, out.shape)[bad][0])!r}")
+            f"{factor} t**{float(power)!r}{' times its table' * bool(tables)}"
+            f" leaves float range at p={p!r}; first at node t={float(t)!r}")
     return out
 
 

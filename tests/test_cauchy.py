@@ -294,6 +294,36 @@ print(max(run(alpha) for alpha in (0.47, 0.53, 0.59, 0.65, 0.71)) - first)
                            match=r"lattice ratio 0\.9 differs from q=0\.5"):
             solve(linear_problem(q=0.5), QLattice(1.0, 0.9, 4))
 
+    @pytest.mark.parametrize("change,message", [
+        ({"b": 0.0}, "need 0 <= a < b, got a=0.0, b=0.0"),
+        ({"radius_r": 0.0}, "radius_r must be positive, got 0.0"),
+        ({"lipschitz_A": 0.0}, "lipschitz_A must be positive, got 0.0"),
+    ])
+    def test_problem_checks(self, change, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            replace(linear_problem(), **change)
+
+    @pytest.mark.parametrize("floor_a,options,message", [
+        (0.0, {"tol": 0.0}, "tol must be positive, got 0.0"),
+        (0.0, {"max_iter": 0}, "max_iter must be >= 1, got 0"),
+        (0.25, {}, "lattice floor must equal the problem lower limit a"),
+    ])
+    def test_solve_checks(self, floor_a, options, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            solve(linear_problem(), QLattice(1.0, 0.5, 8, floor_a), **options)
+
+    def test_bound_of_zero_under_a_residual_is_infinite_slack(self):
+        """|t - 1| is 0 at the one report node, where K is sampled, so
+        every bound is 0 while the first step moves the iterate."""
+        problem = CauchyProblem(rhs=compiled_rhs("abs(t - 1)"), a=0.0,
+                                b=1.0, zeta=1.0, order=FracOrder(0.5),
+                                params=QParams(0.5))
+        report = solve(problem, QLattice(1.0, 0.5, 1))
+        assert report.converged and report.k_estimate == 0.0
+        assert report.apriori_bounds == [0.0, 0.0]
+        assert report.residuals[0] > 0.0
+        assert report.bound_slack == math.inf
+
     def test_nonzero_lower_limit_constant_solution(self):
         problem = CauchyProblem(rhs=lambda t, u: 0.0, a=0.25, b=1.0,
                                 zeta=1.5, order=FracOrder(0.5),
@@ -707,6 +737,10 @@ class TestAprioriBound:
         with pytest.raises(DomainError):
             apriori_bound(0, 1.0, linear_problem(A=1.0), 1.0)
 
+    def test_rejects_negative_k(self):
+        with pytest.raises(DomainError, match="K must be nonnegative"):
+            apriori_bound(1, 1.0, linear_problem(A=1.0), -1.0)
+
 
 class TestBoundFromEngine:
     """solve passes its engine's Gamma_Q(alpha), the Gamma of every Picard
@@ -774,6 +808,8 @@ class TestMittagLeffler:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             q_mittag_leffler(-1.0, 3, FracOrder(0.5), QParams(0.5))
+        with pytest.raises(DomainError, match="m must be nonnegative"):
+            q_mittag_leffler(0.5, -1, FracOrder(0.5), QParams(0.5))
 
 
 class TestClassicalLimit:

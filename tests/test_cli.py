@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -73,6 +74,12 @@ class TestLoadConfig:
                          "q = 1.5\nalpha = 0.5\nm_terms = 2\n")
         with pytest.raises(ConfigError, match="q: must lie in"):
             load_config(path, "ml")
+
+    def test_unknown_command(self, tmp_path):
+        path = write_cfg(tmp_path, "a.cfg", "q = 0.5\n")
+        with pytest.raises(ConfigError, match=re.escape(
+                "command: must be one of eval, solve, verify, ml")):
+            load_config(path, "bogus")
 
     def test_missing_required(self, tmp_path):
         path = write_cfg(tmp_path, "a.cfg", "q = 0.5\nalpha = 0.5\n")
@@ -769,6 +776,27 @@ class TestFailurePaths:
         ("solve", SOLVE_BASE + "p = 2\nb = 100\nrhs = u*1e307\n", None, 3,
          "numerical non-convergence: Picard step 1 gave a non-finite value "
          "at node t=100.0"),
+        # the range checks of the config's keys
+        ("solve", "q = 0.5\nalpha = 1.5\nzeta = 1\nrhs = u\n", None, 2,
+         "alpha: must lie in (0, 1), got 1.5"),
+        *[("solve", SOLVE_BASE + "rhs = u\n" + line, None, 2, message)
+          for line, message in [
+              ("p = -1\n", "p: must be positive, got -1.0"),
+              ("a = -0.5\n", "a: must be nonnegative, got -0.5"),
+              ("a = 0.5\nb = 0.5\n", "b: must exceed a, got a=0.5, b=0.5"),
+              ("lattice_depth = 0\n", "lattice_depth: must be >= 1, got 0"),
+              ("tol = 0\n", "tol: must be positive, got 0.0"),
+              ("max_iter = 0\n", "max_iter: must be >= 1, got 0"),
+              ("lipschitz_a = 0\n", "lipschitz_a: must be positive, got 0.0"),
+          ]],
+        ("solve", EVAL_BASE + "zeta = 1\nrhs = u\nr = 0\n", None, 2,
+         "r: must be positive, got 0.0"),
+        ("eval", EVAL_BASE + "operator = K\nfunction = x\n", None, 2,
+         "operator: must be one of J, D, caputo"),
+        ("ml", EVAL_BASE + "m_terms = -1\n", None, 2,
+         "m_terms: must be nonnegative, got -1"),
+        ("solve", SOLVE_BASE + "rhs = u\n", "abc", 2,
+         "QFRAC_MAX_TERMS: cannot parse 'abc' as int"),
     ])
     def test_exit_code_and_one_line(self, tmp_path, capsys, monkeypatch,
                                     command, cfg, max_terms, code, message):
@@ -794,6 +822,23 @@ class TestFailurePaths:
                      "--format", fmt]) == 3
         assert capsys.readouterr().err == NON_FINITE_REPORT_MESSAGE + "\n"
         assert list(tmp_path.glob("out.dat*")) == []
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_bound_of_zero_under_a_residual_writes_null_slack(
+            self, tmp_path, capsys, fmt):
+        """|t - 1| is 0 at the one report node, where k_estimate is
+        sampled, so every bound is 0 under a first residual of 0.246: the
+        converged solve writes its infinite bound_slack as null."""
+        path = write_cfg(tmp_path, "a.cfg", "q = 0.5\nalpha = 0.5\nzeta = 1"
+                         "\nrhs = abs(t - 1)\nlattice_depth = 1\n")
+        out = tmp_path / f"out.{fmt}"
+        assert main(["solve", "--config", path, "--out", str(out),
+                     "--format", fmt]) == 0
+        assert capsys.readouterr().err == ""
+        report = out if fmt == "json" else tmp_path / f"out.{fmt}.report.json"
+        record = json.loads(report.read_text())
+        assert record["bound_slack"] is None and record["converged"]
+        assert record["k_estimate"] == 0.0 and record["residuals"][0] > 0.0
 
     def test_depth_message_names_the_largest_depth(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "a.cfg",

@@ -240,6 +240,16 @@ class TestCompile:
         assert got.shape == t.shape and got.dtype == float
         assert [bits(x) for x in got.tolist()] == [bits(x) for x in want]
 
+    def test_exp_of_inf_is_inf(self):
+        """An infinite argument is no range error: only a finite one
+        whose value leaves float range raises."""
+        f = compile(parse("exp(u)", VARS), ("t", "u"))
+        assert f(0.0, math.inf) == math.inf
+
+    def test_negative_base_near_integer_exponent_rounds(self):
+        f = compile(parse("(0-2)^2.0000000001", VARS), ("t", "u"))
+        assert f(0.0, 0.0) == 4.0
+
     def test_scalars_broadcast(self):
         f = compile(parse("t*u + q", VARS | {"q"}), ("t", "u"), {"q": 0.5})
         got = f.table(np.array([[1.0], [2.0]]), np.array([3.0, 4.0, 5.0]))

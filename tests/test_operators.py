@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qfrac import exprparse
-from qfrac.errors import ConvergenceError, DomainError
+from qfrac.errors import ConvergenceError, DomainError, PoleError
 from qfrac.operators import (
     FracOrder,
     LatticeKernel,
@@ -255,6 +256,39 @@ class TestCaputoDerivative:
                 assert np.array(got).tolist() == np.array(want).tolist()
 
 
+LATTICE = QLattice(1.0, 0.5, 4)
+CTX = OperatorContext(QParams(0.5))
+
+
+class TestChecks:
+    """The argument checks of the order and context types and of each
+    operator, and the kernel's pole."""
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: FracOrder(1.5), "alpha must lie in (0, 1), got 1.5"),
+        (lambda: OperatorContext(QParams(0.5), a=-1.0),
+         "lower limit a must be nonnegative, got -1.0"),
+        (lambda: frac_integral(lambda w: w, LATTICE, -0.5, CTX),
+         "integral order must be positive, got -0.5"),
+        (lambda: frac_derivative_rl(lambda w: w, LATTICE, 1.0, CTX),
+         "derivative order must lie in [0, 1), got 1.0"),
+        (lambda: caputo_derivative_simplified(
+            lambda w: w, lambda w: 1.0, LATTICE, 0.0, CTX),
+         "derivative order must lie in (0, 1), got 0.0"),
+        (lambda: bound_constant(FracOrder(0.5), CTX, 0.0),
+         "need b > a, got b=0.0, a=0.0"),
+    ])
+    def test_domain_error(self, make, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            make()
+
+    def test_kernel_pole_at_beta_minus_one(self):
+        with pytest.raises(PoleError, match=re.escape(
+                "kernel denominator product vanishes (beta=-1.0)")):
+            LatticeKernel(QParams(0.5), -1.0, 0.0, DEFAULT_INTEGRATION_CTRL,
+                          np.array([1.0, 0.5]))
+
+
 class TestBoundConstant:
     def test_zero_base_closed_form(self):
         # p=1, a=0, b=1: the lattice max is at x = 1 and the bound collapses
@@ -316,6 +350,11 @@ class TestInversion:
                                          QLattice(1.0, q, 8),
                                          FracOrder(0.5), ctx)
             assert r1 < 1e-7 and r2 < 1e-7
+
+    def test_no_node_with_qx_above_a(self):
+        ctx = OperatorContext(QParams(0.5), a=0.6)
+        assert inversion_residuals(lambda w: w, QLattice(1.0, 0.5, 3),
+                                   FracOrder(0.5), ctx) == (0.0, 0.0)
 
     def test_constant_right_residual(self):
         # cD kills constants, so J(cD f) recovers f - f(a) = 0 exactly

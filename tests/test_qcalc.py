@@ -42,6 +42,18 @@ class TestQDerivative:
 
 
 class TestJacksonIntegral:
+    @pytest.mark.parametrize("integral,message", [
+        (lambda f: jackson_integral_zero(f, 0.0, 0.5),
+         "b must be positive, got 0.0"),
+        (lambda f: jackson_integral(f, -1.0, 1.0, 0.5),
+         "a must be nonnegative, got -1.0"),
+        (lambda f: jackson_integral(f, 2.0, 1.0, 0.5),
+         "need a <= b, got a=2.0, b=1.0"),
+    ])
+    def test_rejects_bad_limits(self, integral, message):
+        with pytest.raises(DomainError, match=message):
+            integral(lambda x: x)
+
     def test_constant(self):
         # sum of the geometric series collapses to b
         assert jackson_integral_zero(lambda x: 1.0, 2.0, 0.5) == pytest.approx(
@@ -271,6 +283,8 @@ class TestLattice:
             QLattice(0.0, 0.5, 4)
         with pytest.raises(DomainError):
             QLattice(1.0, 0.5, 0)
+        with pytest.raises(DomainError, match="floor_a must satisfy"):
+            QLattice(1.0, 0.5, 4, floor_a=1.0)
 
 
 class TestSupNorm:

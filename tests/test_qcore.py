@@ -1,6 +1,7 @@
 import importlib
 import math
 import pkgutil
+import re
 import types
 
 import numpy as np
@@ -13,7 +14,9 @@ from qfrac.errors import ConvergenceError, DomainError, PoleError
 from qfrac.qcore import (
     QParams,
     SeriesControl,
+    _checked_product,
     _kernel_weights,
+    _power,
     q_factorial,
     q_gamma,
     q_number,
@@ -275,6 +278,32 @@ class TestLatticeQPower:
         assert q_power_general(2.0, 5e-324, alpha, params) == want
         assert q_power_general(np.array([2.0, 2.0]), np.array([5e-324, 0.0]),
                                alpha, params).tolist() == [want, want]
+
+
+class TestCheckedPower:
+    """_checked_product names a power past float range, _power's too: the
+    factor, the exponent, p and the first such node."""
+
+    def test_python_float_overflow(self):
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "f t**400.0 leaves float range at p=2.0; first at node "
+                "t=10.0")):
+            _power(10.0, 400.0, 2.0, "f")
+
+    def test_array_exponent_names_its_own(self):
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "f t**-1100.0 leaves float range at p=3.0; first at node "
+                "t=0.5")):
+            _power(np.array([2.0, 0.5]), np.array([1.0, -1100.0]), 3.0, "f")
+
+    def test_non_finite_table_passes_through(self):
+        nodes, table = np.array([1.0, 2.0]), np.array([np.inf, 1.0])
+        out = np.array([np.inf, 1.0])
+        assert _checked_product(out, nodes, 2.0, 1.0, "f", table) is out
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "f t**2.0 times its table leaves float range at p=1.0; "
+                "first at node t=2.0")):
+            _checked_product(out[::-1], nodes, 2.0, 1.0, "f", table)
 
 
 class TestInvariantsOfTypes:

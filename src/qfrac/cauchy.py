@@ -37,6 +37,7 @@ from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
     SeriesControl,
+    _SUM_ABS_TOL,
     _power,
     _sum_length,
     q_gamma,
@@ -56,9 +57,9 @@ __all__ = [
 
 Rhs = Callable[[float, float], float]
 _LOG_MAX = math.log(sys.float_info.max)
+_SAMPLE_NODES = 64  # nodes of the sample of f behind K and the Lipschitz A
 _SUP_U_SAMPLES = 17  # u values per node in the sampled sup of |f|
-_LIPSCHITZ_NODES = 64  # sample nodes in estimate_lipschitz
-_LIPSCHITZ_US = 128  # evenly spaced u values per sample node
+_LIPSCHITZ_US = 128  # u values per node in the Lipschitz estimate
 # Below this many active rows a Picard step forms all m sums afresh: the
 # correction's bookkeeping costs more than the product there. Solves of
 # u - u^2/8 at a = 0 broke even between m = 216 (q = 0.85) and 331 (0.9).
@@ -328,12 +329,12 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
             f"holds {engine.n_active} above a; the largest depth it allows "
             f"is {engine.n_active}")
 
-    k_est, points = _estimate_sup_rhs(problem, lattice)
+    values = _sample_rhs(problem.rhs, problem, _SUP_U_SAMPLES)[0]
+    k_est, points = _max_skipping_nan(np.abs(values)), values.size
     a_const = problem.lipschitz_A
-    if a_const is None:
-        a_const, lipschitz_points = _estimate_lipschitz(problem.rhs, problem)
-        a_const = max(a_const, 1e-300)
-        points += lipschitz_points
+    if a_const is None:  # the same nodes against _LIPSCHITZ_US u values
+        a_const = max(estimate_lipschitz(problem.rhs, problem), 1e-300)
+        points += len(values) * _LIPSCHITZ_US
     # C(b), computed once per solve, with the Gamma_Q(alpha) of the steps
     c_bound = bound_constant(problem.order, OperatorContext(
         problem.params, problem.a, ctrl), problem.b, engine.gamma)
@@ -370,20 +371,8 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
         n_active=engine.n_active,
         sum_length=engine.sum_length,
         rhs_evals=engine.points + points,
-        bound_slack=max(slack, 0.0),
+        bound_slack=slack,
     )
-
-
-def _estimate_sup_rhs(problem: CauchyProblem,
-                      lattice: QLattice) -> tuple[float, int]:
-    """Sampled sup of |f| over lattice nodes x a trust-region grid, a lower
-    estimate of the theorem's constant K reported as a diagnostic, and the
-    number of points tabulated."""
-    us = np.linspace(problem.zeta - problem.radius_r,
-                     problem.zeta + problem.radius_r, _SUP_U_SAMPLES)
-    ws = [problem.a] + lattice.nodes if problem.a > 0.0 else lattice.nodes
-    values = _tabulate(problem.rhs, np.array(ws, dtype=float)[:, None], us)
-    return _max_skipping_nan(np.abs(values)), values.size
 
 
 def apriori_bound(n: int, t: float, problem: CauchyProblem, K: float,
@@ -452,19 +441,27 @@ def estimate_lipschitz(rhs: Rhs, problem: CauchyProblem) -> float:
 
     A lower estimate of the true constant, never a certificate.
     """
-    return _estimate_lipschitz(rhs, problem)[0]
-
-
-def _estimate_lipschitz(rhs: Rhs, problem: CauchyProblem) -> tuple[float, int]:
-    """estimate_lipschitz, and the number of points tabulated."""
-    ws = _nodes(problem.b, problem.params.q, _LIPSCHITZ_NODES)
-    ws = np.append(ws[ws > problem.a], [problem.a] if problem.a > 0.0 else [])
-    ys = np.linspace(problem.zeta - problem.radius_r,
-                     problem.zeta + problem.radius_r, _LIPSCHITZ_US)
-    f = _tabulate(rhs, ws[:, None], ys)
+    f, us = _sample_rhs(rhs, problem, _LIPSCHITZ_US)
     with np.errstate(all="ignore"):  # inf - inf and overflow, as floats do
-        quotients = np.abs(np.diff(f)) / np.diff(ys)
-    return _max_skipping_nan(quotients), f.size
+        quotients = np.abs(np.diff(f)) / np.diff(us)
+    return _max_skipping_nan(quotients)
+
+
+def _sample_rhs(rhs: Rhs, problem: CauchyProblem,
+                n_us: int) -> tuple[np.ndarray, np.ndarray]:
+    """rhs at the sample nodes against n_us even u values over the trust
+    region, and those u values. The nodes are b q**(k s) for k < 64 above
+    a, and a when a > 0, with the least stride s >= 1 that takes
+    b q**(63 s) to max(a, _SUM_ABS_TOL b) or below: they span the (a, b]
+    the Picard steps read at every q."""
+    q, a = problem.params.q, problem.a
+    depth = math.log(max(a / problem.b, _SUM_ABS_TOL)) / math.log(q)
+    ws = _nodes(problem.b, q, _SAMPLE_NODES,
+                max(1, math.ceil(depth / (_SAMPLE_NODES - 1))))
+    ws = np.append(ws[ws > a], [a] if a > 0.0 else [])
+    us = np.linspace(problem.zeta - problem.radius_r,
+                     problem.zeta + problem.radius_r, n_us)
+    return _tabulate(rhs, ws[:, None], us), us
 
 
 def _max_skipping_nan(values: np.ndarray) -> float:

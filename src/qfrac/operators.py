@@ -366,7 +366,7 @@ def bound_constant(order, ctx: OperatorContext, b: float,
     max over the q-lattice of [a, b] of |(x**p - a**p)^(alpha)|.
 
     For alpha > 0 the q-power grows with x, so the max is its value at b.
-    At a = 0 it is b**(p alpha), numpy's power as q_power_general takes it.
+    At a = 0 it is b**(p alpha), numpy's array power, as q_power_general's.
     gamma is Gamma_Q(alpha) where the caller holds it already, as a
     LatticeKernel of beta = alpha - 1 does; by default q_gamma's.
     """
@@ -378,7 +378,7 @@ def bound_constant(order, ctx: OperatorContext, b: float,
         gamma = q_gamma(alpha, ctx.params.qp, ctx.ctrl)
     coef = q_number(p, q) ** (1.0 - alpha) / (q_number(p * alpha, q) * gamma)
     if ctx.a == 0.0:
-        return coef * float(_power(np.array([b]), p * alpha, p,
+        return coef * float(_power(np.array([b]), np.array([p * alpha]), p,
                                    "q-power factor")[0])
     return coef * abs(q_power_general(b, ctx.a, alpha, ctx.params, ctx.ctrl))
 

@@ -66,11 +66,11 @@ class QLattice:
                 if x > self.floor_a]
 
 
-def _nodes(b: float, q: float, size: int) -> np.ndarray:
-    """The geometric nodes b q**k, k < size: every lattice, kernel grid and
-    node table of the library is formed here, so equal nodes are equal
-    floats."""
-    return b * np.power(q, np.arange(size))
+def _nodes(b: float, q: float, size: int, stride: int = 1) -> np.ndarray:
+    """The geometric nodes b q**(k stride), k < size: every lattice, kernel
+    grid and node table of the library is formed here, so equal nodes are
+    equal floats."""
+    return b * np.power(q, np.arange(0, size * stride, stride))
 
 
 def _tabulate(f, *tables) -> np.ndarray:

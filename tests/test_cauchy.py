@@ -313,16 +313,29 @@ print(max(run(alpha) for alpha in (0.47, 0.53, 0.59, 0.65, 0.71)) - first)
             solve(linear_problem(), QLattice(1.0, 0.5, 8, floor_a), **options)
 
     def test_bound_of_zero_under_a_residual_is_infinite_slack(self):
-        """|t - 1| is 0 at the one report node, where K is sampled, so
-        every bound is 0 while the first step moves the iterate."""
-        problem = CauchyProblem(rhs=compiled_rhs("abs(t - 1)"), a=0.0,
-                                b=1.0, zeta=1.0, order=FracOrder(0.5),
-                                params=QParams(0.5))
-        report = solve(problem, QLattice(1.0, 0.5, 1))
+        """At q = 0.9 K is sampled at the nodes 0.9**(6k). f is 0 there
+        and 1 at the table nodes between them, so every bound is 0 while
+        the first step moves the iterate."""
+        def rhs(t, u):
+            return float(round(math.log(t) / math.log(0.9)) % 6 != 0)
+
+        problem = CauchyProblem(rhs=rhs, a=0.0, b=1.0, zeta=1.0,
+                                order=FracOrder(0.5), params=QParams(0.9),
+                                radius_r=10.0)
+        report = solve(problem, QLattice(1.0, 0.9, 12))
         assert report.converged and report.k_estimate == 0.0
         assert report.apriori_bounds == [0.0, 0.0]
         assert report.residuals[0] > 0.0
         assert report.bound_slack == math.inf
+
+    def test_zero_at_the_one_report_node_is_not_a_zero_k(self):
+        """|t - 1| is 0 at the one report node, but K samples (0, 1]."""
+        problem = CauchyProblem(rhs=compiled_rhs("abs(t - 1)"), a=0.0,
+                                b=1.0, zeta=1.0, order=FracOrder(0.5),
+                                params=QParams(0.5))
+        report = solve(problem, QLattice(1.0, 0.5, 1))
+        assert report.converged and report.k_estimate == 1.0
+        assert report.residuals[0] > 0.0 and report.bound_slack == 0.0
 
     def test_nonzero_lower_limit_constant_solution(self):
         problem = CauchyProblem(rhs=lambda t, u: 0.0, a=0.25, b=1.0,
@@ -671,11 +684,11 @@ class TestIncrementalStep:
 
 class TestRhsEvals:
     @pytest.mark.parametrize("a,A,want", [
-        # 484 step points + 17 u samples at 8 nodes + 64 x 64 pairs
-        (0.0, None, 484 + 136 + 8192),
+        # 484 step points + 17 and 128 u samples at 64 nodes
+        (0.0, None, 484 + 17 * 64 + 128 * 64),
         # 122 step points (of 2 active nodes x 69 steps, those whose
         # iterate moved bit for bit) + 51 frozen and 53 lower nodes
-        # + 17 x 3 samples
+        # + 17 u samples at the 2 nodes above a and at a
         (0.25, 1.0, 122 + 51 + 53 + 51),
     ])
     def test_exact_count(self, a, A, want):
@@ -696,7 +709,7 @@ class TestRhsEvals:
         lattice = QLattice(1.0, 0.99, 12)
         report = solve(problem, lattice, max_iter=300)
         assert report.converged
-        steps = report.rhs_evals - 17 * len(lattice.nodes)
+        steps = report.rhs_evals - 17 * 64  # K's 17 u values at 64 nodes
         assert steps < report.iterations_used * report.n_active / 2
 
 
@@ -898,3 +911,45 @@ class TestLipschitzEstimate:
                                 radius_r=10.0)
         got = estimate_lipschitz(rhs, problem)
         assert 0.9 * true <= got <= true
+
+    # largest at t = a: the sample must reach t -> 0 as q -> 1
+    @pytest.mark.parametrize("source,true", [
+        ("-u/(t + 0.01)", lambda a: 1.0 / (a + 0.01)),
+        ("u*(1 - t)", lambda a: 1.0 - a)], ids=["pole", "linear"])
+    @pytest.mark.parametrize("a", [0.0, 0.25])
+    @pytest.mark.parametrize("q", [0.9, 0.99, 0.999])
+    def test_within_a_tenth_under_the_constant_at_a(self, q, a, source,
+                                                    true):
+        rhs = compiled_rhs(source)
+        problem = CauchyProblem(rhs=rhs, a=a, b=1.0, zeta=1.0,
+                                order=FracOrder(0.5), params=QParams(q),
+                                radius_r=10.0)
+        got = estimate_lipschitz(rhs, problem)
+        # quotients of rounded values pass the constant by under 1e-14
+        assert 0.9 * true(a) <= got <= true(a) * (1.0 + 1e-14)
+
+
+class TestSampledK:
+    """K is sampled on (a, b], whatever the report lattice."""
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    def test_k_and_bounds_do_not_depend_on_the_report_depth(self, q):
+        problem = CauchyProblem(rhs=compiled_rhs("u*(1 - t)"), a=0.0, b=1.0,
+                                zeta=1.0, order=FracOrder(0.5),
+                                params=QParams(q), radius_r=10.0)
+        reports = [solve(problem, QLattice(1.0, q, depth), max_iter=300)
+                   for depth in (1, 2, 12, 40)]
+        longest = max((r.apriori_bounds for r in reports), key=len)
+        for report in reports:
+            assert report.k_estimate == reports[0].k_estimate
+            n = len(report.apriori_bounds)
+            assert report.apriori_bounds == longest[:n]
+
+    def test_k_reaches_its_sup_at_t_near_zero(self):
+        # |-u + sin(t)| over u in [-9, 11] is largest, 11, at t = 0
+        problem = CauchyProblem(rhs=compiled_rhs("-u + sin(t)"), a=0.0,
+                                b=1.0, zeta=1.0, order=FracOrder(0.6),
+                                params=QParams(0.99), lipschitz_A=1.0,
+                                radius_r=10.0)
+        report = solve(problem, QLattice(1.0, 0.99, 12), max_iter=300)
+        assert report.k_estimate == 11.0

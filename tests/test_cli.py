@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import qfrac
-from qfrac import cli, exprparse
+from qfrac import cauchy, cli, exprparse
 from qfrac.cli import _report_json, load_config, main
 from qfrac.cli import ConfigError, RunConfig
 from qfrac.cauchy import SolverReport, q_mittag_leffler
@@ -414,8 +414,8 @@ class TestSolve:
         out = str(tmp_path / "sol.csv")
         assert main(["solve", "--config", path, "--out", out]) == 0
         sidecar = json.loads(open(out + ".report.json").read())
-        # 484 points in 71 Picard steps, 17 u samples at each of 8 nodes
-        assert payload["rhs_evals"] == sidecar["rhs_evals"] == 484 + 136
+        # 484 points in 71 Picard steps, 17 u samples at each of 64 nodes
+        assert payload["rhs_evals"] == sidecar["rhs_evals"] == 484 + 1088
 
     @pytest.mark.parametrize("q,max_terms,n_nodes,a", [
         (0.995, 8000, 6894, 0.0), (0.995, 8000, 6894, 0.25),
@@ -825,10 +825,27 @@ class TestFailurePaths:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_bound_of_zero_under_a_residual_writes_null_slack(
+            self, tmp_path, capsys, monkeypatch, fmt):
+        """A converged solve writes an infinite bound_slack, a bound of 0
+        under a residual, as null."""
+        solve = cauchy.solve
+        monkeypatch.setattr(cauchy, "solve", lambda *args, **kwargs: (
+            dataclasses.replace(solve(*args, **kwargs), bound_slack=math.inf)))
+        record = self.zero_at_the_report_node(tmp_path, capsys, fmt)
+        assert record["bound_slack"] is None and record["converged"]
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_zero_at_the_one_report_node_writes_finite_k_and_slack(
             self, tmp_path, capsys, fmt):
-        """|t - 1| is 0 at the one report node, where k_estimate is
-        sampled, so every bound is 0 under a first residual of 0.246: the
-        converged solve writes its infinite bound_slack as null."""
+        """|t - 1| is 0 at the one report node, but k_estimate samples
+        (0, 1], so the first residual of 0.246 sits under a bound."""
+        record = self.zero_at_the_report_node(tmp_path, capsys, fmt)
+        assert record["k_estimate"] == 1.0 and record["residuals"][0] > 0.0
+        assert record["bound_slack"] == 0.0 and record["converged"]
+
+    @staticmethod
+    def zero_at_the_report_node(tmp_path, capsys, fmt):
+        """The report of a solve of |t - 1| on the one-node lattice."""
         path = write_cfg(tmp_path, "a.cfg", "q = 0.5\nalpha = 0.5\nzeta = 1"
                          "\nrhs = abs(t - 1)\nlattice_depth = 1\n")
         out = tmp_path / f"out.{fmt}"
@@ -836,9 +853,7 @@ class TestFailurePaths:
                      "--format", fmt]) == 0
         assert capsys.readouterr().err == ""
         report = out if fmt == "json" else tmp_path / f"out.{fmt}.report.json"
-        record = json.loads(report.read_text())
-        assert record["bound_slack"] is None and record["converged"]
-        assert record["k_estimate"] == 0.0 and record["residuals"][0] > 0.0
+        return json.loads(report.read_text())
 
     def test_depth_message_names_the_largest_depth(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "a.cfg",

@@ -300,12 +300,13 @@ class TestBoundConstant:
                 want = 1.0 / q_gamma(alpha + 1.0, q)
                 assert got == pytest.approx(want, rel=1e-10)
 
-    @pytest.mark.parametrize("b", [1e-3, 2.5, 1e3])
+    @pytest.mark.parametrize("b", [1e-3, 2.5, 8.7, 1e3])
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 20.0])
     def test_zero_lower_limit_keeps_the_q_power_bits(self, p, alpha, b):
         # at a = 0 the q-power is b**(p alpha) without a q_power_general
-        # call, and the bound keeps the bits that call gave
+        # call, and the bound keeps the bits that call gave; numpy's power
+        # by a float 0.5 is sqrt, an ulp off its pow at 8.7
         params = QParams(0.5, p)
         coef = q_number(p, 0.5) ** (1.0 - alpha) / (
             q_number(p * alpha, 0.5) * q_gamma(alpha, params.qp))

@@ -48,7 +48,6 @@ from .qcore import (
     q_factorial,
     q_gamma,
     q_number,
-    q_pochhammer_infinite,
     q_power_general,
 )
 

@@ -439,7 +439,8 @@ def estimate_lipschitz(rhs: Rhs, problem: CauchyProblem) -> float:
     u -> rhs(w, u) over [a, b] x [zeta - r, zeta + r]: the largest quotient
     between adjacent points of an even u grid, at sample nodes w.
 
-    A lower estimate of the true constant, never a certificate.
+    It samples the constant from below up to rounding, so it can pass it
+    by a few parts in 1e15; it is never a certificate.
     """
     f, us = _sample_rhs(rhs, problem, _LIPSCHITZ_US)
     with np.errstate(all="ignore"):  # inf - inf and overflow, as floats do

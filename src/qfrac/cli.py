@@ -308,13 +308,6 @@ def _cmd_ml(cfg: RunConfig, ctrl: SeriesControl, out: str | None,
     params = QParams(cfg.q, cfg.p)
     order = FracOrder(cfg.alpha)
     lattice = QLattice(cfg.b, cfg.q, cfg.lattice_depth, floor_a=cfg.a)
-    try:
-        rows = [(x, cauchy.q_mittag_leffler(x, cfg.m_terms, order, params,
-                                            ctrl))
-                for x in lattice.nodes]
-    except (ConvergenceError, PoleError) as exc:
-        print(f"q-Mittag-Leffler evaluation failed: {exc}", file=sys.stderr)
-        return 3
     # its terms grow like (x**p (1 - q))**(n alpha): past the radius a
     # partial sum is no value of the series
     past = [x for x in lattice.nodes
@@ -322,6 +315,13 @@ def _cmd_ml(cfg: RunConfig, ctrl: SeriesControl, out: str | None,
     if cfg.m_terms and past:
         print(f"q-Mittag-Leffler series diverges: node x={past[0]!r} has "
               f"x**p (1 - q) >= 1", file=sys.stderr)
+        return 3
+    try:
+        rows = [(x, cauchy.q_mittag_leffler(x, cfg.m_terms, order, params,
+                                            ctrl))
+                for x in lattice.nodes]
+    except (ConvergenceError, PoleError) as exc:
+        print(f"q-Mittag-Leffler evaluation failed: {exc}", file=sys.stderr)
         return 3
     _write_table(cfg, out, fmt, "value", rows)
     return 0

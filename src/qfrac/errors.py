@@ -20,11 +20,11 @@ class ConvergenceError(QfracError, ArithmeticError):
 class TrustRegionError(QfracError, RuntimeError):
     """A solver iterate left the trust region |u - zeta| <= r."""
 
-    def __init__(self, node: float, value: float, message: str | None = None):
+    def __init__(self, node: float, value: float):
         self.node = node
         self.value = value
         super().__init__(
-            message or f"iterate left trust region at node t={node!r} (value {value!r})"
+            f"iterate left trust region at node t={node!r} (value {value!r})"
         )
 
 

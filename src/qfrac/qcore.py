@@ -1,5 +1,5 @@
-"""q-analogue primitives: q-numbers, q-factorials, infinite q-Pochhammer
-symbols and their ratios, the q-Gamma function, and the generalized q-power.
+"""q-analogue primitives: q-numbers, q-factorials, ratios of infinite
+q-Pochhammer products, the q-Gamma function, and the generalized q-power.
 
 All deformation parameters satisfy 0 < q < 1; the classical limit q -> 1 is
 approached but never representable. Everything here is a pure function of its
@@ -23,7 +23,6 @@ __all__ = [
     "DEFAULT_INTEGRATION_CTRL",
     "q_number",
     "q_factorial",
-    "q_pochhammer_infinite",
     "q_gamma",
     "q_power_general",
 ]
@@ -153,13 +152,12 @@ def _checked_product(out, t, power, p: float, factor: str, *tables):
 _BLOCK = 1 << 16  # table entries per numpy pass
 
 
-def _log_q_ratio(log_r, log_s, log_q: float, n: int, ctrl: SeriesControl,
-                 r_negative=False):
+def _log_q_ratio(log_r, log_s, log_q: float, n: int, ctrl: SeriesControl):
     """log|(r q**i; q)_inf / (s q**i; q)_inf| at i = 0..n-1, shape (..., n),
     and the ratios' signs (1.0 when no base exceeds 1): every q-product of
     the library comes from here. Bases come as logs (broadcast; -inf is a
-    zero base), so r = q**u passes u log q unrounded; r_negative marks
-    bases -exp(log_r). ctrl.max_terms bounds the factor count.
+    zero base), so r = q**u passes u log q unrounded. ctrl.max_terms
+    bounds the factor count.
 
     The ratios are suffix sums, from the tail, of paired factor logs
     log|1 - b q**m|: log1p(-b q**m), or log|expm1(log b + m log q)| where
@@ -180,12 +178,11 @@ def _log_q_ratio(log_r, log_s, log_q: float, n: int, ctrl: SeriesControl,
     width = n - 1 + longest
     rows = max(1, _BLOCK // width)
     if top.size > rows:  # blocks of elements bound the table
-        flat = [np.broadcast_to(v, top.shape).ravel()
-                for v in (log_r, log_s, r_negative)]
+        flat = [np.broadcast_to(v, top.shape).ravel() for v in (log_r, log_s)]
         logs, sign = np.empty((2, top.size, n))
         for blk in (slice(lo, lo + rows) for lo in range(0, top.size, rows)):
             logs[blk], sign[blk] = _log_q_ratio(
-                flat[0][blk], flat[1][blk], log_q, n, ctrl, flat[2][blk])
+                flat[0][blk], flat[1][blk], log_q, n, ctrl)
         return logs.reshape(top.shape + (n,)), sign.reshape(top.shape + (n,))
     t_max = float(top.max(initial=-np.inf))
     bases = np.empty(top.shape + (2, 1))
@@ -195,13 +192,8 @@ def _log_q_ratio(log_r, log_s, log_q: float, n: int, ctrl: SeriesControl,
     # the columns where some b q**m may exceed 1/2, with a rounding margin
     lead = int(np.count_nonzero(m_log_q > math.log(0.5) - 1e-9 - t_max))
     z = bases + m_log_q[:lead]
-    factors = -np.exp(bases)
-    if r_negative is not False:  # 1 + |b| q**m: log1p keeps its digits
-        neg = np.broadcast_to(r_negative, top.shape)
-        factors[neg, 0] *= -1.0
-        z[neg, 0] = -np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = factors * np.exp(m_log_q, out=m_log_q)  # -b q**m
+        f = -np.exp(bases) * np.exp(m_log_q, out=m_log_q)  # -b q**m
         np.log1p(f, out=f)
         np.copyto(f[..., :lead], np.log(np.abs(np.expm1(z))),
                   where=z > math.log(0.5))
@@ -242,19 +234,6 @@ def _kernel_weights(log_Q: float, beta: float, log_c: float, n: int,
     weights = sign * np.exp(logs)
     weights.flags.writeable = False
     return weights
-
-
-def q_pochhammer_infinite(a, q: float,
-                          ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):
-    """(a; q)_inf = prod_{j>=0} (1 - q**j a), for real a. An array of a (an
-    ndarray) gives the array of products."""
-    _check_q(q)
-    a_arr = np.asarray(a, dtype=float)
-    with np.errstate(divide="ignore"):
-        logs, sign = _log_q_ratio(np.log(np.abs(a_arr)), -np.inf,
-                                  math.log(q), 1, ctrl, a_arr < 0.0)
-    out = (sign * np.exp(logs))[..., 0]
-    return out if isinstance(a, np.ndarray) else float(out)
 
 
 def q_gamma(t, q: float, ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):

@@ -328,15 +328,17 @@ class TestMl:
         assert main(["ml", "--config", path]) == 0
 
     def test_nodes_past_the_radius_exit_3(self, tmp_path, capsys):
-        # at q = 0.5, p = 1 the series converges for x < 2
-        path = write_cfg(tmp_path, "a.cfg", "q = 0.5\nalpha = 0.5\n"
-                         "b = 100\nm_terms = 71\n")
-        out = tmp_path / "out.csv"
-        assert main(["ml", "--config", path, "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err == ("q-Mittag-Leffler series diverges: node x=100.0 has "
-                       "x**p (1 - q) >= 1\n")
-        assert not out.exists()
+        # at q = 0.5, p = 1 the series converges for x < 2; at 400 terms
+        # its sum would leave float range, so the radius is checked first
+        for m_terms in (71, 400):
+            path = write_cfg(tmp_path, "a.cfg", "q = 0.5\nalpha = 0.5\n"
+                             f"b = 100\nm_terms = {m_terms}\n")
+            out = tmp_path / "out.csv"
+            assert main(["ml", "--config", path, "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            assert err == ("q-Mittag-Leffler series diverges: node x=100.0 "
+                           "has x**p (1 - q) >= 1\n"), m_terms
+            assert not out.exists()
 
     def test_nodes_inside_the_radius_keep_their_values(self, tmp_path,
                                                         capsys):
@@ -761,10 +763,14 @@ class TestFailurePaths:
          "lattice_depth = 20\n", None, 3, "operator D failed: kernel row "
          "factor t**-10.0 times its table leaves float range at p=20.0; first "
          "at node t=0.0625"),
-        # ml: a series term x**(p n alpha), and m_terms past the budget
+        # ml: a node past the series radius, a series term x**(p n alpha)
+        # inside it, and m_terms past the budget
         ("ml", EVAL_BASE + "p = 50\nb = 1e10\nm_terms = 10\n", None, 3,
-         "q-Mittag-Leffler evaluation failed: series term factor t**50.0 "
-         "leaves float range at p=50.0; first at node t=10000000000.0"),
+         "q-Mittag-Leffler series diverges: node x=10000000000.0 has "
+         "x**p (1 - q) >= 1"),
+        ("ml", EVAL_BASE + "b = 1.9\nm_terms = 3000\n", None, 3,
+         "q-Mittag-Leffler evaluation failed: series term factor t**1106.0 "
+         "leaves float range at p=1.0; first at node t=1.9"),
         ("ml", EVAL_BASE + "m_terms = 6000\n", None, 3,
          "q-Mittag-Leffler evaluation failed: q-Mittag-Leffler partial sum "
          "needs m=6000 terms, exceeding max_terms=5000; raise "
@@ -1168,7 +1174,9 @@ def test_real_stderr_is_one_line_without_warnings(tmp_path):
          "b = 1e200\n", 3,
          "kernel row factor t**2.0 leaves float range at p=4.0"),
         ("ml", EVAL_BASE + "p = 50\nb = 1e10\nm_terms = 10\n", 3,
-         "series term factor t**50.0 leaves float range at p=50.0"),
+         "series diverges: node x=10000000000.0 has x**p (1 - q) >= 1"),
+        ("ml", EVAL_BASE + "b = 1.9\nm_terms = 3000\n", 3,
+         "series term factor t**1106.0 leaves float range at p=1.0"),
         ("ml", EVAL_BASE + "m_terms = 6000\n", 3,
          "needs m=6000 terms, exceeding max_terms=5000"),
         ("eval", EVAL_BASE + "operator = J\nfunction = 1 + x\np = 2\n"

@@ -20,7 +20,6 @@ from qfrac.qcore import (
     q_factorial,
     q_gamma,
     q_number,
-    q_pochhammer_infinite,
     q_power_general,
 )
 
@@ -77,31 +76,6 @@ class TestQFactorial:
     def test_negative(self):
         with pytest.raises(DomainError):
             q_factorial(-1, 0.5)
-
-
-class TestPochhammer:
-    def test_infinite_trivial(self):
-        assert q_pochhammer_infinite(0.0, 0.5) == 1.0
-        assert q_pochhammer_infinite(1.0, 0.5) == 0.0
-
-    def test_infinite_vs_brute(self):
-        got = q_pochhammer_infinite(0.5, 0.5)
-        want = brute_pochhammer(0.5, 0.5, 200)
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_nonconvergence(self):
-        ctrl = SeriesControl(max_terms=5)  # the product needs 3829 factors
-        with pytest.raises(ConvergenceError):
-            q_pochhammer_infinite(0.5, 0.99, ctrl)
-
-    @given(a=st.floats(0.0, 0.99), q=st.floats(0.05, 0.95),
-           n=st.integers(0, 30))
-    @settings(max_examples=60, deadline=None)
-    def test_splitting_identity(self, a, q, n):
-        whole = q_pochhammer_infinite(a, q)
-        split = (brute_pochhammer(a, q, n)
-                 * q_pochhammer_infinite(a * q**n, q))
-        assert split == pytest.approx(whole, rel=1e-10, abs=1e-12)
 
 
 class TestQGamma:
@@ -211,9 +185,6 @@ class TestArrayProducts:
         got = q_power_general(x, ys, alpha, params)
         assert got.shape == (len(ys), len(alpha))
         assert got.tolist() == want
-        rs = (ys[:, 0] / x) ** p
-        assert q_pochhammer_infinite(rs, params.qp).tolist() == [
-            q_pochhammer_infinite(r, params.qp) for r in rs.tolist()]
 
     def test_edges(self):
         params = QParams(0.5, 2.0)
@@ -221,7 +192,6 @@ class TestArrayProducts:
                               np.array([1.5, 0.0, 1.0]), 0.7, params)
         assert got.tolist() == [0.0, 1.5 ** 1.4,
                                 q_power_general(2.0, 1.0, 0.7, params)]
-        assert q_pochhammer_infinite(np.zeros(2), 0.5).tolist() == [1.0, 1.0]
 
     def test_errors_still_raise(self):
         params = QParams(0.5)
@@ -235,8 +205,6 @@ class TestArrayProducts:
             q_power_general(1.0, 0.5, -1.0, params)
         with pytest.raises(PoleError):
             q_power_general(np.ones(2), np.array([0.25, 0.5]), -1.0, params)
-        with pytest.raises(DomainError):
-            q_pochhammer_infinite(np.array([0.5]), 1.5)
 
 
 class TestLatticeQPower:
@@ -379,11 +347,32 @@ class TestMpmathOracles:
                     assert abs(q_gamma(t, q, ctrl) - want) <= (
                         mpmath_tolerance(q) * abs(want)), (q, t)
 
-    def test_q_pochhammer_infinite(self):
+    def test_q_gamma_negative_t(self):
+        """At t < 0 the bases q**(t + m) above 1 flip factor signs."""
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
-            for q in self.QS:
-                for a in (0.01, 0.5, 0.9, -0.7, q):
-                    want = float(mpmath.qp(a, q, maxterms=10**6))
-                    assert abs(q_pochhammer_infinite(a, q) - want) <= (
-                        mpmath_tolerance(q) * abs(want)), (q, a)
+            for q in (0.3, 0.5, 0.9):
+                for t in (-0.1, -0.5, -1.5, -2.7, -3.25, -4.9):
+                    want = float(mpmath.qgamma(t, q))
+                    assert abs(q_gamma(t, q) - want) <= (
+                        mpmath_tolerance(q) * abs(want)), (q, t)
+
+    def test_q_power_general_negative_alpha(self):
+        """x**(p alpha) (r; Q)_inf / (Q**alpha r; Q)_inf at r = (y/x)**p,
+        Q = q**p: alpha < 0 puts the denominator base above 1."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            for q in (0.3, 0.5, 0.9):
+                for p in (1.0, 2.0):
+                    Q = mpmath.mpf(q) ** p
+                    for x, y, alpha in ((1.0, 0.9, -1.5), (2.0, 1.7, -0.5),
+                                        (1.0, 0.95, -2.5), (1.5, 1.2, -3.3)):
+                        r = (mpmath.mpf(y) / x) ** p
+                        want = float(mpmath.mpf(x) ** (p * alpha)
+                                     * mpmath.qp(r, Q, maxterms=10**6)
+                                     / mpmath.qp(Q**alpha * r, Q,
+                                                 maxterms=10**6))
+                        got = q_power_general(x, y, alpha, QParams(q, p))
+                        assert abs(got - want) <= (
+                            mpmath_tolerance(q) * abs(want)), (q, p, x, y,
+                                                               alpha)

@@ -101,6 +101,13 @@ class TestQGamma:
         assert q_gamma(t + 1.0, q) == pytest.approx(
             q_number(t, q) * q_gamma(t, q), rel=1e-10)
 
+    def test_nonconvergence(self):
+        ctrl = SeriesControl(max_terms=5)  # (q; q)_inf needs 3897 factors
+        with pytest.raises(ConvergenceError, match=re.escape(
+                "base 0.99 and q=0.99 needs 3897 factors, exceeding "
+                "max_terms=5")):
+            q_gamma(1.5, 0.99, ctrl)
+
     def test_pole(self):
         with pytest.raises(PoleError):
             q_gamma(0.0, 0.5)
@@ -155,6 +162,20 @@ class TestQPowerGeneral:
             rhs_y = (-(y ** (p - 1)) * qn
                      * q_power_general(x, q * y, alpha - 1, params))
             assert dy == pytest.approx(rhs_y, rel=1e-8, abs=1e-10)
+
+    @given(q=st.sampled_from([0.3, 0.5, 0.9]), p=st.sampled_from([1.0, 2.0]),
+           alpha=st.floats(0.1, 2.0), beta=st.floats(0.1, 2.0),
+           x=st.floats(0.5, 2.0), frac=st.floats(0.0, 0.95))
+    @settings(max_examples=60, deadline=None)
+    def test_order_splitting(self, q, p, alpha, beta, x, frac):
+        # (x**p - y**p)^(alpha + beta)
+        #     = (x**p - y**p)^(alpha) (x**p - (q**alpha y)**p)^(beta)
+        params = QParams(q, p)
+        y = frac * x
+        whole = q_power_general(x, y, alpha + beta, params)
+        split = (q_power_general(x, y, alpha, params)
+                 * q_power_general(x, q**alpha * y, beta, params))
+        assert split == pytest.approx(whole, rel=1e-10, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):

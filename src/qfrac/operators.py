@@ -9,8 +9,9 @@ q**p, so kernel weights for a whole sum are one q-product ratio pass in
 O(N + product length). At the nodes of a QLattice every
 operator value comes from one LatticeKernel pass over f tabulated once; a
 point x is the one-node lattice QLattice(x, q, 1). A family of k functions
-(see qcalc) shares that pass: its values run along the last axis, and the
-operators return one row per function.
+(see qcalc) shares that pass, its values along the last axis and one row
+per function out; so do an ndarray of orders, one result per order on a
+leading axis, and an ndarray of points, their values on a last axis.
 """
 
 from __future__ import annotations
@@ -74,20 +75,48 @@ class OperatorContext:
             raise DomainError(f"lower limit a must be nonnegative, got {self.a}")
 
 
-def _alpha_of(order) -> float:
+def _alpha_of(order):
     """Accept a FracOrder or a bare float order (the operators also serve
-    auxiliary orders like 1 - alpha and sums alpha + beta <= 1)."""
+    auxiliary orders like 1 - alpha and sums alpha + beta <= 1), or an
+    ndarray of orders, for one result per order on a leading axis."""
     if isinstance(order, FracOrder):
         return order.alpha
-    return float(order)
+    return order if isinstance(order, np.ndarray) else float(order)
+
+
+def _all(test, alpha) -> bool:
+    """test at one order, or at every order of an ndarray."""
+    if isinstance(alpha, np.ndarray):
+        return all(map(test, alpha.tolist()))
+    return test(alpha)
+
+
+def _each(fn, orders, *tables, ndim: int = 1):
+    """fn(orders, *tables) for one order; for an ndarray of orders, fn at
+    each order and its rows of the tables, stacked on a leading axis of
+    at least ndim axes. An order's scalars stay Python floats, as in its
+    own pass: numpy's power can round apart from Python's."""
+    if not isinstance(orders, np.ndarray):
+        return fn(orders, *tables)
+    values = np.array([fn(*args) for args in zip(orders.tolist(), *tables)])
+    return values.reshape(values.shape + (1,) * (ndim - values.ndim))
 
 
 def _convolve(x: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """The valid values of x convolved with table along the last axis, one
-    np.convolve per row of a stack."""
-    if x.ndim == 1:
+    """np.convolve(x, table, "valid") along the last axis, the leading axes
+    broadcast. A stack is one np.vecdot of the windows of the longer with
+    the shorter reversed, each value the BLAS dot np.convolve takes past
+    11 terms (a stack's sum of at most 11, at q**min(1, p) < 0.014, may
+    round apart from its row's own call)."""
+    if x.ndim == table.ndim == 1:  # one sum: np.convolve costs less
         return np.convolve(x, table, "valid")
-    return np.stack([_convolve(row, table) for row in x])
+    if x.shape[-1] < table.shape[-1]:
+        x, table = table, x
+    n = table.shape[-1]
+    x = np.ascontiguousarray(x)
+    windows = np.ndarray(x.shape[:-1] + (x.shape[-1] - n + 1, n), float, x,
+                         0, x.strides + x.strides[-1:])
+    return np.vecdot(windows, np.ascontiguousarray(table[..., None, ::-1]))
 
 
 class LatticeKernel:
@@ -115,11 +144,18 @@ class LatticeKernel:
     is the matrix view of discrete fractional calculus (Podlubny, FCAA
     2000). upper and lower hold w and K reversed, and jackson the
     geometric table (q**e)**i: at a small p, q**i underflows long before
-    q**(ip) is negligible. Each sum is a direct np.convolve, whose rows
-    keep their own digits (an FFT's error follows the largest row).
+    q**(ip) is negligible. Each sum is a direct dot per row (_convolve),
+    whose rows keep their own digits (an FFT's error follows the largest).
 
     Its first weight is (Q; Q)_inf / (Q**(1+beta); Q)_inf, so gamma = k_0
     (1 - Q)**(-beta) is Gamma_Q(1 + beta), the operator coefficients' own.
+
+    An ndarray of betas (one per order) and a stack of node tables (one
+    per point) build every order's and point's tables in one q-ratio pass
+    per table. gamma, power, head and the lower table lead with the axis
+    of orders, then that of points; f and f_low lead with an axis of
+    orders too (of length 1 to serve every order), and hold a grid per
+    point on their second-last axis, after a family's axes.
     """
 
     def __init__(self, params: QParams, beta: float, a: float,
@@ -131,20 +167,28 @@ class LatticeKernel:
                     "w**(p-1)/t**p": (p, -p)}[weight]
         log_Q = p * math.log(q)
         self.nodes = nodes = np.asarray(nodes, dtype=float)
-        rows = len(nodes)
+        rows = nodes.shape[-1]
         self.n = n = _sum_length(q, p, ctrl)
         self.jackson = _nodes(1.0, q ** e, n)  # q**i itself at e = 1
         weights = _kernel_weights(log_Q, beta, log_Q, n, ctrl)
-        self.gamma = float(weights[0]) * (1.0 - params.qp) ** -beta
-        self.upper = (weights * self.jackson)[::-1]
-        self.power = ((1.0 + p * beta) + (e - 1.0)) + outer
-        self.head = (1.0 - q) * _power(nodes, self.power, p)
+        self.gamma = _each(lambda b, w: float(w) * (1.0 - params.qp) ** -b,
+                           beta, weights[..., 0])
+        self.upper = (weights * self.jackson)[..., ::-1]
+        self.power = _each(lambda b: ((1.0 + p * b) + (e - 1.0)) + outer,
+                           beta)
+        self.head = (1.0 - q) * _power(nodes, np.asarray(self.power).tolist(),
+                                       p)
         self.lower = None
-        if a > 0.0:
+        if a > 0.0:  # one table per order and point
             self.low_scale = (a / nodes) ** e
-            self.lower = _kernel_weights(log_Q, beta,
-                                         p * math.log(a * q / nodes[-1]),
-                                         rows + n - 1, ctrl)[::-1]
+            log_c = [p * math.log(a * q / t)
+                     for t in np.ravel(nodes[..., -1]).tolist()]
+            if nodes.ndim > 1:  # the points' axis after the orders'
+                log_c, beta = np.array(log_c), np.expand_dims(beta, -1)
+            else:
+                log_c = log_c[0]
+            self.lower = _kernel_weights(log_Q, beta, log_c, rows + n - 1,
+                                         ctrl)[..., ::-1]
 
     @np.errstate(over="ignore", invalid="ignore")
     def apply(self, f: np.ndarray, f_low: np.ndarray | None = None
@@ -153,17 +197,23 @@ class LatticeKernel:
         rows + n - 1 (a shorter table: f = 0 past its end), and f_low at
         _nodes(a, q, n) (None: f = 0 on [0, a]). A (k, len) stack gives
         (k, rows); a row past float range raises, as _checked_product."""
-        size = len(self.head) + self.n - 1
+        size = self.nodes.shape[-1] + self.n - 1
         f = np.asarray(f, dtype=float)[..., :size]
         if f.shape[-1] < size:
             pad = np.zeros(f.shape[:-1] + (size - f.shape[-1],))
             f = np.concatenate((f, pad), axis=-1)
-        sums = [_convolve(f, self.upper)]
+        orders = np.ndim(self.power)  # a table's orders, then f's functions
+        lead = lambda t: t if t.ndim == f.ndim else t.reshape(
+            t.shape[:orders] + (1,) * (f.ndim - t.ndim) + t.shape[orders:])
+        sums = [_convolve(f, lead(self.upper))]
         row = sums[0]
         if f_low is not None and self.lower is not None:
-            sums.append(_convolve(self.jackson * f_low, self.lower))
+            sums.append(_convolve(self.jackson * f_low, lead(self.lower)))
             row = row - self.low_scale * sums[1]
-        return _checked_product(self.head * row, self.nodes, self.power,
+        power = self.power  # one per order, leading the sums' axes
+        if orders:
+            power = power.reshape(power.shape + (1,) * (f.ndim - 1))
+        return _checked_product(lead(self.head) * row, self.nodes, power,
                                 self.params.p, "kernel row factor", *sums)
 
 
@@ -173,10 +223,47 @@ def _check_above(x: float, a: float) -> None:
                           f"got s={x}, a={a}")
 
 
-def _point(x: float, ctx: OperatorContext) -> QLattice:
-    """The one-node lattice of a point x > a."""
-    _check_above(x, ctx.a)
-    return QLattice(x, ctx.params.q, 1)
+def _grid(x, ctx: OperatorContext, extra: int = 0):
+    """The grid b q**j one kernel pass over x reads, plus `extra` rows (1
+    for a q-difference stencil, whose x reads qx > a), and x's row count:
+    x is a QLattice with ratio q, a point x > a (the one-node lattice) or
+    an ndarray of points, one grid each."""
+    q, a = ctx.params.q, ctx.a
+    if isinstance(x, QLattice):
+        if x.q != q:
+            raise DomainError(f"lattice ratio {x.q} differs from q={q}")
+        xs, b = x.nodes, x.b
+    else:
+        xs, b = np.ravel(x).tolist(), x
+    for t in xs:
+        _check_above(t, a)
+        if extra and not q * t > a:
+            raise DomainError(
+                f"q-difference stencil leaves the domain at x={t}: "
+                f"qx={q * t} <= a={a}")
+    rows = len(xs) if isinstance(x, QLattice) else 1
+    n = _sum_length(q, ctx.params.p, ctx.ctrl)
+    return _nodes(b, q, rows + n - 1 + extra), rows, n
+
+
+def _table(f, nodes) -> np.ndarray:
+    """f at an array of nodes in one tabulation, a family's axes first."""
+    if nodes.ndim == 1:
+        return _tabulate(f, nodes)
+    table = _tabulate(f, nodes.ravel())
+    return table.reshape(table.shape[:-1] + nodes.shape)
+
+
+def _on_lattice(f: ScalarFunction, x, ctx: OperatorContext, extra: int = 0,
+                alpha=0.0):
+    """f tabulated for one kernel pass over x (see _grid) on the grid, and
+    on the lower nodes (None for a = 0) for every point; the grid, and the
+    row count. An ndarray alpha of orders adds a unit leading axis."""
+    grid, rows, n = _grid(x, ctx, extra)
+    lead = (None,) * isinstance(alpha, np.ndarray)
+    low = None if ctx.a == 0.0 else _table(f, _nodes(
+        ctx.a, ctx.params.q, n)[(None,) * (grid.ndim - 1)])[lead]
+    return _table(f, grid)[lead], low, grid, rows
 
 
 def _value(v):
@@ -184,49 +271,40 @@ def _value(v):
     return float(v) if v.ndim == 0 else v
 
 
-def _on_lattice(f: ScalarFunction, lattice: QLattice, ctx: OperatorContext,
-                extra: int = 0):
-    """f tabulated for one kernel pass over the nodes of a lattice: f on the
-    geometric grid b q**j the pass reads, plus `extra` rows (1 for a
-    q-difference stencil, whose x reads qx > a), and at the lower nodes
-    (None for a = 0), the grid, and the number of lattice nodes."""
-    q, a = ctx.params.q, ctx.a
-    if lattice.q != q:
-        raise DomainError(f"lattice ratio {lattice.q} differs from q={q}")
-    xs = lattice.nodes
-    for x in xs:
-        _check_above(x, a)
-        if extra and not q * x > a:
-            raise DomainError(
-                f"q-difference stencil leaves the domain at x={x}: "
-                f"qx={q * x} <= a={a}")
-    n = _sum_length(q, ctx.params.p, ctx.ctrl)
-    grid = _nodes(lattice.b, q, len(xs) + n - 1 + extra)
-    low = _tabulate(f, _nodes(a, q, n)) if a > 0.0 else None
-    return _tabulate(f, grid), low, grid, len(xs)
+def _at(x, rows):
+    """One pass's rows over x: the array for a lattice, the value at a
+    point (a Python float for one function), and one per ndarray point."""
+    return rows if isinstance(x, QLattice) else _value(rows[..., 0])
 
 
 def _integral_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
-    """J^alpha f at grid[:rows]; f_grid must cover rows + n - 1 nodes."""
+    """J^alpha f at grid[..., :rows]; f_grid must cover rows + n - 1 nodes.
+    An ndarray alpha of orders is one kernel pass (see LatticeKernel)."""
     kernel = LatticeKernel(ctx.params, alpha - 1.0, ctx.a, ctx.ctrl,
-                           grid[:rows])
-    return (q_number(ctx.params.p, ctx.params.q) ** (1.0 - alpha)
-            * (kernel.apply(f_grid, f_low) / kernel.gamma))
+                           grid[..., :rows])
+    coef = q_number(ctx.params.p, ctx.params.q)
+    return _each(lambda a, sums, gamma: coef ** (1.0 - a) * (sums / gamma),
+                 alpha, kernel.apply(f_grid, f_low), kernel.gamma)
 
 
 def _derivative_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
-    """D^alpha f at grid[:rows], from inner sums whose heads carry x**-p =
-    q**p (qx)**-p, D's outer x**(1-p) over its q-difference divisor x;
-    f_grid covers rows + n nodes, all above a."""
+    """D^alpha f at grid[..., :rows], from inner sums whose heads carry
+    x**-p = q**p (qx)**-p, D's outer x**(1-p) over its q-difference divisor
+    x; f_grid covers rows + n nodes, all above a. alpha as _integral_rows'."""
     q, p = ctx.params.q, ctx.params.p
     kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl,
-                           grid[:rows + 1], "w**(p-1)/t**p")
-    inner = kernel.apply(f_grid, f_low) / kernel.gamma
-    x, here, below = grid[:rows], inner[..., :-1], inner[..., 1:]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = q_number(p, q) ** alpha * (here - q ** p * below) / (1.0 - q)
-    return _checked_product(out, x, kernel.power, p, "kernel row factor",
-                            here, below)
+                           grid[..., :rows + 1], "w**(p-1)/t**p")
+
+    def rows_of(a, sums, gamma, power):
+        inner = sums / gamma
+        here, below = inner[..., :-1], inner[..., 1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = q_number(p, q) ** a * (here - q ** p * below) / (1.0 - q)
+        return _checked_product(out, grid[..., :rows], power, p,
+                                "kernel row factor", here, below)
+
+    return _each(rows_of, alpha, kernel.apply(f_grid, f_low), kernel.gamma,
+                 kernel.power)
 
 
 def frac_integral(f: ScalarFunction, x, order,
@@ -239,14 +317,14 @@ def frac_integral(f: ScalarFunction, x, order,
     x is a QLattice with ratio q, for the array of values at its nodes from
     one lattice-kernel pass, or a point x > a, the one-node lattice, for
     its value as a float. A family of k functions gives k rows (k values
-    at a point).
+    at a point), and an ndarray of m orders m such results from one pass,
+    each the bits of its own order's call.
     """
-    if not isinstance(x, QLattice):
-        return _value(frac_integral(f, _point(x, ctx), order, ctx)[..., 0])
     alpha = _alpha_of(order)
-    if not alpha > 0.0:
+    if not _all(lambda a: a > 0.0, alpha):
         raise DomainError(f"integral order must be positive, got {alpha}")
-    return _integral_rows(*_on_lattice(f, x, ctx), alpha, ctx)
+    return _at(x, _integral_rows(*_on_lattice(f, x, ctx, 0, alpha), alpha,
+                                 ctx))
 
 
 def lemma_beta_integral(a: float, x, order_alpha: float, lam: float,
@@ -285,17 +363,16 @@ def frac_derivative_rl(f: ScalarFunction, x, order,
 
     The outer x**(1-p) D_q is formed numerically from the inner integral
     evaluated at x and qx, the next row of the lattice; order 0 is the
-    identity. x is a QLattice or a point, as for frac_integral.
+    identity. x and order are as for frac_integral.
     """
-    if not isinstance(x, QLattice):
-        return _value(
-            frac_derivative_rl(f, _point(x, ctx), order, ctx)[..., 0])
     alpha = _alpha_of(order)
-    if alpha == 0.0:
-        return _tabulate(f, np.array(x.nodes))
-    if not 0.0 < alpha < 1.0:
+    if _all(lambda a: a == 0.0, alpha):
+        grid, rows, _ = _grid(x, ctx)
+        return _at(x, _table(f, grid[..., :rows]))
+    if not _all(lambda a: 0.0 < a < 1.0, alpha):
         raise DomainError(f"derivative order must lie in [0, 1), got {alpha}")
-    return _derivative_rows(*_on_lattice(f, x, ctx, 1), alpha, ctx)
+    return _at(x, _derivative_rows(*_on_lattice(f, x, ctx, 1, alpha), alpha,
+                                   ctx))
 
 
 def caputo_derivative(f: ScalarFunction, x, order, ctx: OperatorContext):
@@ -316,37 +393,39 @@ def caputo_derivative_simplified(f: ScalarFunction, dqf: ScalarFunction,
     dqf must be the q-derivative of f (analytic or via q_derivative). The
     kernel argument is wq: integrating by parts and differentiating under the
     Jackson sum produces the shifted kernel, and only that form reproduces the
-    definitional Caputo derivative. x is a QLattice or a point, as for
-    frac_integral.
+    definitional Caputo derivative. x and order are as for frac_integral.
     """
-    if not isinstance(x, QLattice):
-        return _value(caputo_derivative_simplified(
-            f, dqf, _point(x, ctx), order, ctx)[..., 0])
     alpha = _alpha_of(order)
-    if not 0.0 < alpha < 1.0:
+    if not _all(lambda a: 0.0 < a < 1.0, alpha):
         raise DomainError(f"derivative order must lie in (0, 1), got {alpha}")
-    dq_grid, dq_low, grid, rows = _on_lattice(dqf, x, ctx)
-    kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl, grid[:rows],
-                           "1")
-    return (q_number(ctx.params.p, ctx.params.q) ** alpha / kernel.gamma
-            * kernel.apply(dq_grid, dq_low))
+    dq_grid, dq_low, grid, rows = _on_lattice(dqf, x, ctx, 0, alpha)
+    kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl,
+                           grid[..., :rows], "1")
+    coef = q_number(ctx.params.p, ctx.params.q)
+    return _at(x, _each(lambda a, gamma, sums: coef ** a / gamma * sums,
+                        alpha, kernel.gamma, kernel.apply(dq_grid, dq_low)))
 
 
-def caputo_rl_relation_residual(f: ScalarFunction, x: float, order,
-                                ctx: OperatorContext) -> float:
+def caputo_rl_relation_residual(f: ScalarFunction, x, order,
+                                ctx: OperatorContext):
     """Diagnostic residual of the RL/Caputo relation:
 
     D^alpha f(x) - cD^alpha f(x)
       - f(a) ([p]_q)**alpha / Gamma_Q(1-alpha) * (x**p - a**p)^(-alpha).
 
-    Approximately zero whenever both derivative types exist.
+    Approximately zero whenever both derivative types exist. x and order
+    are as for frac_integral: an ndarray of points gives their residuals
+    on a last axis, and an ndarray of orders one row of them per order.
     """
     alpha = _alpha_of(order)
     fa = f(ctx.a)
-    shift = (fa * (q_number(ctx.params.p, ctx.params.q) ** alpha
-                   / q_gamma(1.0 - alpha, ctx.params.qp, ctx.ctrl))
-             * q_power_general(x, ctx.a, -alpha, ctx.params, ctx.ctrl))
-    fa_col = np.expand_dims(fa, -1)  # one per row of a family
+    fa_col, exponent = np.expand_dims(fa, -1), -alpha  # fa_col: one per row
+    if isinstance(x, np.ndarray):  # the points' axis is last
+        fa, exponent = fa_col, np.expand_dims(exponent, -1)
+    coef = q_number(ctx.params.p, ctx.params.q)
+    shift = _each(lambda a, gamma, power: fa * (coef ** a / gamma) * power,
+                  alpha, q_gamma(1.0 - alpha, ctx.params.qp, ctx.ctrl),
+                  q_power_general(x, ctx.a, exponent, ctx.params, ctx.ctrl))
 
     def table(w):
         t = _tabulate(f, w)
@@ -354,8 +433,10 @@ def caputo_rl_relation_residual(f: ScalarFunction, x: float, order,
 
     # D f and cD f (the RL derivative of f - f(a)) as one family pass over
     # [f, f - f(a)], f tabulated once: each row keeps its own pass's bits
-    d, cd = np.split(frac_derivative_rl(_FromTable(table), x, order, ctx), 2)
-    return _value(np.reshape(d - cd, np.shape(fa))) - shift
+    d, cd = np.split(frac_derivative_rl(_FromTable(table), x, alpha, ctx), 2,
+                     axis=-1 - np.ndim(x))
+    return _value(np.reshape(d - cd, np.shape(alpha) + fa_col.shape[:-1]
+                             + np.shape(x))) - shift
 
 
 def bound_constant(order, ctx: OperatorContext, b: float,
@@ -391,7 +472,8 @@ def inversion_residuals(f: ScalarFunction, lattice: QLattice, order,
     (max |cD^alpha(J^alpha f)(x) - f(x)|,
      max |J^alpha(cD^alpha f)(x) - (f(x) - f(a))|),
 
-    floats for one function, arrays of k maxima for a family.
+    floats for one function, arrays of k maxima for a family, and for an
+    ndarray of orders one row of these per order, each pass serving all.
 
     The lattice ratio must be q. Everything lives on one geometric grid
     b q**j, with f tabulated once: the inner operator is one kernel pass
@@ -405,9 +487,9 @@ def inversion_residuals(f: ScalarFunction, lattice: QLattice, order,
         return 0.0, 0.0
     n = _sum_length(q, ctx.params.p, ctx.ctrl)
     f_grid, f_low, grid, rows = _on_lattice(
-        f, replace(lattice, depth=rows), ctx, n)
+        f, replace(lattice, depth=rows), ctx, n, alpha)
     fa = np.expand_dims(f(a), -1)
-    stack = f_grid.shape[:-1]
+    stack = np.shape(alpha) + fa.shape[:-1]
 
     jf = np.zeros(stack + (rows + n,))
     live = int(np.count_nonzero(grid[:rows + n] > a))

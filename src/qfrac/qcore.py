@@ -3,13 +3,11 @@ q-Pochhammer products, the q-Gamma function, and the generalized q-power.
 
 All deformation parameters satisfy 0 < q < 1; the classical limit q -> 1 is
 approached but never representable. Everything here is a pure function of its
-arguments and safe to call concurrently: the one memo, of kernel weight
-tables, is a thread-safe functools.lru_cache whose tables are read-only.
+arguments and safe to call concurrently; nothing is cached across calls.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -120,8 +118,18 @@ def _sum_length(q: float, p: float, ctrl: SeriesControl) -> int:
 
 def _power(t, power, p: float, factor: str = "kernel row factor"):
     """t**power, numpy's for an array of nodes (and a float or array power)
-    and Python's for a float. Past float range, as a large p takes it at
-    small or large nodes, _checked_product raises ConvergenceError."""
+    and Python's for a float. A list of float powers gives t**power at
+    each, stacked on a leading axis, where t is one array or a list of one
+    per power: each with a scalar power, as a call of its own (numpy
+    takes a scalar 0, 1, -1, 0.5 or 2 apart). Past float range, as a large
+    p takes it at small or large nodes, _checked_product raises
+    ConvergenceError."""
+    if isinstance(power, list):
+        rows = t if isinstance(t, list) else [t] * len(power)
+        with np.errstate(over="ignore", divide="ignore"):
+            out = np.array([row ** e for row, e in zip(rows, power)])
+        return _checked_product(out, np.array(rows), np.reshape(
+            power, (-1,) + (1,) * (out.ndim - 1)), p, factor)
     if isinstance(t, np.ndarray):
         with np.errstate(over="ignore", divide="ignore"):
             return _checked_product(t ** power, t, power, p, factor)
@@ -211,29 +219,17 @@ def _log_q_ratio(log_r, log_s, log_q: float, n: int, ctrl: SeriesControl):
     return logs, sign
 
 
-# A table is asked for again soon after it is built: by the other
-# lambdas and nodes of a lemma case, or by the next pass of an operator
-# pair (Caputo through the q-derivative, an inversion's inner and outer
-# passes). In one verify registry 3 entries serve 396 of the 456 repeats
-# an unbounded memo serves, every repeat within one identity; 8 serve 397.
-_KERNEL_MEMO = 3
-
-
-@functools.lru_cache(maxsize=_KERNEL_MEMO)
-def _kernel_weights(log_Q: float, beta: float, log_c: float, n: int,
+def _kernel_weights(log_Q, beta, log_c, n: int,
                     ctrl: SeriesControl) -> np.ndarray:
     """k_i = (c Q**i; Q)_inf / (Q**beta c Q**i; Q)_inf for i = 0..n-1, from
     log Q and log c: one q-ratio pass. At c = (y/x)**p, Q = q**p,
     x**(p beta) k_i is the generalized q-power (x**p - (y q**i)**p)^(beta).
-
-    The last _KERNEL_MEMO tables are memoized, so the table is read-only:
-    a caller that scales it makes a new array."""
+    Arrays of beta and log c broadcast to one table per element, on the
+    last axis, each the bits of its own pass."""
     logs, sign = _log_q_ratio(log_c, log_c + beta * log_Q, log_Q, n, ctrl)
     if not np.all(logs < np.inf):
         raise PoleError(f"kernel denominator product vanishes (beta={beta})")
-    weights = sign * np.exp(logs)
-    weights.flags.writeable = False
-    return weights
+    return sign * np.exp(logs)
 
 
 def q_gamma(t, q: float, ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):

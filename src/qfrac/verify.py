@@ -33,7 +33,6 @@ from .qcalc import (
     _FromTable,
     _tabulate,
     jackson_integral,
-    q_derivative,
     sup_norm,
 )
 from .qcore import (
@@ -43,6 +42,7 @@ from .qcore import (
     _kernel_weights,
     _log_q_ratio,
     _power,
+    _sum_length,
     q_number,
     q_power_general,
 )
@@ -87,38 +87,48 @@ def _worst(errors) -> float:
 _LEMMA_XS = (0.5, 1.0, 2.0)
 
 
-def _lemma_cases(params: QParams, ctrl):
-    """(alpha, lambda, the closed forms at _LEMMA_XS) of each lemma case in
-    turn, each as lemma_beta_integral gives it: the q-Gammas of all cases
-    come from one pass, and a case's q-power when the case is reached, so
-    a q-power past float range fails where a case-by-case loop fails."""
+def _lemma_sums(params: QParams, ctrl):
+    """The lemma's Jackson sums and closed forms, one per case and x (x
+    fastest). The closed forms take one q-Gamma and one q-power call, both
+    elementwise, so each keeps lemma_beta_integral's bits; a q-power past
+    float range (x = 2, p >= 465) fails at its first case and node, as a
+    case-by-case loop does, since at such p no earlier sum fails. The sums
+    are one family: a block of the nodes of [0, x] is t_0 q**i, and the
+    q-power at q t is x**(p beta) k_i at c = (q t_0 / x)**p; one head
+    x**(p (alpha + lam) - 1), rounded as the closed form's exponent, times
+    (t / x)**(p (1 + lam) - 1) k_i, a block's rows sharing a weight table
+    per (alpha, x)."""
+    q, p, factor = params.q, params.p, "lemma integrand factor"
     alphas, lams = np.array(list(itertools.product((0.3, 0.7, 1.2),
                                                    (0.0, 0.5, 1.0)))).T
-    constants = _lemma_constants(alphas, lams, params, ctrl).tolist()
-    for alpha, lam, c in zip(alphas.tolist(), lams.tolist(), constants):
-        yield alpha, lam, (c * q_power_general(
-            np.array(_LEMMA_XS), 0.0, alpha + lam, params, ctrl)).tolist()
+    closed = (_lemma_constants(alphas, lams, params, ctrl)[:, None]
+              * q_power_general(np.array(_LEMMA_XS), 0.0,
+                                (alphas + lams)[:, None], params, ctrl))
+    xs = np.tile(_LEMMA_XS, len(alphas))
+    alphas, lams = (np.repeat(v, len(_LEMMA_XS)) for v in (alphas, lams))
+    heads = [_power(x, p * s - 1.0, p, factor)
+             for x, s in zip(xs.tolist(), (alphas + lams).tolist())]
+
+    def table(t, alpha, lam, x, head):  # t: each row's own nodes
+        tables = list(zip((alpha - 1.0).tolist(), [
+            p * math.log(q * t0 / x0)
+            for t0, x0 in zip(t[:, 0].tolist(), x.tolist())]))
+        firsts = list(dict.fromkeys(tables))
+        weights = _kernel_weights(p * math.log(q), *np.array(firsts).T,
+                                  t.shape[-1], ctrl)
+        return (head[:, None] * _power(list(t / x[:, None]), (
+            p * (1.0 + lam) - 1.0).tolist(), p, factor)
+            * weights[[firsts.index(k) for k in tables]])
+
+    family = _FromTable(table, alphas, lams, xs, np.array(heads))
+    return jackson_integral(family, 0.0, xs, q, ctrl), closed.ravel()
 
 
 def _check_lemma(restrict, ctrl) -> float:
-    factor = "lemma integrand factor"
     errors = []
     for q, p in _pairs(restrict):
-        for alpha, lam, closed in _lemma_cases(QParams(q, p), ctrl):
-            for x, rhs in zip(_LEMMA_XS, closed):
-                # a block of Jackson nodes of [0, x] is t_0 q**i: the
-                # q-power at q t is x**(p beta) k_i at c = (q t_0 / x)**p;
-                # one head x**(p (alpha + lam) - 1), rounded as the closed
-                # form's exponent, times (t / x)**(p (1 + lam) - 1) k_i
-                head = _power(x, p * (alpha + lam) - 1.0, p, factor)
-                integrand = _FromTable(
-                    lambda t: head * _power(
-                        t / x, p * (1.0 + lam) - 1.0, p, factor)
-                    * _kernel_weights(p * math.log(q), alpha - 1.0,
-                                      p * math.log(q * t[0] / x), len(t),
-                                      ctrl))
-                lhs = jackson_integral(integrand, 0.0, x, q, ctrl)
-                errors.append(abs(lhs - rhs) / abs(rhs))
+        lhs, rhs = _lemma_sums(QParams(q, p), ctrl)
+        errors.append(np.abs(lhs - rhs) / np.abs(rhs))
     return _worst(errors)
 
 
@@ -145,22 +155,26 @@ def _check_qpower_derivatives(restrict, ctrl) -> float:
         y = np.concatenate((hi * u, lo + (hi - lo) * u))
         alpha, x = np.tile(alpha, 2), np.tile(x, 2)
         qn = q_number(p * alpha, q)
-        pw = lambda s, t, e: q_power_general(s, t, e, params, ctrl)
-        at_y = pw(x, y, alpha)
-        lhs_x = (at_y - pw(q * x, y, alpha)) / ((1.0 - q) * x)
-        errors.append(rel(lhs_x, x ** (p - 1.0) * qn * pw(x, y, alpha - 1.0)))
+        # the four q-powers of the pair's draws, from one elementwise call
+        inner = y > 0.0
+        at_y, at_qx, below, below_qy = np.split(q_power_general(
+            np.concatenate((x, q * x, x, x[inner])),
+            np.concatenate((y, y, y, q * y[inner])),
+            np.concatenate((alpha, alpha, alpha - 1.0, alpha[inner] - 1.0)),
+            params, ctrl), np.cumsum([len(x)] * 3))
+        lhs_x = (at_y - at_qx) / ((1.0 - q) * x)
+        errors.append(rel(lhs_x, x ** (p - 1.0) * qn * below))
         # pw(x, y) - pw(x, qy) = -pw(x, y) expm1(L(Qr) - L(r)), with L the
         # log of the q-power's product ratio at r = (y/x)**p: that keeps its
         # digits where y**p << x**p, where the plain difference subtracts
         # two nearly equal O(1) values
-        y, x, alpha, at_y, qn = (v[y > 0.0] for v in (y, x, alpha, at_y, qn))
+        y, x, alpha, at_y, qn = (v[inner] for v in (y, x, alpha, at_y, qn))
         r = (y / x) ** p
         with np.errstate(divide="ignore"):  # r = 0, a zero base, at large p
             logs = _log_q_ratio(np.log(r), np.log(params.qp**alpha * r),
                                 math.log(params.qp), 2, ctrl)[0]
         lhs_y = -at_y * np.expm1(logs[:, 1] - logs[:, 0]) / ((1.0 - q) * y)
-        errors.append(rel(lhs_y, -y ** (p - 1.0) * qn
-                          * pw(x, q * y, alpha - 1.0)))
+        errors.append(rel(lhs_y, -y ** (p - 1.0) * qn * below_qy))
     return _worst(errors)
 
 
@@ -184,16 +198,18 @@ def _horner(coeffs: np.ndarray):
     return _FromTable(lambda w: np.polyval(coeffs.T[:, :, None], w))
 
 
+# the orders of the derivative checks, one kernel pass serving all three
+_ORDERS = np.array((0.25, 0.5, 0.75))
+
+
 def _check_caputo_relation(restrict, ctrl) -> float:
     errors = []
     for q, p in _pairs(restrict):
         ctx = OperatorContext(QParams(q, p), a=0.25, ctrl=ctrl)
         f, _ = _family(q, p, 2)
-        for alpha in (0.25, 0.5, 0.75):
-            # qx must stay above a for the RL stencil, even at q = 0.3
-            for x in (0.9, 1.0):
-                errors.append(np.abs(caputo_rl_relation_residual(
-                    f, x, FracOrder(alpha), ctx)))
+        # qx must stay above a for the RL stencil, even at q = 0.3
+        errors.append(np.abs(caputo_rl_relation_residual(
+            f, np.array((0.9, 1.0)), _ORDERS, ctx)))
     return _worst(errors)
 
 
@@ -210,14 +226,12 @@ def _check_caputo_equivalence(restrict, ctrl) -> float:
         dqf = _FromTable(
             lambda w: np.vstack((_tabulate(d_powers, w), (1.0 + q) * w)))
         lattice = QLattice(1.0, q, 12)
-        for alpha in (0.25, 0.5, 0.75):
-            order = FracOrder(alpha)
-            got = caputo_derivative(f, lattice, order, ctx)
-            want = caputo_derivative_simplified(f, dqf, lattice, order, ctx)
-            # relative past 1e-8 / eps (4.5e7), where an ulp exceeds 1e-8
-            big = np.abs(want) > 1e-8 / np.finfo(float).eps
-            diff = np.abs(got - want) / np.where(big, np.abs(want), 1.0)
-            errors += [diff[:-1], diff[-1, :8]]
+        got = caputo_derivative(f, lattice, _ORDERS, ctx)
+        want = caputo_derivative_simplified(f, dqf, lattice, _ORDERS, ctx)
+        # relative past 1e-8 / eps (4.5e7), where an ulp exceeds 1e-8
+        big = np.abs(want) > 1e-8 / np.finfo(float).eps
+        diff = np.abs(got - want) / np.where(big, np.abs(want), 1.0)
+        errors += [diff[:, :-1], diff[:, -1, :8]]
     return _worst(errors)
 
 
@@ -233,21 +247,24 @@ def _check_corollary(restrict, ctrl) -> float:
         e, c = _exponents(q, p, 3)
         g = _FromTable(
             lambda w: c * _power(w, e - p, p, "corollary integrand factor"))
-        for alpha in (0.25, 0.5, 0.75):
-            order = FracOrder(alpha)
-            inner = lambda s: frac_integral(g, s, 2.0 - alpha, ctx)
-            for x in (0.7, 1.0):
-                lhs = caputo_derivative(f, x, order, ctx)
-                via_j = frac_integral(g, x, 1.0 - alpha, ctx)
-                wrapped = x ** (1.0 - p) * q_derivative(inner, x, q)
-                errors += [np.abs(lhs - via_j), np.abs(lhs - wrapped)]
+        xs = np.array((0.7, 1.0))
+        lhs = caputo_derivative(f, xs, _ORDERS, ctx)
+        # J^(1-alpha) g at each x and J^(2-alpha) g at x and at qx, for the
+        # outer q-difference, are one pass; qx reads its own grid (qx) q**j
+        j = frac_integral(g, np.concatenate((xs, q * xs)),
+                          np.concatenate((1.0 - _ORDERS, 2.0 - _ORDERS)), ctx)
+        via_j, at_x, at_qx = j[:3, :, :2], j[3:, :, :2], j[3:, :, 2:]
+        outer = np.array([x ** (1.0 - p) for x in xs.tolist()])
+        wrapped = outer * ((at_x - at_qx) / ((1.0 - q) * xs))
+        errors += [np.abs(lhs - via_j), np.abs(lhs - wrapped)]
     return _worst(errors)
 
 
 def _check_boundedness(restrict, ctrl) -> float:
     """max over the lattice of |J^0.5 f| minus bound_constant * sup |f|, for
     8 random quartics per (q, p) (seed 99) and 50 more (seed 20240817)
-    dealt to the (q, p) pairs in turn."""
+    dealt to the (q, p) pairs in turn. The sup is over every node the
+    sums read, 12 + n - 1 of them (n = _sum_length), and 200 at least."""
     pairs = _pairs(restrict)
     dealt = _coefficients(random.Random(20240817), 50)
     rng = random.Random(99)
@@ -255,7 +272,8 @@ def _check_boundedness(restrict, ctrl) -> float:
     for j, (q, p) in enumerate(pairs):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
         lattice = QLattice(1.0, q, 12)
-        norm_lattice = QLattice(1.0, q, 200)
+        norm_lattice = QLattice(1.0, q,
+                                max(200, 12 + _sum_length(q, p, ctrl) - 1))
         bound = bound_constant(FracOrder(0.5), ctx, 1.0)
         f = _horner(np.vstack((_coefficients(rng, 8), dealt[j::len(pairs)])))
         lhs = np.max(np.abs(frac_integral(f, lattice, FracOrder(0.5), ctx)),
@@ -270,8 +288,7 @@ def _check_inversion(restrict, ctrl) -> float:
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
         lattice = QLattice(1.0, q, 12)
         f, _ = _family(q, p)
-        for alpha in (0.25, 0.5, 0.75):
-            errors += inversion_residuals(f, lattice, FracOrder(alpha), ctx)
+        errors += inversion_residuals(f, lattice, _ORDERS, ctx)
     return _worst(errors)
 
 

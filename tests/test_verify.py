@@ -1,5 +1,7 @@
-"""The identity registry: how its checks fail, how many kernels they build,
-and the test families they evaluate as whole tables."""
+"""The identity registry: how its checks fail, how many kernels, q-ratio
+passes and Jackson sums they make, the test families they evaluate as
+whole tables, and that each batched pass gives every case the bits of its
+own call."""
 
 import json
 import math
@@ -7,10 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from qfrac import operators, qcore, verify
+from qfrac import operators, qcalc, qcore, verify
 from qfrac.cli import main
-from qfrac.qcalc import _tabulate
-from qfrac.qcore import DEFAULT_INTEGRATION_CTRL, QParams
+from qfrac.operators import (FracOrder, OperatorContext, caputo_derivative,
+                             caputo_derivative_simplified,
+                             caputo_rl_relation_residual, frac_integral,
+                             inversion_residuals)
+from qfrac.qcalc import (QLattice, _FromTable, _tabulate, jackson_integral,
+                         jackson_integral_zero)
+from qfrac.qcore import (DEFAULT_INTEGRATION_CTRL, QParams, SeriesControl,
+                         _kernel_weights, _power)
 
 
 def write_cfg(tmp_path, text):
@@ -108,18 +116,34 @@ def test_cli_verify_at_q_099_p_20_exits_0(tmp_path, capsys):
 
 
 def test_one_kernel_per_lattice_and_family(monkeypatch):
-    """The checks pass whole families, so a registry builds few kernels
-    (1,142 when every function and node had its own)."""
-    built = []
+    """The checks pass whole families and vectors of orders and points, so
+    a registry builds few kernels (1,142 when every function and node had
+    its own, 294 with one per order), makes few q-ratio passes (273 with
+    one kernel per order) and few Jackson sums (162 with one per lemma
+    case and x)."""
+    counts = {"kernels": 0, "ratios": 0, "jackson": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
 
     class Counting(operators.LatticeKernel):
         def __init__(self, *args, **kwargs):
-            built.append(1)
+            counts["kernels"] += 1
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(operators, "LatticeKernel", Counting)
+    ratio = counting("ratios", qcore._log_q_ratio)
+    monkeypatch.setattr(qcore, "_log_q_ratio", ratio)
+    monkeypatch.setattr(verify, "_log_q_ratio", ratio)
+    monkeypatch.setattr(qcalc, "jackson_integral_zero",
+                        counting("jackson", qcalc.jackson_integral_zero))
     assert all(r.passed for r in verify.run_registry())
-    assert 0 < len(built) <= 350
+    assert 0 < counts["kernels"] <= 60
+    assert 0 < counts["ratios"] <= 111
+    assert 0 < counts["jackson"] <= 6
 
 
 @pytest.mark.parametrize("q", (0.3, 0.5, 0.9))
@@ -135,28 +159,8 @@ def test_families_give_their_table_bits_node_by_node(q, p):
         assert by_node.tolist() == family.table(nodes).tolist()
 
 
-def test_registry_bits_do_not_depend_on_the_kernel_memo():
-    """A memoized kernel table gives the bits of a fresh one."""
-    warm = [r.max_error for r in verify.run_registry()]
-    cold = []
-    for name in verify.IDENTITY_NAMES:
-        qcore._kernel_weights.cache_clear()
-        cold.append(verify.run_identity(name).max_error)
-    assert cold == warm
-
-
-def test_kernel_memo_stays_bounded(tmp_path, capsys):
-    """A q = 0.99 solve and a verify in one process keep at most the
-    memo's constant number of kernel tables."""
-    solve = write_cfg(tmp_path, "q = 0.99\nalpha = 0.5\nzeta = 1\n"
-                                "rhs = u\nr = 10\n")
-    assert main(["solve", "--config", solve, "--format", "json"]) == 0
-    info = qcore._kernel_weights.cache_info()
-    assert info.maxsize == qcore._KERNEL_MEMO
-    assert info.currsize <= qcore._KERNEL_MEMO
-    assert main(["verify", "--config", write_cfg(tmp_path, "")]) == 0
-    assert qcore._kernel_weights.cache_info().currsize <= qcore._KERNEL_MEMO
-    capsys.readouterr()
+LEMMA_CASES = [(alpha, lam) for alpha in (0.3, 0.7, 1.2)
+               for lam in (0.0, 0.5, 1.0)]
 
 
 @pytest.mark.parametrize("q,p", [(0.3, 1.0), (0.9, 2.0), (0.99, 5.0)])
@@ -164,11 +168,11 @@ def test_lemma_cases_are_lemma_beta_integral(q, p):
     """The lemma check's closed forms, from one q-Gamma pass, are the bits
     of one lemma_beta_integral call per case."""
     params = QParams(q, p)
-    cases = list(verify._lemma_cases(params, DEFAULT_INTEGRATION_CTRL))
-    assert len(cases) == 9
-    for alpha, lam, closed in cases:
-        assert closed == operators.lemma_beta_integral(
-            0.0, np.array(verify._LEMMA_XS), alpha, lam, params).tolist()
+    _, closed = verify._lemma_sums(params, DEFAULT_INTEGRATION_CTRL)
+    assert closed.tolist() == [
+        value for alpha, lam in LEMMA_CASES
+        for value in operators.lemma_beta_integral(
+            0.0, np.array(verify._LEMMA_XS), alpha, lam, params).tolist()]
 
 
 class TestDrawnCases:
@@ -204,3 +208,215 @@ class TestDrawnCases:
     def test_boundedness_at_large_p(self, p):
         assert verify.run_identity("integral_boundedness",
                                    {"q": 0.3, "p": p}).passed
+
+
+def test_boundedness_sup_reads_every_node_the_sums_read():
+    """At q = 0.99, p = 0.2 the 12-node lattice's sums read f down to 1e-15,
+    far past the 200-node lattice (down to 0.135), whose sup of |f| falls
+    short of the bound's: the sup is over all the nodes the sums read."""
+    result = verify.run_identity("integral_boundedness", {"q": 0.99, "p": 0.2},
+                                 SeriesControl(40000))
+    assert result.passed
+
+
+# ROADMAP item 13's verify sweep, q unset or 0.5, 0.9, 0.99 by p: each
+# cell's exit code and stderr line, those of a case-by-case loop
+SWEEP = [
+    (None, 0.05, 3,
+     'numerical error: lemma integrand factor t**-0.95 leaves float range at'
+     ' p=0.05; first at node t=0.0'),
+    (None, 0.2, 0, ""),
+    (None, 0.5, 0, ""),
+    (None, 1, 0, ""),
+    (None, 2, 0, ""),
+    (None, 5, 1,
+     'failing identities: caputo_equivalence'),
+    (None, 10, 1,
+     'failing identities: caputo_equivalence'),
+    (None, 15, 1,
+     'failing identities: caputo_equivalence'),
+    (None, 20, 3,
+     'numerical error: corollary integrand factor t**-19.0 leaves float '
+     'range at p=20.0; first at node t=4.323713773987623e-17'),
+    (None, 50, 3,
+     'numerical error: corollary integrand factor t**-49.0 leaves float '
+     'range at p=50.0; first at node t=3.720086999999998e-07'),
+    (None, 100, 3,
+     'numerical error: kernel row factor t**-50.0 leaves float range at '
+     'p=100.0; first at node t=5.314409999999998e-07'),
+    (None, 1100, 2,
+     'p: q**p underflows to 0 at q=0.3, p=1100.0'),
+    (None, 2000, 2,
+     'p: q**p underflows to 0 at q=0.3, p=2000.0'),
+    (0.5, 0.05, 0, ""),
+    (0.5, 0.2, 0, ""),
+    (0.5, 0.5, 0, ""),
+    (0.5, 1, 0, ""),
+    (0.5, 2, 0, ""),
+    (0.5, 5, 0, ""),
+    (0.5, 10, 0, ""),
+    (0.5, 15, 1,
+     'failing identities: caputo_equivalence'),
+    (0.5, 20, 0, ""),
+    (0.5, 50, 3,
+     'numerical error: corollary integrand factor t**-49.0 leaves float '
+     'range at p=50.0; first at node t=3.337860107421875e-07'),
+    (0.5, 100, 3,
+     'numerical error: corollary integrand factor t**-99.0 leaves float '
+     'range at p=100.0; first at node t=0.00068359375'),
+    (0.5, 1100, 2,
+     'p: q**p underflows to 0 at q=0.5, p=1100.0'),
+    (0.5, 2000, 2,
+     'p: q**p underflows to 0 at q=0.5, p=2000.0'),
+    (0.9, 0.05, 3,
+     'numerical error: q-product with base 0.998421 and q=0.994746 needs '
+     '7434 factors, exceeding max_terms=5000; raise SeriesControl.max_terms '
+     '(the CLI reads it from QFRAC_MAX_TERMS)'),
+    (0.9, 0.2, 0, ""),
+    (0.9, 0.5, 0, ""),
+    (0.9, 1, 0, ""),
+    (0.9, 2, 0, ""),
+    (0.9, 5, 0, ""),
+    (0.9, 10, 0, ""),
+    (0.9, 15, 0, ""),
+    (0.9, 20, 0, ""),
+    (0.9, 50, 3,
+     'numerical error: corollary integrand factor t**-49.0 leaves float '
+     'range at p=50.0; first at node t=4.654111829205032e-07'),
+    (0.9, 100, 3,
+     'numerical error: corollary integrand factor t**-99.0 leaves float '
+     'range at p=100.0; first at node t=0.0007427816283975318'),
+    (0.9, 1100, 3,
+     'numerical error: q-power factor t**1430.0 leaves float range at '
+     'p=1100.0; first at node t=2.0'),
+    (0.9, 2000, 3,
+     'numerical error: q-power factor t**1600.0 leaves float range at '
+     'p=2000.0; first at node t=2.0'),
+    (0.99, 0.05, 3,
+     'numerical error: q-product with base 0.999849 and q=0.999498 needs '
+     '77899 factors, exceeding max_terms=5000; raise SeriesControl.max_terms'
+     ' (the CLI reads it from QFRAC_MAX_TERMS)'),
+    (0.99, 0.2, 3,
+     'numerical error: q-product with base 0.999397 and q=0.997992 needs '
+     '19477 factors, exceeding max_terms=5000; raise SeriesControl.max_terms'
+     ' (the CLI reads it from QFRAC_MAX_TERMS)'),
+    (0.99, 0.5, 3,
+     'numerical error: q-product with base 0.998494 and q=0.994987 needs '
+     '7793 factors, exceeding max_terms=5000; raise SeriesControl.max_terms '
+     '(the CLI reads it from QFRAC_MAX_TERMS)'),
+    (0.99, 1, 0, ""),
+    (0.99, 2, 0, ""),
+    (0.99, 5, 0, ""),
+    (0.99, 10, 0, ""),
+    (0.99, 15, 0, ""),
+    (0.99, 20, 0, ""),
+    (0.99, 50, 3,
+     'numerical error: corollary integrand factor t**-49.0 leaves float '
+     'range at p=50.0; first at node t=5.107185639407543e-07'),
+    (0.99, 100, 3,
+     'numerical error: corollary integrand factor t**-99.0 leaves float '
+     'range at p=100.0; first at node t=0.0007687054800791219'),
+    (0.99, 1100, 3,
+     'numerical error: q-power factor t**1430.0 leaves float range at '
+     'p=1100.0; first at node t=2.0'),
+    (0.99, 2000, 3,
+     'numerical error: q-power factor t**1600.0 leaves float range at '
+     'p=2000.0; first at node t=2.0'),
+]
+
+
+@pytest.mark.parametrize("q,p,code,line", SWEEP,
+                         ids=[f"{q}-{p}" for q, p, _, _ in SWEEP])
+def test_verify_sweep_cell(tmp_path, capsys, q, p, code, line):
+    text = ("" if q is None else f"q = {q}\n") + f"p = {p}\n"
+    out = str(tmp_path / "report.json")
+    assert main(["verify", "--config", write_cfg(tmp_path, text),
+                 "--out", out]) == code
+    assert capsys.readouterr().err == (line + "\n" if line else "")
+
+
+def _lemma_case_sum(params, alpha, lam, x, ctrl):
+    """One lemma case's Jackson sum at x, its integrand a function alone."""
+    q, p, factor = params.q, params.p, "lemma integrand factor"
+    head = _power(x, p * (alpha + lam) - 1.0, p, factor)
+    integrand = _FromTable(lambda t: head * _power(
+        t / x, p * (1.0 + lam) - 1.0, p, factor) * _kernel_weights(
+        p * math.log(q), alpha - 1.0, p * math.log(q * t[0] / x), len(t),
+        ctrl))
+    return jackson_integral(integrand, 0.0, x, q, ctrl)
+
+
+@pytest.mark.parametrize("restrict", [None, {"p": 0.5}, {"q": 0.99, "p": 5.0}],
+                         ids=str)
+def test_batched_passes_give_each_case_its_own_calls_bits(restrict):
+    """Each identity's batched pass (a family over cases, a vector of
+    orders, a vector of points) gives every case the bits of the call a
+    case-by-case loop makes."""
+    ctrl, orders = DEFAULT_INTEGRATION_CTRL, verify._ORDERS.tolist()
+    for q, p in verify._pairs(restrict):
+        params = QParams(q, p)
+        assert verify._lemma_sums(params, ctrl)[0].tolist() == [
+            _lemma_case_sum(params, alpha, lam, x, ctrl)
+            for alpha, lam in LEMMA_CASES for x in verify._LEMMA_XS]
+
+        ctx = OperatorContext(params, a=0.25, ctrl=ctrl)
+        f, _ = verify._family(q, p, 2)
+        got = caputo_rl_relation_residual(f, np.array((0.9, 1.0)),
+                                          verify._ORDERS, ctx)
+        for i, alpha in enumerate(orders):
+            for j, x in enumerate((0.9, 1.0)):
+                want = caputo_rl_relation_residual(f, x, FracOrder(alpha), ctx)
+                assert got[i, :, j].tolist() == want.tolist()
+
+        ctx = OperatorContext(params, a=0.0, ctrl=ctrl)
+        f, _ = verify._family(q, p, 3)
+        e, c = verify._exponents(q, p, 3)
+        g = _FromTable(lambda w: c * _power(w, e - p, p))
+        xs = (0.7, 1.0, 0.7 * q, q)
+        got = caputo_derivative(f, np.array(xs[:2]), verify._ORDERS, ctx)
+        both = [1.0 - a for a in orders] + [2.0 - a for a in orders]
+        j_got = frac_integral(g, np.array(xs), np.array(both), ctx)
+        for j, x in enumerate(xs):
+            for i, alpha in enumerate(orders):
+                if j < 2:
+                    assert got[i, :, j].tolist() == caputo_derivative(
+                        f, x, FracOrder(alpha), ctx).tolist()
+            for i, order in enumerate(both):
+                assert j_got[i, :, j].tolist() == frac_integral(
+                    g, x, order, ctx).tolist()
+
+        lattice = QLattice(1.0, q, 12)
+        f, dqf = verify._family(q, p)
+        inverted = inversion_residuals(f, lattice, verify._ORDERS, ctx)
+        for i, alpha in enumerate(orders):
+            order = FracOrder(alpha)
+            for route in (caputo_derivative, caputo_derivative_simplified):
+                args = (f, lattice) if route is caputo_derivative else (
+                    f, dqf, lattice)
+                assert route(*args, verify._ORDERS, ctx)[i].tolist() == route(
+                    *args, order, ctx).tolist()
+            for k, want in enumerate(inversion_residuals(f, lattice, order,
+                                                         ctx)):
+                assert inverted[k][i].tolist() == want.tolist()
+
+
+def test_family_jackson_rows_are_their_own_sums():
+    """Each row of a family's Jackson sum is the float of its own call; a
+    row that stops blocks before another is not tabulated again, and a
+    row's own limit b gives its own nodes."""
+    exponents = np.array([1.5, 0.05])  # at q = 0.9: blocks 2 and 3
+    widths = []
+
+    def table(w, e):
+        widths.append(len(e))
+        return w ** e[:, None]
+
+    got = jackson_integral_zero(_FromTable(table, exponents), 1.0, 0.9)
+    assert widths == [2, 2, 1]
+    single = [jackson_integral_zero(_FromTable(lambda w, e=e: w ** e), b,
+                                    0.9) for e in exponents.tolist()
+              for b in (1.0, 2.0)]
+    assert got.tolist() == single[::2]
+    limits = np.array([1.0, 2.0, 1.0, 2.0])
+    rows = _FromTable(lambda w, e: w ** e[:, None], np.repeat(exponents, 2))
+    assert jackson_integral(rows, 0.0, limits, 0.9).tolist() == single

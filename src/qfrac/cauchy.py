@@ -141,24 +141,27 @@ def _fft_length(n: int) -> int:
 
 
 class _Convolution:
-    """x, 2 rows - 1 long -> the rows = len(table) valid values of x
-    convolved with a fixed table: np.convolve, or past the crossover a real
-    FFT with the table's transform computed once (Hairer, Lubich and
-    Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985). The transform pays
+    """x, `span` long -> the rows = len(table) valid values of x convolved
+    with a fixed table: np.convolve of 2 rows - 1 values, or past the
+    crossover a real FFT with the table's transform computed once
+    (Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985),
+    which pads x from rows on with the zeros it needs. The transform pays
     only because every Picard step reuses it."""
 
     def __init__(self, table: np.ndarray):
         self.table, self.rows = table, len(table)
-        self.size = 0
+        self.size, self.span = 0, 2 * self.rows - 1
         if self.rows ** 2 >= _FFT_MIN_MADDS:
-            self.size = _fft_length(2 * self.rows - 1)
+            self.size, self.span = _fft_length(self.span), self.rows
             self.spectrum = np.fft.rfft(table, self.size)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         if self.size:
-            full = np.fft.irfft(np.fft.rfft(x, self.size) * self.spectrum,
-                                self.size)
-            return full[self.rows - 1:2 * self.rows - 1]
+            spectrum = np.fft.rfft(x, self.size)
+            spectrum *= self.spectrum
+            full = np.fft.irfft(spectrum, self.size)
+            # a copy, which lets the size-long transform go
+            return full[self.rows - 1:2 * self.rows - 1].copy()
         return np.convolve(x, self.table, "valid")
 
 
@@ -201,9 +204,9 @@ class _PicardEngine:
         self.head = kernel.head
         self.active = _Convolution(kernel.upper[n - m:])
         self.corrections = {}  # E < m -> its correlation
-        # the fixed sums, negated: x - 0.0 is x bit for bit (-0.0 too), and
-        # at a = 0 there are none
-        self.tail = np.zeros(m)
+        # the fixed sums, negated; at a = 0 there are none, and a step skips
+        # subtracting them: x - 0.0 is x bit for bit (-0.0 too)
+        self.tail = None
         if problem.a > 0.0:  # the rhs at zeta: rows below a, then [0, a]
             fixed = _tabulate(problem.rhs, np.append(
                 self.nodes[m:], _nodes(problem.a, problem.params.q, n)),
@@ -211,7 +214,7 @@ class _PicardEngine:
             self.points += fixed.size
             self.tail = -kernel.apply(np.append(np.zeros(m), fixed[:n - m]),
                                       fixed[n - m:])
-        self.g = np.zeros(2 * m - 1)  # zero past m: tail has those rows
+        self.g = np.zeros(self.active.span)  # zero past m: tail has those rows
         self.steps = 0
         self.load(np.full(len(self.nodes), problem.zeta))
 
@@ -257,12 +260,15 @@ class _PicardEngine:
             self.g[moved] = g
             self.sums = self.active(self.g)
         else:
-            dg = np.zeros(2 * rows - 1)
+            correction = self._correction(rows)
+            dg = np.zeros(correction.span)
             dg[moved] = g - self.g[moved]
             self.g[moved] = g
-            self.sums[:e] += self._correction(rows)(dg)[:e]
-        new = problem.zeta + self.coef * (self.head[:e] * self.sums[:e]
-                                          - self.tail[:e])
+            self.sums[:e] += correction(dg)[:e]
+        new = self.head[:e] * self.sums[:e]
+        if self.tail is not None:
+            new -= self.tail[:e]
+        new = problem.zeta + self.coef * new
         # rows past e were checked when written; inf and NaN fail here
         if not np.abs(new - problem.zeta).max(initial=0.0) <= problem.radius_r:
             bad = ~np.isfinite(new)

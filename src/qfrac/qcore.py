@@ -157,7 +157,12 @@ def _checked_product(out, t, power, p: float, factor: str, *tables):
     return out
 
 
-_BLOCK = 1 << 16  # table entries per numpy pass
+# A q-ratio pass sums its elements in blocks of at most _BLOCK table
+# entries, an entry being one factor column of one element. Per entry a
+# block holds two floats, the factor logs of both products (their
+# difference and its suffix sums are formed in place), and a byte of the
+# product-length mask; the few lead columns of log1mexp hold a few more.
+_BLOCK = 1 << 14
 
 
 def _log_q_ratio(log_r, log_s, log_q: float, n: int, ctrl: SeriesControl):
@@ -170,7 +175,8 @@ def _log_q_ratio(log_r, log_s, log_q: float, n: int, ctrl: SeriesControl):
     The ratios are suffix sums, from the tail, of paired factor logs
     log|1 - b q**m|: log1p(-b q**m), or log|expm1(log b + m log q)| where
     b q**m > 1/2 (Maechler's log1mexp). Each element stops at its own
-    product length, so its value does not depend on the array around it.
+    product length, so its value does not depend on the array around it,
+    nor on the block of elements (_BLOCK) it is summed in.
     A zero denominator factor gives +inf or NaN.
     """
     log_r, log_s = (np.asarray(v, dtype=float) for v in (log_r, log_s))
@@ -183,15 +189,28 @@ def _log_q_ratio(log_r, log_s, log_q: float, n: int, ctrl: SeriesControl):
             f"{math.exp(log_q):.6g} needs {longest} factors, exceeding "
             f"max_terms={ctrl.max_terms}; raise SeriesControl.max_terms (the "
             f"CLI reads it from QFRAC_MAX_TERMS)")
-    width = n - 1 + longest
-    rows = max(1, _BLOCK // width)
-    if top.size > rows:  # blocks of elements bound the table
-        flat = [np.broadcast_to(v, top.shape).ravel() for v in (log_r, log_s)]
-        logs, sign = np.empty((2, top.size, n))
-        for blk in (slice(lo, lo + rows) for lo in range(0, top.size, rows)):
-            logs[blk], sign[blk] = _log_q_ratio(
-                flat[0][blk], flat[1][blk], log_q, n, ctrl)
-        return logs.reshape(top.shape + (n,)), sign.reshape(top.shape + (n,))
+    rows = max(1, _BLOCK // (n - 1 + longest))
+    # copies: on a reversed view numpy's exp takes a loop with other bits
+    if top.size <= rows:
+        logs, sign = _ratio_block(log_r, log_s, top, steps, log_q, n)
+        return logs.copy(), sign
+    flat = [np.broadcast_to(v, top.shape).ravel()
+            for v in (log_r, log_s, top, steps)]
+    logs = np.empty((top.size, n))
+    signs = np.ones_like(logs) if top.max() > 0.0 else None
+    for blk in (slice(lo, lo + rows) for lo in range(0, top.size, rows)):
+        logs[blk], sign = _ratio_block(*(v[blk] for v in flat), log_q, n)
+        if signs is not None:
+            signs[blk] = sign
+    shape = top.shape + (n,)
+    return logs.reshape(shape), 1.0 if signs is None else signs.reshape(shape)
+
+
+def _ratio_block(log_r, log_s, top, steps, log_q: float, n: int):
+    """_log_q_ratio on one block of elements, its tables as long as the
+    block's own longest product: the log ratios as a reversed view of the
+    block's table, and their signs."""
+    width = n + 2 + int(steps.max(initial=0.0))
     t_max = float(top.max(initial=-np.inf))
     bases = np.empty(top.shape + (2, 1))
     bases[..., 0, 0], bases[..., 1, 0] = log_r, log_s
@@ -209,14 +228,12 @@ def _log_q_ratio(log_r, log_s, log_q: float, n: int, ctrl: SeriesControl):
         if top.size > 1 and steps.min() < steps.max():
             terms[np.arange(width) >= n + 2 + steps[..., None]] = 0.0
         sums = np.cumsum(terms[..., ::-1], axis=-1, out=f[..., 0, :])
-    # a copy: on a reversed view numpy's exp takes a loop with other bits
-    logs = sums[..., :-n - 1:-1].copy()
     sign = 1.0
     if t_max > 0.0:  # a base above 1: count the negative factors
         below = np.count_nonzero(z > 0.0, axis=-1)
         flips = np.maximum(below[..., None] - np.arange(n), 0).sum(axis=-2)
         sign = 1.0 - 2.0 * (flips % 2)
-    return logs, sign
+    return sums[..., :-n - 1:-1], sign
 
 
 def _kernel_weights(log_Q, beta, log_c, n: int,

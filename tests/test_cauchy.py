@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -570,6 +571,23 @@ class TestIncrementalStep:
                    if isinstance(t, np.ndarray))
         assert (sum(c.spectrum.nbytes for c in extra if c.size)
                 < 2 * engine.active.spectrum.nbytes)
+
+    def test_solve_at_q_0999_a_0_peaks_under_20_floats_per_node(self):
+        # 34,525 nodes: at a = 0 the engine keeps no zero tail and a g of
+        # n_active values, and a step's FFT returns its rows apart from the
+        # padded inverse transform; with those kept, the peak is 20.8
+        problem = self.problem(compiled_rhs("u"), 0.999)
+        lattice = QLattice(1.0, 0.999, 12)
+        ctrl = SeriesControl(max_terms=40000)
+        nodes = len(solver_nodes(problem, ctrl))
+        solve(problem, lattice, max_iter=300, ctrl=ctrl)  # imports, caches
+        tracemalloc.start()
+        try:
+            assert solve(problem, lattice, max_iter=300, ctrl=ctrl).converged
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 8 * nodes
 
     @pytest.mark.parametrize("source", SOLVE_GRID_RHS)
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qfrac
+from qfrac import qcore
 from qfrac.errors import ConvergenceError, DomainError, PoleError
 from qfrac.qcore import (
     QParams,
@@ -206,6 +207,40 @@ class TestArrayProducts:
         got = q_power_general(x, ys, alpha, params)
         assert got.shape == (len(ys), len(alpha))
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("n", (1, 40))
+    def test_blocked_pass_equals_element_calls(self, monkeypatch, n):
+        """A pass over more elements than a block holds runs its blocks
+        inside the one call; each element keeps the bits, values and signs,
+        of a call of its own, whatever its product length or block."""
+        q = 0.9
+        log_q = math.log(q)
+        rng = np.random.default_rng(48)
+        # bases q**u from q**-6 (above 1) down to q**40, and a zero base
+        u = rng.uniform(-6.0, 40.0, 200)
+        log_r = u * log_q
+        log_r[17] = -np.inf
+        log_s = log_r + rng.uniform(-1.5, 1.5, 200) * log_q
+        blocks = []
+
+        def counting(*args):
+            blocks.append(np.size(args[0]))
+            return block(*args)
+
+        block = qcore._ratio_block
+        monkeypatch.setattr(qcore, "_ratio_block", counting)
+        ctrl = SeriesControl()
+        logs, sign = qcore._log_q_ratio(log_r, log_s, log_q, n, ctrl)
+        monkeypatch.undo()
+        assert len(blocks) > 2 and sum(blocks) == 200
+        sign = np.broadcast_to(sign, logs.shape)
+        for i in range(200):
+            one, one_sign = qcore._log_q_ratio(log_r[i], log_s[i], log_q, n,
+                                               ctrl)
+            assert logs[i].tobytes() == one.tobytes()
+            assert sign[i].tobytes() == np.broadcast_to(
+                one_sign, (n,)).tobytes()
+        assert np.any(sign < 0.0)
 
     def test_edges(self):
         params = QParams(0.5, 2.0)

@@ -38,6 +38,7 @@ from .qcore import (
     QParams,
     SeriesControl,
     _SUM_ABS_TOL,
+    _check_budget,
     _power,
     _sum_length,
     q_gamma,
@@ -167,8 +168,8 @@ class _Convolution:
 
 class _PicardEngine:
     """Steps the Picard iterate phi, a node-value table over the solver
-    table, in place. Nodes above a come first, so the active rows are a
-    prefix of it.
+    table, in place, from a copy of prev (by default zeta everywhere).
+    Nodes above a come first, so the active rows are a prefix of it.
 
     Below a the iterates extend by the constant zeta, so the integrand
     there, the kernel sums over it and the subtracted sums over [0, a] are
@@ -176,7 +177,7 @@ class _PicardEngine:
     values g with the first m LatticeKernel weights; they and its row heads
     carry the weight w**(p-1), so the rows convolve the rhs at one scale.
     It keeps g, the unscaled sums and `moved`, the rows to re-tabulate g
-    at: every active row after a load, else those whose bits the last step
+    at: every active row at first, else those whose bits the last step
     changed. Row i sums g from i on, so a change of g below row e changes
     only the first e sums, and the step rewrites only those rows. Past a
     row count where the bookkeeping pays, and when E, the next power of two
@@ -187,7 +188,8 @@ class _PicardEngine:
     overflows to inf or NaN, which the step raises on."""
 
     @np.errstate(over="ignore", invalid="ignore")
-    def __init__(self, problem: CauchyProblem, ctrl: SeriesControl):
+    def __init__(self, problem: CauchyProblem, ctrl: SeriesControl,
+                 prev: Sequence[float] | None = None):
         self.problem = problem
         self.points = 0
         self.nodes = solver_nodes(problem, ctrl)
@@ -216,16 +218,15 @@ class _PicardEngine:
                                       fixed[n - m:])
         self.g = np.zeros(self.active.span)  # zero past m: tail has those rows
         self.steps = 0
-        self.load(np.full(len(self.nodes), problem.zeta))
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def load(self, prev: np.ndarray) -> None:
-        """Take a copy of prev, a table over the solver nodes, as the
-        iterate to step from."""
-        self.phi = np.array(prev, dtype=float)
-        # phi is not the image of g and the sums: the next step forms them
-        self.moved = np.arange(self.n_active)
-        self._check_region(self.phi)
+        self.phi = np.array(np.full(len(self.nodes), problem.zeta)
+                            if prev is None else prev, dtype=float)
+        if self.phi.shape != self.nodes.shape:
+            raise DomainError(
+                f"prev has {len(self.phi) if self.phi.ndim == 1 else '?'} "
+                f"values, expected one per solver node ({len(self.nodes)})")
+        # phi is not the image of g and the sums: the first step forms them
+        self.moved = np.arange(m)
+        self._check_region(self.phi[:m])
 
     def _check_region(self, rows: np.ndarray) -> None:
         """Note the first of the leading rows of phi outside the trust
@@ -253,7 +254,7 @@ class _PicardEngine:
         g = _tabulate(problem.rhs, self.active_nodes[moved], phi[moved])
         self.points += len(g)
         # row i sums g from i on, so rows past e keep their sums and phi;
-        # after a load every row moved, and every row is rewritten
+        # at the first step every row moved, and every row is rewritten
         e = int(moved[-1]) + 1 if len(moved) else 0
         rows = min(1 << max(e - 1, 0).bit_length(), m)
         if rows == m or m < _INCREMENTAL_MIN_ROWS:
@@ -290,14 +291,7 @@ def picard_iterate(prev: Sequence[float], problem: CauchyProblem,
                    ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL) -> np.ndarray:
     """One Picard step: phi_next(t) = zeta + J^alpha f(., phi_prev)(t) on the
     solver_nodes table. prev must be given on that same table."""
-    prev = np.asarray(prev, dtype=float)
-    engine = _PicardEngine(problem, ctrl)
-    if prev.shape != engine.nodes.shape:
-        raise DomainError(
-            f"prev has {prev.shape[0] if prev.ndim == 1 else '?'} "
-            f"values, expected one per solver node ({len(engine.nodes)})"
-        )
-    engine.load(prev)
+    engine = _PicardEngine(problem, ctrl, prev)
     engine.step()
     engine.phi[engine.n_active:] = problem.zeta  # the iterate below a
     return engine.phi
@@ -423,11 +417,8 @@ def q_mittag_leffler(x: float, m: int, order: FracOrder, params: QParams,
         raise DomainError(f"m must be nonnegative, got {m}")
     if x < 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
-    if m > ctrl.max_terms:
-        raise ConvergenceError(
-            f"q-Mittag-Leffler partial sum needs m={m} terms, exceeding "
-            f"max_terms={ctrl.max_terms}; raise SeriesControl.max_terms "
-            f"(the CLI reads it from QFRAC_MAX_TERMS)")
+    _check_budget(m, ctrl,
+                  lambda: f"q-Mittag-Leffler partial sum needs m={m} terms")
     alpha = order.alpha
     q, p = params.q, params.p
     pq = q_number(p, q)

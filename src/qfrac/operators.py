@@ -86,20 +86,17 @@ def _alpha_of(order):
 
 def _all(test, alpha) -> bool:
     """test at one order, or at every order of an ndarray."""
-    if isinstance(alpha, np.ndarray):
-        return all(map(test, alpha.tolist()))
-    return test(alpha)
+    return all(map(test, np.ravel(alpha).tolist()))
 
 
-def _each(fn, orders, *tables, ndim: int = 1):
+def _each(fn, orders, *tables):
     """fn(orders, *tables) for one order; for an ndarray of orders, fn at
-    each order and its rows of the tables, stacked on a leading axis of
-    at least ndim axes. An order's scalars stay Python floats, as in its
-    own pass: numpy's power can round apart from Python's."""
+    each order and its rows of the tables, stacked on a leading axis. An
+    order's scalars stay Python floats, as in its own pass: numpy's power
+    can round apart from Python's."""
     if not isinstance(orders, np.ndarray):
         return fn(orders, *tables)
-    values = np.array([fn(*args) for args in zip(orders.tolist(), *tables)])
-    return values.reshape(values.shape + (1,) * (ndim - values.ndim))
+    return np.array([fn(*args) for args in zip(orders.tolist(), *tables)])
 
 
 def _convolve(x: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -181,12 +178,10 @@ class LatticeKernel:
         self.lower = None
         if a > 0.0:  # one table per order and point
             self.low_scale = (a / nodes) ** e
-            log_c = [p * math.log(a * q / t)
-                     for t in np.ravel(nodes[..., -1]).tolist()]
+            log_c = np.reshape([p * math.log(a * q / t) for t in np.ravel(
+                nodes[..., -1]).tolist()], nodes.shape[:-1])
             if nodes.ndim > 1:  # the points' axis after the orders'
-                log_c, beta = np.array(log_c), np.expand_dims(beta, -1)
-            else:
-                log_c = log_c[0]
+                beta = np.expand_dims(beta, -1)
             self.lower = _kernel_weights(log_Q, beta, log_c, rows + n - 1,
                                          ctrl)[..., ::-1]
 
@@ -217,12 +212,6 @@ class LatticeKernel:
                                 self.params.p, "kernel row factor", *sums)
 
 
-def _check_above(x: float, a: float) -> None:
-    if not x > a:
-        raise DomainError(f"evaluation point must exceed the lower limit, "
-                          f"got s={x}, a={a}")
-
-
 def _grid(x, ctx: OperatorContext, extra: int = 0):
     """The grid b q**j one kernel pass over x reads, plus `extra` rows (1
     for a q-difference stencil, whose x reads qx > a), and x's row count:
@@ -236,7 +225,9 @@ def _grid(x, ctx: OperatorContext, extra: int = 0):
     else:
         xs, b = np.ravel(x).tolist(), x
     for t in xs:
-        _check_above(t, a)
+        if not t > a:
+            raise DomainError(f"evaluation point must exceed the lower "
+                              f"limit, got s={t}, a={a}")
         if extra and not q * t > a:
             raise DomainError(
                 f"q-difference stencil leaves the domain at x={t}: "
@@ -248,8 +239,6 @@ def _grid(x, ctx: OperatorContext, extra: int = 0):
 
 def _table(f, nodes) -> np.ndarray:
     """f at an array of nodes in one tabulation, a family's axes first."""
-    if nodes.ndim == 1:
-        return _tabulate(f, nodes)
     table = _tabulate(f, nodes.ravel())
     return table.reshape(table.shape[:-1] + nodes.shape)
 
@@ -414,18 +403,19 @@ def caputo_rl_relation_residual(f: ScalarFunction, x, order,
       - f(a) ([p]_q)**alpha / Gamma_Q(1-alpha) * (x**p - a**p)^(-alpha).
 
     Approximately zero whenever both derivative types exist. x and order
-    are as for frac_integral: an ndarray of points gives their residuals
-    on a last axis, and an ndarray of orders one row of them per order.
+    are as for frac_integral: a lattice or an ndarray of points gives its
+    residuals on a last axis, and an ndarray of orders one row per order.
     """
     alpha = _alpha_of(order)
     fa = f(ctx.a)
+    xs = np.array(x.nodes) if isinstance(x, QLattice) else x
     fa_col, exponent = np.expand_dims(fa, -1), -alpha  # fa_col: one per row
-    if isinstance(x, np.ndarray):  # the points' axis is last
+    if isinstance(xs, np.ndarray):  # the points' axis is last
         fa, exponent = fa_col, np.expand_dims(exponent, -1)
     coef = q_number(ctx.params.p, ctx.params.q)
     shift = _each(lambda a, gamma, power: fa * (coef ** a / gamma) * power,
                   alpha, q_gamma(1.0 - alpha, ctx.params.qp, ctx.ctrl),
-                  q_power_general(x, ctx.a, exponent, ctx.params, ctx.ctrl))
+                  q_power_general(xs, ctx.a, exponent, ctx.params, ctx.ctrl))
 
     def table(w):
         t = _tabulate(f, w)
@@ -434,9 +424,9 @@ def caputo_rl_relation_residual(f: ScalarFunction, x, order,
     # D f and cD f (the RL derivative of f - f(a)) as one family pass over
     # [f, f - f(a)], f tabulated once: each row keeps its own pass's bits
     d, cd = np.split(frac_derivative_rl(_FromTable(table), x, alpha, ctx), 2,
-                     axis=-1 - np.ndim(x))
+                     axis=-1 - np.ndim(xs))
     return _value(np.reshape(d - cd, np.shape(alpha) + fa_col.shape[:-1]
-                             + np.shape(x))) - shift
+                             + np.shape(xs))) - shift
 
 
 def bound_constant(order, ctx: OperatorContext, b: float,
@@ -447,9 +437,9 @@ def bound_constant(order, ctx: OperatorContext, b: float,
     max over the q-lattice of [a, b] of |(x**p - a**p)^(alpha)|.
 
     For alpha > 0 the q-power grows with x, so the max is its value at b.
-    At a = 0 it is b**(p alpha), numpy's array power, as q_power_general's.
     gamma is Gamma_Q(alpha) where the caller holds it already, as a
-    LatticeKernel of beta = alpha - 1 does; by default q_gamma's.
+    LatticeKernel of beta = alpha - 1 does; by default q_gamma's. An
+    ndarray of orders gives one bound per order, each its own call's bits.
     """
     alpha = _alpha_of(order)
     if not b > ctx.a:
@@ -457,10 +447,8 @@ def bound_constant(order, ctx: OperatorContext, b: float,
     q, p = ctx.params.q, ctx.params.p
     if gamma is None:
         gamma = q_gamma(alpha, ctx.params.qp, ctx.ctrl)
-    coef = q_number(p, q) ** (1.0 - alpha) / (q_number(p * alpha, q) * gamma)
-    if ctx.a == 0.0:
-        return coef * float(_power(np.array([b]), np.array([p * alpha]), p,
-                                   "q-power factor")[0])
+    coef = _each(lambda a, g: q_number(p, q) ** (1.0 - a)
+                 / (q_number(p * a, q) * g), alpha, gamma)
     return coef * abs(q_power_general(b, ctx.a, alpha, ctx.params, ctx.ctrl))
 
 

@@ -102,17 +102,22 @@ def q_factorial(n: int, q: float) -> float:
     return out
 
 
+def _check_budget(count: int, ctrl: SeriesControl, needs) -> None:
+    """ConvergenceError where a sum or product needs count > max_terms
+    terms; needs() says what needs how many, formed only then."""
+    if count > ctrl.max_terms:
+        raise ConvergenceError(
+            f"{needs()}, exceeding max_terms={ctrl.max_terms}; raise "
+            f"SeriesControl.max_terms (the CLI reads it from QFRAC_MAX_TERMS)")
+
+
 def _sum_length(q: float, p: float, ctrl: SeriesControl) -> int:
     """Terms per operator Jackson sum: they carry q**i from the Jackson
     weight and w**(p-1) from the integrand, so they decay at least like
     (q**min(1, p))**i for bounded f."""
     rate = q ** min(1.0, p)
     n = int(math.ceil(math.log(_SUM_ABS_TOL) / math.log(rate))) + _SUM_RUN
-    if n > ctrl.max_terms:
-        raise ConvergenceError(
-            f"operator Jackson sum needs {n} terms, exceeding "
-            f"max_terms={ctrl.max_terms}; raise SeriesControl.max_terms "
-            f"(the CLI reads it from QFRAC_MAX_TERMS)")
+    _check_budget(n, ctrl, lambda: f"operator Jackson sum needs {n} terms")
     return n
 
 
@@ -183,12 +188,9 @@ def _log_q_ratio(log_r, log_s, log_q: float, n: int, ctrl: SeriesControl):
     top = np.maximum(log_r, log_s)
     steps = np.maximum(np.ceil((_LOG_TOL - top) / log_q), 0.0)
     longest = 3 + int(steps.max(initial=0.0))  # factors until |b q**m| < tol
-    if longest > ctrl.max_terms:
-        raise ConvergenceError(
-            f"q-product with base {math.exp(top.max()):.6g} and q="
-            f"{math.exp(log_q):.6g} needs {longest} factors, exceeding "
-            f"max_terms={ctrl.max_terms}; raise SeriesControl.max_terms (the "
-            f"CLI reads it from QFRAC_MAX_TERMS)")
+    _check_budget(longest, ctrl, lambda: (
+        f"q-product with base {math.exp(top.max()):.6g} and q="
+        f"{math.exp(log_q):.6g} needs {longest} factors"))
     rows = max(1, _BLOCK // (n - 1 + longest))
     # copies: on a reversed view numpy's exp takes a loop with other bits
     if top.size <= rows:

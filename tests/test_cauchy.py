@@ -159,6 +159,20 @@ class TestPicardStep:
         with pytest.raises(TrustRegionError):
             picard_iterate(bad, problem)
 
+    def test_rows_at_or_below_a_are_not_region_checked(self):
+        # the map never reads prev at nodes <= a, and the iterate resets
+        # them to zeta, so values there outside the region are ignored
+        problem = CauchyProblem(rhs=lambda t, u: math.sin(t) - u, a=0.25,
+                                b=1.0, zeta=1.0, order=FracOrder(0.5),
+                                params=QParams(0.5), radius_r=1.0)
+        nodes = solver_nodes(problem)
+        prev = 1.0 + 0.5 * nodes
+        prev[nodes <= 0.25] = problem.zeta
+        far = np.where(nodes > 0.25, prev, 50.0)
+        assert np.count_nonzero(far == 50.0) > 0
+        assert (picard_iterate(far, problem).tobytes()
+                == picard_iterate(prev, problem).tobytes())
+
 
 class TestSolve:
     def test_zero_rhs(self):
@@ -629,7 +643,7 @@ class TestIncrementalStep:
         first = engine.phi.copy()
         signed = np.zeros(len(engine.nodes))
         signed[3] = -0.0
-        engine.load(signed)
+        engine = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL, signed)
         engine.step()
         assert np.array_equal(engine.phi, picard_iterate(signed, problem))
         assert not np.array_equal(engine.phi, first)
@@ -653,23 +667,6 @@ class TestIncrementalStep:
         assert engine.phi.tobytes() == prev.tobytes()
         assert sizes == [engine.n_active, 0]
 
-    def test_a_load_retabulates_every_active_row(self):
-        sizes = []
-        zero = compiled_rhs("0*u")
-
-        class Spy:
-            def table(self, t, u):
-                sizes.append(np.size(u))
-                return zero.table(t, u)
-
-        engine = _PicardEngine(self.problem(Spy(), zeta=2.0),
-                               DEFAULT_INTEGRATION_CTRL)
-        engine.step()
-        engine.load(engine.phi.copy())
-        sizes.clear()
-        engine.step()
-        assert sizes == [engine.n_active] == [331]
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_engine_holds_its_own_float_guard(self):
         # built and stepped with no errstate around it: u*1e307 overflows
@@ -689,13 +686,13 @@ class TestIncrementalStep:
         assert np.all(out == 2.0)
 
     def test_loaded_nan_is_tabulated_not_taken_for_the_seed(self):
-        # a load marks every row moved, a loaded NaN among them; f does
-        # not read u, so the step from NaN is the step from zeta
+        # a first step marks every row moved, a given NaN among them; f
+        # does not read u, so the step from NaN is the step from zeta
         problem = self.problem(lambda t, u: 1.0, zeta=2.0)
         want = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
         want.step()
-        engine = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL)
-        engine.load(np.full(len(engine.nodes), math.nan))
+        engine = _PicardEngine(problem, DEFAULT_INTEGRATION_CTRL,
+                               np.full(len(want.nodes), math.nan))
         engine.step()
         assert engine.phi.tobytes() == want.phi.tobytes()
 

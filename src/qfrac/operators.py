@@ -173,8 +173,8 @@ class LatticeKernel:
         self.upper = (weights * self.jackson)[..., ::-1]
         self.power = _each(lambda b: ((1.0 + p * b) + (e - 1.0)) + outer,
                            beta)
-        self.head = (1.0 - q) * _power(nodes, np.asarray(self.power).tolist(),
-                                       p)
+        self.head = (1.0 - q) * _each(lambda power: _power(nodes, power, p),
+                                      self.power)
         self.lower = None
         if a > 0.0:  # one table per order and point
             self.low_scale = (a / nodes) ** e
@@ -205,9 +205,9 @@ class LatticeKernel:
         if f_low is not None and self.lower is not None:
             sums.append(_convolve(self.jackson * f_low, lead(self.lower)))
             row = row - self.low_scale * sums[1]
-        power = self.power  # one per order, leading the sums' axes
-        if orders:
-            power = power.reshape(power.shape + (1,) * (f.ndim - 1))
+        # one per order, leading the sums' axes
+        power = np.reshape(self.power,
+                           np.shape(self.power) + (1,) * (f.ndim - 1))
         return _checked_product(lead(self.head) * row, self.nodes, power,
                                 self.params.p, "kernel row factor", *sums)
 
@@ -316,34 +316,27 @@ def frac_integral(f: ScalarFunction, x, order,
                                  ctx))
 
 
-def lemma_beta_integral(a: float, x, order_alpha: float, lam: float,
-                        params: QParams,
+def lemma_beta_integral(a: float, x, order_alpha, lam, params: QParams,
                         ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):
     """Closed form of the beta-type q-integral
     int_a^x t**(p-1) (x**p - (qt)**p)^(alpha-1) (t**p - a**p)^(lambda) d_q t
     = (1/[p]_q) * Gamma_Q(alpha) Gamma_Q(lambda+1) / Gamma_Q(alpha+lambda+1)
       * (x**p - a**p)^(alpha+lambda),  Q = q**p.
 
-    An ndarray of x gives the array of values, with the q-Gammas computed
-    once.
+    ndarrays of x, alpha and lambda broadcast to the array of values, from
+    one q-Gamma pass and one q-power call; both are elementwise, so each
+    value is the bits of its own call.
     """
-    if not order_alpha > 0.0:
+    if not _all(lambda v: v > 0.0, order_alpha):
         raise DomainError(f"alpha must be positive, got {order_alpha}")
-    if not lam > -1.0:
+    if not _all(lambda v: v > -1.0, lam):
         raise DomainError(f"lambda must exceed -1, got {lam}")
     if not (np.all(np.asarray(x) > a) and a >= 0.0):
         raise DomainError(f"need x > a >= 0, got x={x}, a={a}")
-    return (float(_lemma_constants(order_alpha, lam, params, ctrl))
+    g_alpha, g_lam, g_sum = q_gamma(np.array(np.broadcast_arrays(
+        order_alpha, lam + 1.0, order_alpha + lam + 1.0)), params.qp, ctrl)
+    return (_value(g_alpha * g_lam / g_sum / q_number(params.p, params.q))
             * q_power_general(x, a, order_alpha + lam, params, ctrl))
-
-
-def _lemma_constants(alpha, lam, params: QParams, ctrl: SeriesControl):
-    """The lemma's Gamma_Q(alpha) Gamma_Q(lambda+1) / Gamma_Q(alpha+lambda+1)
-    / [p]_q, for floats or equal-shape arrays of alpha and lambda, from one
-    q-Gamma pass (q_gamma is elementwise, so each keeps its bits)."""
-    g_alpha, g_lam, g_sum = q_gamma(
-        np.array([alpha, lam + 1.0, alpha + lam + 1.0]), params.qp, ctrl)
-    return g_alpha * g_lam / g_sum / q_number(params.p, params.q)
 
 
 def frac_derivative_rl(f: ScalarFunction, x, order,

@@ -123,18 +123,8 @@ def _sum_length(q: float, p: float, ctrl: SeriesControl) -> int:
 
 def _power(t, power, p: float, factor: str = "kernel row factor"):
     """t**power, numpy's for an array of nodes (and a float or array power)
-    and Python's for a float. A list of float powers gives t**power at
-    each, stacked on a leading axis, where t is one array or a list of one
-    per power: each with a scalar power, as a call of its own (numpy
-    takes a scalar 0, 1, -1, 0.5 or 2 apart). Past float range, as a large
-    p takes it at small or large nodes, _checked_product raises
-    ConvergenceError."""
-    if isinstance(power, list):
-        rows = t if isinstance(t, list) else [t] * len(power)
-        with np.errstate(over="ignore", divide="ignore"):
-            out = np.array([row ** e for row, e in zip(rows, power)])
-        return _checked_product(out, np.array(rows), np.reshape(
-            power, (-1,) + (1,) * (out.ndim - 1)), p, factor)
+    and Python's for a float. Past float range, as a large p takes it at
+    small or large nodes, _checked_product raises ConvergenceError."""
     if isinstance(t, np.ndarray):
         with np.errstate(over="ignore", divide="ignore"):
             return _checked_product(t ** power, t, power, p, factor)

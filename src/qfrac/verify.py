@@ -20,13 +20,13 @@ import numpy as np
 from .operators import (
     FracOrder,
     OperatorContext,
-    _lemma_constants,
     bound_constant,
     caputo_derivative,
     caputo_derivative_simplified,
     caputo_rl_relation_residual,
     frac_integral,
     inversion_residuals,
+    lemma_beta_integral,
 )
 from .qcalc import (
     QLattice,
@@ -89,21 +89,19 @@ _LEMMA_XS = (0.5, 1.0, 2.0)
 
 def _lemma_sums(params: QParams, ctrl):
     """The lemma's Jackson sums and closed forms, one per case and x (x
-    fastest). The closed forms take one q-Gamma and one q-power call, both
-    elementwise, so each keeps lemma_beta_integral's bits; a q-power past
-    float range (x = 2, p >= 465) fails at its first case and node, as a
-    case-by-case loop does, since at such p no earlier sum fails. The sums
-    are one family: a block of the nodes of [0, x] is t_0 q**i, and the
-    q-power at q t is x**(p beta) k_i at c = (q t_0 / x)**p; one head
-    x**(p (alpha + lam) - 1), rounded as the closed form's exponent, times
-    (t / x)**(p (1 + lam) - 1) k_i, a block's rows sharing a weight table
-    per (alpha, x)."""
+    fastest). The closed forms are one lemma_beta_integral call, each the
+    bits of its own case's call; a q-power past float range (x = 2, p >=
+    465) fails at its first case and node, as a case-by-case loop does,
+    since at such p no earlier sum fails. The sums are one family: a block
+    of the nodes of [0, x] is t_0 q**i, and the q-power at q t is x**(p
+    beta) k_i at c = (q t_0 / x)**p; one head x**(p (alpha + lam) - 1),
+    rounded as the closed form's exponent, times (t / x)**(p (1 + lam) -
+    1) k_i, a block's rows sharing a weight table per (alpha, x)."""
     q, p, factor = params.q, params.p, "lemma integrand factor"
     alphas, lams = np.array(list(itertools.product((0.3, 0.7, 1.2),
                                                    (0.0, 0.5, 1.0)))).T
-    closed = (_lemma_constants(alphas, lams, params, ctrl)[:, None]
-              * q_power_general(np.array(_LEMMA_XS), 0.0,
-                                (alphas + lams)[:, None], params, ctrl))
+    closed = lemma_beta_integral(0.0, np.array(_LEMMA_XS), alphas[:, None],
+                                 lams[:, None], params, ctrl)
     xs = np.tile(_LEMMA_XS, len(alphas))
     alphas, lams = (np.repeat(v, len(_LEMMA_XS)) for v in (alphas, lams))
     heads = [_power(x, p * s - 1.0, p, factor)
@@ -116,8 +114,8 @@ def _lemma_sums(params: QParams, ctrl):
         firsts = list(dict.fromkeys(tables))
         weights = _kernel_weights(p * math.log(q), *np.array(firsts).T,
                                   t.shape[-1], ctrl)
-        return (head[:, None] * _power(list(t / x[:, None]), (
-            p * (1.0 + lam) - 1.0).tolist(), p, factor)
+        return (head[:, None] * _power(t / x[:, None], (
+            p * (1.0 + lam) - 1.0)[:, None], p, factor)
             * weights[[firsts.index(k) for k in tables]])
 
     family = _FromTable(table, alphas, lams, xs, np.array(heads))

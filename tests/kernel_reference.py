@@ -104,7 +104,9 @@ def kernel_sum(g, s: float, beta: float, ctx: OperatorContext) -> float:
     head = s ** (p * beta)
 
     def one_sided(base: float) -> float:
-        c = (base * q / s) ** p
+        # q**p itself at base = s: (s q / s)**p rounds apart at s and qs,
+        # and D's q-difference of the two sums cancels to few digits
+        c = q ** p if base == s else (base * q / s) ** p
         k = kernel_weights(Q, beta, c, n, _SUM_ABS_TOL).tolist()
         total = 0.0
         qi = 1.0

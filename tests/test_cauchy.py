@@ -267,6 +267,12 @@ class TestSolve:
             solve(linear_problem(r=0.05), QLattice(1.0, 0.5, 8),
                   max_iter=150)
 
+    def test_trust_region_exit_at_the_last_step(self):
+        # the step whose iterate leaves the region raises: no report holds it
+        with pytest.raises(TrustRegionError) as info:
+            solve(linear_problem(r=0.01), QLattice(1.0, 0.5, 8), max_iter=1)
+        assert info.value.node == 1.0
+
     def test_lattice_deeper_than_solver_table(self):
         # the q = 0.5 solver table holds 53 nodes
         with pytest.raises(DomainError, match="largest depth it allows is 53"):

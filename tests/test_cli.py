@@ -679,6 +679,11 @@ class TestFailurePaths:
          "operator J gave inf at node x=1"),
         ("solve", SOLVE_BASE + "rhs = (u*1e308*10)*0\n", None, 3,
          "Picard step 1 gave a non-finite value at node t=1.0"),
+        # the step whose iterate leaves the trust region raises, also the
+        # last step max_iter allows
+        ("solve", EVAL_BASE + "zeta = 1\nrhs = u\nr = 0.01\nmax_iter = 1\n",
+         None, 5, "trust-region exit: iterate left trust region at node "
+         "t=1.0 (value 2.0859231828858142)"),
         ("solve", SOLVE_BASE + "rhs = u\n", "0", 2, "QFRAC_MAX_TERMS: "),
         ("solve", SOLVE_BASE + "rhs = u\nlattice_depth = 100\n", None, 2,
          "lattice_depth: "),

@@ -75,18 +75,18 @@ class OperatorContext:
             raise DomainError(f"lower limit a must be nonnegative, got {self.a}")
 
 
-def _alpha_of(order):
+def _alpha_of(order, test=lambda a: True, domain=""):
     """Accept a FracOrder or a bare float order (the operators also serve
     auxiliary orders like 1 - alpha and sums alpha + beta <= 1), or an
-    ndarray of orders, for one result per order on a leading axis."""
-    if isinstance(order, FracOrder):
-        return order.alpha
-    return order if isinstance(order, np.ndarray) else float(order)
-
-
-def _all(test, alpha) -> bool:
-    """test at one order, or at every order of an ndarray."""
-    return all(map(test, np.ravel(alpha).tolist()))
+    ndarray of orders, for one result per order on a leading axis. The
+    first order that fails test raises DomainError: "<domain>, got <it>"."""
+    alpha = order.alpha if isinstance(order, FracOrder) else order
+    array = isinstance(alpha, np.ndarray)
+    alpha = alpha if array else float(alpha)
+    for a in alpha.ravel().tolist() if array else (alpha,):
+        if not test(a):
+            raise DomainError(f"{domain}, got {a}")
+    return alpha
 
 
 def _each(fn, orders, *tables):
@@ -101,12 +101,9 @@ def _each(fn, orders, *tables):
 
 def _convolve(x: np.ndarray, table: np.ndarray) -> np.ndarray:
     """np.convolve(x, table, "valid") along the last axis, the leading axes
-    broadcast. A stack is one np.vecdot of the windows of the longer with
-    the shorter reversed, each value the BLAS dot np.convolve takes past
-    11 terms (a stack's sum of at most 11, at q**min(1, p) < 0.014, may
-    round apart from its row's own call)."""
-    if x.ndim == table.ndim == 1:  # one sum: np.convolve costs less
-        return np.convolve(x, table, "valid")
+    broadcast: one np.vecdot of the windows of the longer with the shorter
+    reversed. Each value is one dot of its own row, alone or in a stack,
+    the BLAS dot np.convolve takes past 11 terms."""
     if x.shape[-1] < table.shape[-1]:
         x, table = table, x
     n = table.shape[-1]
@@ -309,9 +306,8 @@ def frac_integral(f: ScalarFunction, x, order,
     at a point), and an ndarray of m orders m such results from one pass,
     each the bits of its own order's call.
     """
-    alpha = _alpha_of(order)
-    if not _all(lambda a: a > 0.0, alpha):
-        raise DomainError(f"integral order must be positive, got {alpha}")
+    alpha = _alpha_of(order, lambda a: a > 0.0,
+                      "integral order must be positive")
     return _at(x, _integral_rows(*_on_lattice(f, x, ctx, 0, alpha), alpha,
                                  ctx))
 
@@ -327,10 +323,9 @@ def lemma_beta_integral(a: float, x, order_alpha, lam, params: QParams,
     one q-Gamma pass and one q-power call; both are elementwise, so each
     value is the bits of its own call.
     """
-    if not _all(lambda v: v > 0.0, order_alpha):
-        raise DomainError(f"alpha must be positive, got {order_alpha}")
-    if not _all(lambda v: v > -1.0, lam):
-        raise DomainError(f"lambda must exceed -1, got {lam}")
+    order_alpha = _alpha_of(order_alpha, lambda v: v > 0.0,
+                            "alpha must be positive")
+    lam = _alpha_of(lam, lambda v: v > -1.0, "lambda must exceed -1")
     if not (np.all(np.asarray(x) > a) and a >= 0.0):
         raise DomainError(f"need x > a >= 0, got x={x}, a={a}")
     g_alpha, g_lam, g_sum = q_gamma(np.array(np.broadcast_arrays(
@@ -347,12 +342,12 @@ def frac_derivative_rl(f: ScalarFunction, x, order,
     evaluated at x and qx, the next row of the lattice; order 0 is the
     identity. x and order are as for frac_integral.
     """
-    alpha = _alpha_of(order)
-    if _all(lambda a: a == 0.0, alpha):
+    alpha = _alpha_of(order, lambda a: 0.0 <= a < 1.0,
+                      "derivative order must lie in [0, 1)")
+    if not (alpha.any() if isinstance(alpha, np.ndarray) else alpha):
         grid, rows, _ = _grid(x, ctx)
         return _at(x, _table(f, grid[..., :rows]))
-    if not _all(lambda a: 0.0 < a < 1.0, alpha):
-        raise DomainError(f"derivative order must lie in [0, 1), got {alpha}")
+    _alpha_of(alpha, lambda a: a > 0.0, "derivative order must lie in (0, 1)")
     return _at(x, _derivative_rows(*_on_lattice(f, x, ctx, 1, alpha), alpha,
                                    ctx))
 
@@ -377,9 +372,8 @@ def caputo_derivative_simplified(f: ScalarFunction, dqf: ScalarFunction,
     Jackson sum produces the shifted kernel, and only that form reproduces the
     definitional Caputo derivative. x and order are as for frac_integral.
     """
-    alpha = _alpha_of(order)
-    if not _all(lambda a: 0.0 < a < 1.0, alpha):
-        raise DomainError(f"derivative order must lie in (0, 1), got {alpha}")
+    alpha = _alpha_of(order, lambda a: 0.0 < a < 1.0,
+                      "derivative order must lie in (0, 1)")
     dq_grid, dq_low, grid, rows = _on_lattice(dqf, x, ctx, 0, alpha)
     kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl,
                            grid[..., :rows], "1")
@@ -463,14 +457,14 @@ def inversion_residuals(f: ScalarFunction, lattice: QLattice, order,
     """
     alpha = _alpha_of(order)
     q, a = ctx.params.q, ctx.a
+    fa = np.expand_dims(f(a), -1)
+    stack = np.shape(alpha) + fa.shape[:-1]
     rows = sum(1 for x in lattice.nodes if q * x > a)
     if rows == 0:
-        return 0.0, 0.0
+        return _value(np.zeros(stack)), _value(np.zeros(stack))
     n = _sum_length(q, ctx.params.p, ctx.ctrl)
     f_grid, f_low, grid, rows = _on_lattice(
         f, replace(lattice, depth=rows), ctx, n, alpha)
-    fa = np.expand_dims(f(a), -1)
-    stack = np.shape(alpha) + fa.shape[:-1]
 
     jf = np.zeros(stack + (rows + n,))
     live = int(np.count_nonzero(grid[:rows + n] > a))

@@ -237,7 +237,11 @@ def _kernel_weights(log_Q, beta, log_c, n: int,
     last axis, each the bits of its own pass."""
     logs, sign = _log_q_ratio(log_c, log_c + beta * log_Q, log_Q, n, ctrl)
     if not np.all(logs < np.inf):
-        raise PoleError(f"kernel denominator product vanishes (beta={beta})")
+        pole = ~np.all(logs < np.inf, axis=-1)
+        beta, c = (float(np.broadcast_to(v, pole.shape)[pole][0])
+                   for v in (beta, np.exp(log_c)))
+        raise PoleError(f"kernel denominator product vanishes (beta={beta})"
+                        f" at c={c}")
     return sign * np.exp(logs)
 
 
@@ -284,16 +288,8 @@ def q_power_general(x, y, alpha, params: QParams,
     out = _power(x, params.p * alpha, params.p, "q-power factor")
     out[y == x] = 0.0
     inner = (y / x > 0.0) & (y < x)  # a y/x that underflows is y = 0
-    if np.any(inner):
-        x, y, alpha = x[inner], y[inner], alpha[inner]
-        log_Q = params.p * math.log(params.q)
-        log_r = params.p * np.log(y / x)
-        logs, sign = _log_q_ratio(log_r, log_r + alpha * log_Q, log_Q, 1,
-                                  ctrl)
-        pole = ~(logs[:, 0] < np.inf)
-        if np.any(pole):
-            raise PoleError(
-                f"generalized q-power pole: denominator product vanishes at "
-                f"x={x[pole][0]}, y={y[pole][0]}, alpha={alpha[pole][0]}")
-        out[inner] *= (sign * np.exp(logs))[:, 0]
+    if np.any(inner):  # the kernel weight k_0 at c = (y/x)**p
+        out[inner] *= _kernel_weights(
+            params.p * math.log(params.q), alpha[inner],
+            params.p * np.log(y[inner] / x[inner]), 1, ctrl)[:, 0]
     return float(out[0]) if scalar else out.reshape(shape)

@@ -329,10 +329,31 @@ class TestChecks:
          "derivative order must lie in (0, 1), got 0.0"),
         (lambda: bound_constant(FracOrder(0.5), CTX, 0.0),
          "need b > a, got b=0.0, a=0.0"),
+        # an ndarray of orders: one line naming the first failing order
+        (lambda: lemma_beta_integral(0.0, np.array([0.5, 1.0]), np.array(
+            [[0.5], [-0.5]]), 0.0, QParams(0.5)),
+         "alpha must be positive, got -0.5"),
+        (lambda: lemma_beta_integral(0.0, 1.0, 0.5, np.array([[0.0], [-1.0]]),
+                                     QParams(0.5)),
+         "lambda must exceed -1, got -1.0"),
+        (lambda: frac_integral(lambda w: w, LATTICE, np.array([0.5, -0.25]),
+                               CTX),
+         "integral order must be positive, got -0.25"),
+        (lambda: frac_derivative_rl(lambda w: w, LATTICE,
+                                    np.array([0.5, 1.0]), CTX),
+         "derivative order must lie in [0, 1), got 1.0"),
+        (lambda: frac_derivative_rl(lambda w: w, LATTICE,
+                                    np.array([0.0, 0.5]), CTX),
+         "derivative order must lie in (0, 1), got 0.0"),
+        (lambda: caputo_derivative_simplified(
+            lambda w: w, lambda w: 1.0, LATTICE, np.array([[0.5], [1.0]]),
+            CTX),
+         "derivative order must lie in (0, 1), got 1.0"),
     ])
     def test_domain_error(self, make, message):
-        with pytest.raises(DomainError, match=re.escape(message)):
+        with pytest.raises(DomainError) as err:
             make()
+        assert str(err.value) == message
 
     def test_kernel_pole_at_beta_minus_one(self):
         with pytest.raises(PoleError, match=re.escape(
@@ -431,6 +452,11 @@ class TestInversion:
         ctx = OperatorContext(QParams(0.5), a=0.6)
         assert inversion_residuals(lambda w: w, QLattice(1.0, 0.5, 3),
                                    FracOrder(0.5), ctx) == (0.0, 0.0)
+        # a family with an ndarray of orders: zeros of the result's shape
+        family = tabled(lambda w: np.stack([m(w) for m in MEMBERS[:2]]))
+        for residual in inversion_residuals(family, QLattice(1.0, 0.5, 3),
+                                            np.array([0.25, 0.75]), ctx):
+            assert residual.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
     def test_constant_right_residual(self):
         # cD kills constants, so J(cD f) recovers f - f(a) = 0 exactly
@@ -520,21 +546,25 @@ def tabled(table):
 
 
 MEMBERS = (lambda w: 1.0 + 0.5 * w, lambda w: (w - 0.3) * w,
-           lambda w: ((0.2 * w - 1.0) * w + 0.7) * w - 2.0)
+           lambda w: ((0.2 * w - 1.0) * w + 0.7) * w - 2.0,
+           lambda w: 1.0 / (1.0 + w))
 
 
 class TestFamilies:
     """A family of k functions, one callable whose table is a (k, N)
     stack, shares one kernel pass: each of its rows is the single call."""
 
+    # q <= 0.013: kernels of at most 11 terms
     @pytest.mark.parametrize("q,depth", [(0.5, 10), (0.9, 12), (0.99, 4),
-                                         (0.99, 130)])
+                                         (0.99, 130), (0.005, 4), (0.01, 4),
+                                         (0.013, 4)])
     @pytest.mark.parametrize("a", (0.0, 0.25))
     @pytest.mark.parametrize("p", PS)
     def test_rows_equal_single_calls(self, q, depth, a, p):
         ctx = OperatorContext(QParams(q, p), a=a)
-        # floor a/q: every node's q-difference stencil stays above a
-        lattice = QLattice(1.0, q, depth, floor_a=a / q)
+        # floor a/q: every node's q-difference stencil stays above a (at
+        # a small q, b lies above the floor)
+        lattice = QLattice(max(1.0, 2.0 * a / q), q, depth, floor_a=a / q)
         rows = len(lattice.nodes)
         singles = [tabled(m) for m in MEMBERS]
         d_singles = [tabled(lambda w, m=m: m(w) * w - 1.0) for m in MEMBERS]

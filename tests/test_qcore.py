@@ -257,8 +257,10 @@ class TestArrayProducts:
         with pytest.raises(DomainError, match="x must be positive"):
             q_power_general(np.array([1.0, -1.0]), 0.0, 0.5, params)
         # (q**alpha y/x; q)_inf has the factor 1 - 2 * 0.5 = 0
-        with pytest.raises(PoleError):
+        with pytest.raises(PoleError) as err:
             q_power_general(1.0, 0.5, -1.0, params)
+        assert str(err.value) == (
+            "kernel denominator product vanishes (beta=-1.0) at c=0.5")
         with pytest.raises(PoleError):
             q_power_general(np.ones(2), np.array([0.25, 0.5]), -1.0, params)
 

@@ -341,13 +341,11 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
     residuals: list[float] = []
     bounds: list[float] = []
     converged = False
-    iterations = 0
     for n in range(1, max_iter + 1):
         change = engine.step()[:rows]
         residual = float(np.abs(change).max(initial=0.0))
         residuals.append(residual)
         bounds.append(_induction_bound(n, c_bound, a_const, k_est))
-        iterations = n
         if residual < tol:
             converged = True
             break
@@ -363,7 +361,7 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
         residuals=residuals,
         apriori_bounds=bounds,
         converged=converged,
-        iterations_used=iterations,
+        iterations_used=len(residuals),
         k_estimate=k_est,
         stop_reason="converged" if converged else "max_iter",
         n_nodes=len(engine.nodes),

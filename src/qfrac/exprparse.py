@@ -23,14 +23,13 @@ Every operator and function is its numpy float64 ufunc: + - * / and unary
 minus round as Python floats do, while exp, log and ^ can differ from
 `math` in the last bit (sin, cos, sqrt and abs agree with it). `compile`
 turns an AST into one closure per node, built once, over whole arrays;
-a call at one point runs it over one-element arrays, so a table's
-element is bit for bit the call at that element. `evaluate` is such a
-call.
+a call at one point, as `evaluate` makes, is its table at that element,
+so a table's element is bit for bit the call there. On an error the
+table runs the element loop to raise.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 import re
 from dataclasses import dataclass
@@ -375,10 +374,10 @@ def compile(expr: Expr, names: Sequence[str],
 
     Its attribute table(*arrays) gives f at every element of the broadcast
     arrays, as a new float array, from one pass over whole arrays (no
-    numpy warning escapes it). Each element is bit for bit f at that
-    element: f itself runs the same pass over one-element arrays. If the
-    pass meets a domain error, table calls f element by element in C
-    order instead, so it raises the error that loop would.
+    numpy warning escapes it). f itself is table at one element, so each
+    element is bit for bit f at that element. If the pass meets a domain
+    error, table runs the element loop in C order instead, to raise the
+    first failing element's error (an empty table has none).
     """
     names = tuple(names)
     index = {name: i for i, name in enumerate(names)}
@@ -386,44 +385,38 @@ def compile(expr: Expr, names: Sequence[str],
              if name not in index}
     root = _build(expr, index, bound)
 
-    def check_arity(args: tuple) -> None:
-        if len(args) != len(names):
-            raise TypeError(f"expected {len(names)} arguments "
-                            f"({', '.join(names)}), got {len(args)}")
-
     def run(cols: list):
         with np.errstate(all="ignore"):
             return root(cols)
 
-    def fn(*args: float) -> float:
-        check_arity(args)
-        # shape (1,), never 0-d: numpy's power treats a 0-d exponent as a
-        # scalar one, which can round differently from an array
-        values = run([np.array([float(x)]) for x in args])
-        return float(values[0] if np.ndim(values) else values)
-
     def table(*arrays) -> np.ndarray:
-        check_arity(arrays)
+        if len(arrays) != len(names):
+            raise TypeError(f"expected {len(names)} arguments "
+                            f"({', '.join(names)}), got {len(arrays)}")
         cols = [np.asarray(x, dtype=float) for x in arrays]
         shape = cols[0].shape if cols else ()
         if any(c.shape != shape for c in cols):
             shape = np.broadcast_shapes(*(c.shape for c in cols))
-        # one unit-stride column per variable: a broadcast column has
-        # stride 0, which numpy's power treats as a scalar exponent, and a
-        # reversed one stride -8, where exp takes a loop with other bits
+        # one unit-stride column per variable, (1,) at a point: numpy's power
+        # takes a 0-d or broadcast (stride 0) column as a scalar exponent,
+        # and a reversed one (stride -8) takes an exp loop with other bits
         if len(shape) != 1 or not all(c.shape == shape and c.strides == (8,)
                                       for c in cols):
             cols = [np.broadcast_to(c, shape).flatten() for c in cols]
         try:
             values = run(cols)
         except EvalError:
-            rows = (zip(*(c.tolist() for c in cols)) if cols
-                    else [()] * math.prod(shape))
-            values = np.array([fn(*row) for row in rows])
+            # the C-order element loop raises its first element's error
+            for row in zip(*(c.tolist() for c in cols)) if cols else [()]:
+                run([np.array([x]) for x in row])
+            values = np.empty(0)
         if np.ndim(values) == 0:
             return np.full(shape, values, dtype=float)
         values = np.array(values, dtype=float)  # a new array
         return values if values.shape == shape else values.reshape(shape)
+
+    def fn(*args: float) -> float:
+        return float(table(*args))
 
     fn.table = table
     return fn

@@ -326,8 +326,9 @@ def lemma_beta_integral(a: float, x, order_alpha, lam, params: QParams,
     order_alpha = _alpha_of(order_alpha, lambda v: v > 0.0,
                             "alpha must be positive")
     lam = _alpha_of(lam, lambda v: v > -1.0, "lambda must exceed -1")
-    if not (np.all(np.asarray(x) > a) and a >= 0.0):
-        raise DomainError(f"need x > a >= 0, got x={x}, a={a}")
+    for v in np.ravel(x).tolist():
+        if not (v > a and a >= 0.0):
+            raise DomainError(f"need x > a >= 0, got x={v}, a={a}")
     g_alpha, g_lam, g_sum = q_gamma(np.array(np.broadcast_arrays(
         order_alpha, lam + 1.0, order_alpha + lam + 1.0)), params.qp, ctrl)
     return (_value(g_alpha * g_lam / g_sum / q_number(params.p, params.q))
@@ -346,7 +347,7 @@ def frac_derivative_rl(f: ScalarFunction, x, order,
                       "derivative order must lie in [0, 1)")
     if not (alpha.any() if isinstance(alpha, np.ndarray) else alpha):
         grid, rows, _ = _grid(x, ctx)
-        return _at(x, _table(f, grid[..., :rows]))
+        return _at(x, _each(lambda _: _table(f, grid[..., :rows]), alpha))
     _alpha_of(alpha, lambda a: a > 0.0, "derivative order must lie in (0, 1)")
     return _at(x, _derivative_rows(*_on_lattice(f, x, ctx, 1, alpha), alpha,
                                    ctx))

@@ -136,8 +136,9 @@ def jackson_integral_zero(f: ScalarFunction, b, q: float,
     per row, and the family's table then takes a row of nodes per row.
     """
     _check_q(q)
-    if not np.all(np.asarray(b) > 0.0):
-        raise DomainError(f"b must be positive, got {b}")
+    for v in np.ravel(b).tolist():
+        if not v > 0.0:
+            raise DomainError(f"b must be positive, got {v}")
     b = np.expand_dims(b, -1) if isinstance(b, np.ndarray) else b
     qi, start, size, live = 1.0, 0, 64, None
     # qi *= q and total += term of a term-by-term loop are the sequential
@@ -191,8 +192,9 @@ def jackson_integral(f: ScalarFunction, a: float, b, q: float,
         raise DomainError(f"a must be nonnegative, got {a}")
     if np.all(a == b):
         return 0.0 * b
-    if np.any(a > b):
-        raise DomainError(f"need a <= b, got a={a}, b={b}")
+    for v in np.ravel(b).tolist():
+        if a > v:
+            raise DomainError(f"need a <= b, got a={a}, b={v}")
     total = jackson_integral_zero(f, b, q, ctrl)
     if a > 0.0:
         total -= jackson_integral_zero(f, a, q, ctrl)

@@ -122,12 +122,10 @@ def _lemma_sums(params: QParams, ctrl):
     return jackson_integral(family, 0.0, xs, q, ctrl), closed.ravel()
 
 
-def _check_lemma(restrict, ctrl) -> float:
-    errors = []
+def _check_lemma(restrict, ctrl):
     for q, p in _pairs(restrict):
         lhs, rhs = _lemma_sums(QParams(q, p), ctrl)
-        errors.append(np.abs(lhs - rhs) / np.abs(rhs))
-    return _worst(errors)
+        yield np.abs(lhs - rhs) / np.abs(rhs)
 
 
 def _qpower_draws(restrict) -> list[tuple[float, ...]]:
@@ -140,10 +138,9 @@ def _qpower_draws(restrict) -> list[tuple[float, ...]]:
              rng.uniform(0.5, 2.0), rng.random()) for _ in range(100)]
 
 
-def _check_qpower_derivatives(restrict, ctrl) -> float:
+def _check_qpower_derivatives(restrict, ctrl):
     draws = _qpower_draws(restrict)
     rel = lambda lhs, rhs: np.abs(lhs - rhs) / np.maximum(np.abs(rhs), 1e-300)
-    errors = []
     for q, p in sorted({d[:2] for d in draws}):
         params = QParams(q, p)
         alpha, x, u = np.array([d[2:] for d in draws if d[:2] == (q, p)]).T
@@ -161,7 +158,7 @@ def _check_qpower_derivatives(restrict, ctrl) -> float:
             np.concatenate((alpha, alpha, alpha - 1.0, alpha[inner] - 1.0)),
             params, ctrl), np.cumsum([len(x)] * 3))
         lhs_x = (at_y - at_qx) / ((1.0 - q) * x)
-        errors.append(rel(lhs_x, x ** (p - 1.0) * qn * below))
+        yield rel(lhs_x, x ** (p - 1.0) * qn * below)
         # pw(x, y) - pw(x, qy) = -pw(x, y) expm1(L(Qr) - L(r)), with L the
         # log of the q-power's product ratio at r = (y/x)**p: that keeps its
         # digits where y**p << x**p, where the plain difference subtracts
@@ -172,8 +169,7 @@ def _check_qpower_derivatives(restrict, ctrl) -> float:
             logs = _log_q_ratio(np.log(r), np.log(params.qp**alpha * r),
                                 math.log(params.qp), 2, ctrl)[0]
         lhs_y = -at_y * np.expm1(logs[:, 1] - logs[:, 0]) / ((1.0 - q) * y)
-        errors.append(rel(lhs_y, -y ** (p - 1.0) * qn * below_qy))
-    return _worst(errors)
+        yield rel(lhs_y, -y ** (p - 1.0) * qn * below_qy)
 
 
 def _exponents(q: float, p: float, k: int):
@@ -200,19 +196,16 @@ def _horner(coeffs: np.ndarray):
 _ORDERS = np.array((0.25, 0.5, 0.75))
 
 
-def _check_caputo_relation(restrict, ctrl) -> float:
-    errors = []
+def _check_caputo_relation(restrict, ctrl):
     for q, p in _pairs(restrict):
         ctx = OperatorContext(QParams(q, p), a=0.25, ctrl=ctrl)
         f, _ = _family(q, p, 2)
         # qx must stay above a for the RL stencil, even at q = 0.3
-        errors.append(np.abs(caputo_rl_relation_residual(
-            f, np.array((0.9, 1.0)), _ORDERS, ctx)))
-    return _worst(errors)
+        yield np.abs(caputo_rl_relation_residual(
+            f, np.array((0.9, 1.0)), _ORDERS, ctx))
 
 
-def _check_caputo_equivalence(restrict, ctrl) -> float:
-    errors = []
+def _check_caputo_equivalence(restrict, ctrl):
     for q, p in _pairs(restrict):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
         powers, d_powers = _family(q, p)
@@ -229,15 +222,13 @@ def _check_caputo_equivalence(restrict, ctrl) -> float:
         # relative past 1e-8 / eps (4.5e7), where an ulp exceeds 1e-8
         big = np.abs(want) > 1e-8 / np.finfo(float).eps
         diff = np.abs(got - want) / np.where(big, np.abs(want), 1.0)
-        errors += [diff[:, :-1], diff[:, -1, :8]]
-    return _worst(errors)
+        yield from (diff[:, :-1], diff[:, -1, :8])
 
 
-def _check_corollary(restrict, ctrl) -> float:
+def _check_corollary(restrict, ctrl):
     """Caputo derivative through the plain q-derivative, two equivalent
     routes: cD f = J^(1-alpha)(w**(1-p) D_q f), and the same with the order
     raised to 2-alpha and the outer x**(1-p) D_q applied on top."""
-    errors = []
     for q, p in _pairs(restrict):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
         # w**(1-p) D_q f = [e]_q w**(e-p), one power per member
@@ -254,11 +245,10 @@ def _check_corollary(restrict, ctrl) -> float:
         via_j, at_x, at_qx = j[:3, :, :2], j[3:, :, :2], j[3:, :, 2:]
         outer = np.array([x ** (1.0 - p) for x in xs.tolist()])
         wrapped = outer * ((at_x - at_qx) / ((1.0 - q) * xs))
-        errors += [np.abs(lhs - via_j), np.abs(lhs - wrapped)]
-    return _worst(errors)
+        yield from (np.abs(lhs - via_j), np.abs(lhs - wrapped))
 
 
-def _check_boundedness(restrict, ctrl) -> float:
+def _check_boundedness(restrict, ctrl):
     """max over the lattice of |J^0.5 f| minus bound_constant * sup |f|, for
     8 random quartics per (q, p) (seed 99) and 50 more (seed 20240817)
     dealt to the (q, p) pairs in turn. The sup is over every node the
@@ -266,7 +256,6 @@ def _check_boundedness(restrict, ctrl) -> float:
     pairs = _pairs(restrict)
     dealt = _coefficients(random.Random(20240817), 50)
     rng = random.Random(99)
-    errors = []
     for j, (q, p) in enumerate(pairs):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
         lattice = QLattice(1.0, q, 12)
@@ -276,18 +265,15 @@ def _check_boundedness(restrict, ctrl) -> float:
         f = _horner(np.vstack((_coefficients(rng, 8), dealt[j::len(pairs)])))
         lhs = np.max(np.abs(frac_integral(f, lattice, FracOrder(0.5), ctx)),
                      axis=-1)
-        errors.append(lhs - bound * sup_norm(f, norm_lattice))
-    return _worst(errors)
+        yield lhs - bound * sup_norm(f, norm_lattice)
 
 
-def _check_inversion(restrict, ctrl) -> float:
-    errors = []
+def _check_inversion(restrict, ctrl):
     for q, p in _pairs(restrict):
         ctx = OperatorContext(QParams(q, p), a=0.0, ctrl=ctrl)
         lattice = QLattice(1.0, q, 12)
         f, _ = _family(q, p)
-        errors += inversion_residuals(f, lattice, _ORDERS, ctx)
-    return _worst(errors)
+        yield from inversion_residuals(f, lattice, _ORDERS, ctx)
 
 
 _REGISTRY: dict[str, tuple[Callable, float]] = {
@@ -308,7 +294,7 @@ def run_identity(name: str, restrict: dict | None = None,
                  ) -> IdentityResult:
     """Run one identity check. A NaN error fails."""
     check, tol = _REGISTRY[name]
-    err = float(check(restrict, ctrl))
+    err = _worst(check(restrict, ctrl))
     return IdentityResult(name=name, max_error=err, tolerance=tol,
                           passed=bool(err <= tol))
 

@@ -263,6 +263,22 @@ class TestCompile:
         with pytest.raises(EvalError) as raised:
             f.table(np.array([1.0, 0.5, -1.0]), np.array([1.0, -1.0, 4.0]))
         assert str(raised.value) == "sqrt of negative value -1.0 in sqrt(u)"
+        # the first failing element in C order is (0, 1), a sqrt, although
+        # the whole-array pass fails first at log
+        with pytest.raises(EvalError) as raised:
+            f.table(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]))
+        assert str(raised.value) == "sqrt of negative value -1.0 in sqrt(u)"
+        # an empty table has no element to fail
+        got = compile(parse("-log(0)", VARS), ("t", "u")).table(
+            np.empty(0), np.empty(0))
+        assert got.shape == (0,)
+        # no names: the point call and the table raise the pass's error
+        g = compile(parse("log(0)", VARS), ())
+        for call in (g, g.table):
+            with pytest.raises(EvalError) as raised:
+                call()
+            assert str(raised.value) == (
+                "log of nonpositive value 0.0 in log(0.0)")
 
     def test_overflow_to_nan_warns_nothing(self):
         f = compile(parse("(u*1e308*10)*0", VARS), ("t", "u"))

@@ -174,12 +174,27 @@ class TestBetaIntegralLemma:
         with pytest.raises(DomainError, match="lambda must exceed -1, got"):
             lemma_beta_integral(0.0, x, 0.5, np.array([[0.0], [-1.0]]),
                                 params)
+        # a 2-D x names its first failing point, on one line
+        with pytest.raises(DomainError) as raised:
+            lemma_beta_integral(0.5, np.array([[1.0], [0.25]]), 0.5, 0.0,
+                                params)
+        assert str(raised.value) == "need x > a >= 0, got x=0.25, a=0.5"
 
 
 class TestRLDerivative:
     def test_order_zero_is_identity(self):
         ctx = OperatorContext(QParams(0.5, 2.0))
         assert frac_derivative_rl(lambda w: w**3, 1.2, 0.0, ctx) == 1.2**3
+        # an all-zero ndarray of orders keeps its orders axis, one row of
+        # the order-0 call's bits per order
+        ctx, lattice = OperatorContext(QParams(0.5)), QLattice(1.0, 0.5, 3)
+        for op in (frac_derivative_rl, caputo_derivative):
+            want = op(lambda w: w**3, lattice, 0.0, ctx)
+            got = op(lambda w: w**3, lattice, np.zeros(2), ctx)
+            assert got.shape == (2, 3)
+            assert got.tolist() == [want.tolist()] * 2
+            with pytest.raises(DomainError, match="got 0.0"):
+                op(lambda w: w**3, lattice, np.array([0.0, 0.5]), ctx)
 
     def test_monomials(self):
         for q in QS:

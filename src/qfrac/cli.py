@@ -22,7 +22,7 @@ import os
 import stat
 import sys
 import typing
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from . import cauchy, exprparse
 from .errors import ConvergenceError, DomainError, PoleError, TrustRegionError
@@ -34,7 +34,6 @@ from .verify import _QS, run_registry
 
 __all__ = ["main", "RunConfig", "load_config"]
 
-_COMMANDS = ("eval", "solve", "verify", "ml")
 _OPERATORS = ("J", "D", "caputo")
 
 
@@ -376,10 +375,8 @@ def _cmd_verify(cfg: RunConfig, ctrl: SeriesControl, out: str | None,
         "schema": 1,
         "config": cfg.resolved(),
         "identity_results": [
-            {"name": r.name,
-             "max_error": (r.max_error if math.isfinite(r.max_error)
-                           else None),
-             "tolerance": r.tolerance, "passed": r.passed}
+            {**asdict(r),
+             "max_error": r.max_error if math.isfinite(r.max_error) else None}
             for r in results
         ],
     }
@@ -389,6 +386,10 @@ def _cmd_verify(cfg: RunConfig, ctrl: SeriesControl, out: str | None,
         print("failing identities: " + ", ".join(failing), file=sys.stderr)
         return 1
     return 0
+
+
+_COMMANDS = {"eval": _cmd_eval, "solve": _cmd_solve, "verify": _cmd_verify,
+             "ml": _cmd_ml}
 
 
 @functools.cache
@@ -410,10 +411,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.command)
-        command = {"eval": _cmd_eval, "solve": _cmd_solve, "ml": _cmd_ml,
-                   "verify": _cmd_verify}
-        return command[args.command](cfg, _series_control(), args.out,
-                                     args.format)
+        return _COMMANDS[args.command](cfg, _series_control(), args.out,
+                                       args.format)
     except (ConfigError, exprparse.ParseError) as exc:
         print(str(exc), file=sys.stderr)
         return 2

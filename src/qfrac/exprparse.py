@@ -370,6 +370,7 @@ def compile(expr: Expr, names: Sequence[str],
 
     The function is called positionally, f(t, u) for names ("t", "u"), and
     returns a float, or raises EvalError naming the first node that fails.
+    An argument that is no number or array of numbers raises TypeError.
     An identifier bound by neither names nor consts raises EvalError here.
 
     Its attribute table(*arrays) gives f at every element of the broadcast
@@ -393,7 +394,9 @@ def compile(expr: Expr, names: Sequence[str],
         if len(arrays) != len(names):
             raise TypeError(f"expected {len(names)} arguments "
                             f"({', '.join(names)}), got {len(arrays)}")
-        cols = [np.asarray(x, dtype=float) for x in arrays]
+        # numbers only: asarray(x, dtype=float) would make None NaN
+        cols = [np.asarray(x).astype(float, copy=False, casting="same_kind")
+                for x in arrays]
         shape = cols[0].shape if cols else ()
         if any(c.shape != shape for c in cols):
             shape = np.broadcast_shapes(*(c.shape for c in cols))

@@ -306,6 +306,15 @@ class TestCompile:
         with pytest.raises(TypeError, match="expected 2 arguments"):
             f.table(np.ones(2))
 
+    def test_none_raises(self):
+        """None is no number: a cast to float would make it NaN."""
+        f = compile(parse("x + 1", {"x"}), ("x",))
+        for call, arg in ((f, None), (f.table, None),
+                          (f.table, [None, 1.0])):
+            with pytest.raises(TypeError):  # numpy's cannot-cast message
+                call(arg)
+        assert f.table([1, 2.5]).tolist() == [2.0, 3.5]
+
     @pytest.mark.parametrize("source,us", [
         ("log(u)", [2.0, 0.0, -1.0]),
         ("log(-u)", [-2.0, 3.0]),

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qfrac
-from qfrac import qcore
+from qfrac import cauchy, errors, operators, qcalc, qcore
 from qfrac.errors import ConvergenceError, DomainError, PoleError
 from qfrac.qcore import (
     QParams,
@@ -347,21 +347,22 @@ class TestInvariantsOfTypes:
         assert SeriesControl(max_terms=3).max_terms == 3
 
     def test_public_names_exist(self):
-        """Every name in a module's __all__ exists, and every public name
-        of the package is one of them (or of errors, which has no
-        __all__)."""
-        exported = set()
+        """Every name in a module's __all__ exists, and the package's public
+        names are exactly those of cauchy, operators, qcalc and qcore and
+        errors' exception classes (errors has no __all__)."""
         for info in pkgutil.iter_modules(qfrac.__path__):
             module = importlib.import_module(f"qfrac.{info.name}")
-            names = getattr(module, "__all__", None)
-            if names is None:
-                names = [n for n in vars(module) if not n.startswith("_")]
-            missing = [n for n in names if not hasattr(module, n)]
+            missing = [n for n in getattr(module, "__all__", ())
+                       if not hasattr(module, n)]
             assert not missing, (info.name, missing)
-            exported.update(names)
+        exported = {n for n, v in vars(errors).items()
+                    if isinstance(v, type) and issubclass(v, Exception)
+                    and v.__module__ == errors.__name__}
+        for module in (cauchy, operators, qcalc, qcore):
+            exported.update(module.__all__)
         public = {n for n, v in vars(qfrac).items() if not n.startswith("_")
                   and not isinstance(v, types.ModuleType)}
-        assert public <= exported, public - exported
+        assert public == exported, public ^ exported
 
 
 def mpmath_tolerance(q):

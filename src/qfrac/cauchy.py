@@ -236,13 +236,6 @@ class _PicardEngine:
             i = int(over.argmax())
             raise TrustRegionError(float(self.nodes[i]), float(rows[i]))
 
-    def _correction(self, rows: int) -> _Convolution:
-        conv = self.corrections.get(rows)
-        if conv is None:
-            conv = self.corrections[rows] = _Convolution(
-                self.active.table[self.n_active - rows:])
-        return conv
-
     @np.errstate(over="ignore", invalid="ignore")
     def step(self) -> np.ndarray:
         """Replace phi by the next iterate. Returns the change on the rows
@@ -260,7 +253,9 @@ class _PicardEngine:
             self.g[moved] = g
             self.sums = self.active(self.g)
         else:
-            correction = self._correction(rows)
+            if (correction := self.corrections.get(rows)) is None:
+                correction = self.corrections[rows] = _Convolution(
+                    self.active.table[m - rows:])
             dg = np.zeros(correction.span)
             dg[moved] = g - self.g[moved]
             self.g[moved] = g
@@ -339,17 +334,17 @@ def solve(problem: CauchyProblem, lattice: QLattice, tol: float = 1e-10,
         problem.params, problem.a, ctrl), problem.b, engine.gamma)
 
     residuals: list[float] = []
-    bounds: list[float] = []
     converged = False
-    for n in range(1, max_iter + 1):
+    for _ in range(max_iter):
         change = engine.step()[:rows]
         residual = float(np.abs(change).max(initial=0.0))
         residuals.append(residual)
-        bounds.append(_induction_bound(n, c_bound, a_const, k_est))
         if residual < tol:
             converged = True
             break
 
+    bounds = [_induction_bound(n, c_bound, a_const, k_est)
+              for n in range(1, len(residuals) + 1)]
     slack = 0.0
     for r, bd in zip(residuals, bounds):
         if bd > 0.0:

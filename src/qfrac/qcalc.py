@@ -179,8 +179,8 @@ def jackson_integral_zero(f: ScalarFunction, b, q: float,
         qi = qis[-1] * q
         start, size = start + m, 2 * size
     raise ConvergenceError(
-        f"Jackson integral on [0, {b}] did not meet its stopping rule "
-        f"within {ctrl.max_terms} terms"
+        f"Jackson integral on [0, {np.ravel(b).tolist()[0]}] did not meet "
+        f"its stopping rule within {ctrl.max_terms} terms"
     )
 
 

@@ -415,6 +415,57 @@ class TestSeriesOracle:
         assert np.max(np.abs(np.array(report.solution) / want - 1.0)) <= 1e-12
 
 
+class Substituted:
+    """The base-Q rhs of a (q, p) problem: scale * f(s**(1/p), v), through
+    f's table as well as its calls."""
+
+    def __init__(self, f, p, scale):
+        self.f, self.root, self.scale = f, 1.0 / p, scale
+
+    def __call__(self, s, v):
+        return self.scale * self.f(s**self.root, v)
+
+    def table(self, s, v):
+        return self.scale * self.f.table(s**self.root, v)
+
+
+class TestChangeOfVariable:
+    """With Q = q**p the Cauchy problem at (q, p) on [a, 1] is the p = 1
+    problem at base Q on [a**p, 1] with rhs [p]_q**(-alpha) f(s**(1/p), v),
+    and u(t) = v(t**p) (ROADMAP item 25). The substituted solve runs the
+    p = 1 path, whose heads and weights no p enters. At tol 1e-13 the
+    solves of -u + sin(t) at q = 0.5 take 82-96 steps."""
+
+    @pytest.mark.parametrize("source", ["u - u^2/8", "-u + sin(t)",
+                                        "exp(-u) + t^2"])
+    @pytest.mark.parametrize("a", [0.0, 0.25])
+    @pytest.mark.parametrize("p", [0.5, 2.0, 5.0])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_p_is_base_q_to_the_p(self, q, p, a, source):
+        f, alpha = compiled_rhs(source), 0.5
+        ctrl = SeriesControl(max_terms=40000)  # q = 0.99, p = 0.5: 6,877
+
+        def run(rhs, lower, params):
+            problem = CauchyProblem(rhs=rhs, a=lower, b=1.0, zeta=1.0,
+                                    order=FracOrder(alpha), params=params,
+                                    lipschitz_A=1.0, radius_r=10.0)
+            lattice = QLattice(1.0, params.q, 8, lower)
+            return solve(problem, lattice, tol=1e-13, max_iter=200,
+                         ctrl=ctrl)
+
+        got = run(f, a, QParams(q, p))
+        want = run(Substituted(f, p, q_number(p, q) ** -alpha), a**p,
+                   QParams(q**p))
+        assert got.converged and want.converged
+        assert got.iterations_used == want.iterations_used
+        # at q = 0.5, p = 0.5, a = 0.25 the base-Q lattice keeps a row
+        # more: Q**2 rounds above a**p = 0.5
+        rows = len(got.solution)
+        assert len(want.solution) == rows + (q == p == 0.5 and a == 0.25)
+        assert np.max(np.abs(np.subtract(got.solution[:rows],
+                                         want.solution[:rows]))) <= 1e-13
+
+
 class CountingRhs:
     """A plain Python rhs that counts its calls."""
 

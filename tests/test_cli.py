@@ -24,6 +24,7 @@ from qfrac.qcore import (QParams, SeriesControl, q_gamma, q_number,
 from qfrac.verify import run_registry
 
 import expr_reference
+import kernel_reference
 
 
 def write_cfg(tmp_path, name, text):
@@ -298,6 +299,46 @@ class TestEval:
             xs = [float(line.split(",")[0])
                   for line in out.splitlines()[1:]]
         assert xs == np.power(0.99, np.arange(12)).tolist()
+
+
+class TestEvalSweep:
+    """`eval` at a = 0 of x**(p lam) against its closed form c x**(p (lam
+    +- alpha)), c = [p]_q**(-+alpha) Gamma_Q(lam + 1) / Gamma_Q(lam + 1 +-
+    alpha) with Q = q**p and [p]_q = (1 - Q) / (1 - q). J takes the upper
+    signs, D and caputo (equal to D on a power that vanishes at 0) the
+    lower. Gamma_Q is kernel_reference's, plain products independent of
+    qcore (ROADMAP item 31's first step). At q = 0.99, p = 0.5 the sums
+    need more terms than the default budget."""
+
+    @pytest.mark.parametrize("operator", ["J", "D", "caputo"])
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    @pytest.mark.parametrize("alpha", [0.25, 0.75])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_rows_are_the_closed_form(self, tmp_path, capsys, monkeypatch,
+                                      q, p, alpha, lam, operator):
+        path = write_cfg(tmp_path, "a.cfg", cfg_text({
+            "q": q, "p": p, "alpha": alpha, "operator": operator,
+            "function": f"x^{p * lam!r}", "lattice_depth": 20}))
+        argv = ["eval", "--config", path, "--format", "json"]
+        if q == 0.99 and p == 0.5:  # Q = 0.995: 6,877 terms
+            assert main(argv) == 3
+            assert capsys.readouterr().err == (
+                f"operator {operator} failed: operator Jackson sum needs "
+                "6877 terms, exceeding max_terms=5000; raise "
+                "SeriesControl.max_terms (the CLI reads it from "
+                "QFRAC_MAX_TERMS)\n")
+            monkeypatch.setenv("QFRAC_MAX_TERMS", "40000")
+        assert main(argv) == 0
+        table = json.loads(capsys.readouterr().out)["table"]
+        Q, shift = q**p, (alpha if operator == "J" else -alpha)
+        c = (((1.0 - Q) / (1.0 - q)) ** -shift  # [p]_q ** -shift
+             * kernel_reference.q_gamma(lam + 1.0, Q)
+             / kernel_reference.q_gamma(lam + 1.0 + shift, Q))
+        x = np.array(table["x"])
+        assert len(x) == 20
+        want = c * x ** (p * (lam + shift))
+        assert np.max(np.abs(np.array(table["value"]) / want - 1.0)) <= 1e-12
 
 
 class TestMl:

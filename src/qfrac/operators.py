@@ -1,7 +1,7 @@
 """The generalized q-fractional integral, the Riemann-Liouville-type
-q-fractional derivative, and the Caputo-type derivative in both its
-definitional and simplified forms, plus the closed-form beta-integral lemma
-and the boundedness constant.
+q-fractional derivative (the integral of negative order), and the
+Caputo-type derivative in both its definitional and simplified forms, plus
+the closed-form beta-integral lemma and the boundedness constant.
 
 All integrals are Jackson sums over geometric lattices; the kernel
 (x**p - (wq)**p)^(beta) at node w = x q**i reduces to a pure power of
@@ -116,33 +116,33 @@ def _convolve(x: np.ndarray, table: np.ndarray) -> np.ndarray:
 class LatticeKernel:
     """The Jackson kernel sum int_a^t v(w) f(w) (t**p - (wq)**p)^(beta)
     d_q w at every row node t_m = t_0 q**m of a geometric node table, in
-    one pass over f tabulated once. The weight v is "w**(p-1)" (J), "1"
-    (the Caputo integrand D_q f) or "w**(p-1)/t**p" (D's inner sums, which
-    carry its outer t**(1-p) over its q-difference divisor t).
+    one pass over f tabulated once. The weight v is "w**(p-1)" (J, and D
+    as J of negative order) or "1" (the Caputo integrand D_q f).
 
     Each row has one power of its node, the head; every other factor lies
     in [0, 1]. At w = t_m q**i the kernel is t_m**(p beta) k_i with one
     weight table k (c = q**p), and the Jackson weight w times w**(e - 1),
-    e = p for J and D and 1 for "1", is t_m**e (q**e)**i, so the sums of
-    all rows are one correlation, head[m] * sum_{i<n} w_i f(t_0 q**(m+i))
-    with w_i = k_i (q**e)**i; head[m] = (1 - q) t_m**(((1 + p beta) + (e -
-    1)) + outer), outer = -p for D and 0 else, is past float range only
-    where the value is. For a > 0 the subtracted sums over [0, a] read f
-    at the lower nodes w = a q**i, whose weight t_m**e (a/t_m)**e
-    (q**e)**i is the same table under the same head, times the row scale
-    (a/t_m)**e <= 1: a row is head[m] * (upper sum - (a/t_m)**e lower
-    sum). Row m weighs the lower sum with k at c = (aq/t_m)**p, and since
-    c Q**i steps down the rows by Q, every row reads one table K of rows +
-    n - 1 weights built from the deepest row's c: row m's weights are
-    K[rows-1-m+i], a Toeplitz matrix applied as a second convolution. This
-    is the matrix view of discrete fractional calculus (Podlubny, FCAA
-    2000). upper and lower hold w and K reversed, and jackson the
-    geometric table (q**e)**i: at a small p, q**i underflows long before
-    q**(ip) is negligible. Each sum is a direct dot per row (_convolve),
-    whose rows keep their own digits (an FFT's error follows the largest).
+    e = p for "w**(p-1)" and 1 for "1", is t_m**e (q**e)**i, so the sums
+    of all rows are one correlation, head[m] * sum_{i<n} w_i f(t_0
+    q**(m+i)) with w_i = k_i (q**e)**i; head[m] = (1 - q) t_m**((1 + p
+    beta) + (e - 1)) is past float range only where the value is. For a >
+    0 the subtracted sums over [0, a] read f at the lower nodes w = a
+    q**i, whose weight t_m**e (a/t_m)**e (q**e)**i is the same table under
+    the same head, times the row scale (a/t_m)**e <= 1: a row is head[m] *
+    (upper sum - (a/t_m)**e lower sum). Row m weighs the lower sum with k
+    at c = (aq/t_m)**p, and since c Q**i steps down the rows by Q, every
+    row reads one table K of rows + n - 1 weights built from the deepest
+    row's c: row m's weights are K[rows-1-m+i], a Toeplitz matrix applied
+    as a second convolution. This is the matrix view of discrete
+    fractional calculus (Podlubny, FCAA 2000). upper and lower hold w and
+    K reversed, and jackson the geometric table (q**e)**i: at a small p,
+    q**i underflows long before q**(ip) is negligible. Each sum is a
+    direct dot per row (_convolve), whose rows keep their own digits (an
+    FFT's error follows the largest).
 
     Its first weight is (Q; Q)_inf / (Q**(1+beta); Q)_inf, so gamma = k_0
-    (1 - Q)**(-beta) is Gamma_Q(1 + beta), the operator coefficients' own.
+    (1 - Q)**(-beta) is Gamma_Q(1 + beta), the coefficients' own (< 0 at
+    D's beta in (-2, -1), whose q-products have signs).
 
     An ndarray of betas (one per order) and a stack of node tables (one
     per point) build every order's and point's tables in one q-ratio pass
@@ -157,8 +157,7 @@ class LatticeKernel:
                  weight: str = "w**(p-1)"):
         self.params = params
         q, p = params.q, params.p
-        e, outer = {"w**(p-1)": (p, 0.0), "1": (1.0, 0.0),
-                    "w**(p-1)/t**p": (p, -p)}[weight]
+        e = {"w**(p-1)": p, "1": 1.0}[weight]
         log_Q = p * math.log(q)
         self.nodes = nodes = np.asarray(nodes, dtype=float)
         rows = nodes.shape[-1]
@@ -168,8 +167,7 @@ class LatticeKernel:
         self.gamma = _each(lambda b, w: float(w) * (1.0 - params.qp) ** -b,
                            beta, weights[..., 0])
         self.upper = (weights * self.jackson)[..., ::-1]
-        self.power = _each(lambda b: ((1.0 + p * b) + (e - 1.0)) + outer,
-                           beta)
+        self.power = _each(lambda b: (1.0 + p * b) + (e - 1.0), beta)
         self.head = (1.0 - q) * _each(lambda power: _power(nodes, power, p),
                                       self.power)
         self.lower = None
@@ -182,13 +180,18 @@ class LatticeKernel:
             self.lower = _kernel_weights(log_Q, beta, log_c, rows + n - 1,
                                          ctrl)[..., ::-1]
 
-    @np.errstate(over="ignore", invalid="ignore")
     def apply(self, f: np.ndarray, f_low: np.ndarray | None = None
               ) -> np.ndarray:
         """Kernel sums at every row node, from f itself at t_0 q**j, j <
         rows + n - 1 (a shorter table: f = 0 past its end), and f_low at
         _nodes(a, q, n) (None: f = 0 on [0, a]). A (k, len) stack gives
         (k, rows); a row past float range raises, as _checked_product."""
+        return self._values(f, f_low, lambda rows: rows)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def _values(self, f, f_low, value) -> np.ndarray:
+        """value(apply's rows), an operator's coefficients times them, with
+        the range check on that value: it names the first row past range."""
         size = self.nodes.shape[-1] + self.n - 1
         f = np.asarray(f, dtype=float)[..., :size]
         if f.shape[-1] < size:
@@ -205,8 +208,9 @@ class LatticeKernel:
         # one per order, leading the sums' axes
         power = np.reshape(self.power,
                            np.shape(self.power) + (1,) * (f.ndim - 1))
-        return _checked_product(lead(self.head) * row, self.nodes, power,
-                                self.params.p, "kernel row factor", *sums)
+        return _checked_product(value(lead(self.head) * row), self.nodes,
+                                power, self.params.p, "kernel row factor",
+                                *sums)
 
 
 def _grid(x, ctx: OperatorContext, extra: int = 0):
@@ -265,32 +269,14 @@ def _at(x, rows):
 
 def _integral_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
     """J^alpha f at grid[..., :rows]; f_grid must cover rows + n - 1 nodes.
-    An ndarray alpha of orders is one kernel pass (see LatticeKernel)."""
+    An ndarray alpha of orders is one kernel pass (see LatticeKernel). A
+    negative alpha gives D^(-alpha) f, the q-integral of negative order."""
     kernel = LatticeKernel(ctx.params, alpha - 1.0, ctx.a, ctx.ctrl,
                            grid[..., :rows])
     coef = q_number(ctx.params.p, ctx.params.q)
-    return _each(lambda a, sums, gamma: coef ** (1.0 - a) * (sums / gamma),
-                 alpha, kernel.apply(f_grid, f_low), kernel.gamma)
-
-
-def _derivative_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
-    """D^alpha f at grid[..., :rows], from inner sums whose heads carry
-    x**-p = q**p (qx)**-p, D's outer x**(1-p) over its q-difference divisor
-    x; f_grid covers rows + n nodes, all above a. alpha as _integral_rows'."""
-    q, p = ctx.params.q, ctx.params.p
-    kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl,
-                           grid[..., :rows + 1], "w**(p-1)/t**p")
-
-    def rows_of(a, sums, gamma, power):
-        inner = sums / gamma
-        here, below = inner[..., :-1], inner[..., 1:]
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = q_number(p, q) ** a * (here - q ** p * below) / (1.0 - q)
-        return _checked_product(out, grid[..., :rows], power, p,
-                                "kernel row factor", here, below)
-
-    return _each(rows_of, alpha, kernel.apply(f_grid, f_low), kernel.gamma,
-                 kernel.power)
+    return kernel._values(f_grid, f_low, lambda table: _each(
+        lambda a, sums, gamma: coef ** (1.0 - a) * (sums / gamma), alpha,
+        table, kernel.gamma))
 
 
 def frac_integral(f: ScalarFunction, x, order,
@@ -339,9 +325,9 @@ def frac_derivative_rl(f: ScalarFunction, x, order,
                        ctx: OperatorContext):
     """Riemann-Liouville-type q-fractional derivative D^alpha f at x.
 
-    The outer x**(1-p) D_q is formed numerically from the inner integral
-    evaluated at x and qx, the next row of the lattice; order 0 is the
-    identity. x and order are as for frac_integral.
+    x**(1-p) D_q J^(1-alpha) f is frac_integral's formula at order -alpha
+    (Annaby and Mansour, LNM 2056, 2012), on its stencil's domain qx > a;
+    order 0 is the identity. x and order are as for frac_integral.
     """
     alpha = _alpha_of(order, lambda a: 0.0 <= a < 1.0,
                       "derivative order must lie in [0, 1)")
@@ -349,8 +335,8 @@ def frac_derivative_rl(f: ScalarFunction, x, order,
         grid, rows, _ = _grid(x, ctx)
         return _at(x, _each(lambda _: _table(f, grid[..., :rows]), alpha))
     _alpha_of(alpha, lambda a: a > 0.0, "derivative order must lie in (0, 1)")
-    return _at(x, _derivative_rows(*_on_lattice(f, x, ctx, 1, alpha), alpha,
-                                   ctx))
+    return _at(x, _integral_rows(*_on_lattice(f, x, ctx, 1, alpha), -alpha,
+                                 ctx))
 
 
 def caputo_derivative(f: ScalarFunction, x, order, ctx: OperatorContext):
@@ -471,14 +457,14 @@ def inversion_residuals(f: ScalarFunction, lattice: QLattice, order,
     live = int(np.count_nonzero(grid[:rows + n] > a))
     jf[..., :live] = _integral_rows(f_grid, f_low, grid, live, alpha, ctx)
     # J f vanishes at a, so cD^alpha(J f) = D^alpha(J f)
-    left = (_derivative_rows(jf, None, grid, rows, alpha, ctx)
+    left = (_integral_rows(jf, None, grid, rows, -alpha, ctx)
             - f_grid[..., :rows])
 
     cdf = np.zeros(stack + (rows + n - 1,))
     live = int(np.count_nonzero(q * grid[:rows + n - 1] > a))
-    cdf[..., :live] = _derivative_rows(
+    cdf[..., :live] = _integral_rows(
         f_grid - fa, None if f_low is None else f_low - fa, grid, live,
-        alpha, ctx)
+        -alpha, ctx)
     right = (_integral_rows(cdf, None, grid, rows, alpha, ctx)
              - (f_grid[..., :rows] - fa))
     return (_value(np.max(np.abs(left), axis=-1)),

@@ -139,6 +139,8 @@ def jackson_integral_zero(f: ScalarFunction, b, q: float,
     for v in np.ravel(b).tolist():
         if not v > 0.0:
             raise DomainError(f"b must be positive, got {v}")
+    if np.ndim(b) > 1:
+        raise DomainError(f"b must be a scalar or 1-d, got {np.shape(b)}")
     b = np.expand_dims(b, -1) if isinstance(b, np.ndarray) else b
     qi, start, size, live = 1.0, 0, 64, None
     # qi *= q and total += term of a term-by-term loop are the sequential

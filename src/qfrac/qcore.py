@@ -221,10 +221,12 @@ def _ratio_block(log_r, log_s, top, steps, log_q: float, n: int):
             terms[np.arange(width) >= n + 2 + steps[..., None]] = 0.0
         sums = np.cumsum(terms[..., ::-1], axis=-1, out=f[..., 0, :])
     sign = 1.0
-    if t_max > 0.0:  # a base above 1: count the negative factors
-        below = np.count_nonzero(z > 0.0, axis=-1)
-        flips = np.maximum(below[..., None] - np.arange(n), 0).sum(axis=-2)
-        sign = 1.0 - 2.0 * (flips % 2)
+    if t_max > 0.0:  # a base above 1: ratio i < lead is negative where
+        # the negative factors from column i on are odd in number
+        odd = np.logical_xor.reduce(z > 0.0, axis=-2)
+        odd = np.logical_xor.accumulate(odd[..., ::-1], axis=-1)[..., ::-1]
+        sign = np.ones(top.shape + (n,))
+        sign[..., :lead] = 1.0 - 2.0 * odd[..., :n]
     return sums[..., :-n - 1:-1], sign
 
 

@@ -798,9 +798,8 @@ class TestFailurePaths:
          "b = 1e200\n", None, 3, "operator J failed: kernel row factor "
          "t**2.0 leaves float range at p=4.0; first at node t=1e+200"),
         # a checked power times a table: the kernel's row factor times its
-        # sums of f at a huge b, and times D's inner sums of a huge f (their
-        # head carries the outer x**(1 - p) over the divisor x), whose
-        # values are past range
+        # sums of f at a huge b, and D's value, its coefficient times the
+        # row factor times its sums of a huge f, first past range at 0.125
         ("eval", EVAL_BASE + "operator = J\nfunction = 1 + x\np = 2\n"
          "b = 1e200\n", None, 3, "operator J failed: kernel row factor "
          "t**1.0 times its table leaves float range at p=2.0; first at node "
@@ -808,7 +807,7 @@ class TestFailurePaths:
         ("eval", EVAL_BASE + "operator = D\nfunction = 1e300*x\np = 20\n"
          "lattice_depth = 20\n", None, 3, "operator D failed: kernel row "
          "factor t**-10.0 times its table leaves float range at p=20.0; first "
-         "at node t=0.0625"),
+         "at node t=0.125"),
         # ml: a node past the series radius, a series term x**(p n alpha)
         # inside it, and m_terms past the budget
         ("ml", EVAL_BASE + "p = 50\nb = 1e10\nm_terms = 10\n", None, 3,

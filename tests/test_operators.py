@@ -236,6 +236,102 @@ class TestRLDerivative:
             frac_derivative_rl(lambda w: w, 0.6, FracOrder(0.5), ctx)
 
 
+def log_poch_terms(u, q, lead=0, c=1.0):
+    """The logs of the factors 1 - x q**m of (x q**-lead; q)_inf, x = c
+    q**u, m = -lead, -lead + 1, ..., while x q**m > 1e-20 (the tail's log
+    is below 1e-17 at q <= 0.999): math.log1p(-x q**m), or, where x q**m >
+    1/2 and its rounding would cost 1 - x q**m digits, the log of
+    -math.expm1(log c + (u + m) log q). Plain floats, no qcore."""
+    log_q, log_c = math.log(q), math.log(c)
+    stop = math.ceil((math.log(1e-20) - log_c) / log_q - u)
+    zs = [log_c + (u + m) * log_q for m in range(-lead, stop)]
+    return [math.log(-math.expm1(z)) if z > -math.log(2.0)
+            else math.log1p(-math.exp(z)) for z in zs]
+
+
+def gamma_ratio(s, t, q):
+    """Gamma_q(s) / Gamma_q(t) = (q**t; q)_inf / (q**s; q)_inf (1 - q)**(t
+    - s), its log the math.fsum of the factors' logs."""
+    logs = log_poch_terms(t, q) + [-v for v in log_poch_terms(s, q)]
+    return math.exp(math.fsum(logs)) * (1.0 - q) ** (t - s)
+
+
+def mp_log_poch(x, q, split=3000):
+    """log (x; q)_inf for mpmath numbers, at the working precision: the
+    finite product of the first split factors, and the series -sum_k y**k
+    / (k (1 - q**k)) of the rest, y = x q**split; a method apart from
+    log_poch_terms'."""
+    mpmath = pytest.importorskip("mpmath")
+    head, y = mpmath.mpf(1), x
+    for _ in range(split):
+        head, y = head * (1 - y), y * q
+    tail, k, eps = mpmath.mpf(0), 1, mpmath.eps / 1000
+    while y**k > eps:
+        tail -= y**k / (k * (1 - q**k))
+        k += 1
+    return mpmath.log(head) + tail
+
+
+class TestDerivativeNearQOne:
+    """D^alpha at q = 0.999, p = 1 against closed forms, where the digits
+    of a q-difference run out: D w**lam = Gamma_q(lam + 1) / Gamma_q(lam +
+    1 - alpha) x**(lam - alpha) at a = 0, and D 1 = (x - a)^(-alpha) /
+    Gamma_q(1 - alpha) at a = 0.25, its q-power x**-alpha (a/x; q)_inf /
+    (q**-alpha a/x; q)_inf. The oracle sums the factors' logs (math.log1p,
+    or math.expm1 near 1) with math.fsum; mpmath checks it once."""
+
+    Q, CTRL = 0.999, SeriesControl(max_terms=40000)
+
+    def test_oracle_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        q, a = self.Q, 0.25
+        with mpmath.workdps(30):
+            mq = mpmath.mpf(q)
+            ratio = (mpmath.exp(mp_log_poch(mq**2.75, mq)
+                                - mp_log_poch(mq**3, mq))
+                     * (1 - mq) ** mpmath.mpf(-0.25))
+            power = (mp_log_poch(mpmath.mpf(a), mq)
+                     - mp_log_poch(a * mq**-0.5, mq))
+        assert gamma_ratio(3.0, 2.75, q) == pytest.approx(float(ratio),
+                                                          rel=1e-14)
+        logs = (log_poch_terms(0.0, q, c=a)
+                + [-v for v in log_poch_terms(-0.5, q, c=a)])
+        assert math.fsum(logs) == pytest.approx(float(power), abs=1e-15)
+
+    @pytest.mark.parametrize("alpha,lams,bound", [
+        (0.5, (0.0, 1.0), 3e-13), (0.25, (2.0,), 5e-14)])
+    def test_powers_at_a_0(self, alpha, lams, bound):
+        q = self.Q
+        ctx = OperatorContext(QParams(q), ctrl=self.CTRL)
+        lattice = QLattice(1.0, q, 30)
+        got = frac_derivative_rl(lambda w: sum(w**lam for lam in lams),
+                                 lattice, FracOrder(alpha), ctx)
+        x = np.array(lattice.nodes)
+        want = sum(gamma_ratio(lam + 1.0, lam + 1.0 - alpha, q)
+                   * x ** (lam - alpha) for lam in lams)
+        assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
+
+    def test_constant_at_a_025(self):
+        q, a, alpha = self.Q, 0.25, 0.5
+        ctx = OperatorContext(QParams(q), a=a, ctrl=self.CTRL)
+        lattice = QLattice(1.0, q, 40, floor_a=a / q)
+        assert len(lattice.nodes) == 40
+        got = frac_derivative_rl(lambda w: 1.0, lattice, FracOrder(alpha),
+                                 ctx)
+        # node k is q**k, so a/x = a q**-k: (a/x; q)_inf is (a; q)_inf
+        # times the factors m = -k..-1
+        lead = len(got) - 1
+        num = log_poch_terms(0.0, q, lead, a)
+        den = [-v for v in log_poch_terms(-alpha, q, lead, a)]
+        tail = math.fsum(num[lead:] + den[lead:])
+        want = np.array([
+            x**-alpha * math.exp(math.fsum([tail] + num[lead - k:lead]
+                                           + den[lead - k:lead]))
+            for k, x in enumerate(lattice.nodes)])
+        want /= gamma_ratio(1.0 - alpha, 1.0, q)
+        assert np.max(np.abs(got / want - 1.0)) <= 2e-13
+
+
 class TestCaputoDerivative:
     def test_constant_annihilated(self):
         for q in QS:
@@ -843,16 +939,14 @@ class TestKernelConvolutions:
 
     @pytest.mark.parametrize("q", (0.5, 0.9, 0.99))
     @pytest.mark.parametrize("p", PS)
-    @pytest.mark.parametrize("beta", (-0.5, -0.15))
+    @pytest.mark.parametrize("beta", (-0.5, -0.15, -1.5, -1.15))
     def test_toeplitz_lower_matches_dense(self, q, p, beta):
         a, ctrl = 0.25, DEFAULT_INTEGRATION_CTRL
         params = QParams(q, p)
         nodes = QLattice(1.0, q, 200, floor_a=a).nodes  # 138 at q = 0.99
         # each weight v(w) at the lower nodes w = a q**i of row t
         for weight, v in (("w**(p-1)", lambda w, t: w ** (p - 1.0)),
-                          ("1", lambda w, t: np.ones_like(w)),
-                          ("w**(p-1)/t**p",
-                           lambda w, t: (w / t) ** (p - 1.0) / t)):
+                          ("1", lambda w, t: np.ones_like(w))):
             kernel = LatticeKernel(params, beta, a, ctrl, nodes, weight)
             n = kernel.n
             w = a * np.power(q, np.arange(n))

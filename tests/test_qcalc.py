@@ -225,6 +225,14 @@ class TestJacksonTablePath:
             "Jackson integral on [0, 1.0] did not meet its stopping rule "
             "within 100 terms")
 
+    @pytest.mark.parametrize("integral", (
+        jackson_integral_zero, lambda f, b, q: jackson_integral(f, 0.0, b, q)))
+    def test_a_2d_limit_is_a_domain_error(self, integral):
+        # one limit per row allows a scalar or 1-d b only
+        with pytest.raises(DomainError) as err:
+            integral(lambda w: 1.0, np.array([[2.0, 0.5]]), 0.99)
+        assert str(err.value) == "b must be a scalar or 1-d, got (1, 2)"
+
     def test_error_past_the_stop_propagates(self):
         # the sum of 0.5**i stops at i = 45, inside the first 64-node
         # block; f raises from node 50 on, which only the block reaches

@@ -258,8 +258,8 @@ SWEEP = [
      'numerical error: corollary integrand factor t**-49.0 leaves float '
      'range at p=50.0; first at node t=3.720086999999998e-07'),
     (None, 100, 3,
-     'numerical error: kernel row factor t**-50.0 leaves float range at '
-     'p=100.0; first at node t=5.314409999999998e-07'),
+     'numerical error: kernel row factor t**-75.0 leaves float range at '
+     'p=100.0; first at node t=6.560999999999998e-05'),
     (None, 1100, 2,
      'p: q**p underflows to 0 at q=0.3, p=1100.0'),
     (None, 2000, 2,

@@ -6,8 +6,9 @@ make them re-entrant. A function may carry a `table(xs)` attribute giving
 its values at every node of an array at once, as a compiled expression
 does. A family of k functions is one callable whose value at a point is
 the array of its k values, and whose `table(xs)` is a (k, len(xs)) stack;
-the operators, sup_norm and the Jackson integrals then give k results in
-one call, and the operators one kernel pass for a vector of orders too.
+the operators and sup_norm then give k results in one call, and the
+operators one kernel pass for a vector of orders too. A Jackson integral
+takes one function and one float limit.
 """
 
 from __future__ import annotations
@@ -93,18 +94,10 @@ def _tabulate(f, *tables) -> np.ndarray:
 class _FromTable:
     """A function given by its table: table(ws) gives its values at every
     node, a (k, len(ws)) stack for a family of k, and a call at a point is
-    the table at that one node. A family may pass its rows' parameters as
-    columns, arrays with one entry per row, to table(ws, *columns); then
-    rows(keep) is the family of the rows where the mask keep holds."""
+    the table at that one node."""
 
-    def __init__(self, table, *columns):
-        self._table, self._columns = table, columns
-
-    def table(self, ws):
-        return self._table(ws, *self._columns)
-
-    def rows(self, keep):
-        return _FromTable(self._table, *(c[keep] for c in self._columns))
+    def __init__(self, table):
+        self.table = table
 
     def __call__(self, w):
         return self.table(np.array([w], dtype=float))[..., 0]
@@ -118,8 +111,9 @@ def q_derivative(f: ScalarFunction, x: float, q: float) -> float:
     return (f(x) - f(q * x)) / ((1.0 - q) * x)
 
 
-def jackson_integral_zero(f: ScalarFunction, b, q: float,
-                          ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):
+def jackson_integral_zero(f: ScalarFunction, b: float, q: float,
+                          ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL
+                          ) -> float:
     """Jackson integral (1-q) b sum_i q**i f(q**i b) over [0, b].
 
     Stops once |term| <= max(1e-13 |partial|, eps sum of |terms|) for 3
@@ -129,20 +123,13 @@ def jackson_integral_zero(f: ScalarFunction, b, q: float,
     blocks of nodes of doubling length, so it is called at up to twice
     the nodes the sum uses (f must be evaluable on the whole lattice);
     the sum is the same float as a term-by-term loop's.
-
-    A family's rows, each the float of its own call, share the blocks and
-    stop on their own runs: a stopped row is not tabulated again (a family
-    whose rows stop apart carries rows(keep)). An ndarray b is one limit
-    per row, and the family's table then takes a row of nodes per row.
     """
     _check_q(q)
-    for v in np.ravel(b).tolist():
-        if not v > 0.0:
-            raise DomainError(f"b must be positive, got {v}")
-    if np.ndim(b) > 1:
-        raise DomainError(f"b must be a scalar or 1-d, got {np.shape(b)}")
-    b = np.expand_dims(b, -1) if isinstance(b, np.ndarray) else b
-    qi, start, size, live = 1.0, 0, 64, None
+    if not b > 0.0:
+        raise DomainError(f"b must be positive, got {b}")
+    scale = (1.0 - q) * b
+    total, mass, small, qi = 0.0, 0.0, 0, 1.0
+    start, size = 0, 64
     # qi *= q and total += term of a term-by-term loop are the sequential
     # scans np.cumprod and np.cumsum, so the terms and partial sums are
     # the same floats
@@ -151,52 +138,34 @@ def jackson_integral_zero(f: ScalarFunction, b, q: float,
         qis = np.full(m, q)
         qis[0] = qi
         np.cumprod(qis, out=qis)
-        terms = (1.0 - q) * b * qis * _tabulate(f, qis * b)
-        if live is None:  # each row's sum, mass and last _SUM_RUN - 1 flags
-            single, terms = terms.ndim == 1, np.atleast_2d(terms)
-            live, out = np.arange(len(terms)), np.empty(len(terms))
-            sums = np.zeros((2, len(terms), 1))
-            flags = np.zeros((len(terms), _SUM_RUN - 1), bool)
-        terms = np.atleast_2d(terms)
-        totals, masses = np.concatenate(
-            (sums, [terms, np.abs(terms)]), axis=2).cumsum(axis=2)
+        terms = scale * qis * _tabulate(f, qis * b)
+        totals = np.cumsum(np.concatenate(([total], terms)))[1:]
+        masses = np.cumsum(np.concatenate(([mass], np.abs(terms))))[1:]
         # fmax keeps the mass floor where the partial sum is NaN
-        flags = np.concatenate((flags, np.abs(terms) <= np.fmax(
-            _SUM_REL_TOL * np.abs(totals[:, 1:]),
-            _SUM_MASS_TOL * masses[:, 1:])), axis=1)
-        run = flags[:, _SUM_RUN - 1:]  # a run of small terms ends here
-        for back in range(1, _SUM_RUN):
-            run = run & flags[:, _SUM_RUN - 1 - back:-back]
-        stop = run.any(axis=1)
-        out[live[stop]] = totals[stop, 1 + run[stop].argmax(axis=1)]
-        if stop.all():
-            return float(out[0]) if single else out
-        if stop.any():  # no stopped row is tabulated again
-            f, keep = f.rows(~stop), ~stop
-            live, totals, masses, flags, b = (
-                v[keep] if isinstance(v, np.ndarray) else v
-                for v in (live, totals, masses, flags, b))
-        sums = np.stack((totals, masses))[..., -1:]
-        flags = flags[:, 1 - _SUM_RUN:]
-        qi = qis[-1] * q
+        small_at = np.abs(terms) <= np.fmax(_SUM_REL_TOL * np.abs(totals),
+                                            _SUM_MASS_TOL * masses)
+        for i, is_small in enumerate(small_at.tolist()):
+            small = small + 1 if is_small else 0
+            if small >= _SUM_RUN:
+                return float(totals[i])
+        total, mass, qi = float(totals[-1]), float(masses[-1]), qis[-1] * q
         start, size = start + m, 2 * size
     raise ConvergenceError(
-        f"Jackson integral on [0, {np.ravel(b).tolist()[0]}] did not meet "
-        f"its stopping rule within {ctrl.max_terms} terms"
+        f"Jackson integral on [0, {b}] did not meet its stopping rule "
+        f"within {ctrl.max_terms} terms"
     )
 
 
-def jackson_integral(f: ScalarFunction, a: float, b, q: float,
-                     ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):
+def jackson_integral(f: ScalarFunction, a: float, b: float, q: float,
+                     ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL) -> float:
     """Jackson integral over [a, b], as the difference of zero-based
-    integrals; b may be an ndarray, as jackson_integral_zero's."""
+    integrals."""
     if a < 0.0:
         raise DomainError(f"a must be nonnegative, got {a}")
-    if np.all(a == b):
-        return 0.0 * b
-    for v in np.ravel(b).tolist():
-        if a > v:
-            raise DomainError(f"need a <= b, got a={a}, b={v}")
+    if a == b:
+        return 0.0
+    if a > b:
+        raise DomainError(f"need a <= b, got a={a}, b={b}")
     total = jackson_integral_zero(f, b, q, ctrl)
     if a > 0.0:
         total -= jackson_integral_zero(f, a, q, ctrl)

@@ -9,7 +9,6 @@ their only implementation. Grids may be restricted to particular q / p values.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -28,13 +27,8 @@ from .operators import (
     inversion_residuals,
     lemma_beta_integral,
 )
-from .qcalc import (
-    QLattice,
-    _FromTable,
-    _tabulate,
-    jackson_integral,
-    sup_norm,
-)
+from .qcalc import QLattice, _FromTable, _tabulate, sup_norm
+from .qcalc import jackson_integral  # perfbench/tracing.py patches it here
 from .qcore import (
     DEFAULT_INTEGRATION_CTRL,
     QParams,
@@ -89,37 +83,24 @@ _LEMMA_XS = (0.5, 1.0, 2.0)
 
 def _lemma_sums(params: QParams, ctrl):
     """The lemma's Jackson sums and closed forms, one per case and x (x
-    fastest). The closed forms are one lemma_beta_integral call, each the
-    bits of its own case's call; a q-power past float range (x = 2, p >=
-    465) fails at its first case and node, as a case-by-case loop does,
-    since at such p no earlier sum fails. The sums are one family: a block
-    of the nodes of [0, x] is t_0 q**i, and the q-power at q t is x**(p
-    beta) k_i at c = (q t_0 / x)**p; one head x**(p (alpha + lam) - 1),
-    rounded as the closed form's exponent, times (t / x)**(p (1 + lam) -
-    1) k_i, a block's rows sharing a weight table per (alpha, x)."""
-    q, p, factor = params.q, params.p, "lemma integrand factor"
-    alphas, lams = np.array(list(itertools.product((0.3, 0.7, 1.2),
-                                                   (0.0, 0.5, 1.0)))).T
-    closed = lemma_beta_integral(0.0, np.array(_LEMMA_XS), alphas[:, None],
+    fastest). The closed forms are one lemma_beta_integral call, made
+    first, each the bits of its own case's call, so a q-power past float
+    range (x = 2, p >= 465) fails as a case-by-case loop does. t = x s
+    takes the nodes of [0, 1] onto those of [0, x], so each sum is the
+    closed form's own x**(p (alpha + lam)) times its value at x = 1,
+    (1 - q) sum_i k_i Q**(i (1 + lam)): k_i the kernel weights at c = Q,
+    one pass for the three orders, and each case its own dot product."""
+    q, p, log_Q = params.q, params.p, params.p * math.log(params.q)
+    alphas, lams = np.array((0.3, 0.7, 1.2)), np.array((0.0, 0.5, 1.0))
+    orders, xs = (alphas[:, None] + lams)[..., None], np.array(_LEMMA_XS)
+    closed = lemma_beta_integral(0.0, xs, alphas[:, None, None],
                                  lams[:, None], params, ctrl)
-    xs = np.tile(_LEMMA_XS, len(alphas))
-    alphas, lams = (np.repeat(v, len(_LEMMA_XS)) for v in (alphas, lams))
-    heads = [_power(x, p * s - 1.0, p, factor)
-             for x, s in zip(xs.tolist(), (alphas + lams).tolist())]
-
-    def table(t, alpha, lam, x, head):  # t: each row's own nodes
-        tables = list(zip((alpha - 1.0).tolist(), [
-            p * math.log(q * t0 / x0)
-            for t0, x0 in zip(t[:, 0].tolist(), x.tolist())]))
-        firsts = list(dict.fromkeys(tables))
-        weights = _kernel_weights(p * math.log(q), *np.array(firsts).T,
-                                  t.shape[-1], ctrl)
-        return (head[:, None] * _power(t / x[:, None], (
-            p * (1.0 + lam) - 1.0)[:, None], p, factor)
-            * weights[[firsts.index(k) for k in tables]])
-
-    family = _FromTable(table, alphas, lams, xs, np.array(heads))
-    return jackson_integral(family, 0.0, xs, q, ctrl), closed.ravel()
+    n = _sum_length(q, p, ctrl)
+    weights = _kernel_weights(log_Q, alphas - 1.0, log_Q, n, ctrl)
+    powers = np.exp(np.multiply.outer(1.0 + lams, np.arange(n)) * log_Q)
+    sums = (1.0 - q) * np.vecdot(weights[:, None], powers)[..., None]
+    lhs = sums * q_power_general(xs, 0.0, orders, params, ctrl)
+    return lhs.ravel(), closed.ravel()
 
 
 def _check_lemma(restrict, ctrl):

@@ -5,14 +5,16 @@ operators at one point.
 the library's stopping rule; the library tabulates f in blocks instead
 (`qcalc.jackson_integral_zero`). `kernel_sum` forms the Jackson kernel
 sum term by term, one point at a time, as a loop over Python floats.
-Its kernel weights and q-Gammas come from plain factor-by-factor products
-here, not from the library's q-products. The library computes every
-operator value with `operators.LatticeKernel`; the tests compare it with
-the operators built here from `kernel_sum`.
+Its kernel weights come from plain factor-by-factor products here, and
+its q-Gammas from the math.fsum of their factors' logs, not from the
+library's q-products; `mp_log_poch` gives 30-digit values to check them.
+The library computes every operator value with `operators.LatticeKernel`;
+the tests compare it with the operators built here from `kernel_sum`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -62,9 +64,61 @@ def poch_inf(a: float, q: float, tol: float = 1e-17) -> float:
     return float(np.prod(1.0 - a * np.power(q, np.arange(n))))
 
 
+def log_poch_terms(u, q, lead=0, c=1.0):
+    """The logs of the factors 1 - x q**m of (x q**-lead; q)_inf, x = c
+    q**u, m = -lead, -lead + 1, ..., while x q**m > 1e-20 (the tail's log
+    is below 1e-17 at q <= 0.999): log1p(-x q**m), or, where x q**m > 1/2
+    and its rounding would cost 1 - x q**m digits, the log of
+    -expm1(log c + (u + m) log q). numpy's elementwise functions, no
+    qcore."""
+    log_q, log_c = math.log(q), math.log(c)
+    stop = math.ceil((math.log(1e-20) - log_c) / log_q - u)
+    zs = log_c + (u + np.arange(-lead, stop)) * log_q
+    near = zs > -math.log(2.0)
+    logs = np.log1p(-np.exp(zs))
+    logs[near] = np.log(-np.expm1(zs[near]))
+    return logs.tolist()
+
+
+def gamma_ratio(s, t, q):
+    """Gamma_q(s) / Gamma_q(t) = (q**t; q)_inf / (q**s; q)_inf (1 - q)**(t
+    - s), its log the math.fsum of the factors' logs."""
+    logs = log_poch_terms(t, q) + [-v for v in log_poch_terms(s, q)]
+    return math.exp(math.fsum(logs)) * (1.0 - q) ** (t - s)
+
+
+def mp_log_poch(x, q, split=3000):
+    """log (x; q)_inf for mpmath numbers, at the working precision: the
+    finite product of the first split factors, and the series -sum_k y**k
+    / (k (1 - q**k)) of the rest, y = x q**split; a method apart from
+    log_poch_terms'. Callers skip their test where mpmath is missing."""
+    import mpmath
+
+    head, y = mpmath.mpf(1), x
+    for _ in range(split):
+        head, y = head * (1 - y), y * q
+    tail, k, eps = mpmath.mpf(0), 1, mpmath.eps / 1000
+    while y**k > eps:
+        tail -= y**k / (k * (1 - q**k))
+        k += 1
+    return mpmath.log(head) + tail
+
+
+@functools.lru_cache(maxsize=None)
 def q_gamma(t: float, q: float) -> float:
-    """(q; q)_inf / (q**t; q)_inf * (1 - q)**(1 - t)."""
-    return poch_inf(q, q) / poch_inf(q**t, q) * (1.0 - q) ** (1.0 - t)
+    """(q; q)_inf / (q**t; q)_inf * (1 - q)**(1 - t), as Gamma_q(t) /
+    Gamma_q(1)."""
+    return gamma_ratio(t, 1.0, q)
+
+
+def mp_q_gamma(t: float, q: float) -> float:
+    """Gamma_q(t) at 30 digits, from mp_log_poch, rounded to a float."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        mq = mpmath.mpf(q)
+        return float(mpmath.exp(mp_log_poch(mq, mq) - mp_log_poch(mq**t, mq))
+                     * (1 - mq) ** (1 - t))
 
 
 def kernel_weights(Q: float, beta: float, c: float, n: int,

@@ -11,8 +11,8 @@ and J^beta maps a power to a power (Q = q**p):
                    / Gamma_Q(mu/p + beta + 1) t**(mu + p beta).
 
 `linear_series` sums the series' coefficients term by term, with the
-plain-product q-Gamma of `kernel_reference`; the Picard solver's tables
-are compared with it.
+q-Gamma of `kernel_reference`; the Picard solver's tables are compared
+with it.
 """
 
 from __future__ import annotations

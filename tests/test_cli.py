@@ -785,10 +785,12 @@ class TestFailurePaths:
         ("verify", "q = 0.9\np = 2000\n", None, 3, "numerical error: q-power "
          "factor t**1600.0 leaves float range at p=2000.0; first at node "
          "t=2.0"),
-        # verify at p = 0.05: the lemma's ratio (t / x)**(p (1 + lambda) - 1)
-        # at a Jackson node that underflowed to 0
-        ("verify", "p = 0.05\n", None, 3, "numerical error: lemma integrand "
-         "factor t**-0.95 leaves float range at p=0.05; first at node t=0.0"),
+        # verify at p = 0.05: at q = 0.9 the lemma's q-Gamma products
+        # Gamma_Q(0.3), Q = q**p, need more factors than the budget
+        ("verify", "p = 0.05\n", None, 3, "numerical error: q-product with "
+         "base 0.998421 and q=0.994746 needs 7434 factors, exceeding "
+         "max_terms=5000; raise SeriesControl.max_terms (the CLI reads it "
+         "from QFRAC_MAX_TERMS)"),
         # a huge b: the kernel's row factor t**(p alpha) at the top node,
         # where the value b**(p alpha) is itself past float range
         ("solve", SOLVE_BASE + "rhs = u\np = 4\nb = 1e200\n", None, 3,

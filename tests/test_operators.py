@@ -236,40 +236,15 @@ class TestRLDerivative:
             frac_derivative_rl(lambda w: w, 0.6, FracOrder(0.5), ctx)
 
 
-def log_poch_terms(u, q, lead=0, c=1.0):
-    """The logs of the factors 1 - x q**m of (x q**-lead; q)_inf, x = c
-    q**u, m = -lead, -lead + 1, ..., while x q**m > 1e-20 (the tail's log
-    is below 1e-17 at q <= 0.999): math.log1p(-x q**m), or, where x q**m >
-    1/2 and its rounding would cost 1 - x q**m digits, the log of
-    -math.expm1(log c + (u + m) log q). Plain floats, no qcore."""
-    log_q, log_c = math.log(q), math.log(c)
-    stop = math.ceil((math.log(1e-20) - log_c) / log_q - u)
-    zs = [log_c + (u + m) * log_q for m in range(-lead, stop)]
-    return [math.log(-math.expm1(z)) if z > -math.log(2.0)
-            else math.log1p(-math.exp(z)) for z in zs]
-
-
-def gamma_ratio(s, t, q):
-    """Gamma_q(s) / Gamma_q(t) = (q**t; q)_inf / (q**s; q)_inf (1 - q)**(t
-    - s), its log the math.fsum of the factors' logs."""
-    logs = log_poch_terms(t, q) + [-v for v in log_poch_terms(s, q)]
-    return math.exp(math.fsum(logs)) * (1.0 - q) ** (t - s)
-
-
-def mp_log_poch(x, q, split=3000):
-    """log (x; q)_inf for mpmath numbers, at the working precision: the
-    finite product of the first split factors, and the series -sum_k y**k
-    / (k (1 - q**k)) of the rest, y = x q**split; a method apart from
-    log_poch_terms'."""
-    mpmath = pytest.importorskip("mpmath")
-    head, y = mpmath.mpf(1), x
-    for _ in range(split):
-        head, y = head * (1 - y), y * q
-    tail, k, eps = mpmath.mpf(0), 1, mpmath.eps / 1000
-    while y**k > eps:
-        tail -= y**k / (k * (1 - q**k))
-        k += 1
-    return mpmath.log(head) + tail
+@pytest.mark.parametrize("q", (0.5, 0.9, 0.99, 0.999))
+def test_reference_q_gamma_matches_30_digits(q):
+    """The reference q-Gamma, a math.fsum of its factors' logs, holds 1e-14
+    relative against 30-digit values up to q = 0.999, where plain products
+    of its factors underflow."""
+    pytest.importorskip("mpmath")
+    for t in (0.25, 0.5, 1.5, 2.7, 4.0):
+        want = reference.mp_q_gamma(t, q)
+        assert abs(reference.q_gamma(t, q) - want) <= 1e-14 * want, t
 
 
 class TestDerivativeNearQOne:
@@ -277,8 +252,8 @@ class TestDerivativeNearQOne:
     of a q-difference run out: D w**lam = Gamma_q(lam + 1) / Gamma_q(lam +
     1 - alpha) x**(lam - alpha) at a = 0, and D 1 = (x - a)^(-alpha) /
     Gamma_q(1 - alpha) at a = 0.25, its q-power x**-alpha (a/x; q)_inf /
-    (q**-alpha a/x; q)_inf. The oracle sums the factors' logs (math.log1p,
-    or math.expm1 near 1) with math.fsum; mpmath checks it once."""
+    (q**-alpha a/x; q)_inf. The oracle sums the factors' logs (log1p, or
+    expm1 near 1) with math.fsum; mpmath checks it once."""
 
     Q, CTRL = 0.999, SeriesControl(max_terms=40000)
 
@@ -287,15 +262,15 @@ class TestDerivativeNearQOne:
         q, a = self.Q, 0.25
         with mpmath.workdps(30):
             mq = mpmath.mpf(q)
-            ratio = (mpmath.exp(mp_log_poch(mq**2.75, mq)
-                                - mp_log_poch(mq**3, mq))
+            ratio = (mpmath.exp(reference.mp_log_poch(mq**2.75, mq)
+                                - reference.mp_log_poch(mq**3, mq))
                      * (1 - mq) ** mpmath.mpf(-0.25))
-            power = (mp_log_poch(mpmath.mpf(a), mq)
-                     - mp_log_poch(a * mq**-0.5, mq))
-        assert gamma_ratio(3.0, 2.75, q) == pytest.approx(float(ratio),
-                                                          rel=1e-14)
-        logs = (log_poch_terms(0.0, q, c=a)
-                + [-v for v in log_poch_terms(-0.5, q, c=a)])
+            power = (reference.mp_log_poch(mpmath.mpf(a), mq)
+                     - reference.mp_log_poch(a * mq**-0.5, mq))
+        assert reference.gamma_ratio(3.0, 2.75, q) == pytest.approx(
+            float(ratio), rel=1e-14)
+        logs = (reference.log_poch_terms(0.0, q, c=a)
+                + [-v for v in reference.log_poch_terms(-0.5, q, c=a)])
         assert math.fsum(logs) == pytest.approx(float(power), abs=1e-15)
 
     @pytest.mark.parametrize("alpha,lams,bound", [
@@ -307,7 +282,7 @@ class TestDerivativeNearQOne:
         got = frac_derivative_rl(lambda w: sum(w**lam for lam in lams),
                                  lattice, FracOrder(alpha), ctx)
         x = np.array(lattice.nodes)
-        want = sum(gamma_ratio(lam + 1.0, lam + 1.0 - alpha, q)
+        want = sum(reference.gamma_ratio(lam + 1.0, lam + 1.0 - alpha, q)
                    * x ** (lam - alpha) for lam in lams)
         assert np.max(np.abs(got - want)) <= bound * np.max(np.abs(want))
 
@@ -321,14 +296,14 @@ class TestDerivativeNearQOne:
         # node k is q**k, so a/x = a q**-k: (a/x; q)_inf is (a; q)_inf
         # times the factors m = -k..-1
         lead = len(got) - 1
-        num = log_poch_terms(0.0, q, lead, a)
-        den = [-v for v in log_poch_terms(-alpha, q, lead, a)]
+        num = reference.log_poch_terms(0.0, q, lead, a)
+        den = [-v for v in reference.log_poch_terms(-alpha, q, lead, a)]
         tail = math.fsum(num[lead:] + den[lead:])
         want = np.array([
             x**-alpha * math.exp(math.fsum([tail] + num[lead - k:lead]
                                            + den[lead - k:lead]))
             for k, x in enumerate(lattice.nodes)])
-        want /= gamma_ratio(1.0 - alpha, 1.0, q)
+        want /= reference.gamma_ratio(1.0 - alpha, 1.0, q)
         assert np.max(np.abs(got / want - 1.0)) <= 2e-13
 
 

@@ -49,11 +49,6 @@ class TestJacksonIntegral:
          "a must be nonnegative, got -1.0"),
         (lambda f: jackson_integral(f, 2.0, 1.0, 0.5),
          "need a <= b, got a=2.0, b=1.0"),
-        # an ndarray limit names its first failing element, on one line
-        (lambda f: jackson_integral_zero(f, np.array([[1.0], [-1.0]]), 0.5),
-         "b must be positive, got -1.0"),
-        (lambda f: jackson_integral(f, 2.0, np.array([[3.0], [1.5]]), 0.5),
-         "need a <= b, got a=2.0, b=1.5"),
     ])
     def test_rejects_bad_limits(self, integral, message):
         with pytest.raises(DomainError) as raised:
@@ -152,19 +147,6 @@ class Tabled:
     table = __call__
 
 
-class Constants:
-    """A family of constant functions, one per row of limits."""
-
-    def __init__(self, c):
-        self.c = np.asarray(c, dtype=float)
-
-    def table(self, ws):
-        return self.c[:, None] * np.ones_like(ws)
-
-    def rows(self, keep):
-        return Constants(self.c[keep])
-
-
 class TestJacksonTablePath:
     """Every function is summed in blocks, through its table or one call
     per node; the sum is the term-by-term loop's float bit for bit, and so
@@ -207,31 +189,6 @@ class TestJacksonTablePath:
             with pytest.raises(ConvergenceError) as err:
                 jackson_integral_zero(f, 1.0, 0.99, ctrl)
             assert str(err.value) == str(loop_err.value)
-
-    def test_error_names_the_first_unfinished_limit(self):
-        # one limit per row: the message names one float, not the array
-        ctrl = SeriesControl(max_terms=100)
-        with pytest.raises(ConvergenceError) as err:
-            jackson_integral_zero(lambda w: 1.0, np.array([0.5, 1.0]), 0.99,
-                                  ctrl)
-        assert str(err.value) == (
-            "Jackson integral on [0, 0.5] did not meet its stopping rule "
-            "within 100 terms")
-        # the row of f = 0 stops at its third term; the other one does not
-        with pytest.raises(ConvergenceError) as err:
-            jackson_integral_zero(Constants([0.0, 1.0]),
-                                  np.array([0.5, 1.0]), 0.99, ctrl)
-        assert str(err.value) == (
-            "Jackson integral on [0, 1.0] did not meet its stopping rule "
-            "within 100 terms")
-
-    @pytest.mark.parametrize("integral", (
-        jackson_integral_zero, lambda f, b, q: jackson_integral(f, 0.0, b, q)))
-    def test_a_2d_limit_is_a_domain_error(self, integral):
-        # one limit per row allows a scalar or 1-d b only
-        with pytest.raises(DomainError) as err:
-            integral(lambda w: 1.0, np.array([[2.0, 0.5]]), 0.99)
-        assert str(err.value) == "b must be a scalar or 1-d, got (1, 2)"
 
     def test_error_past_the_stop_propagates(self):
         # the sum of 0.5**i stops at i = 45, inside the first 64-node

@@ -16,10 +16,10 @@ from qfrac.operators import (FracOrder, OperatorContext, caputo_derivative,
                              caputo_derivative_simplified,
                              caputo_rl_relation_residual, frac_integral,
                              inversion_residuals)
-from qfrac.qcalc import (QLattice, _FromTable, _tabulate, jackson_integral,
-                         jackson_integral_zero)
+from qfrac.qcalc import QLattice, _FromTable, _tabulate
 from qfrac.qcore import (DEFAULT_INTEGRATION_CTRL, QParams, SeriesControl,
-                         _kernel_weights, _power)
+                         _kernel_weights, _power, _sum_length,
+                         q_power_general)
 
 
 def write_cfg(tmp_path, text):
@@ -119,8 +119,9 @@ def test_cli_verify_at_q_099_p_20_exits_0(tmp_path, capsys):
 def test_one_kernel_per_lattice_and_family(monkeypatch):
     """The checks pass whole families and vectors of orders and points, so
     a registry builds few kernels (1,142 when every function and node had
-    its own, 294 with one per order), makes few q-ratio passes (273 with
-    one kernel per order) and few Jackson sums (162 with one per lemma
+    its own, 294 with one per order) and makes few q-ratio passes (273
+    with one kernel per order); the lemma's sums are one kernel weight
+    pass per (q, p) pair and make no Jackson sum (162 with one per lemma
     case and x)."""
     counts = {"kernels": 0, "ratios": 0, "jackson": 0}
 
@@ -143,8 +144,8 @@ def test_one_kernel_per_lattice_and_family(monkeypatch):
                         counting("jackson", qcalc.jackson_integral_zero))
     assert all(r.passed for r in verify.run_registry())
     assert 0 < counts["kernels"] <= 60
-    assert 0 < counts["ratios"] <= 111
-    assert 0 < counts["jackson"] <= 6
+    assert 0 < counts["ratios"] <= 108
+    assert counts["jackson"] == 0
 
 
 def test_qpower_check_holds_blocks_not_its_whole_table():
@@ -239,8 +240,9 @@ def test_boundedness_sup_reads_every_node_the_sums_read():
 # cell's exit code and stderr line, those of a case-by-case loop
 SWEEP = [
     (None, 0.05, 3,
-     'numerical error: lemma integrand factor t**-0.95 leaves float range at'
-     ' p=0.05; first at node t=0.0'),
+     'numerical error: q-product with base 0.998421 and q=0.994746 needs '
+     '7434 factors, exceeding max_terms=5000; raise SeriesControl.max_terms '
+     '(the CLI reads it from QFRAC_MAX_TERMS)'),
     (None, 0.2, 0, ""),
     (None, 0.5, 0, ""),
     (None, 1, 0, ""),
@@ -264,6 +266,8 @@ SWEEP = [
      'p: q**p underflows to 0 at q=0.3, p=1100.0'),
     (None, 2000, 2,
      'p: q**p underflows to 0 at q=0.3, p=2000.0'),
+    # the lemma's sums read no node, so none underflows to t = 0
+    (0.3, 0.05, 0, ""),
     (0.5, 0.05, 0, ""),
     (0.5, 0.2, 0, ""),
     (0.5, 0.5, 0, ""),
@@ -352,14 +356,14 @@ def test_verify_sweep_cell(tmp_path, capsys, q, p, code, line):
 
 
 def _lemma_case_sum(params, alpha, lam, x, ctrl):
-    """One lemma case's Jackson sum at x, its integrand a function alone."""
-    q, p, factor = params.q, params.p, "lemma integrand factor"
-    head = _power(x, p * (alpha + lam) - 1.0, p, factor)
-    integrand = _FromTable(lambda t: head * _power(
-        t / x, p * (1.0 + lam) - 1.0, p, factor) * _kernel_weights(
-        p * math.log(q), alpha - 1.0, p * math.log(q * t[0] / x), len(t),
-        ctrl))
-    return jackson_integral(integrand, 0.0, x, q, ctrl)
+    """One lemma case's Jackson sum at x, from its own kernel weights:
+    x**(p (alpha + lam)) (1 - q) sum_i k_i Q**(i (1 + lam)), c = Q."""
+    q, p, log_Q = params.q, params.p, params.p * math.log(params.q)
+    n = _sum_length(q, p, ctrl)
+    weights = _kernel_weights(log_Q, alpha - 1.0, log_Q, n, ctrl)
+    powers = np.exp((1.0 + lam) * np.arange(n) * log_Q)
+    return ((1.0 - q) * np.vecdot(weights, powers)
+            * q_power_general(x, 0.0, alpha + lam, params, ctrl))
 
 
 @pytest.mark.parametrize("restrict", [None, {"p": 0.5}, {"q": 0.99, "p": 5.0}],
@@ -414,25 +418,3 @@ def test_batched_passes_give_each_case_its_own_calls_bits(restrict):
             for k, want in enumerate(inversion_residuals(f, lattice, order,
                                                          ctx)):
                 assert inverted[k][i].tolist() == want.tolist()
-
-
-def test_family_jackson_rows_are_their_own_sums():
-    """Each row of a family's Jackson sum is the float of its own call; a
-    row that stops blocks before another is not tabulated again, and a
-    row's own limit b gives its own nodes."""
-    exponents = np.array([1.5, 0.05])  # at q = 0.9: blocks 2 and 3
-    widths = []
-
-    def table(w, e):
-        widths.append(len(e))
-        return w ** e[:, None]
-
-    got = jackson_integral_zero(_FromTable(table, exponents), 1.0, 0.9)
-    assert widths == [2, 2, 1]
-    single = [jackson_integral_zero(_FromTable(lambda w, e=e: w ** e), b,
-                                    0.9) for e in exponents.tolist()
-              for b in (1.0, 2.0)]
-    assert got.tolist() == single[::2]
-    limits = np.array([1.0, 2.0, 1.0, 2.0])
-    rows = _FromTable(lambda w, e: w ** e[:, None], np.repeat(exponents, 2))
-    assert jackson_integral(rows, 0.0, limits, 0.9).tolist() == single

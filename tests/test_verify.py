@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import kernel_reference as reference
 from qfrac import operators, qcalc, qcore, verify
 from qfrac.cli import main
 from qfrac.operators import (FracOrder, OperatorContext, caputo_derivative,
@@ -364,6 +365,25 @@ def _lemma_case_sum(params, alpha, lam, x, ctrl):
     powers = np.exp((1.0 + lam) * np.arange(n) * log_Q)
     return ((1.0 - q) * np.vecdot(weights, powers)
             * q_power_general(x, 0.0, alpha + lam, params, ctrl))
+
+
+@pytest.mark.parametrize("q, p", [(0.5, 1.0), (0.9, 0.5), (0.9, 2.0)])
+def test_lemma_sums_are_the_jackson_integrals_of_the_integrand(q, p):
+    """The x = 1 kernel sum times x**(p (alpha + lam)) is the Jackson
+    integral over [0, x] of the lemma's integrand t**(p (1 + lam) - 1)
+    (x**p - (qt)**p)^(alpha - 1), summed term by term by the reference
+    with its kernel weight from plain products. The reference stops once
+    its terms fall below 1e-13 of the partial sum; its terms shrink by
+    Q = q**p or faster, so its tail is within 1e-13 Q / (1 - Q) of it."""
+    ctrl, Q = DEFAULT_INTEGRATION_CTRL, q ** p
+    got = verify._lemma_sums(QParams(q, p), ctrl)[0]
+    want = np.array([reference.jackson_sum(
+        lambda t: t ** (p * (1.0 + lam) - 1.0) * x ** (p * (alpha - 1.0))
+        * reference.kernel_weights(Q, alpha - 1.0, (q * t / x) ** p, 1,
+                                   1e-17)[0], x, q, ctrl)
+        for alpha, lam in LEMMA_CASES for x in verify._LEMMA_XS])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= (
+        1e-13 * Q / (1.0 - Q) + 1e-14)
 
 
 @pytest.mark.parametrize("restrict", [None, {"p": 0.5}, {"q": 0.99, "p": 5.0}],

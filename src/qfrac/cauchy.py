@@ -376,7 +376,7 @@ def apriori_bound(n: int, t: float, problem: CauchyProblem, K: float,
     """
     if n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
-    if K < 0.0:
+    if not K >= 0.0:
         raise DomainError(f"K must be nonnegative, got {K}")
     if problem.lipschitz_A is None:
         raise MissingLipschitzError(
@@ -407,7 +407,7 @@ def q_mittag_leffler(x: float, m: int, order: FracOrder, params: QParams,
     An m past ctrl.max_terms raises ConvergenceError, as any term budget."""
     if m < 0:
         raise DomainError(f"m must be nonnegative, got {m}")
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"x must be nonnegative, got {x}")
     _check_budget(m, ctrl,
                   lambda: f"q-Mittag-Leffler partial sum needs m={m} terms")

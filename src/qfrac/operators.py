@@ -71,7 +71,7 @@ class OperatorContext:
     ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL
 
     def __post_init__(self):
-        if self.a < 0.0:
+        if not self.a >= 0.0:
             raise DomainError(f"lower limit a must be nonnegative, got {self.a}")
 
 
@@ -114,31 +114,31 @@ def _convolve(x: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 
 class LatticeKernel:
-    """The Jackson kernel sum int_a^t v(w) f(w) (t**p - (wq)**p)^(beta)
-    d_q w at every row node t_m = t_0 q**m of a geometric node table, in
-    one pass over f tabulated once. The weight v is "w**(p-1)" (J, and D
-    as J of negative order) or "1" (the Caputo integrand D_q f).
+    """The Jackson kernel sum int_a^t w**(e-1) f(w) (t**p - (wq)**p)^(beta)
+    d_q w, e = p + tilt, at every row node t_m = t_0 q**m of a geometric
+    node table, in one pass over f tabulated once. Tilt 0 is the weight
+    w**(p-1) of J (and of D, J of negative order); the simplified Caputo
+    form is J^(1-alpha) of w**(1-p) D_q f, tilt 1 - p (e = 1).
 
     Each row has one power of its node, the head; every other factor lies
     in [0, 1]. At w = t_m q**i the kernel is t_m**(p beta) k_i with one
-    weight table k (c = q**p), and the Jackson weight w times w**(e - 1),
-    e = p for "w**(p-1)" and 1 for "1", is t_m**e (q**e)**i, so the sums
-    of all rows are one correlation, head[m] * sum_{i<n} w_i f(t_0
-    q**(m+i)) with w_i = k_i (q**e)**i; head[m] = (1 - q) t_m**((1 + p
-    beta) + (e - 1)) is past float range only where the value is. For a >
-    0 the subtracted sums over [0, a] read f at the lower nodes w = a
-    q**i, whose weight t_m**e (a/t_m)**e (q**e)**i is the same table under
-    the same head, times the row scale (a/t_m)**e <= 1: a row is head[m] *
-    (upper sum - (a/t_m)**e lower sum). Row m weighs the lower sum with k
-    at c = (aq/t_m)**p, and since c Q**i steps down the rows by Q, every
-    row reads one table K of rows + n - 1 weights built from the deepest
-    row's c: row m's weights are K[rows-1-m+i], a Toeplitz matrix applied
-    as a second convolution. This is the matrix view of discrete
-    fractional calculus (Podlubny, FCAA 2000). upper and lower hold w and
-    K reversed, and jackson the geometric table (q**e)**i: at a small p,
-    q**i underflows long before q**(ip) is negligible. Each sum is a
-    direct dot per row (_convolve), whose rows keep their own digits (an
-    FFT's error follows the largest).
+    weight table k (c = q**p), and the Jackson weight w times w**(e - 1) is
+    t_m**e (q**e)**i, so the sums of all rows are one correlation,
+    head[m] * sum_{i<n} w_i f(t_0 q**(m+i)) with w_i = k_i (q**e)**i;
+    head[m] = (1 - q) t_m**((1 + p beta) + (e - 1)) is past float range
+    only where the value is. For a > 0 the subtracted sums over [0, a] read
+    f at the lower nodes w = a q**i, whose weight t_m**e (a/t_m)**e
+    (q**e)**i is the same table under the same head, times the row scale
+    (a/t_m)**e <= 1: a row is head[m] * (upper sum - (a/t_m)**e lower sum).
+    Row m weighs the lower sum with k at c = (aq/t_m)**p, and since c Q**i
+    steps down the rows by Q, every row reads one table K of rows + n - 1
+    weights built from the deepest row's c: row m's weights are
+    K[rows-1-m+i], a Toeplitz matrix applied as a second convolution. This
+    is the matrix view of discrete fractional calculus (Podlubny, FCAA
+    2000). upper and lower hold w and K reversed, and jackson the geometric
+    table (q**e)**i: at a small p, q**i underflows long before q**(ip) is
+    negligible. Each sum is a direct dot per row (_convolve), whose rows
+    keep their own digits (an FFT's error follows the largest).
 
     Its first weight is (Q; Q)_inf / (Q**(1+beta); Q)_inf, so gamma = k_0
     (1 - Q)**(-beta) is Gamma_Q(1 + beta), the coefficients' own (< 0 at
@@ -153,11 +153,10 @@ class LatticeKernel:
     """
 
     def __init__(self, params: QParams, beta: float, a: float,
-                 ctrl: SeriesControl, nodes: np.ndarray,
-                 weight: str = "w**(p-1)"):
+                 ctrl: SeriesControl, nodes: np.ndarray, tilt: float = 0.0):
         self.params = params
         q, p = params.q, params.p
-        e = {"w**(p-1)": p, "1": 1.0}[weight]
+        e = p + tilt
         log_Q = p * math.log(q)
         self.nodes = nodes = np.asarray(nodes, dtype=float)
         rows = nodes.shape[-1]
@@ -180,18 +179,14 @@ class LatticeKernel:
             self.lower = _kernel_weights(log_Q, beta, log_c, rows + n - 1,
                                          ctrl)[..., ::-1]
 
-    def apply(self, f: np.ndarray, f_low: np.ndarray | None = None
-              ) -> np.ndarray:
+    @np.errstate(over="ignore", invalid="ignore")
+    def apply(self, f: np.ndarray, f_low: np.ndarray | None = None,
+              value=lambda rows: rows) -> np.ndarray:
         """Kernel sums at every row node, from f itself at t_0 q**j, j <
         rows + n - 1 (a shorter table: f = 0 past its end), and f_low at
-        _nodes(a, q, n) (None: f = 0 on [0, a]). A (k, len) stack gives
-        (k, rows); a row past float range raises, as _checked_product."""
-        return self._values(f, f_low, lambda rows: rows)
-
-    @np.errstate(over="ignore", invalid="ignore")
-    def _values(self, f, f_low, value) -> np.ndarray:
-        """value(apply's rows), an operator's coefficients times them, with
-        the range check on that value: it names the first row past range."""
+        _nodes(a, q, n) (None: f = 0 on [0, a]), mapped by value (an
+        operator's coefficients times them). A (k, len) stack gives (k,
+        rows); a value past float range raises, as _checked_product."""
         size = self.nodes.shape[-1] + self.n - 1
         f = np.asarray(f, dtype=float)[..., :size]
         if f.shape[-1] < size:
@@ -267,14 +262,15 @@ def _at(x, rows):
     return rows if isinstance(x, QLattice) else _value(rows[..., 0])
 
 
-def _integral_rows(f_grid, f_low, grid, rows, alpha, ctx) -> np.ndarray:
-    """J^alpha f at grid[..., :rows]; f_grid must cover rows + n - 1 nodes.
-    An ndarray alpha of orders is one kernel pass (see LatticeKernel). A
-    negative alpha gives D^(-alpha) f, the q-integral of negative order."""
+def _integral_rows(f_grid, f_low, grid, rows, alpha, ctx, tilt=0.0):
+    """J^alpha f at grid[..., :rows], its weight w**(p-1) times w**tilt
+    (see LatticeKernel); f_grid must cover rows + n - 1 nodes. An ndarray
+    alpha of orders is one kernel pass. A negative alpha gives D^(-alpha)
+    f, the q-integral of negative order."""
     kernel = LatticeKernel(ctx.params, alpha - 1.0, ctx.a, ctx.ctrl,
-                           grid[..., :rows])
+                           grid[..., :rows], tilt)
     coef = q_number(ctx.params.p, ctx.params.q)
-    return kernel._values(f_grid, f_low, lambda table: _each(
+    return kernel.apply(f_grid, f_low, lambda table: _each(
         lambda a, sums, gamma: coef ** (1.0 - a) * (sums / gamma), alpha,
         table, kernel.gamma))
 
@@ -352,21 +348,18 @@ def caputo_derivative_simplified(f: ScalarFunction, dqf: ScalarFunction,
     """Caputo derivative through the q-derivative of f:
 
     ([p]_q)**alpha / Gamma_Q(1-alpha) *
-    int_a^x (D_q f)(w) (x**p - (wq)**p)^(-alpha) d_q w.
+    int_a^x (D_q f)(w) (x**p - (wq)**p)^(-alpha) d_q w,
 
-    dqf must be the q-derivative of f (analytic or via q_derivative). The
-    kernel argument is wq: integrating by parts and differentiating under the
-    Jackson sum produces the shifted kernel, and only that form reproduces the
+    J^(1-alpha) of w**(1-p) D_q f, at tilt 1 - p. dqf must be the
+    q-derivative of f (analytic or via q_derivative). The kernel argument
+    is wq: integrating by parts and differentiating under the Jackson sum
+    produces the shifted kernel, and only that form reproduces the
     definitional Caputo derivative. x and order are as for frac_integral.
     """
     alpha = _alpha_of(order, lambda a: 0.0 < a < 1.0,
                       "derivative order must lie in (0, 1)")
-    dq_grid, dq_low, grid, rows = _on_lattice(dqf, x, ctx, 0, alpha)
-    kernel = LatticeKernel(ctx.params, -alpha, ctx.a, ctx.ctrl,
-                           grid[..., :rows], "1")
-    coef = q_number(ctx.params.p, ctx.params.q)
-    return _at(x, _each(lambda a, gamma, sums: coef ** a / gamma * sums,
-                        alpha, kernel.gamma, kernel.apply(dq_grid, dq_low)))
+    return _at(x, _integral_rows(*_on_lattice(dqf, x, ctx, 0, alpha),
+                                 1.0 - alpha, ctx, 1.0 - ctx.params.p))
 
 
 def caputo_rl_relation_residual(f: ScalarFunction, x, order,

@@ -114,53 +114,39 @@ def q_derivative(f: ScalarFunction, x: float, q: float) -> float:
 def jackson_integral_zero(f: ScalarFunction, b: float, q: float,
                           ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL
                           ) -> float:
-    """Jackson integral (1-q) b sum_i q**i f(q**i b) over [0, b].
+    """Jackson integral (1-q) b sum_i q**i f(q**i b) over [0, b], term by
+    term, f called once per summed term.
 
-    Stops once |term| <= max(1e-13 |partial|, eps sum of |terms|) for 3
+    Stops once |term| <= max(eps sum of |terms|, 1e-13 |partial|) for 3
     successive terms (qcore's _SUM_* constants; eps is the float epsilon),
     so tiny terms are still summed and a sum cancelling to 0 (or f = 0)
-    still stops; raises ConvergenceError at max_terms. f is tabulated on
-    blocks of nodes of doubling length, so it is called at up to twice
-    the nodes the sum uses (f must be evaluable on the whole lattice);
-    the sum is the same float as a term-by-term loop's.
+    still stops; raises ConvergenceError at max_terms.
     """
     _check_q(q)
     if not b > 0.0:
         raise DomainError(f"b must be positive, got {b}")
     scale = (1.0 - q) * b
     total, mass, small, qi = 0.0, 0.0, 0, 1.0
-    start, size = 0, 64
-    # qi *= q and total += term of a term-by-term loop are the sequential
-    # scans np.cumprod and np.cumsum, so the terms and partial sums are
-    # the same floats
-    while start < ctrl.max_terms:
-        m = min(size, ctrl.max_terms - start)
-        qis = np.full(m, q)
-        qis[0] = qi
-        np.cumprod(qis, out=qis)
-        terms = scale * qis * _tabulate(f, qis * b)
-        totals = np.cumsum(np.concatenate(([total], terms)))[1:]
-        masses = np.cumsum(np.concatenate(([mass], np.abs(terms))))[1:]
-        # fmax keeps the mass floor where the partial sum is NaN
-        small_at = np.abs(terms) <= np.fmax(_SUM_REL_TOL * np.abs(totals),
-                                            _SUM_MASS_TOL * masses)
-        for i, is_small in enumerate(small_at.tolist()):
-            small = small + 1 if is_small else 0
-            if small >= _SUM_RUN:
-                return float(totals[i])
-        total, mass, qi = float(totals[-1]), float(masses[-1]), qis[-1] * q
-        start, size = start + m, 2 * size
+    for _ in range(ctrl.max_terms):
+        term = scale * qi * f(qi * b)
+        total += term
+        mass += abs(term)
+        qi *= q
+        # max() keeps its first argument, the mass floor, if total is NaN
+        floor = max(_SUM_MASS_TOL * mass, _SUM_REL_TOL * abs(total))
+        small = small + 1 if abs(term) <= floor else 0
+        if small >= _SUM_RUN:
+            return float(total)
     raise ConvergenceError(
         f"Jackson integral on [0, {b}] did not meet its stopping rule "
-        f"within {ctrl.max_terms} terms"
-    )
+        f"within {ctrl.max_terms} terms")
 
 
 def jackson_integral(f: ScalarFunction, a: float, b: float, q: float,
                      ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL) -> float:
     """Jackson integral over [a, b], as the difference of zero-based
     integrals."""
-    if a < 0.0:
+    if not a >= 0.0:
         raise DomainError(f"a must be nonnegative, got {a}")
     if a == b:
         return 0.0

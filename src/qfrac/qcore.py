@@ -259,6 +259,8 @@ def q_gamma(t, q: float, ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):
     poles = t_arr[(t_arr <= 0) & (np.abs(t_arr - np.round(t_arr)) < 1e-12)]
     if poles.size:
         raise PoleError(f"q-Gamma pole at nonpositive integer t={poles[0]}")
+    if np.isnan(t_arr).any():
+        raise DomainError("q-Gamma argument t must not be NaN")
     log_q = math.log(q)
     logs, sign = _log_q_ratio(log_q, t_arr * log_q, log_q, 1, ctrl)
     with np.errstate(over="ignore"):  # Gamma_q past float range is inf
@@ -283,8 +285,9 @@ def q_power_general(x, y, alpha, params: QParams,
     # 1-d and contiguous: numpy's power gives other bits on 0-d operands
     shape, (x, y, alpha) = x.shape, (v.ravel() for v in (x, y, alpha))
     for bad, what in ((~(x > 0.0), "x must be positive, got {x}"),
-                      (y < 0.0, "y must be nonnegative, got {y}"),
-                      (y > x, "y must not exceed x, got x={x}, y={y}")):
+                      (~(y >= 0.0), "y must be nonnegative, got {y}"),
+                      (y > x, "y must not exceed x, got x={x}, y={y}"),
+                      (np.isnan(alpha), "alpha must not be NaN")):
         if np.any(bad):
             raise DomainError(what.format(x=x[bad][0], y=y[bad][0]))
     out = _power(x, params.p * alpha, params.p, "q-power factor")

@@ -2,8 +2,8 @@
 operators at one point.
 
 `jackson_sum` forms the Jackson integral over [0, b] term by term, with
-the library's stopping rule; the library tabulates f in blocks instead
-(`qcalc.jackson_integral_zero`). `kernel_sum` forms the Jackson kernel
+the library's stopping rule, as `qcalc.jackson_integral_zero` does; the
+tests hold the two to the same floats. `kernel_sum` forms the Jackson kernel
 sum term by term, one point at a time, as a loop over Python floats.
 Its kernel weights come from plain factor-by-factor products here, and
 its q-Gammas from the math.fsum of their factors' logs, not from the

@@ -826,6 +826,11 @@ class TestAprioriBound:
         with pytest.raises(DomainError, match="K must be nonnegative"):
             apriori_bound(1, 1.0, linear_problem(A=1.0), -1.0)
 
+    def test_rejects_nan_k(self):
+        with pytest.raises(DomainError) as err:
+            apriori_bound(1, 1.0, linear_problem(A=1.0), math.nan)
+        assert str(err.value) == "K must be nonnegative, got nan"
+
 
 class TestBoundFromEngine:
     """solve passes its engine's Gamma_Q(alpha), the Gamma of every Picard
@@ -895,6 +900,9 @@ class TestMittagLeffler:
             q_mittag_leffler(-1.0, 3, FracOrder(0.5), QParams(0.5))
         with pytest.raises(DomainError, match="m must be nonnegative"):
             q_mittag_leffler(0.5, -1, FracOrder(0.5), QParams(0.5))
+        with pytest.raises(DomainError) as err:
+            q_mittag_leffler(math.nan, 3, FracOrder(0.5), QParams(0.5))
+        assert str(err.value) == "x must be nonnegative, got nan"
 
 
 class TestClassicalLimit:

@@ -355,6 +355,27 @@ class TestCaputoDerivative:
                                                       FracOrder(0.5), ctx)
                     assert d1 == pytest.approx(d2, abs=1e-9)
 
+    @pytest.mark.parametrize("q", (0.3, 0.5, 0.9, 0.99))
+    @pytest.mark.parametrize("p", (0.5, 1.0, 2.0, 5.0, 15.0))
+    @pytest.mark.parametrize("a", (0.0, 0.25))
+    def test_simplified_is_the_integral_at_tilt_one_minus_p(self, q, p, a):
+        """cD^alpha w**e through D_q w**e = [e]_q w**(e-1) is J^(1-alpha) of
+        w**(1-p) D_q w**e = [e]_q w**(e-p): the tilt 1 - p sits in f's
+        table here, not in the kernel's head."""
+        # q = 0.99, p = 0.5 needs more terms than the default budget
+        ctx = OperatorContext(QParams(q, p), a, SeriesControl(40000))
+        lattice = QLattice(1.0, q, 12, floor_a=a)
+        alphas = np.array([0.25, 0.5, 0.75])
+        for e in (1.0, 2.0, 3.0):
+            c = q_number(e, q)
+            got = caputo_derivative_simplified(
+                lambda w: w ** e, tabled(lambda w: c * w ** (e - 1.0)),
+                lattice, alphas, ctx)
+            want = frac_integral(tabled(lambda w: c * w ** (e - p)), lattice,
+                                 1.0 - alphas, ctx)
+            assert got.shape == (3, len(lattice.nodes))
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
     def test_rl_relation_residual(self):
         ctx = OperatorContext(QParams(0.5), a=0.25)
         for f in (lambda w: 2.0, lambda w: w, lambda w: w * w + 1.0):
@@ -424,6 +445,8 @@ class TestChecks:
         (lambda: FracOrder(1.5), "alpha must lie in (0, 1), got 1.5"),
         (lambda: OperatorContext(QParams(0.5), a=-1.0),
          "lower limit a must be nonnegative, got -1.0"),
+        (lambda: OperatorContext(QParams(0.5), a=math.nan),
+         "lower limit a must be nonnegative, got nan"),
         (lambda: frac_integral(lambda w: w, LATTICE, -0.5, CTX),
          "integral order must be positive, got -0.5"),
         (lambda: frac_derivative_rl(lambda w: w, LATTICE, 1.0, CTX),
@@ -919,10 +942,11 @@ class TestKernelConvolutions:
         a, ctrl = 0.25, DEFAULT_INTEGRATION_CTRL
         params = QParams(q, p)
         nodes = QLattice(1.0, q, 200, floor_a=a).nodes  # 138 at q = 0.99
-        # each weight v(w) at the lower nodes w = a q**i of row t
-        for weight, v in (("w**(p-1)", lambda w, t: w ** (p - 1.0)),
-                          ("1", lambda w, t: np.ones_like(w))):
-            kernel = LatticeKernel(params, beta, a, ctrl, nodes, weight)
+        # each weight v(w) = w**(p-1+tilt) at the lower nodes w = a q**i
+        # of row t: J's (tilt 0) and the simplified Caputo form's (1 - p)
+        for tilt, v in ((0.0, lambda w, t: w ** (p - 1.0)),
+                        (1.0 - p, lambda w, t: np.ones_like(w))):
+            kernel = LatticeKernel(params, beta, a, ctrl, nodes, tilt)
             n = kernel.n
             w = a * np.power(q, np.arange(n))
             dense = np.array([
@@ -942,13 +966,13 @@ class TestKernelConvolutions:
     def test_head_past_float_range_names_p_and_the_node(self, q, p, a,
                                                         first):
         """Without the integrand weight, as the simplified Caputo form
-        builds it, (1 - q) t**(1 + p beta) overflows at the small nodes of
-        a large p: one ConvergenceError, and no RuntimeWarning (an error
-        here)."""
+        builds it (tilt 1 - p), (1 - q) t**(1 + p beta) overflows at the
+        small nodes of a large p: one ConvergenceError, and no
+        RuntimeWarning (an error here)."""
         nodes = QLattice(1.0, q, 200, floor_a=a).nodes
         with pytest.raises(ConvergenceError) as info:
             LatticeKernel(QParams(q, p), -0.5, a, DEFAULT_INTEGRATION_CTRL,
-                          nodes, "1")
+                          nodes, 1.0 - p)
         assert str(info.value) == (
             f"kernel row factor t**{1 - p / 2!r} leaves float range at "
             f"p={p!r}; first at node t={first!r}")

@@ -49,6 +49,9 @@ class TestJacksonIntegral:
          "a must be nonnegative, got -1.0"),
         (lambda f: jackson_integral(f, 2.0, 1.0, 0.5),
          "need a <= b, got a=2.0, b=1.0"),
+        # a NaN limit fails the check rather than passing as [0, b]
+        (lambda f: jackson_integral(f, math.nan, 1.0, 0.5),
+         "a must be nonnegative, got nan"),
     ])
     def test_rejects_bad_limits(self, integral, message):
         with pytest.raises(DomainError) as raised:
@@ -148,9 +151,9 @@ class Tabled:
 
 
 class TestJacksonTablePath:
-    """Every function is summed in blocks, through its table or one call
-    per node; the sum is the term-by-term loop's float bit for bit, and so
-    is its failure at max_terms."""
+    """Every function is summed term by term, one call per node, a table
+    attribute or not; the sum is the reference loop's float bit for bit,
+    and so is its failure at max_terms."""
 
     @given(q=st.floats(0.05, 0.995), b=st.floats(0.01, 5.0),
            c=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
@@ -160,7 +163,7 @@ class TestJacksonTablePath:
         f = Tabled(*c)
         ctrl = SeriesControl(max_terms=20_000)
         want = reference.jackson_sum(f, b, q, ctrl)
-        for g in (f, lambda x: f(x)):  # through f.table, and per node
+        for g in (f, lambda x: f(x)):  # with a table attribute, and without
             got = jackson_integral_zero(g, b, q, ctrl)
             assert type(got) is float
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
@@ -170,8 +173,8 @@ class TestJacksonTablePath:
         # terms 0.375 * 0.625**i of f = 1 drop below 1e-13 times the
         # partial sum 1 - 0.625**(i + 1) from i = 62 on (log(1e-13 / 0.375)
         # / log(0.625) = 61.6; eps times the sum of |terms|, here the
-        # partial sum, is the lesser floor), so the third small term in a
-        # row, where the sum stops, is the first of the second 64-term block
+        # partial sum, is the lesser floor), so the sum stops at the third
+        # small term in a row, i = 64
         ctrl = SeriesControl()
         assert [i for i in range(61, 64) if 0.375 * 0.625**i <= max(
             1e-13, np.finfo(float).eps) * (1.0 - 0.625 ** (i + 1))] == [62, 63]
@@ -190,21 +193,24 @@ class TestJacksonTablePath:
                 jackson_integral_zero(f, 1.0, 0.99, ctrl)
             assert str(err.value) == str(loop_err.value)
 
-    def test_error_past_the_stop_propagates(self):
-        # the sum of 0.5**i stops at i = 45, inside the first 64-node
-        # block; f raises from node 50 on, which only the block reaches
-        boom = ValueError("f is undefined below 2**-50")
+    def test_f_is_called_only_at_the_terms_the_sum_uses(self):
+        # the sum of 0.5**i stops at i = 45; f raises from node 50 on,
+        # which the sum never reaches
+        calls = []
 
         def f(x):
+            calls.append(x)
             if x < 2.0**-49.5:
-                raise boom
+                raise ValueError("f is undefined below 2**-50")
             return 1.0
 
         ctrl = SeriesControl()
-        assert reference.jackson_sum(f, 1.0, 0.5, ctrl) == pytest.approx(1.0)
-        with pytest.raises(ValueError) as err:
-            jackson_integral_zero(f, 1.0, 0.5, ctrl)
-        assert err.value is boom
+        want = reference.jackson_sum(f, 1.0, 0.5, ctrl)
+        used = len(calls)
+        calls.clear()
+        assert jackson_integral_zero(f, 1.0, 0.5, ctrl) == want
+        assert calls == [0.5**i for i in range(used)]
+        assert used == 46
 
     def test_nan_never_stops_the_sum(self):
         ctrl = SeriesControl(max_terms=200)

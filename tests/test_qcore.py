@@ -116,6 +116,12 @@ class TestQGamma:
         with pytest.raises(PoleError):
             q_gamma(-2.0, 0.5)
 
+    def test_nan_is_named_before_the_product_pass(self):
+        for t in (math.nan, np.array([0.5, math.nan])):
+            with pytest.raises(DomainError) as err:
+                q_gamma(t, 0.5)
+            assert str(err.value) == "q-Gamma argument t must not be NaN"
+
 
 class TestQPowerGeneral:
     def test_y_zero(self):
@@ -184,6 +190,16 @@ class TestQPowerGeneral:
             q_power_general(1.0, 2.0, 0.5, QParams(0.5))
         with pytest.raises(DomainError):
             q_power_general(-1.0, 0.0, 0.5, QParams(0.5))
+
+    @pytest.mark.parametrize("y,alpha,message", [
+        (math.nan, 0.5, "y must be nonnegative, got nan"),  # not y = 0
+        (0.5, math.nan, "alpha must not be NaN"),
+        (0.5, np.array([0.5, math.nan]), "alpha must not be NaN"),
+    ])
+    def test_nan_is_rejected(self, y, alpha, message):
+        with pytest.raises(DomainError) as err:
+            q_power_general(1.0, y, alpha, QParams(0.5))
+        assert str(err.value) == message
 
 
 class TestArrayProducts:

@@ -209,10 +209,10 @@ class LatticeKernel:
 
 
 def _grid(x, ctx: OperatorContext, extra: int = 0):
-    """The grid b q**j one kernel pass over x reads, plus `extra` rows (1
-    for a q-difference stencil, whose x reads qx > a), and x's row count:
-    x is a QLattice with ratio q, a point x > a (the one-node lattice) or
-    an ndarray of points, one grid each."""
+    """The grid b q**j one kernel pass over x reads, plus `extra` rows, and
+    x's row count: x is a QLattice with ratio q, a point x > a (the
+    one-node lattice) or an ndarray of points, one grid each. x > a is
+    every operator's domain."""
     q, a = ctx.params.q, ctx.a
     if isinstance(x, QLattice):
         if x.q != q:
@@ -224,10 +224,6 @@ def _grid(x, ctx: OperatorContext, extra: int = 0):
         if not t > a:
             raise DomainError(f"evaluation point must exceed the lower "
                               f"limit, got s={t}, a={a}")
-        if extra and not q * t > a:
-            raise DomainError(
-                f"q-difference stencil leaves the domain at x={t}: "
-                f"qx={q * t} <= a={a}")
     rows = len(xs) if isinstance(x, QLattice) else 1
     n = _sum_length(q, ctx.params.p, ctx.ctrl)
     return _nodes(b, q, rows + n - 1 + extra), rows, n
@@ -322,8 +318,9 @@ def frac_derivative_rl(f: ScalarFunction, x, order,
     """Riemann-Liouville-type q-fractional derivative D^alpha f at x.
 
     x**(1-p) D_q J^(1-alpha) f is frac_integral's formula at order -alpha
-    (Annaby and Mansour, LNM 2056, 2012), on its stencil's domain qx > a;
-    order 0 is the identity. x and order are as for frac_integral.
+    (Annaby and Mansour, LNM 2056, 2012) at every x > a: J^(1-alpha) f(qx)
+    is int_0^qx - int_0^a, also where qx <= a. Order 0 is the identity. x
+    and order are as for frac_integral.
     """
     alpha = _alpha_of(order, lambda a: 0.0 <= a < 1.0,
                       "derivative order must lie in [0, 1)")
@@ -331,7 +328,7 @@ def frac_derivative_rl(f: ScalarFunction, x, order,
         grid, rows, _ = _grid(x, ctx)
         return _at(x, _each(lambda _: _table(f, grid[..., :rows]), alpha))
     _alpha_of(alpha, lambda a: a > 0.0, "derivative order must lie in (0, 1)")
-    return _at(x, _integral_rows(*_on_lattice(f, x, ctx, 1, alpha), -alpha,
+    return _at(x, _integral_rows(*_on_lattice(f, x, ctx, 0, alpha), -alpha,
                                  ctx))
 
 
@@ -433,7 +430,7 @@ def inversion_residuals(f: ScalarFunction, lattice: QLattice, order,
     The lattice ratio must be q. Everything lives on one geometric grid
     b q**j, with f tabulated once: the inner operator is one kernel pass
     over the grid nodes the outer pass reads, and extends by zero at and
-    below a (for cD, wherever qw <= a).
+    below a.
     """
     alpha = _alpha_of(order)
     q, a = ctx.params.q, ctx.a
@@ -444,20 +441,18 @@ def inversion_residuals(f: ScalarFunction, lattice: QLattice, order,
         return _value(np.zeros(stack)), _value(np.zeros(stack))
     n = _sum_length(q, ctx.params.p, ctx.ctrl)
     f_grid, f_low, grid, rows = _on_lattice(
-        f, replace(lattice, depth=rows), ctx, n, alpha)
+        f, replace(lattice, depth=rows), ctx, n - 1, alpha)
 
-    jf = np.zeros(stack + (rows + n,))
-    live = int(np.count_nonzero(grid[:rows + n] > a))
+    # J f and cD f at the rows + n - 1 nodes the outer passes read
+    jf, cdf = np.zeros((2,) + stack + (rows + n - 1,))
+    live = int(np.count_nonzero(grid[:rows + n - 1] > a))
     jf[..., :live] = _integral_rows(f_grid, f_low, grid, live, alpha, ctx)
-    # J f vanishes at a, so cD^alpha(J f) = D^alpha(J f)
-    left = (_integral_rows(jf, None, grid, rows, -alpha, ctx)
-            - f_grid[..., :rows])
-
-    cdf = np.zeros(stack + (rows + n - 1,))
-    live = int(np.count_nonzero(q * grid[:rows + n - 1] > a))
     cdf[..., :live] = _integral_rows(
         f_grid - fa, None if f_low is None else f_low - fa, grid, live,
         -alpha, ctx)
+    # J f vanishes at a, so cD^alpha(J f) = D^alpha(J f)
+    left = (_integral_rows(jf, None, grid, rows, -alpha, ctx)
+            - f_grid[..., :rows])
     right = (_integral_rows(cdf, None, grid, rows, alpha, ctx)
              - (f_grid[..., :rows] - fa))
     return (_value(np.max(np.abs(left), axis=-1)),

@@ -45,8 +45,9 @@ class QLattice:
     floor_a: float = 0.0
 
     def __post_init__(self):
-        if not self.b > 0.0:
-            raise DomainError(f"b must be positive, got {self.b}")
+        if not 0.0 < self.b < math.inf:
+            what = "finite" if self.b > 0.0 else "positive"
+            raise DomainError(f"b must be {what}, got {self.b}")
         _check_q(self.q)
         if self.depth < 1:
             raise DomainError(f"depth must be >= 1, got {self.depth}")

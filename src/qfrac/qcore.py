@@ -94,7 +94,7 @@ def q_number(a: float, q: float) -> float:
 def q_factorial(n: int, q: float) -> float:
     """[n]_q! = [n]_q [n-1]_q ... [1]_q, with [0]_q! = 1."""
     _check_q(q)
-    if n < 0 or n != int(n):
+    if not (n >= 0 and float(n).is_integer()):
         raise DomainError(f"n must be a nonnegative integer, got {n}")
     out = 1.0
     for k in range(2, int(n) + 1):
@@ -256,11 +256,14 @@ def q_gamma(t, q: float, ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL):
     """
     _check_q(q)
     t_arr = np.asarray(t, dtype=float)
+    if np.isnan(t_arr).any():
+        raise DomainError("q-Gamma argument t must not be NaN")
+    if np.isinf(t_arr).any():
+        raise DomainError(f"q-Gamma argument t must be finite, got "
+                          f"{t_arr[np.isinf(t_arr)][0]}")
     poles = t_arr[(t_arr <= 0) & (np.abs(t_arr - np.round(t_arr)) < 1e-12)]
     if poles.size:
         raise PoleError(f"q-Gamma pole at nonpositive integer t={poles[0]}")
-    if np.isnan(t_arr).any():
-        raise DomainError("q-Gamma argument t must not be NaN")
     log_q = math.log(q)
     logs, sign = _log_q_ratio(log_q, t_arr * log_q, log_q, 1, ctrl)
     with np.errstate(over="ignore"):  # Gamma_q past float range is inf

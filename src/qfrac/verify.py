@@ -181,7 +181,6 @@ def _check_caputo_relation(restrict, ctrl):
     for q, p in _pairs(restrict):
         ctx = OperatorContext(QParams(q, p), a=0.25, ctrl=ctrl)
         f, _ = _family(q, p, 2)
-        # qx must stay above a for the RL stencil, even at q = 0.3
         yield np.abs(caputo_rl_relation_residual(
             f, np.array((0.9, 1.0)), _ORDERS, ctx))
 

@@ -4,7 +4,10 @@ operators at one point.
 `jackson_sum` forms the Jackson integral over [0, b] term by term, with
 the library's stopping rule, as `qcalc.jackson_integral_zero` does; the
 tests hold the two to the same floats. `kernel_sum` forms the Jackson kernel
-sum term by term, one point at a time, as a loop over Python floats.
+sum term by term, one point at a time, as a loop over Python floats. Its
+integral over [a, s] is Jackson's int_0^s - int_0^a (Kac and Cheung,
+Quantum Calculus, 2002), at every s > 0: `derivative_rl` reads its inner
+sum at qx <= a that way, by the definitional q-difference.
 Its kernel weights come from plain factor-by-factor products here, and
 its q-Gammas from the math.fsum of their factors' logs, not from the
 library's q-products; `mp_log_poch` gives 30-digit values to check them.
@@ -19,7 +22,7 @@ import math
 
 import numpy as np
 
-from qfrac.errors import ConvergenceError, DomainError, PoleError
+from qfrac.errors import ConvergenceError, PoleError
 from qfrac.operators import OperatorContext
 from qfrac.qcore import (
     _SUM_ABS_TOL,
@@ -142,18 +145,15 @@ def kernel_weights(Q: float, beta: float, c: float, n: int,
 
 def kernel_sum(g, s: float, beta: float, ctx: OperatorContext) -> float:
     """Jackson integral int_a^s g(w) (s**p - (wq)**p)^(beta) d_q w at one
-    point s, off any lattice.
+    point s > 0, off any lattice.
 
-    Computed as the difference of two zero-based Jackson sums. At node
-    w = base * q**i the kernel ratio ((wq)/s)**p is geometric in i, so one
-    weight table covers each sum.
+    Computed as the difference of two zero-based Jackson sums, which also
+    defines it at s <= a. At node w = base * q**i the kernel ratio
+    ((wq)/s)**p is geometric in i, so one weight table covers each sum.
     """
     q, p = ctx.params.q, ctx.params.p
     Q = ctx.params.qp
     a = ctx.a
-    if not s > a:
-        raise DomainError(f"evaluation point must exceed the lower limit, "
-                          f"got s={s}, a={a}")
     n = _sum_length(q, p, ctx.ctrl)
     head = s ** (p * beta)
 
@@ -192,8 +192,8 @@ def integral(f, x: float, alpha: float, ctx: OperatorContext) -> float:
 
 
 def derivative_rl(f, x: float, alpha: float, ctx: OperatorContext) -> float:
-    """D^alpha f at x, for 0 < alpha < 1 and qx > a: the outer q-difference
-    of the inner sums at x and qx."""
+    """D^alpha f at x, for 0 < alpha < 1 and x > a: the outer q-difference
+    of the inner sums at x and qx, the one at qx <= a int_0^qx - int_0^a."""
     q, p = ctx.params.q, ctx.params.p
 
     def inner(s: float) -> float:

@@ -18,7 +18,7 @@ from qfrac import cauchy, cli, exprparse
 from qfrac.cli import _report_json, load_config, main
 from qfrac.cli import ConfigError, RunConfig
 from qfrac.cauchy import SolverReport, q_mittag_leffler
-from qfrac.operators import FracOrder, lemma_beta_integral
+from qfrac.operators import FracOrder, OperatorContext, lemma_beta_integral
 from qfrac.qcore import (QParams, SeriesControl, q_gamma, q_number,
                          q_power_general)
 from qfrac.verify import run_registry
@@ -283,6 +283,36 @@ class TestEval:
         # round-trip through repr must be exact at 17 significant digits
         v0 = lines[1].split(",")[1]
         assert float(v0) == pytest.approx(1.0 / q_gamma(1.5, 0.5), rel=1e-15)
+
+    @pytest.mark.parametrize("q", [0.5, 0.9])
+    @pytest.mark.parametrize("operator", ["D", "caputo"])
+    def test_rows_whose_qx_is_at_or_below_a(self, tmp_path, capsys, q,
+                                            operator):
+        """D and caputo are defined at every x > a: a row with qx <= a
+        reads its inner sum at qx as int_0^qx - int_0^a, as the reference
+        q-difference does. At x = a/q = 0.5 that sum is 0, so D f(x) is
+        (1 - q)**(-alpha) x**(-alpha) f(x): 2.5, and 0.375 for caputo's
+        f - f(a)."""
+        path = write_cfg(tmp_path, "a.cfg",
+                         f"q = {q}\nalpha = 0.5\na = 0.25\n"
+                         f"operator = {operator}\nfunction = 1 + x^2\n"
+                         "lattice_depth = 20\n")
+        assert main(["eval", "--config", path, "--format", "json"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        table = json.loads(out.out)["table"]
+        below = [(x, v) for x, v in zip(table["x"], table["value"])
+                 if q * x <= 0.25]
+        assert len(below) == 1
+        ctx = OperatorContext(QParams(q), a=0.25)
+        ref = (kernel_reference.derivative_rl if operator == "D"
+               else kernel_reference.caputo)
+        x, v = below[0]
+        want = ref(lambda w: 1.0 + w * w, x, 0.5, ctx)
+        assert abs(v - want) <= 1e-12 * abs(want)
+        if q == 0.5:
+            want = 2.5 if operator == "D" else 0.375
+            assert x == 0.5 and abs(v - want) <= 2 * math.ulp(want)
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_x_column_is_the_grid_node(self, tmp_path, capsys, fmt):
@@ -957,8 +987,8 @@ class TestFailurePaths:
     def test_other_commands_sweep_ends_cleanly(self, tmp_path, capsys, p, q,
                                                b):
         """ml, verify, and eval of each operator on a plain and a huge
-        function, at a = 0 and at a = 0.25 (the lower-limit sums and the
-        stencil's domain check), end cleanly at huge p and b."""
+        function, at a = 0 and at a = 0.25 (the lower-limit sums), end
+        cleanly at huge p and b."""
         base = f"q = {q}\nalpha = 0.5\np = {p}\nb = {b}\nlattice_depth = 6\n"
         runs = [("ml", "m_terms = 5\n"), ("verify", "")] + [
             ("eval", f"operator = {op}\nfunction = {f}\na = {a}\n")
@@ -967,19 +997,6 @@ class TestFailurePaths:
         for i, (command, keys) in enumerate(runs):
             self.ends_cleanly(tmp_path, capsys, command, base + keys,
                               f"out-{i}")
-
-    @pytest.mark.parametrize("q", [0.5, 0.9])
-    @pytest.mark.parametrize("operator", ["D", "caputo"])
-    def test_stencil_exit_is_3(self, tmp_path, capsys, q, operator):
-        path = write_cfg(tmp_path, "a.cfg",
-                         f"q = {q}\nalpha = 0.5\na = 0.25\n"
-                         f"operator = {operator}\nfunction = 1 + x^2\n"
-                         "lattice_depth = 20\n")
-        assert main(["eval", "--config", path]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"operator {operator} failed: "
-                              "q-difference stencil leaves the domain")
-        assert err.count("\n") == 1
 
 
 class TestLargeP:

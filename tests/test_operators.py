@@ -228,12 +228,14 @@ class TestRLDerivative:
                                                           params)
                         assert got == pytest.approx(want, rel=1e-8)
 
-    def test_stencil_domain(self):
+    def test_qx_below_a(self):
+        """qx = 0.18 falls below a = 0.25 even though x does not: D is
+        the reference q-difference, its inner sum at qx Jackson's int_0^qx
+        - int_0^a."""
         ctx = OperatorContext(QParams(0.3), a=0.25)
-        # qx = 0.18 falls below a even though x does not
-        with pytest.raises(DomainError,
-                           match=r"stencil leaves the domain at x=0\.6"):
-            frac_derivative_rl(lambda w: w, 0.6, FracOrder(0.5), ctx)
+        got = frac_derivative_rl(lambda w: w, 0.6, FracOrder(0.5), ctx)
+        want = reference.derivative_rl(lambda w: w, 0.6, 0.5, ctx)
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("q", (0.5, 0.9, 0.99, 0.999))
@@ -409,7 +411,7 @@ class TestCaputoDerivative:
         and for a float and an ndarray of orders."""
         params = QParams(q, 2.0)
         ctx = OperatorContext(params, a=0.25)
-        # nodes whose q-difference stencil stays above a
+        # nodes with qx > a; test_rows_whose_qx_is_at_or_below_a takes the rest
         depth = sum(1 for x in QLattice(2.0, q, 12, floor_a=0.25).nodes
                     if q * x > 0.25)
         lattice = QLattice(2.0, q, depth, floor_a=0.25)
@@ -585,6 +587,26 @@ class TestInversion:
                                             np.array([0.25, 0.75]), ctx):
             assert residual.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
+    @pytest.mark.parametrize("q", (0.5, 0.9, 0.99))
+    @pytest.mark.parametrize("p", (0.5, 1.0, 2.0))
+    @pytest.mark.parametrize("k", (1, 3, 10))
+    def test_lower_limit_on_and_beside_a_node(self, q, p, k):
+        """Both residuals within 1e-13 at a = q**k, a lattice node, and one
+        ulp either side: the inner cD is taken at every node above a, so
+        the value does not jump as a crosses the node. At (0.99, 0.5) the
+        6,877-term sums round cD J f - f to 1.7e-13."""
+        family = tabled(lambda w: np.stack((w, w * w, 1.0 + w * w,
+                                            np.exp(w))))
+        orders = np.array((0.25, 0.5, 0.75))
+        left_bound = 2e-13 if (q, p) == (0.99, 0.5) else 1e-13
+        for a in (q**k, math.nextafter(q**k, 0.0), math.nextafter(q**k, 1.0)):
+            ctx = OperatorContext(QParams(q, p), a=a,
+                                  ctrl=SeriesControl(max_terms=40000))
+            left, right = inversion_residuals(family, QLattice(1.0, q, 12),
+                                              orders, ctx)
+            assert np.max(left) <= left_bound
+            assert np.max(right) <= 1e-13
+
     def test_constant_right_residual(self):
         # cD kills constants, so J(cD f) recovers f - f(a) = 0 exactly
         ctx = OperatorContext(QParams(0.5, 2.0))
@@ -605,7 +627,7 @@ class TestLatticePath:
         ctx = OperatorContext(QParams(q, p), a=a)
         f = lambda w: c[0] + c[1] * w + c[2] * w * w + c[3] * math.exp(-w)
         dqf = lambda w: (f(w) - f(q * w)) / ((1.0 - q) * w)
-        # nodes whose q-difference stencil stays above a
+        # nodes with qx > a; test_rows_whose_qx_is_at_or_below_a takes the rest
         depth = sum(1 for x in QLattice(1.0, q, 6, floor_a=a).nodes
                     if q * x > a)
         lattice = QLattice(1.0, q, depth, floor_a=a)
@@ -652,12 +674,42 @@ class TestLatticePath:
             assert (getattr(k1, table).tolist()
                     == getattr(k2, table).tolist())
 
-    def test_stencil_leaving_the_domain(self):
+    def test_row_whose_qx_is_a(self):
+        """At x = 0.5, qx = a: the inner sum at qx is 0, so D f(x) is
+        (1 - q)**(-alpha) x**(-alpha) f(x) = 1 for f(w) = w."""
         ctx = OperatorContext(QParams(0.5), a=0.25)
         lattice = QLattice(1.0, 0.5, 4, floor_a=0.25)  # nodes 1, 0.5
         assert len(frac_integral(lambda w: w, lattice, 0.5, ctx)) == 2
-        with pytest.raises(DomainError, match="stencil leaves the domain"):
-            frac_derivative_rl(lambda w: w, lattice, 0.5, ctx)
+        got = frac_derivative_rl(lambda w: w, lattice, 0.5, ctx)
+        for x, v in zip(lattice.nodes, got):
+            want = reference.derivative_rl(lambda w: w, x, 0.5, ctx)
+            assert abs(v - want) <= 1e-12 * abs(want)
+        assert abs(got[1] - 1.0) <= 2 * math.ulp(1.0)
+
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("p", (0.5, 1.0, 2.0))
+    @pytest.mark.parametrize("a", (0.25, 0.6))
+    def test_rows_whose_qx_is_at_or_below_a(self, q, p, a):
+        """D and Caputo at the nodes x in (a, a/q] against the reference
+        q-difference, whose inner sum at qx is int_0^qx - int_0^a; the
+        Caputo-RL relation holds on those rows."""
+        ctx = OperatorContext(QParams(q, p), a=a)
+        lattice = QLattice(1.0, q, 40, floor_a=a)
+        rows = [i for i, x in enumerate(lattice.nodes) if q * x <= a]
+        assert rows
+        for f in (lambda w: w, lambda w: w * w, lambda w: 1.0 + w * w,
+                  math.exp):
+            for alpha in (0.25, 0.5, 0.75):
+                d = frac_derivative_rl(f, lattice, alpha, ctx)
+                cd = caputo_derivative(f, lattice, alpha, ctx)
+                relation = caputo_rl_relation_residual(f, lattice, alpha, ctx)
+                for i in rows:
+                    x = lattice.nodes[i]
+                    for got, ref in ((d, reference.derivative_rl),
+                                     (cd, reference.caputo)):
+                        want = ref(f, x, alpha, ctx)
+                        assert abs(got[i] - want) <= 1e-12 * abs(want)
+                    assert abs(relation[i]) <= 1e-12 * max(1.0, abs(d[i]))
 
     def test_lattice_ratio_must_be_q(self):
         ctx = OperatorContext(QParams(0.5))
@@ -689,8 +741,7 @@ class TestFamilies:
     @pytest.mark.parametrize("p", PS)
     def test_rows_equal_single_calls(self, q, depth, a, p):
         ctx = OperatorContext(QParams(q, p), a=a)
-        # floor a/q: every node's q-difference stencil stays above a (at
-        # a small q, b lies above the floor)
+        # floor a/q (at a small q, b lies above the floor)
         lattice = QLattice(max(1.0, 2.0 * a / q), q, depth, floor_a=a / q)
         rows = len(lattice.nodes)
         singles = [tabled(m) for m in MEMBERS]
@@ -741,8 +792,8 @@ class TestFamilies:
                 (frac_integral, "s=0.25, a=0.25"),
                 (lambda f, x, o, c: caputo_derivative_simplified(
                     f, f, x, o, c), "s=0.25, a=0.25"),
-                (frac_derivative_rl, "at x=0.5: qx=0.25"),
-                (caputo_derivative, "at x=0.5: qx=0.25")):
+                (frac_derivative_rl, "s=0.25, a=0.25"),
+                (caputo_derivative, "s=0.25, a=0.25")):
             messages = []
             for f in (single, family):
                 with pytest.raises(DomainError) as err:
@@ -921,7 +972,7 @@ class TestDeepDerivativeRows:
     @pytest.mark.parametrize("q,p", [(0.9, 2.0), (0.9, 5.0), (0.99, 3.0)])
     def test_derivative_of_one_above_a_is_the_q_power(self, q, p):
         """At a > 0, D^alpha 1 = [p]_q**alpha / Gamma_Q(1-alpha)
-        (x**p - a**p)^(-alpha), on every node whose stencil stays above a."""
+        (x**p - a**p)^(-alpha), on every node above a/q."""
         ctx = OperatorContext(QParams(q, p), a=0.25)
         lattice = QLattice(1.0, q, 200, floor_a=0.25 / q)
         got = frac_derivative_rl(tabled(np.ones_like), lattice, 0.5, ctx)

@@ -293,6 +293,14 @@ class TestLattice:
         with pytest.raises(DomainError, match="floor_a must satisfy"):
             QLattice(1.0, 0.5, 4, floor_a=1.0)
 
+    def test_infinite_b_is_refused(self):
+        with pytest.raises(DomainError) as err:
+            QLattice(math.inf, 0.5, 3)
+        assert str(err.value) == "b must be finite, got inf"
+        with pytest.raises(DomainError) as err:
+            QLattice(0.0, 0.5, 3)
+        assert str(err.value) == "b must be positive, got 0.0"
+
 
 class TestSupNorm:
     def test_parabola(self):

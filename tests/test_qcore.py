@@ -79,6 +79,12 @@ class TestQFactorial:
         with pytest.raises(DomainError):
             q_factorial(-1, 0.5)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf, 2.5])
+    def test_non_integer_is_named(self, n):
+        with pytest.raises(DomainError) as err:
+            q_factorial(n, 0.5)
+        assert str(err.value) == f"n must be a nonnegative integer, got {n}"
+
 
 class TestQGamma:
     def test_one(self):
@@ -121,6 +127,15 @@ class TestQGamma:
             with pytest.raises(DomainError) as err:
                 q_gamma(t, 0.5)
             assert str(err.value) == "q-Gamma argument t must not be NaN"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_infinity_is_named_before_the_pole_check(self, t):
+        for arg in (t, np.array([0.5, t])):
+            with pytest.raises(DomainError) as err:
+                q_gamma(arg, 0.5)
+            assert str(err.value) == (
+                f"q-Gamma argument t must be finite, got {t}")
 
 
 class TestQPowerGeneral:

@@ -14,7 +14,7 @@ class PoleError(QfracError, ArithmeticError):
 
 
 class ConvergenceError(QfracError, ArithmeticError):
-    """A truncated sum or product reached max_terms before its stopping rule fired."""
+    """A truncated sum or product needs more terms than max_terms."""
 
 
 class TrustRegionError(QfracError, RuntimeError):

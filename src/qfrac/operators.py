@@ -21,9 +21,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .qcalc import QLattice, ScalarFunction, _FromTable, _nodes, _tabulate
 from .qcore import (
+    _SUM_ABS_TOL,
     DEFAULT_INTEGRATION_CTRL,
     QParams,
     SeriesControl,
@@ -138,7 +139,8 @@ class LatticeKernel:
     2000). upper and lower hold w and K reversed, and jackson the geometric
     table (q**e)**i: at a small p, q**i underflows long before q**(ip) is
     negligible. Each sum is a direct dot per row (_convolve), whose rows
-    keep their own digits (an FFT's error follows the largest).
+    keep their own digits (an FFT's error follows the largest). A sum
+    whose table reaches its n-th term adds its geometric tail (_with_tail).
 
     Its first weight is (Q; Q)_inf / (Q**(1+beta); Q)_inf, so gamma = k_0
     (1 - Q)**(-beta) is Gamma_Q(1 + beta), the coefficients' own (< 0 at
@@ -161,6 +163,7 @@ class LatticeKernel:
         self.nodes = nodes = np.asarray(nodes, dtype=float)
         rows = nodes.shape[-1]
         self.n = n = _sum_length(q, p, ctrl)
+        self.max_terms = ctrl.max_terms
         self.jackson = _nodes(1.0, q ** e, n)  # q**i itself at e = 1
         weights = _kernel_weights(log_Q, beta, log_Q, n, ctrl)
         self.gamma = _each(lambda b, w: float(w) * (1.0 - params.qp) ** -b,
@@ -179,33 +182,58 @@ class LatticeKernel:
             self.lower = _kernel_weights(log_Q, beta, log_c, rows + n - 1,
                                          ctrl)[..., ::-1]
 
-    @np.errstate(over="ignore", invalid="ignore")
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def apply(self, f: np.ndarray, f_low: np.ndarray | None = None,
               value=lambda rows: rows) -> np.ndarray:
         """Kernel sums at every row node, from f itself at t_0 q**j, j <
-        rows + n - 1 (a shorter table: f = 0 past its end), and f_low at
-        _nodes(a, q, n) (None: f = 0 on [0, a]), mapped by value (an
-        operator's coefficients times them). A (k, len) stack gives (k,
-        rows); a value past float range raises, as _checked_product."""
-        size = self.nodes.shape[-1] + self.n - 1
-        f = np.asarray(f, dtype=float)[..., :size]
-        if f.shape[-1] < size:
-            pad = np.zeros(f.shape[:-1] + (size - f.shape[-1],))
+        rows + n - 1 (a shorter table: f = 0 past its end, and no tails),
+        and f_low at _nodes(a, q, n) (None: f = 0 on [0, a]), mapped by
+        value (an operator's coefficients times them). A (k, len) stack
+        gives (k, rows); past float range raises, as _checked_product."""
+        rows, n = self.nodes.shape[-1], self.n
+        f = np.asarray(f, dtype=float)[..., :rows + n - 1]
+        full = f.shape[-1] == rows + n - 1
+        if not full:
+            pad = np.zeros(f.shape[:-1] + (rows + n - 1 - f.shape[-1],))
             f = np.concatenate((f, pad), axis=-1)
         orders = np.ndim(self.power)  # a table's orders, then f's functions
         lead = lambda t: t if t.ndim == f.ndim else t.reshape(
             t.shape[:orders] + (1,) * (f.ndim - t.ndim) + t.shape[orders:])
-        sums = [_convolve(f, lead(self.upper))]
-        row = sums[0]
+        # row m's terms i = n-2, n-1: w_i f[m+i] and K[rows-1-m+i] f_low[i]
+        upper = lead(self.upper)
+        parts = [(_convolve(f, upper), upper[..., 1:2] * f[..., n - 2:-1],
+                  upper[..., :1] * f[..., n - 1:])]
         if f_low is not None and self.lower is not None:
-            sums.append(_convolve(self.jackson * f_low, lead(self.lower)))
-            row = row - self.low_scale * sums[1]
-        # one per order, leading the sums' axes
-        power = np.reshape(self.power,
-                           np.shape(self.power) + (1,) * (f.ndim - 1))
+            lower, f_low = lead(self.lower), self.jackson * f_low
+            parts.append((_convolve(f_low, lower),
+                          lower[..., 1:rows + 1] * f_low[..., -2:-1],
+                          lower[..., :rows] * f_low[..., -1:]))
+        sums = [self._with_tail(*s) if full else s[0] for s in parts]
+        row = sums[0] - self.low_scale * sums[1] if sums[1:] else sums[0]
+        power = lead(np.asarray(self.power))  # one per order
         return _checked_product(value(lead(self.head) * row), self.nodes,
                                 power, self.params.p, "kernel row factor",
                                 *sums)
+
+    def _with_tail(self, total, a0, a1):
+        """total plus the geometric tail a1 r / (1 - r), r = a1 / a0, where
+        a1 > _SUM_ABS_TOL |total| and 0 < r <= 1 - 1/max_terms (exact for a
+        power law). A slower r (1/w: r = 1) raises where max_terms a1 >
+        |total|, above the rounding a differenced f leaves at deep nodes."""
+        live = abs(a1) > _SUM_ABS_TOL * abs(total)
+        if not live.any():  # bounded integrands: every row as summed
+            return total
+        r = a1 / a0
+        live &= (r > 0.0) & (r < np.inf)
+        fast = self.max_terms * (1.0 - r) >= 1.0
+        slow = live & ~fast & (self.max_terms * abs(a1) > abs(total))
+        if slow.any():
+            t = np.broadcast_to(self.nodes, slow.shape)[slow][0]
+            raise ConvergenceError(
+                f"Jackson sum at node t={float(t)!r} decays too slowly: its "
+                f"last two terms have ratio {float(r[slow][0])!r}, more than "
+                f"max_terms={self.max_terms} terms can sum")
+        return np.where(live & fast, total + a1 * r / (1.0 - r), total)
 
 
 def _grid(x, ctx: OperatorContext, extra: int = 0):

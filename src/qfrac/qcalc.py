@@ -19,9 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
-from .qcore import DEFAULT_INTEGRATION_CTRL, SeriesControl, _check_q
-from .qcore import _SUM_MASS_TOL, _SUM_REL_TOL, _SUM_RUN
+from .errors import DomainError
+from .qcore import DEFAULT_INTEGRATION_CTRL, QParams, SeriesControl, _check_q
 
 __all__ = [
     "ScalarFunction",
@@ -115,48 +114,24 @@ def q_derivative(f: ScalarFunction, x: float, q: float) -> float:
 def jackson_integral_zero(f: ScalarFunction, b: float, q: float,
                           ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL
                           ) -> float:
-    """Jackson integral (1-q) b sum_i q**i f(q**i b) over [0, b], term by
-    term, f called once per summed term.
-
-    Stops once |term| <= max(eps sum of |terms|, 1e-13 |partial|) for 3
-    successive terms (qcore's _SUM_* constants; eps is the float epsilon),
-    so tiny terms are still summed and a sum cancelling to 0 (or f = 0)
-    still stops; raises ConvergenceError at max_terms.
-    """
-    _check_q(q)
-    if not b > 0.0:
-        raise DomainError(f"b must be positive, got {b}")
-    scale = (1.0 - q) * b
-    total, mass, small, qi = 0.0, 0.0, 0, 1.0
-    for _ in range(ctrl.max_terms):
-        term = scale * qi * f(qi * b)
-        total += term
-        mass += abs(term)
-        qi *= q
-        # max() keeps its first argument, the mass floor, if total is NaN
-        floor = max(_SUM_MASS_TOL * mass, _SUM_REL_TOL * abs(total))
-        small = small + 1 if abs(term) <= floor else 0
-        if small >= _SUM_RUN:
-            return float(total)
-    raise ConvergenceError(
-        f"Jackson integral on [0, {b}] did not meet its stopping rule "
-        f"within {ctrl.max_terms} terms")
+    """Jackson integral (1-q) b sum_i q**i f(q**i b) over [0, b], b > 0
+    finite: J^1 at p = 1, whose kernel weights are all 1, one kernel row
+    over f tabulated once on its n nodes plus the geometric tail of its
+    last two terms, or ConvergenceError (operators.LatticeKernel)."""
+    return jackson_integral(f, 0.0, QLattice(b, q, 1).b, q, ctrl)
 
 
 def jackson_integral(f: ScalarFunction, a: float, b: float, q: float,
                      ctrl: SeriesControl = DEFAULT_INTEGRATION_CTRL) -> float:
-    """Jackson integral over [a, b], as the difference of zero-based
-    integrals."""
+    """Jackson integral over [a, b], int_0^b - int_0^a as one kernel row
+    (see jackson_integral_zero): at a = b q**k the finite sum."""
+    from .operators import OperatorContext, frac_integral  # imports qcalc
     if not a >= 0.0:
         raise DomainError(f"a must be nonnegative, got {a}")
-    if a == b:
-        return 0.0
     if a > b:
         raise DomainError(f"need a <= b, got a={a}, b={b}")
-    total = jackson_integral_zero(f, b, q, ctrl)
-    if a > 0.0:
-        total -= jackson_integral_zero(f, a, q, ctrl)
-    return total
+    return 0.0 if a == b < math.inf else frac_integral(
+        f, QLattice(b, q, 1).b, 1.0, OperatorContext(QParams(q), a, ctrl))
 
 
 def sup_norm(f: ScalarFunction, lattice: QLattice):

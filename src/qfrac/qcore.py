@@ -41,9 +41,9 @@ class QParams:
         _check_q(self.q)
         if not self.p > 0.0:
             raise DomainError(f"p must be positive, got {self.p}")
-        if self.qp == 0.0:
-            raise DomainError(f"q**p underflows to 0 at q={self.q}, "
-                              f"p={self.p}")
+        if self.qp in (0.0, 1.0):  # a base of 0 or 1 is no deformation
+            what = "underflows to 0" if self.qp == 0.0 else "rounds to 1"
+            raise DomainError(f"q**p {what} at q={self.q}, p={self.p}")
 
     @property
     def qp(self) -> float:
@@ -51,15 +51,11 @@ class QParams:
         return self.q**self.p
 
 
-# Every truncation precision of the library. A Jackson sum stops after a
-# run of _SUM_RUN terms each at most max(_SUM_REL_TOL |partial sum|,
-# _SUM_MASS_TOL sum of |terms| so far), a floor that scales with the sum;
-# an operator sum holds the terms down to _SUM_ABS_TOL (_sum_length);
-# a q-product three factors after |b q**m| < 1e-17 (_LOG_TOL), so its
-# skipped log tail stays below about 1e-17 / (1 - q).
+# Every truncation precision of the library: a Jackson sum holds a bounded
+# integrand's terms down to _SUM_ABS_TOL and _SUM_RUN more (_sum_length),
+# plus a geometric tail past _SUM_ABS_TOL of the sum; a q-product, three
+# factors past |b q**m| < 1e-17 (_LOG_TOL), skips a log tail < 1e-17/(1 - q).
 _SUM_ABS_TOL = 1e-15
-_SUM_REL_TOL = 1e-13
-_SUM_MASS_TOL = float(np.finfo(float).eps)
 _SUM_RUN = 3
 _LOG_TOL = math.log(1e-17)
 
@@ -73,7 +69,7 @@ class SeriesControl:
     max_terms: int = 5_000
 
     def __post_init__(self):
-        if self.max_terms < _SUM_RUN:  # the stopping run needs as many
+        if self.max_terms < _SUM_RUN:
             raise DomainError(f"max_terms must be >= {_SUM_RUN}")
 
 

@@ -2,8 +2,8 @@
 operators at one point.
 
 `jackson_sum` forms the Jackson integral over [0, b] term by term, with
-the library's stopping rule, as `qcalc.jackson_integral_zero` does; the
-tests hold the two to the same floats. `kernel_sum` forms the Jackson kernel
+its own stopping rule on term size; the tests hold the library's kernel
+sums to it within a tolerance. `kernel_sum` forms the Jackson kernel
 sum term by term, one point at a time, as a loop over Python floats. Its
 integral over [a, s] is Jackson's int_0^s - int_0^a (Kac and Cheung,
 Quantum Calculus, 2002), at every s > 0: `derivative_rl` reads its inner
@@ -24,21 +24,19 @@ import numpy as np
 
 from qfrac.errors import ConvergenceError, PoleError
 from qfrac.operators import OperatorContext
-from qfrac.qcore import (
-    _SUM_ABS_TOL,
-    _SUM_MASS_TOL,
-    _SUM_REL_TOL,
-    _SUM_RUN,
-    _sum_length,
-    q_number,
-)
+from qfrac.qcore import _SUM_ABS_TOL, _sum_length, q_number
+
+# jackson_sum's own stopping rule, on term size: a path apart from the
+# library's kernel sums, which hold _sum_length terms and a geometric tail
+_SUM_REL_TOL = 1e-13
+_SUM_MASS_TOL = float(np.finfo(float).eps)
+_SUM_RUN = 3
 
 
 def jackson_sum(f, b: float, q: float, ctrl) -> float:
     """(1-q) b sum_i q**i f(q**i b), one term at a time, until _SUM_RUN
     successive terms lie at or below max(_SUM_REL_TOL |partial|,
-    _SUM_MASS_TOL sum of |terms|); ConvergenceError at ctrl.max_terms,
-    with the library's text."""
+    _SUM_MASS_TOL sum of |terms|); ConvergenceError at ctrl.max_terms."""
     scale = (1.0 - q) * b
     total, mass, small, qi = 0.0, 0.0, 0, 1.0
     for _ in range(ctrl.max_terms):

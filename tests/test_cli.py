@@ -784,6 +784,19 @@ class TestFailurePaths:
                                    ("ml", EVAL_BASE + "m_terms = 2\n", 0.5),
                                    ("verify", "q = 0.5\n", 0.5),
                                    ("verify", "", 0.3)]],
+        *[(command, base + "p = 1e-300\n", None, 2,
+           f"p: q**p rounds to 1 at q={q}, p=1e-300")
+          for command, base, q in [("solve", SOLVE_BASE + "rhs = u\n", 0.5),
+                                   ("eval", EVAL_BASE + "operator = J\n"
+                                                        "function = x\n", 0.5),
+                                   ("ml", EVAL_BASE + "m_terms = 2\n", 0.5),
+                                   ("verify", "q = 0.5\n", 0.5),
+                                   ("verify", "", 0.3)]],
+        # terms of 1/x do not decay: the sums over [0, x] (and [0, a]) diverge
+        *[("eval", EVAL_BASE + f"operator = {op}\nfunction = 1/x\n{a}", None,
+           3, f"operator {op} failed: Jackson sum at node t=1.0 decays too "
+           f"slowly: its last two terms have ratio ")
+          for op, a in [("J", ""), ("D", ""), ("caputo", "a = 0.25\n")]],
         ("solve", "q = 0.5\nalpha = 0.5\nzeta = inf\nrhs = u\n", None, 2,
          "zeta: must be finite, got inf"),
         ("solve", EVAL_BASE + "zeta = 1\nrhs = u\nr = -inf\n", None, 2,
@@ -852,7 +865,7 @@ class TestFailurePaths:
          "q-Mittag-Leffler evaluation failed: q-Mittag-Leffler partial sum "
          "needs m=6000 terms, exceeding max_terms=5000; raise "
          "SeriesControl.max_terms (the CLI reads it from QFRAC_MAX_TERMS)"),
-        # a budget below the run of 3 small terms a sum stops at
+        # a budget below the 3 terms every sum holds past its precision
         *[("solve", SOLVE_BASE + "rhs = u\n", budget, 2, "QFRAC_MAX_TERMS: "
            "max_terms must be >= 3") for budget in ("1", "2")],
         # a huge rhs: the row head times the sums of the rhs overflows

@@ -21,7 +21,7 @@ from qfrac.operators import (
     inversion_residuals,
     lemma_beta_integral,
 )
-from qfrac.qcalc import QLattice, jackson_integral
+from qfrac.qcalc import QLattice
 from qfrac.qcore import (
     _SUM_ABS_TOL,
     DEFAULT_INTEGRATION_CTRL,
@@ -135,7 +135,8 @@ class TestBetaIntegralLemma:
                                                   params)
                                 * t ** (p * lam))
 
-                    lhs = jackson_integral(integrand, 0.0, x, q)
+                    lhs = reference.jackson_sum(integrand, x, q,
+                                                DEFAULT_INTEGRATION_CTRL)
                     rhs = lemma_beta_integral(0.0, x, alpha, lam, params)
                     assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -166,10 +167,6 @@ class TestBetaIntegralLemma:
             [lemma_beta_integral(0.0, x, a, lam, params) for x in xs]
             for a, lam in cases]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 18: the kernel sums are sized for terms that decay "
-        "like q**i, and the cut tail of w**lam, -1 < lam < 0, is lost "
-        "(1.7e-8, 7.5e-4 and 0.164 relative; 9.7606 for 11.6753 at x = 1)"))
     @pytest.mark.parametrize("lam", (-0.5, -0.8, -0.95))
     def test_integral_of_slowly_decaying_power(self, lam):
         """J^(1/2) w**lam is the lemma's closed form times
@@ -197,6 +194,122 @@ class TestBetaIntegralLemma:
             lemma_beta_integral(0.5, np.array([[1.0], [0.25]]), 0.5, 0.0,
                                 params)
         assert str(raised.value) == "need x > a >= 0, got x=0.25, a=0.5"
+
+
+def q_binomial_sum(f, x, a, q, order):
+    """The order-`order` q-integral of f over [a, x] at p = 1 and an
+    on-lattice a = x q**K: the finite sum (1 - q)**order x**order
+    sum_{j<K} q**j f(x q**j) (q**order; q)_j / (q; q)_j, into which the
+    kernel weights and Gamma_q(order) collapse at w = x q**j."""
+    K = round(math.log(a / x) / math.log(q))
+    terms, c = [], 1.0
+    for j in range(K):
+        terms.append(q**j * f(x * q**j) * c)
+        c *= (1.0 - q ** (order + j)) / (1.0 - q ** (j + 1))
+    return (1.0 - q) ** order * x ** order * math.fsum(terms)
+
+
+# at q = 0.99 a row over [a, x] is the difference of two sums 200 to 2000
+# times its value (their terms fall like 0.99**(i (1 + lam))), whose
+# rounding the difference keeps: 1.5e-12 to 2.0e-11 relative
+ON_LATTICE_CASES = [
+    pytest.param(q, lam, name, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 34: a long-sum difference"))
+    if (q, name, lam) in {(0.99, "J", -0.9), (0.99, "J", -0.95),
+                          (0.99, "caputo", -0.95)} else (q, lam, name)
+    for q in (0.5, 0.9, 0.99) for lam in (-0.5, -0.8, -0.9, -0.95)
+    for name in ("J", "D", "caputo")]
+
+
+class TestSlowlyDecayingPowers:
+    """w**lam, -1 < lam < 0: its terms fall like (q**(1 + lam))**i, more
+    slowly than the q**i a kernel sum is sized for, and each sum adds the
+    geometric tail of its last two terms. 20 rows at a = 0, and the rows
+    above an on-lattice a = q**10."""
+
+    @pytest.mark.parametrize("q", (0.5, 0.9, 0.99))
+    @pytest.mark.parametrize("lam", (-0.5, -0.8, -0.9, -0.95))
+    def test_at_zero_the_closed_forms(self, q, lam):
+        params = QParams(q)
+        ctx = OperatorContext(params)
+        lattice = QLattice(1.0, q, 20)
+        x = np.array(lattice.nodes)
+        for alpha in (0.25, 0.5, 0.75):
+            got = frac_integral(lambda w: w ** lam, lattice, alpha, ctx)
+            want = monomial_integral_oracle(x, alpha, lam, params)
+            assert np.all(np.abs(got - want) <= 1e-12 * want)
+            got = frac_derivative_rl(lambda w: w ** lam, lattice, alpha, ctx)
+            if lam + 1.0 == alpha:  # 1 / Gamma_q(0): D w**(alpha-1) = 0
+                assert np.all(np.abs(got) <= 1e-12 * x ** (lam - alpha))
+            else:
+                want = monomial_derivative_oracle(x, alpha, lam, params)
+                assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("q,lam,name", ON_LATTICE_CASES)
+    def test_on_lattice_a_the_finite_sums(self, q, lam, name):
+        a = q**10
+        ctx = OperatorContext(QParams(q), a)
+        lattice = QLattice(1.0, q, 20, floor_a=a)
+        f = lambda w: w ** lam
+        op, g, sign = {"J": (frac_integral, f, 1.0),
+                       "D": (frac_derivative_rl, f, -1.0),
+                       "caputo": (caputo_derivative,
+                                  lambda w: f(w) - f(a), -1.0)}[name]
+        for alpha in (0.25, 0.5, 0.75):
+            got = op(f, lattice, alpha, ctx)
+            want = np.array([q_binomial_sum(g, x, a, q, sign * alpha)
+                             for x in lattice.nodes])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("a", (0.0, 0.125))
+    def test_stacks_are_the_single_calls(self, a):
+        """The tails broadcast over a family, an ndarray of orders and one
+        of points: each value is the float of its own call, and a slow
+        member raises for the whole stack."""
+        ctx = OperatorContext(QParams(0.5), a)
+        lams, orders, xs = (-0.9, -0.5), np.array([0.25, 0.5, 0.75]), \
+            np.array([0.5, 1.0])
+        family = tabled(lambda w: np.stack([w ** lam for lam in lams]))
+        for op in (frac_integral, frac_derivative_rl):
+            got = op(family, xs, orders, ctx)
+            assert got.tolist() == [
+                [[op(lambda w: w ** lam, x, alpha, ctx) for x in xs.tolist()]
+                 for lam in lams] for alpha in orders.tolist()]
+            with pytest.raises(ConvergenceError, match="decays too slowly"):
+                op(tabled(lambda w: np.stack((w, 1.0 / w))), xs, orders, ctx)
+
+    @pytest.mark.parametrize("q,p,alpha,a,c", [
+        (0.6450168820356722, 2.0, 0.37090813028299907, 0.0, (1, 1, -1, 0)),
+        (0.7506010615335978, 2.0, 0.11941055312816813, 0.25, (-1, 0, 1, 1)),
+        (0.71875, 1.0, 0.5, 0.25, (-2, 1, 0, 1))])
+    def test_rounding_of_a_differenced_f_is_no_slow_decay(self, q, p, alpha,
+                                                          a, c):
+        """A q-derivative formed as (f(w) - f(qw)) / ((1 - q) w) rounds to
+        multiples of ulp(f(0)) / ((1 - q) w) at the deep nodes: terms that
+        do not decay, but far below the value, so the simplified Caputo
+        form neither raises nor adds their tail."""
+        ctx = OperatorContext(QParams(q, p), a)
+        f = lambda w: c[0] + c[1] * w + c[2] * w * w + c[3] * math.exp(-w)
+        dqf = lambda w: (f(w) - f(q * w)) / ((1.0 - q) * w)
+        lattice = QLattice(1.0, q, 6, floor_a=a)
+        got = caputo_derivative_simplified(f, dqf, lattice, alpha, ctx)
+        want = [reference.caputo_simplified(dqf, x, alpha, ctx)
+                for x in lattice.nodes]
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(
+            1.0, np.abs(want)) / (1.0 - q))
+
+    @pytest.mark.parametrize("a", (0.0, 0.25))
+    def test_terms_that_do_not_decay_raise(self, a):
+        """1/w: the sums over [0, x] and [0, a] diverge (caputo reads
+        f(a), so it runs at a > 0 only)."""
+        ctx = OperatorContext(QParams(0.9), a)
+        for op in (frac_integral, frac_derivative_rl,
+                   caputo_derivative)[:2 + (a > 0.0)]:
+            with pytest.raises(ConvergenceError, match=(
+                    r"^Jackson sum at node t=1\.0 decays too slowly: its last "
+                    r"two terms have ratio ")):
+                op(lambda w: 1.0 / w, QLattice(1.0, 0.9, 20, floor_a=a), 0.5,
+                   ctx)
 
 
 class TestRLDerivative:

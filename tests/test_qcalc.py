@@ -15,8 +15,6 @@ from qfrac.qcalc import (
 )
 from qfrac.qcore import SeriesControl, q_number
 
-import kernel_reference as reference
-
 
 def brute_jackson(f, b, q, terms):
     """Independent oracle: fixed-length geometric sum, no adaptivity."""
@@ -89,22 +87,58 @@ class TestJacksonIntegral:
 
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
     def test_tiny_terms_are_summed(self, q):
-        # every term of f = 1e-20 lies far below 1e-15; the stopping floor
-        # scales with the sum, so the sum is 1e-20 times that of f = 1
+        # every term of f = 1e-20 lies far below 1e-15; the sum is 1e-20
+        # times that of f = 1, which holds every term down to 1e-15 of it
         got = jackson_integral_zero(lambda x: 1e-20, 1.0, q)
         one = jackson_integral_zero(lambda x: 1.0, 1.0, q)
         assert got == pytest.approx(1e-20 * one, rel=1e-14, abs=0.0)
-        # the stop at q = 0.99 leaves a relative tail of about 1e-11
-        assert got == pytest.approx(1e-20, rel=1e-10, abs=0.0)
+        assert got == pytest.approx(1e-20, rel=2e-15, abs=0.0)
         assert jackson_integral_zero(lambda x: 0.0, 1.0, q) == 0.0
 
     @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
     def test_cancelling_integral_reaches_zero(self, q):
         # x - 1/(1 + q) integrates to b**2 / (1 + q) - b / (1 + q) = 0 on
-        # [0, 1]; the partial sums pass through 0, so only a floor from the
-        # terms' own mass stops the sum near it
+        # [0, 1]; the partial sums pass through 0, and the last term,
+        # large against the sum, adds its geometric tail without raising
         got = jackson_integral_zero(lambda x: x - 1.0 / (1.0 + q), 1.0, q)
         assert abs(got) <= 1e-13
+
+    @pytest.mark.parametrize("q,max_terms", [
+        (0.5, 5000), (0.9, 5000), (0.99, 5000), (0.995, 8000)])
+    @pytest.mark.parametrize("b", [1.0, 0.3, 2.5])
+    def test_powers_hold_their_tail(self, q, max_terms, b):
+        """int_0^b x**k d_q x = b**(k+1) / [k+1]_q, [k+1]_q summed as
+        1 + q + ... + q**k, within 2e-15 for k = 0, 1, 2: a sum that
+        stopped on term size lost up to 2e-11 at q = 0.995."""
+        ctrl = SeriesControl(max_terms=max_terms)
+        for k in range(3):
+            want = b ** (k + 1) / math.fsum(q**j for j in range(k + 1))
+            got = jackson_integral_zero(lambda x: x**k, b, q, ctrl)
+            assert type(got) is float
+            assert abs(got - want) <= 2e-15 * want
+
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.99])
+    def test_terms_that_do_not_decay_raise(self, q):
+        """The terms (1 - q) b f(b q**i) q**i of f = 1/w do not fall: the
+        integral diverges, where the last two terms' ratio is 1."""
+        with pytest.raises(ConvergenceError) as err:
+            jackson_integral_zero(lambda x: 1.0 / x, 1.0, q)
+        assert str(err.value).startswith(
+            "Jackson sum at node t=1.0 decays too slowly: its last two "
+            "terms have ratio ")
+        assert "\n" not in str(err.value)
+        # a bounded oscillation reads as no slow decay
+        assert abs(jackson_integral_zero(lambda x: math.sin(1.0 / x), 1.0,
+                                         q)) < 1.0
+
+    def test_infinite_limit_is_refused(self):
+        for integral in (lambda f: jackson_integral_zero(f, math.inf, 0.5),
+                         lambda f: jackson_integral(f, 0.5, math.inf, 0.5),
+                         lambda f: jackson_integral(f, math.inf, math.inf,
+                                                    0.5)):
+            with pytest.raises(DomainError) as raised:
+                integral(lambda x: 1.0)
+            assert str(raised.value) == "b must be finite, got inf"
 
     def test_nonconvergence(self):
         # at q = 0.99 the terms 0.01 * 0.99**i of f = 1 stay above 1e-13
@@ -151,72 +185,63 @@ class Tabled:
 
 
 class TestJacksonTablePath:
-    """Every function is summed term by term, one call per node, a table
-    attribute or not; the sum is the reference loop's float bit for bit,
-    and so is its failure at max_terms."""
+    """The Jackson integral is one order-1 kernel row: f tabulated once on
+    the row's n nodes b q**i, a table attribute or not, to one float."""
 
     @given(q=st.floats(0.05, 0.995), b=st.floats(0.01, 5.0),
            c=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
                        st.floats(-3.0, 3.0)))
     @settings(max_examples=150, deadline=None)
-    def test_same_float_as_the_loop(self, q, b, c):
+    def test_table_and_calls_give_one_float(self, q, b, c):
         f = Tabled(*c)
         ctrl = SeriesControl(max_terms=20_000)
-        want = reference.jackson_sum(f, b, q, ctrl)
-        for g in (f, lambda x: f(x)):  # with a table attribute, and without
-            got = jackson_integral_zero(g, b, q, ctrl)
-            assert type(got) is float
-            assert math.copysign(1.0, got) == math.copysign(1.0, want)
-            assert got == want
-
-    def test_run_of_small_terms_spans_blocks(self):
-        # terms 0.375 * 0.625**i of f = 1 drop below 1e-13 times the
-        # partial sum 1 - 0.625**(i + 1) from i = 62 on (log(1e-13 / 0.375)
-        # / log(0.625) = 61.6; eps times the sum of |terms|, here the
-        # partial sum, is the lesser floor), so the sum stops at the third
-        # small term in a row, i = 64
-        ctrl = SeriesControl()
-        assert [i for i in range(61, 64) if 0.375 * 0.625**i <= max(
-            1e-13, np.finfo(float).eps) * (1.0 - 0.625 ** (i + 1))] == [62, 63]
-        got = jackson_integral_zero(Tabled(0.0, 0.0, 1.0), 1.0, 0.625, ctrl)
-        assert got == reference.jackson_sum(lambda x: 1.0, 1.0, 0.625, ctrl)
-        assert abs(got - (1.0 - 0.625**65)) < 1e-14
+        got = jackson_integral_zero(f, b, q, ctrl)
+        assert type(got) is float
+        assert got == jackson_integral_zero(lambda x: f(x), b, q, ctrl)
+        # the closed form c2 b**3 / [3]_q + c1 b**2 / [2]_q + c0 b
+        parts = [c[0] * b**3 / (1.0 + q + q * q), c[1] * b**2 / (1.0 + q),
+                 c[2] * b]
+        # (plus subnormal room: (1 - q) b 5e-324 rounds to 0)
+        assert abs(got - math.fsum(parts)) <= (1e-14 * sum(map(abs, parts))
+                                               + 1e-300)
 
     @pytest.mark.parametrize("max_terms", [10, 64, 100, 300])
     def test_same_error_at_max_terms(self, max_terms):
-        # at q = 0.99 no term gets small within 300 (see test_nonconvergence)
+        # at q = 0.99 the kernel row needs 3440 terms
         ctrl = SeriesControl(max_terms=max_terms)
-        with pytest.raises(ConvergenceError) as loop_err:
-            reference.jackson_sum(lambda x: 1.0, 1.0, 0.99, ctrl)
         for f in (Tabled(0.0, 0.0, 1.0), lambda x: 1.0):
             with pytest.raises(ConvergenceError) as err:
                 jackson_integral_zero(f, 1.0, 0.99, ctrl)
-            assert str(err.value) == str(loop_err.value)
+            assert str(err.value) == (
+                f"operator Jackson sum needs 3440 terms, exceeding max_terms="
+                f"{max_terms}; raise SeriesControl.max_terms (the CLI reads "
+                f"it from QFRAC_MAX_TERMS)")
 
-    def test_f_is_called_only_at_the_terms_the_sum_uses(self):
-        # the sum of 0.5**i stops at i = 45; f raises from node 50 on,
-        # which the sum never reaches
-        calls = []
+    def test_f_is_tabulated_once_on_the_row_nodes(self):
+        # at q = 0.5 the row holds 0.5**i for i < 53, down to 1e-15 and
+        # three terms past it
+        calls, tables = [], []
 
         def f(x):
             calls.append(x)
-            if x < 2.0**-49.5:
-                raise ValueError("f is undefined below 2**-50")
             return 1.0
 
-        ctrl = SeriesControl()
-        want = reference.jackson_sum(f, 1.0, 0.5, ctrl)
-        used = len(calls)
-        calls.clear()
-        assert jackson_integral_zero(f, 1.0, 0.5, ctrl) == want
-        assert calls == [0.5**i for i in range(used)]
-        assert used == 46
+        def table(xs):
+            tables.append(xs.tolist())
+            return np.ones_like(xs)
 
-    def test_nan_never_stops_the_sum(self):
-        ctrl = SeriesControl(max_terms=200)
-        f = Tabled(0.0, 0.0, math.nan)
-        with pytest.raises(ConvergenceError):
-            jackson_integral_zero(f, 1.0, 0.5, ctrl)
+        g = lambda x: 1.0
+        g.table = table
+        ctrl = SeriesControl()
+        assert jackson_integral_zero(f, 1.0, 0.5, ctrl) == \
+            jackson_integral_zero(g, 1.0, 0.5, ctrl)
+        assert calls == [0.5**i for i in range(53)] and tables == [calls]
+
+    def test_nan_propagates(self):
+        # a NaN term makes the sum NaN; it raises nothing
+        for f in (Tabled(0.0, 0.0, math.nan),
+                  lambda x: math.nan if x < 1e-6 else 1.0):
+            assert math.isnan(jackson_integral_zero(f, 1.0, 0.5))
 
 
 class TestFundamentalTheorem:

@@ -372,8 +372,18 @@ class TestInvariantsOfTypes:
             QParams(q, p)
         assert QParams(q, 500.0).qp > 0.0  # tiny, yet a base
 
+    @pytest.mark.parametrize("q,p", [(0.5, 1e-300), (0.5, 1e-20),
+                                     (0.99, 1e-15)])
+    def test_qparams_rejects_a_base_that_rounds_to_1(self, q, p):
+        """q**p = 1 is no deformation: q_gamma refuses it as a q, and the
+        sum length divides by its log."""
+        with pytest.raises(DomainError) as raised:
+            QParams(q, p)
+        assert str(raised.value) == f"q**p rounds to 1 at q={q}, p={p}"
+        assert QParams(q, 1e-14).qp < 1.0  # near 1, yet a base
+
     def test_series_control_validation(self):
-        # a sum stops after a run of 3 small terms, so a budget needs 3
+        # every sum holds at least its 3 terms past _SUM_ABS_TOL
         with pytest.raises(DomainError, match="max_terms must be >= 3"):
             SeriesControl(max_terms=2)
         assert SeriesControl(max_terms=3).max_terms == 3
